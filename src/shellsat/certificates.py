@@ -15,6 +15,7 @@ For a pure connected 2-dimensional complex L:
 """
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .collapse import (
@@ -169,15 +170,21 @@ def saturation_to_collapse(L: Complex,
         for v in e:
             degree[v] += 1
             at_vertex[v].add(e)
+    # A max-heap of the current leaves: pruning a leaf can only turn its
+    # neighbour into a leaf, so the largest leaf is always on top.
+    leaves = [-v for v in range(n) if degree[v] == 1]
+    heapify(leaves)
     alive = set(range(n))
     while len(alive) > 1:
-        leaf = max(v for v in alive if degree[v] == 1)
+        leaf = -heappop(leaves)
         edge = next(iter(at_vertex[leaf]))
         steps.append(CollapseStep((leaf,), edge))
         alive.remove(leaf)
         for v in edge:
             degree[v] -= 1
             at_vertex[v].discard(edge)
+            if degree[v] == 1:
+                heappush(leaves, -v)
     final_vertex = next(iter(alive))
     target = from_facets([[L.labels[final_vertex]]])
     return CollapseCertificate(removed, tuple(steps), target)

@@ -328,9 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                            help=f"search-node budget (default {DEFAULT_BUDGET})")
-            p.add_argument("--threads", type=int, default=1, metavar="N",
-                           help="worker threads; any value yields the sequential "
-                                "lexicographic result")
 
     p_info = sub.add_parser("info", help="print structural facts")
     add_common(p_info)
@@ -398,16 +395,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ShellsatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ShellsatError, OSError, UnicodeDecodeError, RecursionError,
+            MemoryError) as exc:
+        # Exit 1 means "refuted"; a failure that is no verdict must not say so.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

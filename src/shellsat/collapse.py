@@ -10,7 +10,7 @@ expressed in the id coordinates of the subject complex.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Complex, Face, from_facets
+from .complexes import Complex, Face, from_facets, maximal_faces
 from .errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -48,16 +48,16 @@ class CollapseCertificate:
 
 
 # -- replay machinery over plain face sets (empty face excluded) -------------
+#
+# ``faces`` is always a subset of the subject's faces and a step's free face
+# is a face of the subject, so the subject's coface lists bound every scan.
 
-def _cofacets(faces: set[Face], tau: Face) -> list[Face]:
+def _cofacets(K: Complex, faces: set[Face], tau: Face) -> list[Face]:
     """Facets of the current complex strictly containing tau."""
-    tau_set = set(tau)
-    above = [g for g in faces if len(g) > len(tau) and tau_set < set(g)]
-    return [g for g in above
-            if not any(g is not h and set(g) < set(h) for h in above)]
+    return maximal_faces([g for g in K.cofaces(tau) if g in faces])
 
 
-def _step_violation(faces: set[Face], step: CollapseStep) -> str | None:
+def _step_violation(K: Complex, faces: set[Face], step: CollapseStep) -> str | None:
     """Why the step is illegal on the current face set, or None if legal."""
     tau, sigma = step.free_face, step.facet
     if not tau:
@@ -66,7 +66,7 @@ def _step_violation(faces: set[Face], step: CollapseStep) -> str | None:
         return f"free face {tau} is not a face of the current complex"
     if sigma not in faces or not set(tau) < set(sigma):
         return f"{sigma} is not a facet strictly containing {tau}"
-    cofacets = _cofacets(faces, tau)
+    cofacets = _cofacets(K, faces, tau)
     if sigma not in cofacets:
         return f"{sigma} is not a facet of the current complex"
     others = [g for g in cofacets if g != sigma]
@@ -75,28 +75,27 @@ def _step_violation(faces: set[Face], step: CollapseStep) -> str | None:
     return None
 
 
-def _apply_step(faces: set[Face], step: CollapseStep) -> set[Face]:
-    tau_set = set(step.free_face)
-    return {g for g in faces if not tau_set <= set(g)}
+def _apply_step(K: Complex, faces: set[Face], step: CollapseStep) -> None:
+    """Remove the free face and every face above it, in place."""
+    faces.discard(step.free_face)
+    faces.difference_update(K.cofaces(step.free_face))
 
 
 def _nonempty_faces(K: Complex) -> set[Face]:
     return {f for f in K.faces if f}
 
 
-def _legal_steps(faces: set[Face]) -> list[CollapseStep]:
+def _legal_steps(K: Complex, faces: set[Face]) -> list[CollapseStep]:
     steps = []
     for tau in faces:
-        cofacets = _cofacets(faces, tau)
+        cofacets = _cofacets(K, faces, tau)
         if len(cofacets) == 1:
             steps.append(CollapseStep(tau, cofacets[0]))
     return steps
 
 
 def _rebuild(K: Complex, faces: set[Face]) -> Complex:
-    maximal = [f for f in faces
-               if not any(f is not g and set(f) < set(g) for g in faces)]
-    return from_facets([K.label_face(f) for f in maximal])
+    return from_facets([K.label_face(f) for f in maximal_faces(faces)])
 
 
 # -- public operations --------------------------------------------------------
@@ -108,30 +107,31 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
     one named by the step; otherwise NotFreeError reports the obstruction.
     """
     faces = _nonempty_faces(K)
-    reason = _step_violation(faces, step)
+    reason = _step_violation(K, faces, step)
     if reason is not None:
         blocking = None
-        cofacets = _cofacets(faces, step.free_face) if step.free_face in faces else []
+        cofacets = _cofacets(K, faces, step.free_face) if step.free_face in faces else []
         others = [g for g in cofacets if g != step.facet]
         if others:
             blocking = min(others)
         raise NotFreeError(reason, blocking_facet=blocking)
-    return _rebuild(K, _apply_step(faces, step))
+    _apply_step(K, faces, step)
+    return _rebuild(K, faces)
 
 
 def free_faces(K: Complex) -> list[CollapseStep]:
     """All currently legal collapse steps, in lexicographic face order."""
-    return sorted(_legal_steps(_nonempty_faces(K)),
+    return sorted(_legal_steps(K, _nonempty_faces(K)),
                   key=lambda s: (s.free_face, s.facet))
 
 
-def _search_order(faces: set[Face]) -> list[CollapseStep]:
+def _search_order(K: Complex, faces: set[Face]) -> list[CollapseStep]:
     # Greedy preference: highest-dimensional free face first, lex within.
-    return sorted(_legal_steps(faces),
+    return sorted(_legal_steps(K, faces),
                   key=lambda s: (-len(s.free_face), s.free_face, s.facet))
 
 
-def _collapse_to_point(faces: set[Face], steps: list[CollapseStep],
+def _collapse_to_point(K: Complex, faces: set[Face], steps: list[CollapseStep],
                        visited: set[frozenset[Face]], budget: Budget) -> bool:
     """Depth-first search for a collapse to a single vertex, extending steps.
 
@@ -143,10 +143,12 @@ def _collapse_to_point(faces: set[Face], steps: list[CollapseStep],
     key = frozenset(faces)
     if key in visited:
         return False
-    for step in _search_order(faces):
+    for step in _search_order(K, faces):
         budget.spend()
         steps.append(step)
-        if _collapse_to_point(_apply_step(faces, step), steps, visited, budget):
+        child = set(faces)
+        _apply_step(K, child, step)
+        if _collapse_to_point(K, child, steps, visited, budget):
             return True
         steps.pop()
     visited.add(key)
@@ -165,15 +167,14 @@ def is_collapsible(K: Complex, budget: int | Budget | None = None):
     faces = _nonempty_faces(K)
     steps: list[CollapseStep] = []
     try:
-        found = _collapse_to_point(faces, steps, set(), budget)
+        found = _collapse_to_point(K, faces, steps, set(), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="collapse")
     if not found:
         return NotCollapsible()
-    remaining = faces
     for step in steps:
-        remaining = _apply_step(remaining, step)
-    target = _rebuild(K, remaining)
+        _apply_step(K, faces, step)
+    target = _rebuild(K, faces)
     return CollapseCertificate(frozenset(), tuple(steps), target)
 
 
@@ -203,14 +204,13 @@ def collapsible_after_removing(K: Complex, k: int,
         faces = all_faces - set(removed)
         steps: list[CollapseStep] = []
         try:
-            found = _collapse_to_point(faces, steps, visited, budget)
+            found = _collapse_to_point(K, faces, steps, visited, budget)
         except OutOfBudget:
             return BudgetExceeded(stage="collapse-after-removing")
         if found:
-            remaining = faces
             for step in steps:
-                remaining = _apply_step(remaining, step)
-            target = _rebuild(K, remaining)
+                _apply_step(K, faces, step)
+            target = _rebuild(K, faces)
             cert = CollapseCertificate(frozenset(removed), tuple(steps), target)
             return frozenset(removed), cert
     return Impossible()
@@ -236,10 +236,10 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
 
     faces = _nonempty_faces(K) - set(cert.removed_triangles)
     for i, step in enumerate(cert.steps):
-        reason = _step_violation(faces, step)
+        reason = _step_violation(K, faces, step)
         if reason is not None:
             return f"step {i}: {reason}"
-        faces = _apply_step(faces, step)
+        _apply_step(K, faces, step)
 
     reached = {K.label_face(f) for f in faces}
     expected = {cert.target.label_face(f) for f in cert.target.faces if f}

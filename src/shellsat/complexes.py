@@ -37,10 +37,31 @@ def subfaces(face: Face) -> Iterable[Face]:
     return chain.from_iterable(combinations(face, k) for k in range(len(face) + 1))
 
 
+def proper_subfaces(face: Face) -> Iterable[Face]:
+    """All subsets of a face except the face itself, the empty face included."""
+    return chain.from_iterable(combinations(face, k) for k in range(len(face)))
+
+
+def maximal_faces(faces: Iterable[Face]) -> list[Face]:
+    """The listed faces not strictly contained in another listed face.
+
+    Every proper subface of every listed face is collected once; a face is
+    maximal exactly when it is not in that set.  With at most 2^(d+1)
+    subfaces per face this is linear in the number of faces for bounded
+    dimension d.  Faces are id tuples in increasing order; the result keeps
+    the input order.
+    """
+    listed = list(faces)
+    if len(listed) < 2:
+        return listed
+    below = {sub for f in listed for sub in proper_subfaces(f)}
+    return [f for f in listed if f not in below]
+
+
 class Complex:
     """Immutable simplicial complex; construct via :func:`from_facets`."""
 
-    __slots__ = ("labels", "facets", "faces", "_fingerprint", "_hash")
+    __slots__ = ("labels", "facets", "faces", "_fingerprint", "_hash", "_cofaces")
 
     def __init__(self, labels: tuple[str, ...], facets: tuple[Face, ...],
                  faces: frozenset[Face]):
@@ -50,6 +71,7 @@ class Complex:
         self.faces = faces
         self._fingerprint: str | None = None
         self._hash: int | None = None
+        self._cofaces: dict[Face, tuple[Face, ...]] | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -75,6 +97,21 @@ class Complex:
         except KeyError as exc:
             raise NotAFaceError(f"unknown vertex label {exc.args[0]!r}") from None
         return tuple(ids)
+
+    def cofaces(self, face: Face) -> tuple[Face, ...]:
+        """The faces strictly containing a face of the complex.
+
+        The lists for all faces are built together on the first call, in
+        one pass over the faces, so complexes that never ask pay nothing.
+        Threads racing on that call build equal lists, so sharing stays safe.
+        """
+        if self._cofaces is None:
+            cofaces: dict[Face, list[Face]] = {f: [] for f in self.faces}
+            for f in self.faces:
+                for sub in proper_subfaces(f):
+                    cofaces[sub].append(f)
+            self._cofaces = {f: tuple(above) for f, above in cofaces.items()}
+        return self._cofaces[face]
 
     def faces_of_dim(self, k: int) -> list[Face]:
         return sorted(f for f in self.faces if len(f) == k + 1)
@@ -233,8 +270,7 @@ def _build(label_faces: Iterable[tuple[str, ...]]) -> Complex:
         id_faces.add(ids)
 
     faces = {sub for f in id_faces for sub in subfaces(f)}
-    facets = sorted(f for f in id_faces
-                    if not any(f != g and set(f) < set(g) for g in id_faces))
+    facets = sorted(maximal_faces(id_faces))
     return Complex(tuple(vertex_labels), tuple(facets), frozenset(faces))
 
 

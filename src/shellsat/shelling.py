@@ -10,7 +10,7 @@ exercised at dimension 2.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Complex, Face
+from .complexes import Complex, Face, maximal_faces
 from .errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -44,9 +44,7 @@ def _meets_predecessors(proper: list[Face], covered: set[Face], d: int) -> bool:
     if not shared:
         # The intersection is the empty-face complex, of dimension -1.
         return d == 0
-    maximal = (f for f in shared
-               if not any(f is not g and set(f) < set(g) for g in shared))
-    return all(len(f) == d for f in maximal)
+    return all(len(f) == d for f in maximal_faces(shared))
 
 
 def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | None:
@@ -77,6 +75,93 @@ def verify_shelling(K: Complex, cert: ShellingCertificate) -> bool:
     return first_shelling_violation(K, cert) is None
 
 
+class _Prefix:
+    """A shelling prefix of a pure complex of dimension d >= 1.
+
+    Faces get dense ids.  ``cover[s]`` counts the placed facets containing
+    face ``s``, so ``push`` and ``pop`` are exact inverses and the search
+    can backtrack.  ``frontier`` holds the unplaced facets that share a
+    ridge (a face of dimension d-1) with the placed union, and ``key`` is
+    the set of placed facets as a bitmask.
+    """
+
+    def __init__(self, K: Complex):
+        d = K.dim
+        self.full = (1 << (d + 1)) - 1
+        position = {f: i for i, f in enumerate(K.facets)}
+        ids: dict[Face, int] = {}
+
+        def face_id(face: Face) -> int:
+            return ids.setdefault(face, len(ids))
+
+        self.subfaces: list[list[int]] = []   # nonempty proper subfaces
+        self.ridges: list[list[int]] = []     # ridge j omits vertex j
+        self.opposite: list[list[int]] = []   # mask -> face of the masked vertices
+        self.adjacent: list[list[list[int]]] = []  # ridge j -> facets containing it
+        for facet in K.facets:
+            ridges = [facet[:j] + facet[j + 1:] for j in range(d + 1)]
+            self.subfaces.append([face_id(f) for f in _proper_subfaces(facet)])
+            self.ridges.append([face_id(r) for r in ridges])
+            self.opposite.append([
+                face_id(tuple(v for j, v in enumerate(facet) if mask >> j & 1))
+                for mask in range(self.full)])
+            self.adjacent.append([[position[g] for g in K.cofaces(r)] for r in ridges])
+        self.cover = [0] * len(ids)
+        self.placed = [False] * len(K.facets)
+        self.order: list[int] = []
+        self.frontier: set[int] = set()
+        self.key = 0
+
+    def _touches(self, i: int) -> bool:
+        return any(self.cover[r] for r in self.ridges[i])
+
+    def fits(self, i: int) -> bool:
+        """The shelling condition for appending facet i, in O(1).
+
+        Let M be the vertices of facet i opposite its shared ridges.  A
+        shared face lies in the shared ridge opposite v iff it misses v, so
+        every shared face lies in a shared ridge iff no shared face
+        contains M; the shared faces are closed under subsets, so that holds
+        iff M is the whole facet or the face M is not shared.  Hence the
+        intersection is pure of dimension d-1 iff M is nonempty and one of
+        those holds.  For d = 2: the triangle shares an edge, and every
+        shared vertex lies on a shared edge.
+        """
+        mask = 0
+        for j, r in enumerate(self.ridges[i]):
+            if self.cover[r]:
+                mask |= 1 << j
+        return mask == self.full or (mask != 0 and not self.cover[self.opposite[i][mask]])
+
+    def candidates(self) -> list[int]:
+        """Frontier facets that may follow the prefix, in increasing index."""
+        return [i for i in sorted(self.frontier) if self.fits(i)]
+
+    def push(self, i: int) -> None:
+        self.placed[i] = True
+        self.order.append(i)
+        self.key |= 1 << i
+        self.frontier.discard(i)
+        for s in self.subfaces[i]:
+            self.cover[s] += 1
+        for j, r in enumerate(self.ridges[i]):
+            if self.cover[r] == 1:
+                self.frontier.update(g for g in self.adjacent[i][j] if not self.placed[g])
+
+    def pop(self) -> None:
+        i = self.order.pop()
+        self.placed[i] = False
+        self.key ^= 1 << i
+        for s in self.subfaces[i]:
+            self.cover[s] -= 1
+        for j, r in enumerate(self.ridges[i]):
+            if self.cover[r] == 0:
+                self.frontier.difference_update(
+                    g for g in self.adjacent[i][j] if not self._touches(g))
+        if self._touches(i):
+            self.frontier.add(i)
+
+
 def find_shelling(K: Complex, budget: int | Budget | None = None):
     """Search for a shelling of a pure connected complex of dimension >= 1.
 
@@ -85,6 +170,16 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     ``BudgetExceeded`` once the node budget runs out.  Failed facet sets are
     memoized: extendability depends only on the set of placed facets, not
     on their order.
+
+    Candidates after the first facet are drawn from the frontier only.  A
+    facet that shares no ridge with the placed union meets it in faces of
+    dimension below d-1, or not at all, so the intersection is not pure of
+    dimension d-1 and a scan over all facets would skip it as well.  Trying
+    the fitting frontier facets in increasing index therefore tries the
+    same facets in the same order as that scan: the shelling found, the
+    nodes spent and the failed sets recorded are the same.  The search
+    keeps its own stack, so the depth is not bounded by Python's recursion
+    limit.
     """
     if not K.is_pure():
         raise PurityError("shelling search requires a pure complex")
@@ -94,49 +189,30 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
         raise ConnectivityError("shelling search requires a connected complex")
 
     budget = as_budget(budget)
-    facets = list(K.facets)
-    m = len(facets)
-    proper = [_proper_subfaces(f) for f in facets]
-    d = K.dim
-
-    placed = [False] * m
-    order: list[int] = []
-    covered: set[Face] = set()
-    failed: set[frozenset[int]] = set()
-
-    def extend() -> bool:
-        if len(order) == m:
-            return True
-        state = frozenset(order)
-        if state in failed:
-            return False
-        for i in range(m):
-            if placed[i]:
-                continue
-            if order and not _meets_predecessors(proper[i], covered, d):
-                continue
-            budget.spend()
-            placed[i] = True
-            order.append(i)
-            added = [f for f in proper[i] if f not in covered]
-            if facets[i] not in covered:
-                added.append(facets[i])
-            covered.update(added)
-            if extend():
-                return True
-            covered.difference_update(added)
-            order.pop()
-            placed[i] = False
-        failed.add(state)
-        return False
-
+    m = len(K.facets)
+    prefix = _Prefix(K)
+    failed: set[int] = set()
+    stack = [iter(range(m))]
     try:
-        found = extend()
+        while stack:
+            for i in stack[-1]:
+                budget.spend()
+                prefix.push(i)
+                if len(prefix.order) == m:
+                    return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
+                if prefix.key in failed:
+                    prefix.pop()
+                    continue
+                stack.append(iter(prefix.candidates()))
+                break
+            else:
+                stack.pop()
+                failed.add(prefix.key)
+                if prefix.order:
+                    prefix.pop()
     except OutOfBudget:
         return BudgetExceeded(stage="shelling")
-    if not found:
-        return Unshellable()
-    return ShellingCertificate(tuple(facets[i] for i in order))
+    return Unshellable()
 
 
 # -- certificate file format -------------------------------------------------

@@ -183,6 +183,18 @@ def test_chain_subdivides_non_flag_input():
     assert report.subject.is_flag2()
 
 
+def test_chain_on_non_flag_input_with_large_sd2():
+    # A cone over an empty triangle abc (not flag) with a strip glued on ab:
+    # 28 triangles, so the subject sd^2 has 36 * 28 = 1008 facets.
+    strip = ["a b x0", "b x0 x1"] + [f"x{i} x{i + 1} x{i + 2}" for i in range(23)]
+    K = from_facets(["a b d", "b c d", "a c d"] + strip)
+    assert not K.is_flag2() and len(K.facets) == 28
+    report = run_chain(K, 100000)
+    assert len(report.subject.facets) == 1008
+    assert report.complete and all(report.verdicts.values()), report.status
+    assert report.removed_count == report.chi
+
+
 def test_chain_budget_is_stage_tagged(two_triangles):
     report = run_chain(two_triangles, 0)
     assert report.status == "budget-exceeded:shelling"

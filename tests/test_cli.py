@@ -73,14 +73,39 @@ def test_missing_file_exit_code(workdir):
     assert run("info", "--in", workdir / "nope.sc") == 3
 
 
+def test_non_utf8_input_exit_code(workdir, capsys):
+    latin = workdir / "latin.sc"
+    latin.write_bytes(b"a b \xe9\n")
+    assert run("info", "--in", latin) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_directory_input_exit_code(workdir, capsys):
+    assert run("shell", "--in", workdir) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("failure", [RecursionError, MemoryError])
+def test_resource_failure_is_not_a_refutation(workdir, capsys, monkeypatch, failure):
+    def exhausted(*args, **kwargs):
+        raise failure()
+
+    monkeypatch.setattr("shellsat.shelling.find_shelling", exhausted)
+    assert run("shell", "--in", workdir / "two.sc") == 3
+    assert capsys.readouterr().err == f"error: {failure.__name__}\n"
+
+
 def test_usage_error_exit_code():
     assert main(["shell"]) == 3          # missing --in
     assert main(["no-such-command"]) == 3
 
 
 def test_threads_validation(workdir):
+    # --threads was removed: it selected nothing, so any use is a usage error.
     assert run("shell", "--in", workdir / "two.sc", "--threads", 0) == 3
-    assert run("shell", "--in", workdir / "two.sc", "--threads", 4) == 0
+    assert run("shell", "--in", workdir / "two.sc", "--threads", 4) == 3
 
 
 def test_absorbed_face_warning_on_stderr(workdir, capsys):

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from shellsat import from_facets, parse_sc, parse_sc_with_warnings
-from shellsat.complexes import Complex
+from shellsat.complexes import Complex, maximal_faces
 from shellsat.errors import (
     EmptyComplexError,
     MalformedFaceError,
@@ -212,6 +212,23 @@ def random_corpus(count=25):
         K, _ = sample_pure2(rng, n, min(t, 10))
         out.append(K)
     return out
+
+
+def test_maximal_faces_matches_brute_force_filter():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        pool = [f for k in range(5) for f in combinations(range(n), k)]
+        faces = rng.sample(pool, rng.randint(0, min(len(pool), 25)))
+        brute = [f for f in faces
+                 if not any(f != g and set(f) < set(g) for g in faces)]
+        assert maximal_faces(faces) == brute
+
+
+def test_cofaces_are_the_faces_strictly_above(bowtie):
+    for tau in bowtie.faces:
+        above = sorted(g for g in bowtie.faces if set(tau) < set(g))
+        assert sorted(bowtie.cofaces(tau)) == above
 
 
 def test_from_facets_idempotent_on_facets():

@@ -2,6 +2,8 @@
 
 from itertools import permutations
 
+from shellsat.complexes import subfaces
+
 import pytest
 
 from shellsat import (
@@ -19,7 +21,13 @@ from shellsat.errors import (
 )
 from shellsat.harness import enumerate_pure2, oracle_shelling
 from shellsat.outcomes import BudgetExceeded, Unshellable
-from shellsat.shelling import format_shelling, parse_shelling
+from shellsat.shelling import (
+    _meets_predecessors,
+    _Prefix,
+    _proper_subfaces,
+    format_shelling,
+    parse_shelling,
+)
 
 
 def order_of(K, *facet_labels):
@@ -118,6 +126,47 @@ def test_violating_prefix_never_extends():
             if other[:violation + 1] == prefix:
                 assert other_violation is not None
                 assert other_violation <= violation
+
+
+def test_long_strip_is_shelled_without_recursion():
+    strip = from_facets([f"v{i:04d} v{i + 1:04d} v{i + 2:04d}" for i in range(1200)])
+    cert = find_shelling(strip, 1200)
+    assert isinstance(cert, ShellingCertificate)
+    assert cert.order == strip.facets
+    assert verify_shelling(strip, cert)
+
+
+def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
+    """On every prefix the search reaches, the O(1) condition equals the
+    facet-generic one, and the frontier is exactly the unplaced facets that
+    share a ridge with the placed union."""
+    prefixes = []
+    push = _Prefix.push
+
+    def recording_push(self, i):
+        push(self, i)
+        prefixes.append((tuple(self.order), set(self.frontier),
+                         [self.fits(j) for j in range(len(self.placed))]))
+
+    monkeypatch.setattr(_Prefix, "push", recording_push)
+    checked = 0
+    for base in enumerate_pure2(5, 10):
+        for K in (base, base.barycentric_subdivision()):
+            prefixes.clear()
+            find_shelling(K, 300)
+            d = K.dim
+            for order, frontier, fits in prefixes:
+                covered = {f for i in order for f in subfaces(K.facets[i])}
+                unplaced = set(range(len(K.facets))) - set(order)
+                sharing = {j for j in unplaced
+                           if any(r in covered for r in _proper_subfaces(K.facets[j])
+                                  if len(r) == d)}
+                assert frontier == sharing
+                for j in unplaced:
+                    proper = _proper_subfaces(K.facets[j])
+                    assert fits[j] == _meets_predecessors(proper, covered, d)
+                checked += 1
+    assert checked > 1000
 
 
 # -- certificate files --------------------------------------------------------------
