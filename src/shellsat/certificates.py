@@ -23,7 +23,7 @@ from .collapse import (
     CollapseStep,
     verify_collapse,
 )
-from .complexes import Complex, Face, from_facets
+from .complexes import Complex, Face, from_facets, is_connected_graph
 from .errors import (
     CertificateError,
     ConnectivityError,
@@ -36,7 +36,6 @@ from .wsat import (
     Edge,
     SaturationCertificate,
     _edge_set,
-    _spanning_connected,
     _subgraph,
     saturation_violation,
     verify_saturation,
@@ -148,7 +147,7 @@ def saturation_to_collapse(L: Complex,
         raise CertificateError(f"invalid saturation certificate: {failure}")
     tree_edges = _edge_set(cert.start)
     n = L.n_vertices
-    if len(tree_edges) != n - 1 or not _spanning_connected(n, tree_edges):
+    if len(tree_edges) != n - 1 or not is_connected_graph(n, tree_edges):
         raise CertificateError("the start graph must be a spanning tree")
 
     triangles: list[Face] = []

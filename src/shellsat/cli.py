@@ -19,8 +19,14 @@ from itertools import islice
 from pathlib import Path
 
 from . import certificates, collapse, harness, shelling, wsat
-from .complexes import Complex, parse_sc_with_warnings
-from .errors import ShellsatError
+from .complexes import (
+    SATURATION,
+    SHELLING,
+    Complex,
+    certificate_kind,
+    parse_sc_with_warnings,
+)
+from .errors import MalformedCertificateError, ParameterError, ShellsatError
 from .harness import GeneratorSpec, sample_pure2
 from .outcomes import BudgetExceeded, Impossible, NotCollapsible, NotSaturated, Unshellable
 
@@ -98,82 +104,75 @@ def _cmd_sd(args) -> int:
     return EXIT_OK
 
 
+# What each search outcome reports: JSON verdict, text line, exit code.  An
+# outcome type is a search's negative answer ("{k}" is the --k value); a
+# subcommand name is its row for a certificate found.
+VERDICTS = {
+    BudgetExceeded: ("budget-exceeded", "budget exceeded", EXIT_BUDGET),
+    Unshellable: ("unshellable", "unshellable", EXIT_REFUTED),
+    NotCollapsible: ("not-collapsible", "not collapsible", EXIT_REFUTED),
+    Impossible: ("impossible", "not collapsible after removing {k} triangles",
+                 EXIT_REFUTED),
+    NotSaturated: ("no", "no spanning tree is weakly K3-saturated", EXIT_REFUTED),
+    "shell": ("shellable", "shellable", EXIT_OK),
+    "collapse": ("collapsible", "collapsible", EXIT_OK),
+    "wsat": ("yes", "wsat equals tree size", EXIT_OK),
+}
+
+
+def _conclude(args, result, subject=None, format_cert=None) -> int:
+    """Report a search result; a certificate goes to --cert or to stdout."""
+    if type(result) in VERDICTS:
+        verdict, line, code = VERDICTS[type(result)]
+        _report({"verdict": verdict}, line.format_map(vars(args)) + "\n", args.json)
+        return code
+    verdict, line, code = VERDICTS[args.command]
+    cert_text = format_cert(subject, result)
+    if args.cert:
+        Path(args.cert).write_text(cert_text, encoding="utf-8")
+        _report({"verdict": verdict, "certificate_file": args.cert},
+                f"{line}; certificate written to {args.cert}\n", args.json)
+    else:
+        _report({"verdict": verdict, "certificate": cert_text}, cert_text, args.json)
+    return code
+
+
+def _verify(args, subject, parse, violation, name: str,
+            field: str = "reason", detail: str = "{}") -> int:
+    """Replay the --cert certificate: exit 0 when valid, 1 when not."""
+    if not args.cert:
+        raise ParameterError("--verify requires --cert")
+    cert = parse(Path(args.cert).read_text(encoding="utf-8"), subject)
+    found = violation(subject, cert)
+    text = (f"valid {name}\n" if found is None
+            else f"invalid {name}: {detail.format(found)}\n")
+    _report({"verdict": "valid" if found is None else "invalid", field: found},
+            text, args.json)
+    return EXIT_OK if found is None else EXIT_REFUTED
+
+
 def _cmd_shell(args) -> int:
     K = _read_complex(args.infile)
     if args.verify:
-        if not args.cert:
-            print("error: --verify requires --cert", file=sys.stderr)
-            return EXIT_USAGE
-        cert = shelling.parse_shelling(Path(args.cert).read_text(encoding="utf-8"), K)
-        violation = shelling.first_shelling_violation(K, cert)
-        ok = violation is None
-        text = ("valid shelling\n" if ok
-                else f"invalid shelling: condition fails at index {violation}\n")
-        _report({"verdict": "valid" if ok else "invalid",
-                 "violation_index": violation}, text, args.json)
-        return EXIT_OK if ok else EXIT_REFUTED
-
-    result = shelling.find_shelling(K, args.budget)
-    if isinstance(result, BudgetExceeded):
-        _report({"verdict": "budget-exceeded"}, "budget exceeded\n", args.json)
-        return EXIT_BUDGET
-    if isinstance(result, Unshellable):
-        _report({"verdict": "unshellable"}, "unshellable\n", args.json)
-        return EXIT_REFUTED
-    cert_text = shelling.format_shelling(K, result)
-    if args.cert:
-        Path(args.cert).write_text(cert_text, encoding="utf-8")
-        _report({"verdict": "shellable", "certificate_file": args.cert},
-                f"shellable; certificate written to {args.cert}\n", args.json)
-    else:
-        _report({"verdict": "shellable", "certificate": cert_text},
-                cert_text, args.json)
-    return EXIT_OK
+        return _verify(args, K, shelling.parse_shelling,
+                       shelling.first_shelling_violation, "shelling",
+                       "violation_index", "condition fails at index {}")
+    return _conclude(args, shelling.find_shelling(K, args.budget), K,
+                     shelling.format_shelling)
 
 
 def _cmd_collapse(args) -> int:
     K = _read_complex(args.infile)
     if args.verify:
-        if not args.cert:
-            print("error: --verify requires --cert", file=sys.stderr)
-            return EXIT_USAGE
-        cert = collapse.parse_collapse(Path(args.cert).read_text(encoding="utf-8"), K)
-        reason = collapse.collapse_violation(K, cert)
-        ok = reason is None
-        text = "valid collapse\n" if ok else f"invalid collapse: {reason}\n"
-        _report({"verdict": "valid" if ok else "invalid", "reason": reason},
-                text, args.json)
-        return EXIT_OK if ok else EXIT_REFUTED
-
-    if args.k is not None:
-        result = collapse.collapsible_after_removing(K, args.k, args.budget)
-        if isinstance(result, BudgetExceeded):
-            _report({"verdict": "budget-exceeded"}, "budget exceeded\n", args.json)
-            return EXIT_BUDGET
-        if isinstance(result, Impossible):
-            _report({"verdict": "impossible"},
-                    f"not collapsible after removing {args.k} triangles\n",
-                    args.json)
-            return EXIT_REFUTED
-        _, cert = result
-    else:
+        return _verify(args, K, collapse.parse_collapse, collapse.collapse_violation,
+                       "collapse")
+    if args.k is None:
         result = collapse.is_collapsible(K, args.budget)
-        if isinstance(result, BudgetExceeded):
-            _report({"verdict": "budget-exceeded"}, "budget exceeded\n", args.json)
-            return EXIT_BUDGET
-        if isinstance(result, NotCollapsible):
-            _report({"verdict": "not-collapsible"}, "not collapsible\n", args.json)
-            return EXIT_REFUTED
-        cert = result
-    cert_text = collapse.format_collapse(K, cert)
-    if args.cert:
-        Path(args.cert).write_text(cert_text, encoding="utf-8")
-        _report({"verdict": "collapsible", "certificate_file": args.cert},
-                f"collapsible; certificate written to {args.cert}\n", args.json)
     else:
-        _report({"verdict": "collapsible", "certificate": cert_text},
-                cert_text, args.json)
-    return EXIT_OK
+        result = collapse.collapsible_after_removing(K, args.k, args.budget)
+        if isinstance(result, tuple):
+            _, result = result
+    return _conclude(args, result, K, collapse.format_collapse)
 
 
 def _cmd_wsat(args) -> int:
@@ -184,71 +183,34 @@ def _cmd_wsat(args) -> int:
               file=sys.stderr)
         F = F.skeleton(1)
     if args.verify:
-        if not args.cert:
-            print("error: --verify requires --cert", file=sys.stderr)
-            return EXIT_USAGE
-        cert = wsat.parse_saturation(Path(args.cert).read_text(encoding="utf-8"), F)
-        reason = wsat.saturation_violation(F, cert)
-        ok = reason is None
-        text = "valid saturation\n" if ok else f"invalid saturation: {reason}\n"
-        _report({"verdict": "valid" if ok else "invalid", "reason": reason},
-                text, args.json)
-        return EXIT_OK if ok else EXIT_REFUTED
-
-    if args.number:
-        result = wsat.wsat_number(F, args.budget)
-        if isinstance(result, BudgetExceeded):
-            _report({"verdict": "budget-exceeded"}, "budget exceeded\n", args.json)
-            return EXIT_BUDGET
-        _report({"verdict": "computed", "wsat_number": result},
-                f"wsat number: {result}\n", args.json)
-        return EXIT_OK
-
-    result = wsat.decide_wsat_eq_treesize(F, args.budget)
+        return _verify(args, F, wsat.parse_saturation, wsat.saturation_violation,
+                       "saturation")
+    if not args.number:
+        return _conclude(args, wsat.decide_wsat_eq_treesize(F, args.budget), F,
+                         wsat.format_saturation)
+    result = wsat.wsat_number(F, args.budget)
     if isinstance(result, BudgetExceeded):
-        _report({"verdict": "budget-exceeded"}, "budget exceeded\n", args.json)
-        return EXIT_BUDGET
-    if isinstance(result, NotSaturated):
-        _report({"verdict": "no"},
-                "no spanning tree is weakly K3-saturated\n", args.json)
-        return EXIT_REFUTED
-    cert_text = wsat.format_saturation(F, result)
-    if args.cert:
-        Path(args.cert).write_text(cert_text, encoding="utf-8")
-        _report({"verdict": "yes", "certificate_file": args.cert},
-                f"wsat equals tree size; certificate written to {args.cert}\n",
-                args.json)
-    else:
-        _report({"verdict": "yes", "certificate": cert_text}, cert_text, args.json)
+        return _conclude(args, result)
+    _report({"verdict": "computed", "wsat_number": result},
+            f"wsat number: {result}\n", args.json)
     return EXIT_OK
-
-
-def _certificate_kind(text: str) -> str | None:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("# shelling of"):
-            return "shelling"
-        if line.startswith("# saturation of") or line.startswith("# start:"):
-            return "saturation"
-    return None
 
 
 def _cmd_convert(args) -> int:
     K = _read_complex(args.infile)
     cert_text = Path(args.cert).read_text(encoding="utf-8")
-    kind = _certificate_kind(cert_text)
-    if kind == "shelling":
+    kind = certificate_kind(cert_text)
+    if kind == SHELLING:
         cert = shelling.parse_shelling(cert_text, K)
         sat = certificates.shelling_to_saturated_tree(K, cert)
         out_text = wsat.format_saturation(K.skeleton(1), sat)
-    elif kind == "saturation":
+    elif kind == SATURATION:
         host = K.skeleton(1)
         cert = wsat.parse_saturation(cert_text, host)
         col = certificates.saturation_to_collapse(K, cert)
         out_text = collapse.format_collapse(K, col)
     else:
-        print("error: unrecognized certificate kind", file=sys.stderr)
-        return EXIT_USAGE
+        raise MalformedCertificateError("unrecognized certificate kind")
     _emit(out_text, args.out)
     return EXIT_OK
 

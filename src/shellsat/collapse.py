@@ -10,11 +10,19 @@ expressed in the id coordinates of the subject complex.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Complex, Face, from_facets, maximal_faces
+from .complexes import (
+    COLLAPSE,
+    Complex,
+    Face,
+    certificate_header,
+    from_facets,
+    listed_faces,
+    maximal_faces,
+    read_certificate,
+)
 from .errors import (
     ConnectivityError,
     MalformedCertificateError,
-    NotAFaceError,
     NotFreeError,
     ParameterError,
     PurityError,
@@ -260,7 +268,7 @@ def format_collapse(K: Complex, cert: CollapseCertificate) -> str:
     def face_text(face: Face) -> str:
         return " ".join(K.label_face(face))
 
-    lines = [f"# collapse of {K.fingerprint}"]
+    lines = [certificate_header(COLLAPSE, K)]
     removed = ", ".join(face_text(t) for t in sorted(cert.removed_triangles))
     lines.append(f"# removed: {removed}".rstrip())
     for step in cert.steps:
@@ -276,40 +284,27 @@ def parse_collapse(text: str, K: Complex) -> CollapseCertificate:
     removed: list[Face] = []
     steps: list[CollapseStep] = []
     target_lines: list[str] = []
-    in_target = False
-    saw_removed = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("collapse of"):
-                    claimed = body[len("collapse of"):].strip()
-                    if claimed != K.fingerprint:
-                        raise MalformedCertificateError(
-                            f"certificate fingerprint {claimed} does not match "
-                            f"subject {K.fingerprint}")
-                elif body.startswith("removed:"):
-                    saw_removed = True
-                    listing = body[len("removed:"):].strip()
-                    for part in filter(None, (p.strip() for p in listing.split(","))):
-                        removed.append(K.face_from_labels(part.split()))
-                elif body.startswith("target:"):
-                    in_target = True
-                continue
-            if in_target:
-                target_lines.append(line)
-            else:
-                if "->" not in line:
-                    raise MalformedCertificateError(
-                        f"line {lineno}: expected 'free -> facet', got {line!r}")
-                left, right = line.split("->", 1)
-                steps.append(CollapseStep(K.face_from_labels(left.split()),
-                                          K.face_from_labels(right.split())))
-        except NotAFaceError as exc:
-            raise MalformedCertificateError(f"line {lineno}: {exc}") from None
+    saw_removed = in_target = False
+
+    def read(body: str, comment: bool) -> None:
+        nonlocal saw_removed, in_target
+        if comment:
+            if body.startswith("removed:"):
+                saw_removed = True
+                removed.extend(listed_faces(K, body[len("removed:"):]))
+            elif body.startswith("target:"):
+                in_target = True
+        elif in_target:
+            target_lines.append(body)
+        elif "->" not in body:
+            raise MalformedCertificateError(
+                f"expected 'free -> facet', got {body!r}")
+        else:
+            left, right = body.split("->", 1)
+            steps.append(CollapseStep(K.face_from_labels(left.split()),
+                                      K.face_from_labels(right.split())))
+
+    read_certificate(text, COLLAPSE, K, read)
     if not saw_removed or not in_target or not target_lines:
         raise MalformedCertificateError(
             "certificate must contain '# removed:' and a nonempty '# target:' section")

@@ -7,17 +7,22 @@ bytes and share one fingerprint.  Faces are strictly increasing id tuples;
 the empty face ``()`` is always present.
 
 Complexes are immutable after construction and safe to share between
-threads.  Supported dimensions are -1 < dim <= 3 (inputs of dimension at
-most 2 plus their barycentric subdivisions).
+threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
+parse, subdivide (a barycentric subdivision keeps the dimension), and go
+through the dimension-generic shelling verifier and the shelling and
+collapse searches; flagness, weak saturation and the certificate pipeline
+need dimension at most 2.  The certificate files of the three deciders
+extend the ".sc" format; their shared skeleton is at the end.
 """
 
 import hashlib
 import re
 from itertools import chain, combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptyComplexError,
+    MalformedCertificateError,
     MalformedFaceError,
     NotAFaceError,
     ParseError,
@@ -31,6 +36,8 @@ MAX_DIMENSION = 3
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_{}|.\-]+\Z")
 
+SHELLING, COLLAPSE, SATURATION = "shelling", "collapse", "saturation"
+
 
 def subfaces(face: Face) -> Iterable[Face]:
     """All subsets of a face, the empty face and the face itself included."""
@@ -40,6 +47,28 @@ def subfaces(face: Face) -> Iterable[Face]:
 def proper_subfaces(face: Face) -> Iterable[Face]:
     """All subsets of a face except the face itself, the empty face included."""
     return chain.from_iterable(combinations(face, k) for k in range(len(face)))
+
+
+def is_connected_graph(n: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """True iff the edges join the vertices 0..n-1 into one component.
+
+    Union-find with path halving; the edges may come in any order.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return components == 1
 
 
 def maximal_faces(faces: Iterable[Face]) -> list[Face]:
@@ -61,7 +90,8 @@ def maximal_faces(faces: Iterable[Face]) -> list[Face]:
 class Complex:
     """Immutable simplicial complex; construct via :func:`from_facets`."""
 
-    __slots__ = ("labels", "facets", "faces", "_fingerprint", "_hash", "_cofaces")
+    __slots__ = ("labels", "facets", "faces", "_fingerprint", "_hash", "_cofaces",
+                 "_skeletons")
 
     def __init__(self, labels: tuple[str, ...], facets: tuple[Face, ...],
                  faces: frozenset[Face]):
@@ -72,6 +102,7 @@ class Complex:
         self._fingerprint: str | None = None
         self._hash: int | None = None
         self._cofaces: dict[Face, tuple[Face, ...]] | None = None
+        self._skeletons: dict[int, Complex] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -171,19 +202,8 @@ class Complex:
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton (single vertices count as components)."""
-        n = self.n_vertices
-        adjacency = [[] for _ in range(n)]
-        for u, v in self.faces_of_dim(1):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
+        return is_connected_graph(self.n_vertices,
+                                  (f for f in self.faces if len(f) == 2))
 
     def is_flag2(self) -> bool:
         """True iff every 3-clique of the 1-skeleton spans a triangle.
@@ -206,11 +226,17 @@ class Complex:
     # -- derived complexes ---------------------------------------------------
 
     def skeleton(self, k: int) -> "Complex":
-        """The subcomplex of faces of dimension at most k."""
+        """The subcomplex of faces of dimension at most k.
+
+        Built once per k and kept, like the fingerprint: the certificate
+        chain asks for the same 1-skeleton at every stage.
+        """
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
-        kept = [f for f in self.faces if 0 < len(f) <= k + 1]
-        return from_facets([self.label_face(f) for f in kept])
+        if k not in self._skeletons:
+            kept = [f for f in self.faces if 0 < len(f) <= k + 1]
+            self._skeletons[k] = from_facets([self.label_face(f) for f in kept])
+        return self._skeletons[k]
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
         """The subcomplex induced by the listed faces (their downward closure)."""
@@ -336,3 +362,66 @@ def parse_sc_with_warnings(text: str) -> tuple[Complex, list[str]]:
             warnings.append(f"line {lineno}: face {' '.join(labels)!r} absorbed")
         seen.add(canonical)
     return complex_, warnings
+
+
+# -- certificate files ---------------------------------------------------------
+
+def certificate_header(kind: str, K: Complex) -> str:
+    """The first line of a certificate of the given kind about K."""
+    return f"# {kind} of {K.fingerprint}"
+
+
+def _comment(line: str) -> str | None:
+    line = line.strip()
+    return line[1:].strip() if line.startswith("#") else None
+
+
+def certificate_kind(text: str) -> str | None:
+    """The kind named by the first "# <kind> of" header of a certificate.
+
+    A saturation certificate may omit its header; its "# start:" line
+    names it then.
+    """
+    for raw in text.splitlines():
+        body = _comment(raw) or ""
+        if body.startswith("start:"):
+            return SATURATION
+        for kind in (SHELLING, COLLAPSE, SATURATION):
+            if body.startswith(f"{kind} of"):
+                return kind
+    return None
+
+
+def listed_faces(K: Complex, listing: str) -> list[Face]:
+    """The faces of a comma-separated list of label faces ("a b, b c")."""
+    return [K.face_from_labels(part.split()) for part in listing.split(",")
+            if part.strip()]
+
+
+def read_certificate(text: str, kind: str, K: Complex,
+                     read_line: Callable[[str, bool], None]) -> None:
+    """Feed each line of a certificate about K to ``read_line(body, comment)``.
+
+    Blank lines are skipped.  A comment line passes the text after its "#",
+    stripped, with ``comment`` true; other lines pass stripped.  The
+    "# <kind> of <fingerprint>" header is checked against K here and not
+    passed on.  A NotAFaceError or MalformedCertificateError raised while
+    reading a line is raised again as a MalformedCertificateError that
+    names the 1-based line number.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        body = _comment(line)
+        if body is not None and body.startswith(f"{kind} of"):
+            claimed = body[len(kind) + 3:].strip()
+            if claimed != K.fingerprint:
+                raise MalformedCertificateError(
+                    f"certificate fingerprint {claimed} does not match "
+                    f"subject {K.fingerprint}")
+            continue
+        try:
+            read_line(line if body is None else body, body is not None)
+        except (NotAFaceError, MalformedCertificateError) as exc:
+            raise MalformedCertificateError(f"line {lineno}: {exc}") from None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .complexes import Complex, from_facets
+from .complexes import Complex, from_facets, is_connected_graph
 from .errors import OracleBoundError, ParameterError
 from .wsat import graph_complex
 
@@ -56,20 +56,8 @@ class GeneratorSpec:
 def _triangles_connected(triangles) -> bool:
     support = sorted({v for t in triangles for v in t})
     index = {v: i for i, v in enumerate(support)}
-    parent = list(range(len(support)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, c in triangles:
-        for u, v in ((a, b), (b, c)):
-            ru, rv = find(index[u]), find(index[v])
-            if ru != rv:
-                parent[ru] = rv
-    return len({find(i) for i in range(len(support))}) == 1
+    return is_connected_graph(len(support), [
+        (index[u], index[v]) for a, b, c in triangles for u, v in ((a, b), (b, c))])
 
 
 def complex_from_triangles(triangles) -> Complex:
@@ -159,24 +147,12 @@ def enumerate_connected_graphs(n: int) -> Iterator[Complex]:
     perms = list(permutations(range(n)))
     seen = bytearray(1 << len(pairs))
 
-    def connected(mask: int) -> bool:
-        adjacency = [[] for _ in range(n)]
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-        stack, reached = [0], {0}
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        return len(reached) == n
-
     for mask in range(1 << len(pairs)):
-        if seen[mask] or not connected(mask):
+        if seen[mask]:
             continue
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        if not is_connected_graph(n, edges):
+            continue
         for perm in perms:
             image = 0
             for u, v in edges:

@@ -10,11 +10,17 @@ exercised at dimension 2.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import Complex, Face, maximal_faces
+from .complexes import (
+    SHELLING,
+    Complex,
+    Face,
+    certificate_header,
+    maximal_faces,
+    read_certificate,
+)
 from .errors import (
     ConnectivityError,
     MalformedCertificateError,
-    NotAFaceError,
     PurityError,
     UnsupportedDimensionError,
 )
@@ -219,7 +225,7 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
 
 def format_shelling(K: Complex, cert: ShellingCertificate) -> str:
     """One facet per line in shelling order, with a fingerprint header."""
-    lines = [f"# shelling of {K.fingerprint}"]
+    lines = [certificate_header(SHELLING, K)]
     lines.extend(" ".join(K.label_face(f)) for f in cert.order)
     return "\n".join(lines) + "\n"
 
@@ -231,23 +237,12 @@ def parse_shelling(text: str, K: Complex) -> ShellingCertificate:
     subject; faces are given by vertex labels as in the ".sc" format.
     """
     order: list[Face] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if parts[:2] == ["shelling", "of"] and len(parts) == 3:
-                if parts[2] != K.fingerprint:
-                    raise MalformedCertificateError(
-                        f"certificate fingerprint {parts[2]} does not match "
-                        f"subject {K.fingerprint}")
-            continue
-        try:
-            face = K.face_from_labels(line.split())
-        except NotAFaceError as exc:
-            raise MalformedCertificateError(f"line {lineno}: {exc}") from None
-        order.append(face)
+
+    def read(body: str, comment: bool) -> None:
+        if not comment:
+            order.append(K.face_from_labels(body.split()))
+
+    read_certificate(text, SHELLING, K, read)
     if not order:
         raise MalformedCertificateError("certificate lists no facets")
     return ShellingCertificate(tuple(order))

@@ -12,12 +12,19 @@ compatibility.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import Complex, from_facets
+from .complexes import (
+    SATURATION,
+    Complex,
+    certificate_header,
+    from_facets,
+    is_connected_graph,
+    listed_faces,
+    read_certificate,
+)
 from .errors import (
     ConnectivityError,
     ContainmentError,
     MalformedCertificateError,
-    NotAFaceError,
     UnsupportedDimensionError,
 )
 from .outcomes import (
@@ -189,24 +196,6 @@ def verify_saturation(F: Complex, cert: SaturationCertificate) -> bool:
     return saturation_violation(F, cert) is None
 
 
-def _spanning_connected(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
-
-
 def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     """Decide whether some spanning tree of F is weakly K3-saturated in F.
 
@@ -256,7 +245,7 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
         if result is not None:
             return result
         # Exclude branch, only when the remainder still connects everything.
-        if _spanning_connected(n, chosen + rest):
+        if is_connected_graph(n, chosen + rest):
             return tree_search(component, rest, chosen)
         return None
 
@@ -287,7 +276,7 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
     try:
         for size in range(n - 1, len(edges_sorted) + 1):
             for subset in combinations(edges_sorted, size):
-                if not _spanning_connected(n, subset):
+                if not is_connected_graph(n, subset):
                     continue
                 budget.spend()
                 if _closure_edges(n, host, set(subset)) == host:
@@ -304,7 +293,7 @@ def format_saturation(F: Complex, cert: SaturationCertificate) -> str:
     def edge_text(e: Edge) -> str:
         return " ".join(F.label_face(e))
 
-    lines = [f"# saturation of {F.fingerprint}", f"# pattern: {cert.pattern}"]
+    lines = [certificate_header(SATURATION, F), f"# pattern: {cert.pattern}"]
     start = ", ".join(edge_text(e) for e in sorted(_edge_set(cert.start)))
     lines.append(f"# start: {start}".rstrip())
     for edge, witness in zip(cert.order, cert.witnesses):
@@ -319,35 +308,24 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
     witnesses: list[tuple[int, int, int]] = []
     pattern = "K3"
     saw_start = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("saturation of"):
-                    claimed = body[len("saturation of"):].strip()
-                    if claimed != F.fingerprint:
-                        raise MalformedCertificateError(
-                            f"certificate fingerprint {claimed} does not match "
-                            f"host {F.fingerprint}")
-                elif body.startswith("start:"):
-                    saw_start = True
-                    listing = body[len("start:"):].strip()
-                    for part in filter(None, (p.strip() for p in listing.split(","))):
-                        start_edges.append(F.face_from_labels(part.split()))
-                elif body.startswith("pattern:"):
-                    pattern = body[len("pattern:"):].strip()
-                continue
-            if ":" not in line:
-                raise MalformedCertificateError(
-                    f"line {lineno}: expected 'edge : witness', got {line!r}")
-            left, right = line.split(":", 1)
+
+    def read(body: str, comment: bool) -> None:
+        nonlocal pattern, saw_start
+        if comment:
+            if body.startswith("start:"):
+                saw_start = True
+                start_edges.extend(listed_faces(F, body[len("start:"):]))
+            elif body.startswith("pattern:"):
+                pattern = body[len("pattern:"):].strip()
+        elif ":" not in body:
+            raise MalformedCertificateError(
+                f"expected 'edge : witness', got {body!r}")
+        else:
+            left, right = body.split(":", 1)
             order.append(F.face_from_labels(left.split()))
             witnesses.append(F.face_from_labels(right.split()))
-        except NotAFaceError as exc:
-            raise MalformedCertificateError(f"line {lineno}: {exc}") from None
+
+    read_certificate(text, SATURATION, F, read)
     if not saw_start:
         raise MalformedCertificateError("certificate must contain '# start:'")
     start = _subgraph(F, set(start_edges))

@@ -173,12 +173,22 @@ def test_convert_chain_of_certificates(workdir):
                "--out", col_cert) == 0
     assert run("collapse", "--in", workdir / "two.sc", "--cert", col_cert,
                "--verify") == 0
+    # A saturation certificate without its header is known by "# start:".
+    bare = workdir / "bare.cert"
+    bare.write_text(sat_cert.read_text().split("\n", 1)[1])
+    assert run("convert", "--in", workdir / "two.sc", "--cert", bare,
+               "--out", workdir / "bare-collapse.cert") == 0
+    assert (workdir / "bare-collapse.cert").read_text() == col_cert.read_text()
 
 
-def test_convert_rejects_unknown_certificate(workdir):
+def test_convert_rejects_unknown_certificate(workdir, capsys):
     mystery = workdir / "mystery.cert"
     mystery.write_text("nonsense\n")
     assert run("convert", "--in", workdir / "two.sc", "--cert", mystery) == 3
+    # Collapse certificates end the chain; there is nothing to convert to.
+    assert run("collapse", "--in", workdir / "two.sc", "--cert", mystery) == 0
+    assert run("convert", "--in", workdir / "two.sc", "--cert", mystery) == 3
+    assert capsys.readouterr().err.endswith("error: unrecognized certificate kind\n")
 
 
 # -- sd / chain / gen -------------------------------------------------------------------------

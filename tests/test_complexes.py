@@ -63,6 +63,7 @@ def test_skeleton_drops_triangles(two_triangles):
     G = two_triangles.skeleton(1)
     assert G.f_vector() == (1, 4, 5)
     assert G.dim == 1
+    assert two_triangles.skeleton(1) is G  # built once, then kept
 
 
 def test_skeleton_identity_when_low_dim():

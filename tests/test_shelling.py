@@ -182,6 +182,11 @@ def test_certificate_fingerprint_mismatch(two_triangles, bowtie):
     text = format_shelling(two_triangles, find_shelling(two_triangles))
     with pytest.raises(MalformedCertificateError):
         parse_shelling(text, bowtie)
+    # A comment starting "shelling of" is a header, checked whole.
+    body = text.split("\n", 1)[1]
+    for header in ("# shelling of", f"# shelling of {two_triangles.fingerprint} x"):
+        with pytest.raises(MalformedCertificateError):
+            parse_shelling(f"{header}\n{body}", two_triangles)
 
 
 def test_certificate_unknown_face(two_triangles):
