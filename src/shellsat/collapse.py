@@ -5,8 +5,13 @@ collapse removes it together with every face above it.  Certificates list
 an optional set of removed triangles, the collapse steps in order, and the
 target subcomplex the steps must reach.  All faces in a certificate are
 expressed in the id coordinates of the subject complex.
+
+The searches need dimension at most 2, where one greedy peel of free faces
+decides collapsibility (:func:`_peel`); from dimension 3 on the problem is
+NP-complete (Tancer, 2016).  Steps and certificates work in any dimension.
 """
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,6 +23,7 @@ from .complexes import (
     from_facets,
     listed_faces,
     maximal_faces,
+    proper_subfaces,
     read_certificate,
 )
 from .errors import (
@@ -26,6 +32,7 @@ from .errors import (
     NotFreeError,
     ParameterError,
     PurityError,
+    UnsupportedDimensionError,
 )
 from .outcomes import (
     Budget,
@@ -83,23 +90,15 @@ def _step_violation(K: Complex, faces: set[Face], step: CollapseStep) -> str | N
     return None
 
 
-def _apply_step(K: Complex, faces: set[Face], step: CollapseStep) -> None:
-    """Remove the free face and every face above it, in place."""
-    faces.discard(step.free_face)
-    faces.difference_update(K.cofaces(step.free_face))
+def _apply_step(K: Complex, faces: set[Face], step: CollapseStep) -> list[Face]:
+    """Remove the free face and every face above it, in place; return them."""
+    gone = [step.free_face, *(g for g in K.cofaces(step.free_face) if g in faces)]
+    faces.difference_update(gone)
+    return gone
 
 
 def _nonempty_faces(K: Complex) -> set[Face]:
     return {f for f in K.faces if f}
-
-
-def _legal_steps(K: Complex, faces: set[Face]) -> list[CollapseStep]:
-    steps = []
-    for tau in faces:
-        cofacets = _cofacets(K, faces, tau)
-        if len(cofacets) == 1:
-            steps.append(CollapseStep(tau, cofacets[0]))
-    return steps
 
 
 def _rebuild(K: Complex, faces: set[Face]) -> Complex:
@@ -117,73 +116,77 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
     faces = _nonempty_faces(K)
     reason = _step_violation(K, faces, step)
     if reason is not None:
-        blocking = None
         cofacets = _cofacets(K, faces, step.free_face) if step.free_face in faces else []
         others = [g for g in cofacets if g != step.facet]
-        if others:
-            blocking = min(others)
-        raise NotFreeError(reason, blocking_facet=blocking)
+        raise NotFreeError(reason, blocking_facet=min(others, default=None))
     _apply_step(K, faces, step)
     return _rebuild(K, faces)
 
 
 def free_faces(K: Complex) -> list[CollapseStep]:
     """All currently legal collapse steps, in lexicographic face order."""
-    return sorted(_legal_steps(K, _nonempty_faces(K)),
-                  key=lambda s: (s.free_face, s.facet))
+    faces = _nonempty_faces(K)
+    cofacets = {tau: _cofacets(K, faces, tau) for tau in sorted(faces)}
+    return [CollapseStep(tau, up[0]) for tau, up in cofacets.items() if len(up) == 1]
 
 
-def _search_order(K: Complex, faces: set[Face]) -> list[CollapseStep]:
-    # Greedy preference: highest-dimensional free face first, lex within.
-    return sorted(_legal_steps(K, faces),
-                  key=lambda s: (-len(s.free_face), s.free_face, s.facet))
+def _peel(K: Complex, faces: set[Face], budget: Budget) -> list[CollapseStep] | None:
+    """Collapse the face set greedily toward one vertex, in place.
 
+    Each step takes the free face first in ``(-len(tau), tau)`` order and
+    spends one budget node.  Returns the steps when one vertex is left, or
+    None when no face is free.  A step changes the cofacets only of proper
+    subfaces of the faces it removes, so only those go back on the heap;
+    a popped face that is gone or not free is dropped.
 
-def _collapse_to_point(K: Complex, faces: set[Face], steps: list[CollapseStep],
-                       visited: set[frozenset[Face]], budget: Budget) -> bool:
-    """Depth-first search for a collapse to a single vertex, extending steps.
-
-    Dead complexes are memoized in ``visited``: collapsibility depends only
-    on the current face set, so every route into a known-dead state prunes.
+    Why a stuck peel refutes, in dimension <= 2: a triangle leaves through
+    a free edge (a free vertex of a triangle lies on a free edge of it),
+    and removals only lower the triangle counts of edges, so a triangle
+    stays removable once it is removable and the set of triangles that
+    can ever be removed is fixed, whatever the order.  If it is every
+    triangle, what remains is a graph homotopy equivalent to K, which
+    prunes to a point iff it is a tree, in any leaf order; if not, no
+    sequence reaches a point.  So a depth-first search over step sequences
+    that tries steps in this order never backtracks on a collapsible input:
+    its first descent is the peel, with the same steps and node count.
     """
-    if len(faces) == 1 and all(len(f) == 1 for f in faces):
-        return True
-    key = frozenset(faces)
-    if key in visited:
-        return False
-    for step in _search_order(K, faces):
+    heap = [(-len(f), f) for f in faces]
+    heapq.heapify(heap)
+    steps: list[CollapseStep] = []
+    while len(faces) > 1:  # a lone nonempty face of a complex is a vertex
+        cofacets: list[Face] = []
+        while len(cofacets) != 1:
+            if not heap:
+                return None
+            tau = heapq.heappop(heap)[1]
+            cofacets = _cofacets(K, faces, tau) if tau in faces else []
         budget.spend()
-        steps.append(step)
-        child = set(faces)
-        _apply_step(K, child, step)
-        if _collapse_to_point(K, child, steps, visited, budget):
-            return True
-        steps.pop()
-    visited.add(key)
-    return False
+        steps.append(CollapseStep(tau, cofacets[0]))
+        removed = _apply_step(K, faces, steps[-1])
+        for sub in {s for f in removed for s in proper_subfaces(f) if s in faces}:
+            heapq.heappush(heap, (-len(sub), sub))
+    return steps
 
 
 def is_collapsible(K: Complex, budget: int | Budget | None = None):
     """Decide whether K collapses to a point (any single vertex).
 
-    Returns a CollapseCertificate, ``NotCollapsible()`` after exhausting all
-    collapse sequences (with dead-state memoization), or ``BudgetExceeded``.
+    Returns a CollapseCertificate, ``NotCollapsible()`` when the greedy
+    peel gets stuck (see :func:`_peel`), or ``BudgetExceeded``.
     """
+    if K.dim > 2:
+        raise UnsupportedDimensionError(
+            f"the collapse search supports dimension <= 2, got {K.dim}")
     if not K.is_connected():
         raise ConnectivityError("collapsibility search requires a connected complex")
-    budget = as_budget(budget)
     faces = _nonempty_faces(K)
-    steps: list[CollapseStep] = []
     try:
-        found = _collapse_to_point(K, faces, steps, set(), budget)
+        steps = _peel(K, faces, as_budget(budget))
     except OutOfBudget:
         return BudgetExceeded(stage="collapse")
-    if not found:
+    if steps is None:
         return NotCollapsible()
-    for step in steps:
-        _apply_step(K, faces, step)
-    target = _rebuild(K, faces)
-    return CollapseCertificate(frozenset(), tuple(steps), target)
+    return CollapseCertificate(frozenset(), tuple(steps), _rebuild(K, faces))
 
 
 def collapsible_after_removing(K: Complex, k: int,
@@ -194,7 +197,7 @@ def collapsible_after_removing(K: Complex, k: int,
     characteristic 0 and removing one triangle lowers it by exactly 1, so
     any feasible k equals the reduced Euler characteristic; other k are
     Impossible without search.  Triangle subsets are tried in lexicographic
-    order; dead-state memoization is shared across subsets.
+    order, each with its own greedy peel.
     """
     if k < 0:
         raise ParameterError("removal count must be >= 0")
@@ -207,20 +210,16 @@ def collapsible_after_removing(K: Complex, k: int,
 
     budget = as_budget(budget)
     all_faces = _nonempty_faces(K)
-    visited: set[frozenset[Face]] = set()
-    for removed in combinations(K.triangles, k):
-        faces = all_faces - set(removed)
-        steps: list[CollapseStep] = []
-        try:
-            found = _collapse_to_point(K, faces, steps, visited, budget)
-        except OutOfBudget:
-            return BudgetExceeded(stage="collapse-after-removing")
-        if found:
-            for step in steps:
-                _apply_step(K, faces, step)
-            target = _rebuild(K, faces)
-            cert = CollapseCertificate(frozenset(removed), tuple(steps), target)
-            return frozenset(removed), cert
+    try:
+        for removed in combinations(K.triangles, k):
+            faces = all_faces - set(removed)
+            steps = _peel(K, faces, budget)
+            if steps is not None:
+                cert = CollapseCertificate(frozenset(removed), tuple(steps),
+                                           _rebuild(K, faces))
+                return frozenset(removed), cert
+    except OutOfBudget:
+        return BudgetExceeded(stage="collapse-after-removing")
     return Impossible()
 
 

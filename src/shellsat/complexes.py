@@ -8,15 +8,17 @@ the empty face ``()`` is always present.
 
 Complexes are immutable after construction and safe to share between
 threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
-parse, subdivide (a barycentric subdivision keeps the dimension), and go
-through the dimension-generic shelling verifier and the shelling and
-collapse searches; flagness, weak saturation and the certificate pipeline
-need dimension at most 2.  The certificate files of the three deciders
-extend the ".sc" format; their shared skeleton is at the end.
+parse, subdivide (a barycentric subdivision keeps the dimension), go
+through the dimension-generic shelling verifier and the shelling search,
+and take collapse steps and their verifier; the collapse search, flagness,
+weak saturation and the certificate pipeline need dimension at most 2.
+The certificate files of the three deciders extend the ".sc" format; their
+shared skeleton is at the end.
 """
 
 import hashlib
 import re
+from bisect import bisect_left
 from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Sequence
 
@@ -121,13 +123,17 @@ class Complex:
         return tuple(self.labels[v] for v in face)
 
     def face_from_labels(self, labels: Sequence[str]) -> Face:
-        """Translate a label sequence to the id face it names, sorted."""
-        index = {lab: v for v, lab in enumerate(self.labels)}
-        try:
-            ids = sorted(index[lab] for lab in labels)
-        except KeyError as exc:
-            raise NotAFaceError(f"unknown vertex label {exc.args[0]!r}") from None
-        return tuple(ids)
+        """Translate a label sequence to the id face it names, sorted.
+
+        Ids follow sorted label order, so labels are found by bisection.
+        """
+        ids = []
+        for lab in labels:
+            v = bisect_left(self.labels, lab)
+            if v == len(self.labels) or self.labels[v] != lab:
+                raise NotAFaceError(f"unknown vertex label {lab!r}")
+            ids.append(v)
+        return tuple(sorted(ids))
 
     def cofaces(self, face: Face) -> tuple[Face, ...]:
         """The faces strictly containing a face of the complex.
@@ -357,7 +363,7 @@ def parse_sc_with_warnings(text: str) -> tuple[Complex, list[str]]:
     warnings = []
     seen: set[tuple[str, ...]] = set()
     for lineno, labels in listed:
-        canonical = tuple(complex_.label_face(complex_.face_from_labels(labels)))
+        canonical = tuple(sorted(labels))  # ids follow sorted label order
         if canonical not in facet_set or canonical in seen:
             warnings.append(f"line {lineno}: face {' '.join(labels)!r} absorbed")
         seen.add(canonical)

@@ -16,7 +16,7 @@ class Unshellable:
 
 @dataclass(frozen=True)
 class NotCollapsible:
-    """The collapse search space was exhausted without reaching a point."""
+    """No collapse sequence reaches a point (the greedy peel got stuck)."""
 
 
 @dataclass(frozen=True)

@@ -203,8 +203,7 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     subgraph of a connected host is necessarily connected and spanning
     (adding an eligible edge never merges components), so n - 1 edges is
     the floor and trees are the only candidates at that size.  Trees are
-    enumerated by contraction/deletion in lexicographic edge order;
-    closure failures are memoized by tree edge set.
+    enumerated by contraction/deletion in lexicographic edge order.
     """
     _require_graph(F)
     if not F.is_connected():
@@ -216,21 +215,16 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
         return SaturationCertificate(F, (), ())
 
     edges_sorted = sorted(host)
-    failed: set[frozenset[Edge]] = set()
 
     def tree_search(component: list[int], avail: list[Edge],
                     chosen: list[Edge]):
         budget.spend()
         comps = len(set(component))
         if comps == 1:
-            key = frozenset(chosen)
-            if key in failed:
-                return None
             if _closure_edges(n, host, set(chosen)) == host:
                 cert = extract_saturation_order(F, _subgraph(F, set(chosen)))
                 assert isinstance(cert, SaturationCertificate)
                 return cert
-            failed.add(key)
             return None
         live = [(u, v) for u, v in avail if component[u] != component[v]]
         if not live:

@@ -58,6 +58,14 @@ def test_collapse_three_cycle_refuted(workdir):
     assert run("collapse", "--in", workdir / "cyc3.sc") == 1
 
 
+def test_collapse_solid_tetrahedron_is_a_usage_error(workdir, capsys):
+    solid = workdir / "solid.sc"
+    solid.write_text("a b c d\n")
+    assert run("collapse", "--in", solid) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_budget_exit_code(workdir):
     assert run("shell", "--in", workdir / "two.sc", "--budget", 0) == 2
 

@@ -1,5 +1,7 @@
 """Elementary collapses: stepping, search, removal decisions, verification."""
 
+from itertools import combinations
+
 import pytest
 
 from shellsat import (
@@ -19,6 +21,7 @@ from shellsat.errors import (
     NotFreeError,
     ParameterError,
     PurityError,
+    UnsupportedDimensionError,
 )
 from shellsat.harness import enumerate_pure2, enumerate_connected_graphs, oracle_collapsible
 from shellsat.outcomes import BudgetExceeded, Impossible, NotCollapsible
@@ -118,19 +121,64 @@ def test_collapse_budget(two_triangles):
     assert is_collapsible(two_triangles, 0) == BudgetExceeded(stage="collapse")
 
 
+def with_pendant(K, vertex, length):
+    """K with a path of the given length hanging from one of its vertices."""
+    path = [K.labels[vertex]] + [f"p{i}" for i in range(length)]
+    return from_facets([K.label_face(f) for f in K.facets]
+                       + [path[i:i + 2] for i in range(length)])
+
+
 def test_search_agrees_with_oracle_small_corpus():
-    """Exhaustive agreement on every instance with at most 12 nonempty faces."""
-    corpus = [K for K in enumerate_pure2(5, 10) if sum(K.f_vector()[1:]) <= 12]
-    for n in range(1, 7):
-        corpus.extend(G for G in enumerate_connected_graphs(n)
-                      if sum(G.f_vector()[1:]) <= 12)
+    """Exhaustive agreement on every instance with at most 12 nonempty faces.
+
+    Besides pure complexes and graphs, the corpus has non-pure inputs,
+    which the peel must prune after (not instead of) their triangles: pure
+    complexes with a pendant edge or a pendant path of two edges, and
+    graphs with one 3-cycle filled in.
+    """
+    pure = [K for K in enumerate_pure2(5, 10) if sum(K.f_vector()[1:]) <= 12]
+    graphs = [G for n in range(1, 7) for G in enumerate_connected_graphs(n)
+              if sum(G.f_vector()[1:]) <= 12]
+    corpus = pure + graphs
+    corpus += [with_pendant(K, v, length) for K in pure
+               for v in range(K.n_vertices) for length in (1, 2)]
+    corpus += [from_facets([G.label_face(e) for e in G.edges] + [G.label_face(t)])
+               for G in graphs for t in combinations(range(G.n_vertices), 3)
+               if all(e in G.faces for e in combinations(t, 2))]
+    corpus = [K for K in corpus if sum(K.f_vector()[1:]) <= 12]
     assert len(corpus) >= 40
+    assert sum(not K.is_pure() for K in corpus) >= 20
     for K in corpus:
         result = is_collapsible(K)
         found = isinstance(result, CollapseCertificate)
         assert found == oracle_collapsible(K), K.facets
         if found:
             assert verify_collapse(K, result)
+
+
+def test_long_strip_collapses_without_recursion():
+    K = from_facets([[f"v{i + j}" for j in range(3)] for i in range(2000)])
+    cert = is_collapsible(K)
+    assert isinstance(cert, CollapseCertificate) and cert.targets_point()
+    assert verify_collapse(K, cert)
+
+
+@pytest.mark.parametrize("facets", [
+    # annulus with 6 triangles between the 3-cycles 0 1 2 and 3 4 5
+    ["0 1 3", "1 3 4", "1 2 4", "2 4 5", "0 2 5", "0 3 5"],
+    # Mobius strips on 5 and 7 vertices: consecutive triples mod n
+    [f"{i} {(i + 1) % 5} {(i + 2) % 5}" for i in range(5)],
+    [f"{i} {(i + 1) % 7} {(i + 2) % 7}" for i in range(7)],
+])
+def test_non_collapsible_strips_refuted_within_face_count(facets):
+    K = from_facets(facets)
+    assert K.reduced_euler_characteristic() == -1
+    assert is_collapsible(K, len(K.faces)) == NotCollapsible()
+
+
+def test_collapse_search_needs_dimension_at_most_two():
+    with pytest.raises(UnsupportedDimensionError):
+        is_collapsible(from_facets(["a b c d"]))
 
 
 # -- collapsible after removing k triangles ---------------------------------------------

@@ -57,6 +57,14 @@ def test_vertex_ids_follow_sorted_labels():
     assert K.facets == ((0, 2), (1,))
 
 
+def test_face_from_labels_sorts_and_rejects_unknown_labels():
+    K = from_facets(["a c e", "c g"])
+    assert K.face_from_labels(["g", "a", "c"]) == (0, 1, 3)
+    for unknown in ("0", "b", "d", "f", "h", "cc"):
+        with pytest.raises(NotAFaceError, match=repr(unknown)):
+            K.face_from_labels(["a", unknown])
+
+
 # -- skeleton / induced -----------------------------------------------------------
 
 def test_skeleton_drops_triangles(two_triangles):
