@@ -176,6 +176,8 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_wsat(args) -> int:
+    if args.number and (args.cert or args.verify):
+        raise ParameterError("--number takes neither --cert nor --verify")
     F = _read_complex(args.infile)
     if F.dim == 2:
         # The saturation statements concern the 1-skeleton of a 2-complex.

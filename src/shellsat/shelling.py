@@ -175,7 +175,9 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     facet order), ``Unshellable()`` after exhausting the search space, or
     ``BudgetExceeded`` once the node budget runs out.  Failed facet sets are
     memoized: extendability depends only on the set of placed facets, not
-    on their order.
+    on their order.  The memo is bounded by the budget: it gains one entry
+    per stack pop, and the stack gains at most one entry per spent node, so
+    it never holds more than one entry per node spent, plus one.
 
     Candidates after the first facet are drawn from the frontier only.  A
     facet that shares no ridge with the placed union meets it in faces of

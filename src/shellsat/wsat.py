@@ -196,85 +196,85 @@ def verify_saturation(F: Complex, cert: SaturationCertificate) -> bool:
     return saturation_violation(F, cert) is None
 
 
-def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
-    """Decide whether some spanning tree of F is weakly K3-saturated in F.
-
-    Equivalently, whether wsat(F, K3) = n - 1: a weakly K3-saturated
-    subgraph of a connected host is necessarily connected and spanning
-    (adding an eligible edge never merges components), so n - 1 edges is
-    the floor and trees are the only candidates at that size.  Trees are
-    enumerated by contraction/deletion in lexicographic edge order.
-    """
+def _connected_host(F: Complex) -> tuple[int, set[Edge]]:
     _require_graph(F)
     if not F.is_connected():
         raise ConnectivityError("the host graph must be connected")
-    budget = as_budget(budget)
-    n = F.n_vertices
-    host = _edge_set(F)
-    if n == 1:
-        return SaturationCertificate(F, (), ())
+    return F.n_vertices, _edge_set(F)
 
-    edges_sorted = sorted(host)
 
-    def tree_search(component: list[int], avail: list[Edge],
-                    chosen: list[Edge]):
-        budget.spend()
-        comps = len(set(component))
-        if comps == 1:
+def _saturating_sets(n: int, host: set[Edge], size: int, budget: Budget):
+    """Yield each connected spanning set of ``size`` host edges whose K3
+    closure is the host, as a sorted tuple, in lexicographic order.
+
+    A depth-first include/exclude search over the sorted host edges on its
+    own stack, include first; ``k`` edges are chosen in ``c`` components.
+    An edge joining two components may always be included; any other only
+    while ``size - k > c - 1``, since the edges left to choose must merge
+    the components.  An edge may be excluded only while enough edges remain
+    and the chosen plus the later edges connect every vertex (only a
+    joining edge can break that).  So ``c - 1 <= size - k`` holds, every
+    branch ends at a leaf of ``size`` edges in one component, and the
+    leaves are exactly the connected spanning ``size``-subsets.  Each leaf
+    costs one budget node, spent before its closure test.
+    """
+    edges = tuple(sorted(host))
+    m = len(edges)
+    stack = [(0, (), tuple(range(n)), n, False)]
+    while stack:
+        i, chosen, component, c, excluded_join = stack.pop()
+        k = len(chosen)
+        if m - i < size - k or (excluded_join and
+                                not is_connected_graph(n, chosen + edges[i:])):
+            continue
+        if k == size:
+            budget.spend()
             if _closure_edges(n, host, set(chosen)) == host:
-                cert = extract_saturation_order(F, _subgraph(F, set(chosen)))
-                assert isinstance(cert, SaturationCertificate)
-                return cert
-            return None
-        live = [(u, v) for u, v in avail if component[u] != component[v]]
-        if not live:
-            return None
-        u, v = live[0]
-        rest = live[1:]
-        # Include branch: contract the edge.
-        merged = [component[v] if c == component[u] else c for c in component]
-        chosen.append((u, v))
-        result = tree_search(merged, rest, chosen)
-        chosen.pop()
-        if result is not None:
-            return result
-        # Exclude branch, only when the remainder still connects everything.
-        if is_connected_graph(n, chosen + rest):
-            return tree_search(component, rest, chosen)
-        return None
+                yield chosen
+            continue
+        u, v = edges[i]
+        joins = component[u] != component[v]
+        stack.append((i + 1, chosen, component, c, joins))
+        if joins:
+            merged = tuple(component[v] if x == component[u] else x for x in component)
+            stack.append((i + 1, chosen + (edges[i],), merged, c - 1, False))
+        elif size - k > c - 1:
+            stack.append((i + 1, chosen + (edges[i],), component, c, False))
 
+
+def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
+    """Decide whether some spanning tree of F is weakly K3-saturated in F.
+
+    Equivalently, whether wsat(F, K3) = n - 1: adding an edge that closes a
+    K3 never merges components, so a saturating subgraph is connected and
+    spanning, n - 1 edges is the floor and trees are the only candidates at
+    that size.  The certificate comes from the first saturating tree in
+    lexicographic edge order; the budget counts the trees tested.
+    """
+    n, host = _connected_host(F)
     try:
-        result = tree_search(list(range(n)), edges_sorted, [])
+        tree = next(_saturating_sets(n, host, n - 1, as_budget(budget)), None)
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-tree-search")
-    if result is None:
+    if tree is None:
         return NotSaturated()
-    return result
+    return extract_saturation_order(F, _subgraph(F, set(tree)))
 
 
 def wsat_number(F: Complex, budget: int | Budget | None = None):
     """Minimum edge count of a weakly K3-saturated subgraph of F, exactly.
 
     Sizes are scanned upward from n - 1 (the spanning floor); feasibility
-    is monotone in size, so the first feasible size is the answer.
-    Candidates that are not connected and spanning are skipped, justified
-    by the component-preservation argument above.
+    is monotone in size, so the first size with a saturating connected
+    spanning subgraph is the answer.  The budget counts the connected
+    spanning subgraphs tested.
     """
-    _require_graph(F)
-    if not F.is_connected():
-        raise ConnectivityError("the host graph must be connected")
+    n, host = _connected_host(F)
     budget = as_budget(budget)
-    n = F.n_vertices
-    host = _edge_set(F)
-    edges_sorted = sorted(host)
     try:
-        for size in range(n - 1, len(edges_sorted) + 1):
-            for subset in combinations(edges_sorted, size):
-                if not is_connected_graph(n, subset):
-                    continue
-                budget.spend()
-                if _closure_edges(n, host, set(subset)) == host:
-                    return size
+        for size in range(n - 1, len(host) + 1):
+            if next(_saturating_sets(n, host, size, budget), None) is not None:
+                return size
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-number")
     raise AssertionError("the host itself is always weakly saturated")

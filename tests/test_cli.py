@@ -167,6 +167,24 @@ def test_wsat_number_flag(workdir, capsys):
     assert json.loads(capsys.readouterr().out)["wsat_number"] == 3
 
 
+def test_wsat_number_rejects_certificates(workdir, capsys):
+    # --number yields a count, not a certificate to write or replay.
+    k4 = workdir / "k4.sc"
+    k4.write_text("a b\na c\na d\nb c\nb d\nc d\n")
+    cert = workdir / "sat.cert"
+    assert run("wsat", "--in", k4, "--cert", cert) == 0
+    written = cert.read_text()
+    capsys.readouterr()
+    for extra in (["--cert", workdir / "new.cert"], ["--verify"],
+                  ["--verify", "--cert", cert]):
+        assert run("wsat", "--in", k4, "--number", *extra) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert not (workdir / "new.cert").exists()
+    assert cert.read_text() == written
+
+
 def test_convert_chain_of_certificates(workdir):
     shell_cert = workdir / "shelling.cert"
     sat_cert = workdir / "saturation.cert"

@@ -16,6 +16,8 @@ from shellsat import (
     verify_saturation,
     wsat_number,
 )
+from shellsat.cli import main
+from shellsat.complexes import is_connected_graph
 from shellsat.errors import (
     ConnectivityError,
     ContainmentError,
@@ -27,7 +29,7 @@ from shellsat.harness import (
     sample_connected_graph,
     sample_spanning_subgraph,
 )
-from shellsat.outcomes import BudgetExceeded, NotSaturated
+from shellsat.outcomes import Budget, BudgetExceeded, NotSaturated
 from shellsat.wsat import (
     _closure_edges,
     _edge_set,
@@ -204,6 +206,37 @@ def test_decide_budget():
         stage="wsat-tree-search")
 
 
+def path_graph(length: int):
+    labels = [f"v{i:04d}" for i in range(length + 1)]
+    return graph_complex(labels, list(zip(labels, labels[1:])))
+
+
+def test_long_path_is_decided_without_recursion(tmp_path):
+    # Every host edge is one level of the search, 1200 levels deep here.
+    F = path_graph(1200)
+    cert = decide_wsat_eq_treesize(F)
+    assert isinstance(cert, SaturationCertificate)
+    assert cert.start == F and cert.order == ()
+    assert wsat_number(F) == 1200
+    path = tmp_path / "path.sc"
+    path.write_text(F.to_sc())
+    assert main(["wsat", "--in", str(path)]) == 0
+
+
+def test_budget_bounds_work_before_the_first_candidate():
+    # K8 on the lowest labels with a 13-edge path hanging off it: the first
+    # connected spanning candidate is reached without enumerating the
+    # disconnected subsets before it, so budget 0 ends the search at once.
+    labels = [f"v{i:02d}" for i in range(21)]
+    F = graph_complex(labels, list(combinations(labels[:8], 2))
+                      + list(zip(labels[7:], labels[8:])))
+    for decide, stage in ((decide_wsat_eq_treesize, "wsat-tree-search"),
+                          (wsat_number, "wsat-number")):
+        budget = Budget(0)
+        assert decide(F, budget) == BudgetExceeded(stage=stage)
+        assert budget.used == 1
+
+
 # -- wsat number ----------------------------------------------------------------------------
 
 def test_wsat_number_examples():
@@ -218,26 +251,38 @@ def test_wsat_number_budget():
 
 
 def test_tree_restriction_matches_unrestricted_search():
-    """Restricting the n-1 decision to spanning trees loses nothing."""
-    for n in range(2, 7):
-        for F in enumerate_connected_graphs(n):
-            host = _edge_set(F)
-            tree_verdict = isinstance(decide_wsat_eq_treesize(F),
-                                      SaturationCertificate)
-            flat_verdict = any(
-                _closure_edges(n, host, set(subset)) == host
-                for subset in combinations(sorted(host), n - 1))
-            assert tree_verdict == flat_verdict, F.facets
+    """Both deciders agree with a flat scan over edge subsets.
+
+    The scan tries every ``n - 1``-subset in ``combinations`` order for the
+    tree decision, and charges one node per connected spanning subset, size
+    by size, for the wsat number.
+    """
     rng = random.Random(99)
-    for _ in range(6):
-        F = sample_connected_graph(rng, 7, 0.5)
-        host = _edge_set(F)
-        tree_verdict = isinstance(decide_wsat_eq_treesize(F),
-                                  SaturationCertificate)
-        flat_verdict = any(
-            _closure_edges(7, host, set(subset)) == host
-            for subset in combinations(sorted(host), 6))
-        assert tree_verdict == flat_verdict
+    hosts = [F for n in range(2, 7) for F in enumerate_connected_graphs(n)]
+    hosts += [sample_connected_graph(rng, 7, 0.5) for _ in range(6)]
+    for F in hosts:
+        n, host = F.n_vertices, _edge_set(F)
+        first_tree = next(
+            (subset for subset in combinations(sorted(host), n - 1)
+             if _closure_edges(n, host, set(subset)) == host), None)
+        if first_tree is None:
+            assert decide_wsat_eq_treesize(F) == NotSaturated(), F.facets
+        else:
+            expected = extract_saturation_order(F, graph_complex(
+                F.labels, [F.label_face(e) for e in first_tree]))
+            assert decide_wsat_eq_treesize(F) == expected, F.facets
+        charged = 0
+        for size in range(n - 1, len(host) + 1):
+            connected = [set(subset) for subset in combinations(sorted(host), size)
+                         if is_connected_graph(n, subset)]
+            saturating = [_closure_edges(n, host, s) == host for s in connected]
+            if any(saturating):
+                charged += saturating.index(True) + 1
+                break
+            charged += len(connected)
+        budget = Budget(None)
+        assert wsat_number(F, budget) == size, F.facets
+        assert budget.used == charged, F.facets
 
 
 def test_closure_order_independence_seeded():
@@ -302,3 +347,7 @@ def test_decide_on_tiny_hosts():
     point = graph_complex(["a"], [])
     assert isinstance(decide_wsat_eq_treesize(point), SaturationCertificate)
     assert wsat_number(point) == 0
+    # The empty edge set is the one candidate, and it costs one node.
+    assert decide_wsat_eq_treesize(point, 0) == BudgetExceeded(
+        stage="wsat-tree-search")
+    assert wsat_number(point, 0) == BudgetExceeded(stage="wsat-number")
