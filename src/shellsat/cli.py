@@ -162,6 +162,8 @@ def _cmd_shell(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
+    if args.k is not None and args.verify:
+        raise ParameterError("--k does not take --verify")
     K = _read_complex(args.infile)
     if args.verify:
         return _verify(args, K, collapse.parse_collapse, collapse.collapse_violation,

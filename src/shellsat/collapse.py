@@ -168,6 +168,147 @@ def _peel(K: Complex, faces: set[Face], budget: Budget) -> list[CollapseStep] | 
     return steps
 
 
+# -- the triangle 2-core engine -------------------------------------------------
+#
+# Triangles are sorted vertex-id triples, and a set of triangles is a set of
+# indices into one sorted list, so `combinations` over a sorted index list
+# runs in lexicographic order.  The 2-core of a set is what is left after
+# repeatedly deleting a triangle with an edge in no other remaining triangle:
+# `_peel` restricted to triangles (a triangle leaves a 2-complex only through
+# a free edge), counted on integers.  A set with an empty core is what a
+# collapse removes through free edges, and, read backwards, a weak
+# K3-saturation order (see `wsat.decide_wsat_eq_treesize`).
+
+Triangle = tuple[int, int, int]
+
+
+def _triangle_edges(t: Triangle) -> tuple[Face, Face, Face]:
+    a, b, c = t
+    return (a, b), (a, c), (b, c)
+
+
+def peel_triangles(triangles: list[Triangle], alive) -> tuple[list[Face], set[int]]:
+    """Peel the alive triangles, least free edge first.
+
+    Returns the free edges in peel order and the core that is left.
+    Deleting triangles only lowers the triangle counts of edges, so a
+    triangle that can leave stays able to, and the core does not depend on
+    the order.
+    """
+    holders: dict[Face, set[int]] = {}
+    for t in alive:
+        for e in _triangle_edges(triangles[t]):
+            holders.setdefault(e, set()).add(t)
+    heap = [e for e, held in holders.items() if len(held) == 1]
+    heapq.heapify(heap)
+    free: list[Face] = []
+    while heap:
+        e = heapq.heappop(heap)
+        if len(holders[e]) == 1:
+            (t,) = holders[e]
+            free.append(e)
+            for f in _triangle_edges(triangles[t]):
+                holders[f].discard(t)
+                if len(holders[f]) == 1:
+                    heapq.heappush(heap, f)
+    return free, {t for held in holders.values() for t in held}
+
+
+def _gf2_rank(rows) -> int:
+    """Rank over GF(2) of rows given as int bitsets."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def core_components(triangles: list[Triangle],
+                    budget: Budget) -> list[tuple[list[int], int]]:
+    """The core's components, each with the least number of its triangles
+    that must be deleted to empty its core.
+
+    Spends one budget node first, so every answer costs at least one.
+    Why the core is all that needs solving: if a set S of triangles has an
+    empty core, so does S with every triangle outside core(T) added, since
+    the core of the union lies in core(T) and in S, and is a subset of S
+    with no free triangle, hence inside core(S).  Components (triangles
+    joined through shared edges) share no edge, and freeness is decided
+    edge by edge, so each is solved on its own.  The floor of a component
+    C is |C| - rank over GF(2) of the boundaries of C: a set with an empty
+    core peels with an edge of each triangle in no later one, so its
+    boundaries are independent and at most rank(C) triangles of C stay.
+    """
+    budget.spend()
+    _, core = peel_triangles(triangles, range(len(triangles)))
+    holders: dict[Face, list[int]] = {}
+    for t in core:
+        for e in _triangle_edges(triangles[t]):
+            holders.setdefault(e, []).append(t)
+    components: list[tuple[list[int], int]] = []
+    seen: set[int] = set()
+    for start in sorted(core):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, stack = [], [start]
+        while stack:
+            t = stack.pop()
+            component.append(t)
+            for e in _triangle_edges(triangles[t]):
+                fresh = [s for s in holders[e] if s not in seen]
+                seen.update(fresh)
+                stack.extend(fresh)
+        component.sort()
+        bit: dict[Face, int] = {}
+        rank = _gf2_rank(sum(bit.setdefault(e, 1 << len(bit))
+                             for e in _triangle_edges(triangles[t]))
+                         for t in component)
+        components.append((component, len(component) - rank))
+    return components
+
+
+def least_deletion(triangles: list[Triangle], component: list[int], floor: int,
+                   budget: Budget, at_floor: bool = False) -> tuple[int, ...] | None:
+    """The first, in ``combinations`` order, of the least sets of a core
+    component's triangles whose deletion empties its core.
+
+    Greedy first: delete the least triangle left in the core and peel
+    again, until the core is empty (deleting a triangle outside the core
+    leaves the core as it is, so each step peels only what is left of it).
+    A greedy set of ``floor`` triangles is the answer, and nothing is
+    searched.  Otherwise the sizes from the floor up to one below the
+    greedy count are tried, each subset in ``combinations`` order for one
+    budget node.  Deleting more triangles keeps the core empty, so the
+    first size that works is the least; if none does, the greedy set is.
+    With ``at_floor`` only the floor is tried, and None means it cannot be
+    met.
+
+    Why a greedy set of the least size is the first one: take the first
+    least set D and the greedy set G, equal below some triangle.  The next
+    triangle of D lies in the core that the shared part leaves, or D without
+    it would still empty the core, and it is no greater than the next of G,
+    the least triangle of that core; so the two are equal.
+    """
+    greedy: list[int] = []
+    core = set(component)
+    while core:
+        greedy.append(min(core))
+        core = peel_triangles(triangles, core - {greedy[-1]})[1]
+    if len(greedy) == floor:
+        return tuple(greedy)
+    for size in range(floor, floor + 1 if at_floor else len(greedy)):
+        for deleted in combinations(component, size):
+            budget.spend()
+            if not peel_triangles(triangles, set(component).difference(deleted))[1]:
+                return deleted
+    return None if at_floor else tuple(greedy)
+
+
 def is_collapsible(K: Complex, budget: int | Budget | None = None):
     """Decide whether K collapses to a point (any single vertex).
 
@@ -193,11 +334,24 @@ def collapsible_after_removing(K: Complex, k: int,
                                budget: int | Budget | None = None):
     """Decide whether removing some k triangles leaves a collapsible complex.
 
+    Returns the removed set with its certificate, the first such set in
+    ``combinations`` order of the sorted triangles, or ``Impossible()``.
+
     Euler gate: a complex that collapses to a point has reduced Euler
     characteristic 0 and removing one triangle lowers it by exactly 1, so
-    any feasible k equals the reduced Euler characteristic; other k are
-    Impossible without search.  Triangle subsets are tried in lexicographic
-    order, each with its own greedy peel.
+    any feasible k equals the reduced Euler characteristic, k = b2 - b1
+    over GF(2); other k are Impossible without search.  K minus R collapses
+    iff its triangles have an empty core (:func:`_peel`: once they are
+    gone, a connected graph with reduced Euler characteristic 0 is left,
+    which is a tree).  By :func:`core_components` that needs at least the
+    floor of each core component inside R, and the floors sum to b2.  So
+    k < b2 (b1 != 0) is Impossible without search; otherwise R holds exactly
+    the floor of each component and nothing else, and the first R in
+    ``combinations`` order is the union of each component's first
+    (:func:`least_deletion`): the first of two equal-size sets is the one
+    holding the least element of their difference, and components are
+    disjoint.  One budget node is spent first and one per subset tried,
+    and then one per step of the single peel of K minus R.
     """
     if k < 0:
         raise ParameterError("removal count must be >= 0")
@@ -209,18 +363,25 @@ def collapsible_after_removing(K: Complex, k: int,
         return Impossible()
 
     budget = as_budget(budget)
-    all_faces = _nonempty_faces(K)
+    triangles = K.triangles
+    removed: list[Face] = []
     try:
-        for removed in combinations(K.triangles, k):
-            faces = all_faces - set(removed)
-            steps = _peel(K, faces, budget)
-            if steps is not None:
-                cert = CollapseCertificate(frozenset(removed), tuple(steps),
-                                           _rebuild(K, faces))
-                return frozenset(removed), cert
+        components = core_components(triangles, budget)
+        if k < sum(floor for _, floor in components):
+            return Impossible()
+        for component, floor in components:
+            deleted = least_deletion(triangles, component, floor, budget, at_floor=True)
+            if deleted is None:
+                return Impossible()
+            removed.extend(triangles[t] for t in deleted)
+        faces = _nonempty_faces(K).difference(removed)
+        steps = _peel(K, faces, budget)
     except OutOfBudget:
         return BudgetExceeded(stage="collapse-after-removing")
-    return Impossible()
+    if steps is None:
+        raise AssertionError("K minus R has an empty triangle core, so it collapses")
+    cert = CollapseCertificate(frozenset(removed), tuple(steps), _rebuild(K, faces))
+    return frozenset(removed), cert
 
 
 def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:

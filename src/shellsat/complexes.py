@@ -116,9 +116,6 @@ class Complex:
     def dim(self) -> int:
         return max(len(f) for f in self.facets) - 1
 
-    def has_face(self, face: Face) -> bool:
-        return tuple(face) in self.faces
-
     def label_face(self, face: Face) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in face)
 

@@ -4,13 +4,15 @@ The generator produces pure connected 2-complexes three ways: seeded
 random sampling, exhaustive enumeration up to isomorphism (canonical
 labeling by the minimum lexicographic facet list over all vertex
 permutations, feasible at up to 7 support vertices), and barycentric
-subdivision of the enumerated stream.  The oracles re-decide shellability,
-collapsibility and the weak saturation number by raw exhaustion and are
-used only to cross-check the real deciders on small instances.
+subdivision of the enumerated stream; :func:`flag_dunce_hat` builds one
+hard instance.  The oracles re-decide shellability, collapsibility and
+the weak saturation number by raw exhaustion and are used only to
+cross-check the real deciders on small instances.
 """
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -132,6 +134,35 @@ def generate(spec: GeneratorSpec) -> Iterator[Complex]:
             for _ in range(spec.depth):
                 instance = instance.barycentric_subdivision()
             yield instance
+
+
+def flag_dunce_hat() -> Complex:
+    """A flag triangulation of Zeeman's dunce hat: contractible, with no
+    free edge, so neither collapsible nor shellable.
+
+    Subdivide the triangle ABC barycentrically twice, with exact
+    barycentric coordinates, then glue its boundary by the word a.a.a^-1:
+    the point at parameter t on AB, on BC and on AC (each measured from its
+    first vertex) becomes the vertex ``a<4t mod 4>``.  Interior points are
+    ``x00``, ``x01``, ... in coordinate order.  17 vertices, 52 edges and
+    36 triangles; reduced Euler characteristic 0.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    triangles = [((one, zero, zero), (zero, one, zero), (zero, zero, one))]
+    for _ in range(2):
+        triangles = [tuple(tuple(sum(x) / k for x in zip(*order[:k]))
+                           for k in (1, 2, 3))
+                     for t in triangles for order in permutations(t)]
+    interior = sorted({p for t in triangles for p in t if all(p)})
+
+    def label(point) -> str:
+        _, b, c = point
+        if all(point):
+            return f"x{interior.index(point):02d}"
+        t = b if c == 0 else c  # on AB t is B's weight; on BC and AC, C's
+        return f"a{int(4 * t) % 4}"
+
+    return from_facets([tuple(label(p) for p in t) for t in triangles])
 
 
 # -- graph instance helpers (used by the test suites) --------------------------

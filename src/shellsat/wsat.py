@@ -6,18 +6,19 @@ host edges can be added one at a time, each completing a copy of K3; the
 greedy fixed point (the K3-bootstrap closure) decides this because an
 addable edge stays addable after other additions.  The engine is fixed to
 the K3 pattern; certificates carry a pattern field for forward
-compatibility.
+compatibility.  Both deciders run on the triangle 2-core engine of
+:mod:`shellsat.collapse`.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .collapse import Triangle, core_components, least_deletion, peel_triangles
 from .complexes import (
     SATURATION,
     Complex,
     certificate_header,
     from_facets,
-    is_connected_graph,
     listed_faces,
     read_certificate,
 )
@@ -203,43 +204,14 @@ def _connected_host(F: Complex) -> tuple[int, set[Edge]]:
     return F.n_vertices, _edge_set(F)
 
 
-def _saturating_sets(n: int, host: set[Edge], size: int, budget: Budget):
-    """Yield each connected spanning set of ``size`` host edges whose K3
-    closure is the host, as a sorted tuple, in lexicographic order.
-
-    A depth-first include/exclude search over the sorted host edges on its
-    own stack, include first; ``k`` edges are chosen in ``c`` components.
-    An edge joining two components may always be included; any other only
-    while ``size - k > c - 1``, since the edges left to choose must merge
-    the components.  An edge may be excluded only while enough edges remain
-    and the chosen plus the later edges connect every vertex (only a
-    joining edge can break that).  So ``c - 1 <= size - k`` holds, every
-    branch ends at a leaf of ``size`` edges in one component, and the
-    leaves are exactly the connected spanning ``size``-subsets.  Each leaf
-    costs one budget node, spent before its closure test.
-    """
-    edges = tuple(sorted(host))
-    m = len(edges)
-    stack = [(0, (), tuple(range(n)), n, False)]
-    while stack:
-        i, chosen, component, c, excluded_join = stack.pop()
-        k = len(chosen)
-        if m - i < size - k or (excluded_join and
-                                not is_connected_graph(n, chosen + edges[i:])):
-            continue
-        if k == size:
-            budget.spend()
-            if _closure_edges(n, host, set(chosen)) == host:
-                yield chosen
-            continue
-        u, v = edges[i]
-        joins = component[u] != component[v]
-        stack.append((i + 1, chosen, component, c, joins))
-        if joins:
-            merged = tuple(component[v] if x == component[u] else x for x in component)
-            stack.append((i + 1, chosen + (edges[i],), merged, c - 1, False))
-        elif size - k > c - 1:
-            stack.append((i + 1, chosen + (edges[i],), component, c, False))
+def _host_triangles(n: int, host: set[Edge]) -> list[Triangle]:
+    """The host's triangles as sorted vertex-id triples, in sorted order."""
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in host:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return [(u, v, w) for u, v in sorted(host)
+            for w in sorted(adjacency[u] & adjacency[v]) if w > v]
 
 
 def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
@@ -247,37 +219,60 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
 
     Equivalently, whether wsat(F, K3) = n - 1: adding an edge that closes a
     K3 never merges components, so a saturating subgraph is connected and
-    spanning, n - 1 edges is the floor and trees are the only candidates at
-    that size.  The certificate comes from the first saturating tree in
-    lexicographic edge order; the budget counts the trees tested.
+    spanning, and n - 1 edges is the floor.
+
+    The engine is the identity wsat(F, K3) = m - max |S| over sets S of
+    host triangles with an empty 2-core (:mod:`shellsat.collapse`).  The
+    witnesses of a saturating order are distinct triangles, and they peel
+    in reverse order, each through the edge it added; conversely, the free
+    edges of a peel of S, added back in reverse order, each complete a K3,
+    so the host minus them saturates.  So wsat is at least m - |T| plus
+    the floors of the core components (:func:`core_components`), which
+    refutes at once when it exceeds n - 1.  The bound is never below
+    n - 1 (the boundaries of T span at most the m - n + 1 dimensional
+    cycle space), so otherwise every core component must meet its floor
+    (:func:`least_deletion`).  The certificate peels the S found, least
+    free edge first, starts from the host minus its free edges (n - 1
+    edges that saturate: a spanning tree) and takes its order and
+    witnesses from :func:`extract_saturation_order`.  The budget counts
+    one node per call and one per deletion set tried.
     """
     n, host = _connected_host(F)
+    triangles = _host_triangles(n, host)
+    budget = as_budget(budget)
+    deleted: set[int] = set()
     try:
-        tree = next(_saturating_sets(n, host, n - 1, as_budget(budget)), None)
+        components = core_components(triangles, budget)
+        if len(host) - len(triangles) + sum(f for _, f in components) > n - 1:
+            return NotSaturated()
+        for component, floor in components:
+            found = least_deletion(triangles, component, floor, budget, at_floor=True)
+            if found is None:
+                return NotSaturated()
+            deleted.update(found)
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-tree-search")
-    if tree is None:
-        return NotSaturated()
-    return extract_saturation_order(F, _subgraph(F, set(tree)))
+    free, _ = peel_triangles(triangles, set(range(len(triangles))) - deleted)
+    return extract_saturation_order(F, _subgraph(F, host - set(free)))
 
 
 def wsat_number(F: Complex, budget: int | Budget | None = None):
     """Minimum edge count of a weakly K3-saturated subgraph of F, exactly.
 
-    Sizes are scanned upward from n - 1 (the spanning floor); feasibility
-    is monotone in size, so the first size with a saturating connected
-    spanning subgraph is the answer.  The budget counts the connected
-    spanning subgraphs tested.
+    By the identity in :func:`decide_wsat_eq_treesize` this is m - |T| plus
+    the least number of triangles whose deletion empties the 2-core, summed
+    over the core components (:func:`least_deletion`).  The budget counts
+    one node per call and one per deletion set tried.
     """
     n, host = _connected_host(F)
+    triangles = _host_triangles(n, host)
     budget = as_budget(budget)
     try:
-        for size in range(n - 1, len(host) + 1):
-            if next(_saturating_sets(n, host, size, budget), None) is not None:
-                return size
+        deletions = sum(len(least_deletion(triangles, component, floor, budget))
+                        for component, floor in core_components(triangles, budget))
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-number")
-    raise AssertionError("the host itself is always weakly saturated")
+    return len(host) - len(triangles) + deletions
 
 
 # -- certificate file format ---------------------------------------------------

@@ -185,6 +185,21 @@ def test_wsat_number_rejects_certificates(workdir, capsys):
     assert cert.read_text() == written
 
 
+def test_collapse_k_rejects_verify(workdir, capsys):
+    # A replay cannot check the removal count, so --k with --verify is refused
+    # rather than replayed as a plain collapse.
+    two = workdir / "two.sc"
+    cert = workdir / "col.cert"
+    assert run("collapse", "--in", two, "--k", "0", "--cert", cert) == 0
+    capsys.readouterr()
+    for k in ("0", "5"):
+        assert run("collapse", "--in", two, "--k", k, "--cert", cert, "--verify") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert run("collapse", "--in", two, "--cert", cert, "--verify") == 0
+
+
 def test_convert_chain_of_certificates(workdir):
     shell_cert = workdir / "shelling.cert"
     sat_cert = workdir / "saturation.cert"

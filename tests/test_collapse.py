@@ -1,5 +1,6 @@
 """Elementary collapses: stepping, search, removal decisions, verification."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,16 @@ from shellsat import (
     is_collapsible,
     verify_collapse,
 )
-from shellsat.collapse import collapse_violation, format_collapse, parse_collapse
+from shellsat.collapse import (
+    _peel,
+    _rebuild,
+    collapse_violation,
+    core_components,
+    format_collapse,
+    least_deletion,
+    parse_collapse,
+    peel_triangles,
+)
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -23,8 +33,14 @@ from shellsat.errors import (
     PurityError,
     UnsupportedDimensionError,
 )
-from shellsat.harness import enumerate_pure2, enumerate_connected_graphs, oracle_collapsible
-from shellsat.outcomes import BudgetExceeded, Impossible, NotCollapsible
+from shellsat.harness import (
+    enumerate_connected_graphs,
+    enumerate_pure2,
+    flag_dunce_hat,
+    oracle_collapsible,
+    sample_pure2,
+)
+from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible
 
 
 def step_of(K, free_labels, facet_labels):
@@ -218,6 +234,73 @@ def test_removal_count_must_match_chi():
         for k in (chi - 1, chi + 1):
             if k >= 0:
                 assert collapsible_after_removing(K, k) == Impossible()
+
+
+def global_removal_scan(K, k):
+    """The removal search the core engine replaced: every k-subset of the
+    sorted triangles in ``combinations`` order, one greedy peel each."""
+    for removed in combinations(K.triangles, k):
+        faces = {f for f in K.faces if f} - set(removed)
+        steps = _peel(K, faces, Budget(None))
+        if steps is not None:
+            return CollapseCertificate(frozenset(removed), tuple(steps),
+                                       _rebuild(K, faces))
+    return Impossible()
+
+
+def test_removal_matches_global_scan():
+    # Seeded samples on 6 vertices stand in for enumerate_pure2(6, 6), whose
+    # canonical forms take minutes to list.
+    rng = random.Random(66)
+    corpus = list(enumerate_pure2(5, 10)) + [
+        sample_pure2(rng, 6, t)[0] for t in range(3, 9) for _ in range(30)]
+    for K in corpus:
+        chi = K.reduced_euler_characteristic()
+        for k in range(max(chi - 1, 0), chi + 2):
+            expected = global_removal_scan(K, k)
+            result = collapsible_after_removing(K, k)
+            if isinstance(expected, CollapseCertificate):
+                removed, cert = result
+                assert removed == expected.removed_triangles
+                assert format_collapse(K, cert) == format_collapse(K, expected)
+            else:
+                assert result == Impossible(), (K.facets, k)
+    # Three spheres on one vertex: the global scan spends about 61k nodes
+    # before its first success; one component at a time needs a few hundred.
+    spheres = from_facets(
+        [f"o {a}{i} {b}{i}" for i in range(3) for a, b in combinations("abc", 2)]
+        + [f"a{i} b{i} c{i}" for i in range(3)])
+    K = spheres.barycentric_subdivision()
+    removed, cert = collapsible_after_removing(K, 3, 1000)
+    assert len(removed) == 3 and verify_collapse(K, cert) and cert.targets_point()
+
+
+def test_least_deletion_searches_where_greedy_falls_short():
+    """Each case is one core component on which the greedy misses the floor,
+    checked against the first least deletion set found by brute force.
+
+    The dunce hat needs one deletion above its floor of 0; with a few more
+    triangles the greedy deletes two where one will do; a sphere on one of
+    its edges raises the floor to 1 and the least count to 2.
+    """
+    H = flag_dunce_hat()
+    hat = [H.label_face(t) for t in H.triangles]
+    cases = [(hat, 0, 1),
+             (hat + ["a2 x10 x11", "a1 x07 x11", "x07 x10 x11"], 1, 1),
+             (hat + ["a0 x00 p", "a0 x00 q", "a0 p q", "x00 p q"], 1, 2)]
+    for facets, floor, least in cases:
+        triangles = from_facets(facets).triangles
+        [(component, bound)] = core_components(triangles, Budget(None))
+        assert bound == floor
+        first = next(d for size in range(len(component) + 1)
+                     for d in combinations(component, size)
+                     if not peel_triangles(triangles, set(component) - set(d))[1])
+        assert len(first) == least
+        for at_floor in (False, True):
+            budget = Budget(None)
+            found = least_deletion(triangles, component, floor, budget, at_floor)
+            assert budget.used > 0
+            assert found == (None if at_floor and least > floor else first)
 
 
 def test_removal_preconditions(three_cycle, triangle):

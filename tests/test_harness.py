@@ -5,18 +5,29 @@ from itertools import combinations, permutations, islice
 
 import pytest
 
-from shellsat import GeneratorSpec, generate
+from shellsat import (
+    GeneratorSpec,
+    collapsible_after_removing,
+    decide_wsat_eq_treesize,
+    generate,
+    is_collapsible,
+    wsat_number,
+)
+from shellsat.cli import main
+from shellsat.collapse import core_components, free_faces
 from shellsat.errors import OracleBoundError, ParameterError
 from shellsat.harness import (
     canonical_triangles,
     complex_from_triangles,
     enumerate_connected_graphs,
     enumerate_pure2,
+    flag_dunce_hat,
     oracle_collapsible,
     oracle_shelling,
     oracle_wsat,
     sample_pure2,
 )
+from shellsat.outcomes import Budget, Impossible, NotCollapsible, NotSaturated
 from conftest import complete_graph
 
 
@@ -125,6 +136,32 @@ def test_connected_graph_counts():
     expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     for n, count in expected.items():
         assert len(list(enumerate_connected_graphs(n))) == count
+
+
+# -- hard instances ---------------------------------------------------------------------
+
+def test_flag_dunce_hat_shape():
+    K = flag_dunce_hat()
+    assert K.f_vector() == (1, 17, 52, 36)
+    assert K.is_pure() and K.is_connected() and K.is_flag2()
+    assert K.reduced_euler_characteristic() == 0
+    assert free_faces(K) == []
+
+
+def test_flag_dunce_hat_is_decided_within_small_budgets(tmp_path):
+    # Contractible with no free edge: the GF(2) bound says wsat >= 16 and a
+    # tree might saturate, but the core needs one deletion.
+    K = flag_dunce_hat()
+    F = K.skeleton(1)
+    components = core_components(K.triangles, Budget(100))
+    assert len(F.edges) - len(K.triangles) + sum(f for _, f in components) == 16
+    assert wsat_number(F, Budget(100)) == 17
+    assert decide_wsat_eq_treesize(F, Budget(100)) == NotSaturated()
+    assert is_collapsible(K, Budget(100)) == NotCollapsible()
+    assert collapsible_after_removing(K, 0, Budget(100)) == Impossible()
+    path = tmp_path / "hat.sc"
+    path.write_text(K.to_sc())
+    assert main(["collapse", "--in", str(path), "--k", "0", "--budget", "100"]) == 1
 
 
 # -- oracles ------------------------------------------------------------------------------------

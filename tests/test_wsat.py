@@ -224,9 +224,9 @@ def test_long_path_is_decided_without_recursion(tmp_path):
 
 
 def test_budget_bounds_work_before_the_first_candidate():
-    # K8 on the lowest labels with a 13-edge path hanging off it: the first
-    # connected spanning candidate is reached without enumerating the
-    # disconnected subsets before it, so budget 0 ends the search at once.
+    # K8 on the lowest labels with a 13-edge path hanging off it, where an
+    # edge-subset search can list many subsets before its first candidate:
+    # each call spends one node before any other work, so budget 0 ends it.
     labels = [f"v{i:02d}" for i in range(21)]
     F = graph_complex(labels, list(combinations(labels[:8], 2))
                       + list(zip(labels[7:], labels[8:])))
@@ -253,36 +253,27 @@ def test_wsat_number_budget():
 def test_tree_restriction_matches_unrestricted_search():
     """Both deciders agree with a flat scan over edge subsets.
 
-    The scan tries every ``n - 1``-subset in ``combinations`` order for the
-    tree decision, and charges one node per connected spanning subset, size
-    by size, for the wsat number.
+    The scan tries every subset of each size in ``combinations`` order,
+    from ``n - 1`` up, and stops at the first saturating one.  A tree
+    certificate must verify and start from a spanning tree.
     """
     rng = random.Random(99)
     hosts = [F for n in range(2, 7) for F in enumerate_connected_graphs(n)]
     hosts += [sample_connected_graph(rng, 7, 0.5) for _ in range(6)]
+    hosts += [sample_connected_graph(rng, n, 0.7) for n in (7, 8) for _ in range(3)]
     for F in hosts:
         n, host = F.n_vertices, _edge_set(F)
-        first_tree = next(
-            (subset for subset in combinations(sorted(host), n - 1)
-             if _closure_edges(n, host, set(subset)) == host), None)
-        if first_tree is None:
-            assert decide_wsat_eq_treesize(F) == NotSaturated(), F.facets
+        number = next(size for size in range(n - 1, len(host) + 1)
+                      if any(_closure_edges(n, host, set(subset)) == host
+                             for subset in combinations(sorted(host), size)))
+        cert = decide_wsat_eq_treesize(F)
+        if number > n - 1:
+            assert cert == NotSaturated(), F.facets
         else:
-            expected = extract_saturation_order(F, graph_complex(
-                F.labels, [F.label_face(e) for e in first_tree]))
-            assert decide_wsat_eq_treesize(F) == expected, F.facets
-        charged = 0
-        for size in range(n - 1, len(host) + 1):
-            connected = [set(subset) for subset in combinations(sorted(host), size)
-                         if is_connected_graph(n, subset)]
-            saturating = [_closure_edges(n, host, s) == host for s in connected]
-            if any(saturating):
-                charged += saturating.index(True) + 1
-                break
-            charged += len(connected)
-        budget = Budget(None)
-        assert wsat_number(F, budget) == size, F.facets
-        assert budget.used == charged, F.facets
+            assert verify_saturation(F, cert), F.facets
+            start = _edge_set(cert.start)
+            assert len(start) == n - 1 and is_connected_graph(n, start), F.facets
+        assert wsat_number(F) == number, F.facets
 
 
 def test_closure_order_independence_seeded():
@@ -347,7 +338,7 @@ def test_decide_on_tiny_hosts():
     point = graph_complex(["a"], [])
     assert isinstance(decide_wsat_eq_treesize(point), SaturationCertificate)
     assert wsat_number(point) == 0
-    # The empty edge set is the one candidate, and it costs one node.
+    # Every call spends one node before it answers.
     assert decide_wsat_eq_treesize(point, 0) == BudgetExceeded(
         stage="wsat-tree-search")
     assert wsat_number(point, 0) == BudgetExceeded(stage="wsat-number")
