@@ -95,6 +95,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_sd(args) -> int:
+    if args.depth < 0:
+        raise ParameterError("subdivision depth must be >= 0")
     K = _read_complex(args.infile)
     L = K
     for _ in range(args.depth):
@@ -236,6 +238,8 @@ def _cmd_gen(args) -> int:
     spec = GeneratorSpec(seed=args.seed, n_vertices=args.n, n_triangles=args.t,
                          mode=args.mode, depth=args.depth)
     spec.validate()
+    if args.count is not None and args.count < 0:
+        raise ParameterError("instance count must be >= 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

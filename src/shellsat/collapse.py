@@ -7,8 +7,9 @@ target subcomplex the steps must reach.  All faces in a certificate are
 expressed in the id coordinates of the subject complex.
 
 The searches need dimension at most 2, where one greedy peel of free faces
-decides collapsibility (:func:`_peel`); from dimension 3 on the problem is
-NP-complete (Tancer, 2016).  Steps and certificates work in any dimension.
+decides collapsibility (:func:`is_collapsible`); from dimension 3 on the
+problem is NP-complete (Tancer, 2016).  Steps and certificates work in any
+dimension.
 """
 
 import heapq
@@ -23,7 +24,6 @@ from .complexes import (
     from_facets,
     listed_faces,
     maximal_faces,
-    proper_subfaces,
     read_certificate,
 )
 from .errors import (
@@ -90,19 +90,13 @@ def _step_violation(K: Complex, faces: set[Face], step: CollapseStep) -> str | N
     return None
 
 
-def _apply_step(K: Complex, faces: set[Face], step: CollapseStep) -> list[Face]:
-    """Remove the free face and every face above it, in place; return them."""
-    gone = [step.free_face, *(g for g in K.cofaces(step.free_face) if g in faces)]
-    faces.difference_update(gone)
-    return gone
+def _apply_step(K: Complex, faces: set[Face], step: CollapseStep) -> None:
+    """Remove the free face and every face above it, in place."""
+    faces.difference_update((step.free_face, *K.cofaces(step.free_face)))
 
 
 def _nonempty_faces(K: Complex) -> set[Face]:
     return {f for f in K.faces if f}
-
-
-def _rebuild(K: Complex, faces: set[Face]) -> Complex:
-    return from_facets([K.label_face(f) for f in maximal_faces(faces)])
 
 
 # -- public operations --------------------------------------------------------
@@ -120,7 +114,7 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
         others = [g for g in cofacets if g != step.facet]
         raise NotFreeError(reason, blocking_facet=min(others, default=None))
     _apply_step(K, faces, step)
-    return _rebuild(K, faces)
+    return from_facets([K.label_face(f) for f in maximal_faces(faces)])
 
 
 def free_faces(K: Complex) -> list[CollapseStep]:
@@ -130,88 +124,71 @@ def free_faces(K: Complex) -> list[CollapseStep]:
     return [CollapseStep(tau, up[0]) for tau, up in cofacets.items() if len(up) == 1]
 
 
-def _peel(K: Complex, faces: set[Face], budget: Budget) -> list[CollapseStep] | None:
-    """Collapse the face set greedily toward one vertex, in place.
+# -- the peel -------------------------------------------------------------------
+#
+# Simplices are sorted vertex-id tuples that all have one size, and a set of
+# them is a set of indices into one sorted list, so `combinations` over a
+# sorted index list runs in lexicographic order.  The ridges of a simplex
+# are its faces one vertex smaller.  The core of a set is what is left after
+# repeatedly deleting a simplex with a ridge in no other remaining simplex.
+# On triangles, a set with an empty core is what a collapse removes through
+# free edges and, read backwards, a weak K3-saturation order (see
+# `wsat.decide_wsat_eq_treesize`); on the edges of a connected graph, the
+# core is empty iff the graph is a tree.
 
-    Each step takes the free face first in ``(-len(tau), tau)`` order and
-    spends one budget node.  Returns the steps when one vertex is left, or
-    None when no face is free.  A step changes the cofacets only of proper
-    subfaces of the faces it removes, so only those go back on the heap;
-    a popped face that is gone or not free is dropped.
 
-    Why a stuck peel refutes, in dimension <= 2: a triangle leaves through
-    a free edge (a free vertex of a triangle lies on a free edge of it),
-    and removals only lower the triangle counts of edges, so a triangle
-    stays removable once it is removable and the set of triangles that
-    can ever be removed is fixed, whatever the order.  If it is every
-    triangle, what remains is a graph homotopy equivalent to K, which
-    prunes to a point iff it is a tree, in any leaf order; if not, no
-    sequence reaches a point.  So a depth-first search over step sequences
-    that tries steps in this order never backtracks on a collapsible input:
-    its first descent is the peel, with the same steps and node count.
+def peel(simplices: list[Face], alive) -> tuple[list[tuple[Face, Face]], set[int]]:
+    """Peel the alive simplices, least free ridge first.
+
+    Returns each free ridge paired with the simplex that leaves with it, in
+    peel order, and the core that is left.  Deleting simplices only lowers
+    the number of simplices holding a ridge, so a simplex that can leave
+    stays able to, and the set that leaves (hence the core) does not depend
+    on the order.
     """
-    heap = [(-len(f), f) for f in faces]
+    holders: dict[Face, set[int]] = {}
+    for i in alive:
+        for r in combinations(simplices[i], len(simplices[i]) - 1):
+            holders.setdefault(r, set()).add(i)
+    heap = [r for r, held in holders.items() if len(held) == 1]
     heapq.heapify(heap)
-    steps: list[CollapseStep] = []
-    while len(faces) > 1:  # a lone nonempty face of a complex is a vertex
-        cofacets: list[Face] = []
-        while len(cofacets) != 1:
-            if not heap:
-                return None
-            tau = heapq.heappop(heap)[1]
-            cofacets = _cofacets(K, faces, tau) if tau in faces else []
-        budget.spend()
-        steps.append(CollapseStep(tau, cofacets[0]))
-        removed = _apply_step(K, faces, steps[-1])
-        for sub in {s for f in removed for s in proper_subfaces(f) if s in faces}:
-            heapq.heappush(heap, (-len(sub), sub))
-    return steps
+    free: list[tuple[Face, Face]] = []
+    while heap:
+        r = heapq.heappop(heap)
+        if len(holders[r]) == 1:
+            (i,) = holders[r]
+            free.append((r, simplices[i]))
+            for q in combinations(simplices[i], len(simplices[i]) - 1):
+                holders[q].discard(i)
+                if len(holders[q]) == 1:
+                    heapq.heappush(heap, q)
+    return free, {i for held in holders.values() for i in held}
+
+
+def _collapse(K: Complex, removed: frozenset[Face],
+              budget: Budget) -> CollapseCertificate | None:
+    """Collapse K without the removed triangles toward one vertex.
+
+    The steps are the free edges of a peel of the other triangles, then the
+    leaves of a peel of the edges left over, one budget node each.  Returns
+    None when those edges are not a tree.
+    """
+    triangles = K.triangles
+    up, _ = peel(triangles, [i for i, t in enumerate(triangles) if t not in removed])
+    freed = {edge for edge, _ in up}
+    edges = [e for e in K.edges if e not in freed]
+    down, core = peel(edges, range(len(edges)))
+    budget.spend(len(up) + len(down))
+    if core:
+        return None
+    (target,) = set(range(K.n_vertices)).difference(v for (v,), _ in down)
+    steps = tuple(CollapseStep(*pair) for pair in up + down)
+    return CollapseCertificate(removed, steps, from_facets([K.label_face((target,))]))
 
 
 # -- the triangle 2-core engine -------------------------------------------------
-#
-# Triangles are sorted vertex-id triples, and a set of triangles is a set of
-# indices into one sorted list, so `combinations` over a sorted index list
-# runs in lexicographic order.  The 2-core of a set is what is left after
-# repeatedly deleting a triangle with an edge in no other remaining triangle:
-# `_peel` restricted to triangles (a triangle leaves a 2-complex only through
-# a free edge), counted on integers.  A set with an empty core is what a
-# collapse removes through free edges, and, read backwards, a weak
-# K3-saturation order (see `wsat.decide_wsat_eq_treesize`).
 
 Triangle = tuple[int, int, int]
-
-
-def _triangle_edges(t: Triangle) -> tuple[Face, Face, Face]:
-    a, b, c = t
-    return (a, b), (a, c), (b, c)
-
-
-def peel_triangles(triangles: list[Triangle], alive) -> tuple[list[Face], set[int]]:
-    """Peel the alive triangles, least free edge first.
-
-    Returns the free edges in peel order and the core that is left.
-    Deleting triangles only lowers the triangle counts of edges, so a
-    triangle that can leave stays able to, and the core does not depend on
-    the order.
-    """
-    holders: dict[Face, set[int]] = {}
-    for t in alive:
-        for e in _triangle_edges(triangles[t]):
-            holders.setdefault(e, set()).add(t)
-    heap = [e for e, held in holders.items() if len(held) == 1]
-    heapq.heapify(heap)
-    free: list[Face] = []
-    while heap:
-        e = heapq.heappop(heap)
-        if len(holders[e]) == 1:
-            (t,) = holders[e]
-            free.append(e)
-            for f in _triangle_edges(triangles[t]):
-                holders[f].discard(t)
-                if len(holders[f]) == 1:
-                    heapq.heappush(heap, f)
-    return free, {t for held in holders.values() for t in held}
 
 
 def _gf2_rank(rows) -> int:
@@ -244,10 +221,10 @@ def core_components(triangles: list[Triangle],
     boundaries are independent and at most rank(C) triangles of C stay.
     """
     budget.spend()
-    _, core = peel_triangles(triangles, range(len(triangles)))
+    _, core = peel(triangles, range(len(triangles)))
     holders: dict[Face, list[int]] = {}
     for t in core:
-        for e in _triangle_edges(triangles[t]):
+        for e in combinations(triangles[t], 2):
             holders.setdefault(e, []).append(t)
     components: list[tuple[list[int], int]] = []
     seen: set[int] = set()
@@ -259,14 +236,14 @@ def core_components(triangles: list[Triangle],
         while stack:
             t = stack.pop()
             component.append(t)
-            for e in _triangle_edges(triangles[t]):
+            for e in combinations(triangles[t], 2):
                 fresh = [s for s in holders[e] if s not in seen]
                 seen.update(fresh)
                 stack.extend(fresh)
         component.sort()
         bit: dict[Face, int] = {}
         rank = _gf2_rank(sum(bit.setdefault(e, 1 << len(bit))
-                             for e in _triangle_edges(triangles[t]))
+                             for e in combinations(triangles[t], 2))
                          for t in component)
         components.append((component, len(component) - rank))
     return components
@@ -298,13 +275,13 @@ def least_deletion(triangles: list[Triangle], component: list[int], floor: int,
     core = set(component)
     while core:
         greedy.append(min(core))
-        core = peel_triangles(triangles, core - {greedy[-1]})[1]
+        core = peel(triangles, core - {greedy[-1]})[1]
     if len(greedy) == floor:
         return tuple(greedy)
     for size in range(floor, floor + 1 if at_floor else len(greedy)):
         for deleted in combinations(component, size):
             budget.spend()
-            if not peel_triangles(triangles, set(component).difference(deleted))[1]:
+            if not peel(triangles, set(component).difference(deleted))[1]:
                 return deleted
     return None if at_floor else tuple(greedy)
 
@@ -312,22 +289,33 @@ def least_deletion(triangles: list[Triangle], component: list[int], floor: int,
 def is_collapsible(K: Complex, budget: int | Budget | None = None):
     """Decide whether K collapses to a point (any single vertex).
 
-    Returns a CollapseCertificate, ``NotCollapsible()`` when the greedy
-    peel gets stuck (see :func:`_peel`), or ``BudgetExceeded``.
+    Returns a CollapseCertificate, ``NotCollapsible()`` when the peel gets
+    stuck, or ``BudgetExceeded``.  One budget node is spent per step.
+
+    Why two peels decide it, in dimension <= 2: a triangle leaves through
+    a free edge (a free vertex of a triangle lies on a free edge of it),
+    and by :func:`peel` the set of triangles that can ever leave is fixed,
+    whatever the order.  If it is every triangle, what remains is a graph
+    homotopy equivalent to K, which prunes to a point iff it is a tree, in
+    any leaf order; if not, no sequence reaches a point (the edges of a
+    triangle that stays are left over too, so its vertices are no leaves).
+    Removing a graph edge frees no edge of a triangle, so the steps are
+    those of the greedy collapse that always takes the least free face in
+    ``(-len(tau), tau)`` order: every free edge, least first, then the
+    leaves, least first.  A depth-first search over step sequences that
+    tries steps in that order never backtracks on a collapsible input: its
+    first descent is these steps, with the same node count.
     """
     if K.dim > 2:
         raise UnsupportedDimensionError(
             f"the collapse search supports dimension <= 2, got {K.dim}")
     if not K.is_connected():
         raise ConnectivityError("collapsibility search requires a connected complex")
-    faces = _nonempty_faces(K)
     try:
-        steps = _peel(K, faces, as_budget(budget))
+        cert = _collapse(K, frozenset(), as_budget(budget))
     except OutOfBudget:
         return BudgetExceeded(stage="collapse")
-    if steps is None:
-        return NotCollapsible()
-    return CollapseCertificate(frozenset(), tuple(steps), _rebuild(K, faces))
+    return NotCollapsible() if cert is None else cert
 
 
 def collapsible_after_removing(K: Complex, k: int,
@@ -341,8 +329,8 @@ def collapsible_after_removing(K: Complex, k: int,
     characteristic 0 and removing one triangle lowers it by exactly 1, so
     any feasible k equals the reduced Euler characteristic, k = b2 - b1
     over GF(2); other k are Impossible without search.  K minus R collapses
-    iff its triangles have an empty core (:func:`_peel`: once they are
-    gone, a connected graph with reduced Euler characteristic 0 is left,
+    iff its triangles have an empty core (:func:`is_collapsible`: once they
+    are gone, a connected graph with reduced Euler characteristic 0 is left,
     which is a tree).  By :func:`core_components` that needs at least the
     floor of each core component inside R, and the floors sum to b2.  So
     k < b2 (b1 != 0) is Impossible without search; otherwise R holds exactly
@@ -351,7 +339,7 @@ def collapsible_after_removing(K: Complex, k: int,
     (:func:`least_deletion`): the first of two equal-size sets is the one
     holding the least element of their difference, and components are
     disjoint.  One budget node is spent first and one per subset tried,
-    and then one per step of the single peel of K minus R.
+    and then one per step of the collapse of K minus R.
     """
     if k < 0:
         raise ParameterError("removal count must be >= 0")
@@ -364,7 +352,7 @@ def collapsible_after_removing(K: Complex, k: int,
 
     budget = as_budget(budget)
     triangles = K.triangles
-    removed: list[Face] = []
+    removed: set[Face] = set()
     try:
         components = core_components(triangles, budget)
         if k < sum(floor for _, floor in components):
@@ -373,15 +361,13 @@ def collapsible_after_removing(K: Complex, k: int,
             deleted = least_deletion(triangles, component, floor, budget, at_floor=True)
             if deleted is None:
                 return Impossible()
-            removed.extend(triangles[t] for t in deleted)
-        faces = _nonempty_faces(K).difference(removed)
-        steps = _peel(K, faces, budget)
+            removed.update(triangles[t] for t in deleted)
+        cert = _collapse(K, frozenset(removed), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="collapse-after-removing")
-    if steps is None:
+    if cert is None:
         raise AssertionError("K minus R has an empty triangle core, so it collapses")
-    cert = CollapseCertificate(frozenset(removed), tuple(steps), _rebuild(K, faces))
-    return frozenset(removed), cert
+    return cert.removed_triangles, cert
 
 
 def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:

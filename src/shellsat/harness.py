@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator
 
+from .collapse import Triangle
 from .complexes import Complex, from_facets, is_connected_graph
 from .errors import OracleBoundError, ParameterError
 from .wsat import graph_complex
@@ -25,8 +26,6 @@ MODES = ("random-pure-2", "enumerate-all", "subdivide-depth-k")
 ORACLE_MAX_FACETS = 6
 ORACLE_MAX_FACES = 12
 ORACLE_MAX_VERTICES = 6
-
-Triangle = tuple[int, int, int]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ searches degrade to an explicit ``BudgetExceeded`` instead of hanging.
 
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class Unshellable:
@@ -51,7 +53,7 @@ class Budget:
 
     def __init__(self, limit: int | None):
         if limit is not None and limit < 0:
-            raise ValueError("budget limit must be >= 0")
+            raise ParameterError("budget limit must be >= 0")
         self.limit = limit
         self.used = 0
 

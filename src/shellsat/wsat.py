@@ -13,7 +13,7 @@ compatibility.  Both deciders run on the triangle 2-core engine of
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .collapse import Triangle, core_components, least_deletion, peel_triangles
+from .collapse import Triangle, core_components, least_deletion, peel
 from .complexes import (
     SATURATION,
     Complex,
@@ -252,8 +252,8 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
             deleted.update(found)
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-tree-search")
-    free, _ = peel_triangles(triangles, set(range(len(triangles))) - deleted)
-    return extract_saturation_order(F, _subgraph(F, host - set(free)))
+    freed, _ = peel(triangles, set(range(len(triangles))) - deleted)
+    return extract_saturation_order(F, _subgraph(F, host - {e for e, _ in freed}))
 
 
 def wsat_number(F: Complex, budget: int | Budget | None = None):

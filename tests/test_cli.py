@@ -105,6 +105,23 @@ def test_resource_failure_is_not_a_refutation(workdir, capsys, monkeypatch, fail
     assert capsys.readouterr().err == f"error: {failure.__name__}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["shell", "--in", "two.sc", "--budget", -1],
+    ["collapse", "--in", "two.sc", "--budget", -1],
+    ["wsat", "--in", "c4.sc", "--budget", -1],
+    ["chain", "--in", "two.sc", "--budget", -1],
+    ["gen", "--out", "x", "--mode", "enumerate-all", "--n", 4, "--t", 2, "--count", -1],
+    ["gen", "--out", "x", "--mode", "random-pure-2", "--n", 4, "--t", 2, "--count", -1],
+    ["sd", "--in", "two.sc", "--depth", -1],
+])
+def test_negative_argument_is_a_usage_error(workdir, capsys, monkeypatch, argv):
+    monkeypatch.chdir(workdir)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert main(["shell"]) == 3          # missing --in
     assert main(["no-such-command"]) == 3

@@ -16,14 +16,12 @@ from shellsat import (
     verify_collapse,
 )
 from shellsat.collapse import (
-    _peel,
-    _rebuild,
     collapse_violation,
     core_components,
     format_collapse,
     least_deletion,
     parse_collapse,
-    peel_triangles,
+    peel,
 )
 from shellsat.errors import (
     ConnectivityError,
@@ -172,6 +170,53 @@ def test_search_agrees_with_oracle_small_corpus():
             assert verify_collapse(K, result)
 
 
+def greedy_collapse(K, budget):
+    """The peel's reference, through the public step API: take the least
+    free face by ``(-len, face)``, one budget node each, until one vertex
+    is left.  Every complex numbers its vertices in sorted label order, so
+    the steps are recorded by their labels."""
+    steps = []
+    while K.dim > 0 or K.n_vertices > 1:
+        free = free_faces(K)
+        if not free:
+            return NotCollapsible()
+        step = min(free, key=lambda s: (-len(s.free_face), s.free_face))
+        budget.spend()
+        steps.append((K.label_face(step.free_face), K.label_face(step.facet)))
+        K = apply_collapse(K, step)
+    return steps, K
+
+
+def test_peel_matches_greedy_free_face_reference():
+    rng = random.Random(8)
+    pure = list(enumerate_pure2(5, 10)) + [
+        sample_pure2(rng, n, t)[0] for n in (6, 7, 8) for t in range(2, 9)
+        for _ in range(6)]
+    graphs = [G for n in range(1, 6) for G in enumerate_connected_graphs(n)]
+    strips = [from_facets([[f"v{i + j}" for j in range(3)] for i in range(m)])
+              for m in range(1, 13)]
+    pendants = [with_pendant(K, v, 3) for K in pure[::4] + strips
+                for v in (0, K.n_vertices - 1)]
+    corpus = pure + graphs + strips + pendants
+    collapsible = 0
+    for K in corpus:
+        expected_budget, budget = Budget(None), Budget(None)
+        expected = greedy_collapse(K, expected_budget)
+        result = is_collapsible(K, budget)
+        assert budget.used == expected_budget.used, K.facets
+        if expected == NotCollapsible():
+            assert result == expected, K.facets
+        else:
+            steps, target = expected
+            assert [(K.label_face(s.free_face), K.label_face(s.facet))
+                    for s in result.steps] == steps, K.facets
+            assert result.target == target
+            collapsible += 1
+        if budget.used:
+            assert is_collapsible(K, budget.used - 1) == BudgetExceeded(stage="collapse")
+    assert collapsible >= 100 and len(corpus) - collapsible >= 50
+
+
 def test_long_strip_collapses_without_recursion():
     K = from_facets([[f"v{i + j}" for j in range(3)] for i in range(2000)])
     cert = is_collapsible(K)
@@ -238,13 +283,13 @@ def test_removal_count_must_match_chi():
 
 def global_removal_scan(K, k):
     """The removal search the core engine replaced: every k-subset of the
-    sorted triangles in ``combinations`` order, one greedy peel each."""
+    sorted triangles in ``combinations`` order, one collapse search each."""
     for removed in combinations(K.triangles, k):
-        faces = {f for f in K.faces if f} - set(removed)
-        steps = _peel(K, faces, Budget(None))
-        if steps is not None:
-            return CollapseCertificate(frozenset(removed), tuple(steps),
-                                       _rebuild(K, faces))
+        # K minus R keeps every vertex, so it keeps K's ids as well.
+        rest = from_facets([K.label_face(f) for f in K.faces if f and f not in removed])
+        cert = is_collapsible(rest)
+        if isinstance(cert, CollapseCertificate):
+            return CollapseCertificate(frozenset(removed), cert.steps, cert.target)
     return Impossible()
 
 
@@ -294,7 +339,7 @@ def test_least_deletion_searches_where_greedy_falls_short():
         assert bound == floor
         first = next(d for size in range(len(component) + 1)
                      for d in combinations(component, size)
-                     if not peel_triangles(triangles, set(component) - set(d))[1])
+                     if not peel(triangles, set(component) - set(d))[1])
         assert len(first) == least
         for at_floor in (False, True):
             budget = Budget(None)
