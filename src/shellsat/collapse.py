@@ -286,6 +286,34 @@ def least_deletion(triangles: list[Triangle], component: list[int], floor: int,
     return None if at_floor else tuple(greedy)
 
 
+def least_removal(triangles: list[Triangle], chi: int,
+                  budget: Budget) -> set[int] | None:
+    """The first set of ``chi`` triangles, in ``combinations`` order, whose
+    deletion empties the core, or None when there is none.
+
+    ``chi`` is the reduced Euler characteristic of a connected complex
+    whose triangles these are, so chi = b2 - b1 over GF(2).  A set that
+    empties the core holds at least the floor of each core component
+    (:func:`core_components`), and the floors sum to b2.  So chi < b2
+    (b1 != 0) has none, without search; otherwise the set holds exactly
+    the floor of each component and nothing else, and the first one is the
+    union of each component's first (:func:`least_deletion`): the first of
+    two equal-size sets is the one holding the least element of their
+    difference, and components are disjoint.  One budget node is spent
+    first and one per subset tried.
+    """
+    components = core_components(triangles, budget)
+    if chi < sum(floor for _, floor in components):
+        return None
+    removed: set[int] = set()
+    for component, floor in components:
+        deleted = least_deletion(triangles, component, floor, budget, at_floor=True)
+        if deleted is None:
+            return None
+        removed.update(deleted)
+    return removed
+
+
 def is_collapsible(K: Complex, budget: int | Budget | None = None):
     """Decide whether K collapses to a point (any single vertex).
 
@@ -331,15 +359,9 @@ def collapsible_after_removing(K: Complex, k: int,
     over GF(2); other k are Impossible without search.  K minus R collapses
     iff its triangles have an empty core (:func:`is_collapsible`: once they
     are gone, a connected graph with reduced Euler characteristic 0 is left,
-    which is a tree).  By :func:`core_components` that needs at least the
-    floor of each core component inside R, and the floors sum to b2.  So
-    k < b2 (b1 != 0) is Impossible without search; otherwise R holds exactly
-    the floor of each component and nothing else, and the first R in
-    ``combinations`` order is the union of each component's first
-    (:func:`least_deletion`): the first of two equal-size sets is the one
-    holding the least element of their difference, and components are
-    disjoint.  One budget node is spent first and one per subset tried,
-    and then one per step of the collapse of K minus R.
+    which is a tree), so R is :func:`least_removal` of k.  One budget node
+    is spent first and one per subset tried, and then one per step of the
+    collapse of K minus R.
     """
     if k < 0:
         raise ParameterError("removal count must be >= 0")
@@ -352,17 +374,11 @@ def collapsible_after_removing(K: Complex, k: int,
 
     budget = as_budget(budget)
     triangles = K.triangles
-    removed: set[Face] = set()
     try:
-        components = core_components(triangles, budget)
-        if k < sum(floor for _, floor in components):
+        removed = least_removal(triangles, k, budget)
+        if removed is None:
             return Impossible()
-        for component, floor in components:
-            deleted = least_deletion(triangles, component, floor, budget, at_floor=True)
-            if deleted is None:
-                return Impossible()
-            removed.update(triangles[t] for t in deleted)
-        cert = _collapse(K, frozenset(removed), budget)
+        cert = _collapse(K, frozenset(triangles[t] for t in removed), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="collapse-after-removing")
     if cert is None:

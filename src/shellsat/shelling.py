@@ -7,14 +7,18 @@ safe pruning possible; the verifier is dimension-generic, the search is
 exercised at dimension 2.
 """
 
+from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
+from .collapse import least_removal
 from .complexes import (
     SHELLING,
     Complex,
     Face,
     certificate_header,
+    is_connected_graph,
     maximal_faces,
     read_certificate,
 )
@@ -84,7 +88,13 @@ def verify_shelling(K: Complex, cert: ShellingCertificate) -> bool:
 class _Prefix:
     """A shelling prefix of a pure complex of dimension d >= 1.
 
-    Faces get dense ids.  ``cover[s]`` counts the placed facets containing
+    Faces get dense ids.  ``subfaces[i]`` lists the ids of the nonempty
+    proper subfaces of facet i in ``combinations`` order of its sorted
+    vertices, so the subface on a given set of vertex positions sits at the
+    same slot for every facet: ``slot[mask]`` is the slot of the subface on
+    the positions in ``mask``, and ridge j (the one omitting vertex j) sits
+    at ``ridge_slots[j]``.  ``holders[r]`` lists the facets having face r
+    as a ridge.  ``cover[s]`` counts the placed facets containing
     face ``s``, so ``push`` and ``pop`` are exact inverses and the search
     can backtrack.  ``frontier`` holds the unplaced facets that share a
     ridge (a face of dimension d-1) with the placed union, and ``key`` is
@@ -94,24 +104,16 @@ class _Prefix:
     def __init__(self, K: Complex):
         d = K.dim
         self.full = (1 << (d + 1)) - 1
-        position = {f: i for i, f in enumerate(K.facets)}
-        ids: dict[Face, int] = {}
-
-        def face_id(face: Face) -> int:
-            return ids.setdefault(face, len(ids))
-
-        self.subfaces: list[list[int]] = []   # nonempty proper subfaces
-        self.ridges: list[list[int]] = []     # ridge j omits vertex j
-        self.opposite: list[list[int]] = []   # mask -> face of the masked vertices
-        self.adjacent: list[list[list[int]]] = []  # ridge j -> facets containing it
-        for facet in K.facets:
-            ridges = [facet[:j] + facet[j + 1:] for j in range(d + 1)]
-            self.subfaces.append([face_id(f) for f in _proper_subfaces(facet)])
-            self.ridges.append([face_id(r) for r in ridges])
-            self.opposite.append([
-                face_id(tuple(v for j, v in enumerate(facet) if mask >> j & 1))
-                for mask in range(self.full)])
-            self.adjacent.append([[position[g] for g in K.cofaces(r)] for r in ridges])
+        slot = {sum(1 << j for j in positions): n
+                for n, positions in enumerate(_proper_subfaces(tuple(range(d + 1))))}
+        self.slot = [slot.get(mask) for mask in range(self.full)]
+        self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
+        ids: dict[Face, int] = defaultdict(count().__next__)
+        self.subfaces = [[ids[f] for f in _proper_subfaces(facet)] for facet in K.facets]
+        self.holders: list[list[int]] = [[] for _ in range(len(ids))]
+        for i, sub in enumerate(self.subfaces):
+            for k in self.ridge_slots:
+                self.holders[sub[k]].append(i)
         self.cover = [0] * len(ids)
         self.placed = [False] * len(K.facets)
         self.order: list[int] = []
@@ -119,7 +121,8 @@ class _Prefix:
         self.key = 0
 
     def _touches(self, i: int) -> bool:
-        return any(self.cover[r] for r in self.ridges[i])
+        sub, cover = self.subfaces[i], self.cover
+        return any(cover[sub[k]] for k in self.ridge_slots)
 
     def fits(self, i: int) -> bool:
         """The shelling condition for appending facet i, in O(1).
@@ -133,39 +136,88 @@ class _Prefix:
         those holds.  For d = 2: the triangle shares an edge, and every
         shared vertex lies on a shared edge.
         """
+        sub, cover = self.subfaces[i], self.cover
         mask = 0
-        for j, r in enumerate(self.ridges[i]):
-            if self.cover[r]:
+        for j, k in enumerate(self.ridge_slots):
+            if cover[sub[k]]:
                 mask |= 1 << j
-        return mask == self.full or (mask != 0 and not self.cover[self.opposite[i][mask]])
+        return mask == self.full or (mask != 0 and not cover[sub[self.slot[mask]]])
 
-    def candidates(self) -> list[int]:
-        """Frontier facets that may follow the prefix, in increasing index."""
-        return [i for i in sorted(self.frontier) if self.fits(i)]
+    def candidates(self) -> Iterator[int]:
+        """Frontier facets that may follow the prefix, in increasing index.
+
+        The frontier is sorted now, and each facet is checked only when the
+        search asks for it.  The search asks for the next one after undoing
+        the child it tried, and ``pop`` undoes ``push`` exactly, so each
+        check sees this prefix, as an eager list would have.
+        """
+        return (i for i in sorted(self.frontier) if self.fits(i))
 
     def push(self, i: int) -> None:
         self.placed[i] = True
         self.order.append(i)
         self.key |= 1 << i
         self.frontier.discard(i)
-        for s in self.subfaces[i]:
-            self.cover[s] += 1
-        for j, r in enumerate(self.ridges[i]):
-            if self.cover[r] == 1:
-                self.frontier.update(g for g in self.adjacent[i][j] if not self.placed[g])
+        sub, cover = self.subfaces[i], self.cover
+        for s in sub:
+            cover[s] += 1
+        for k in self.ridge_slots:
+            if cover[sub[k]] == 1:
+                self.frontier.update(g for g in self.holders[sub[k]] if not self.placed[g])
 
     def pop(self) -> None:
         i = self.order.pop()
         self.placed[i] = False
         self.key ^= 1 << i
-        for s in self.subfaces[i]:
-            self.cover[s] -= 1
-        for j, r in enumerate(self.ridges[i]):
-            if self.cover[r] == 0:
+        sub, cover = self.subfaces[i], self.cover
+        for s in sub:
+            cover[s] -= 1
+        for k in self.ridge_slots:
+            if cover[sub[k]] == 0:
                 self.frontier.difference_update(
-                    g for g in self.adjacent[i][j] if not self._touches(g))
+                    g for g in self.holders[sub[k]] if not self._touches(g))
         if self._touches(i):
             self.frontier.add(i)
+
+
+def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
+    """``Unshellable()`` when a pure 2-complex fails a necessary condition
+    for shellability, else None; it never accepts.
+
+    A shellable 2-complex is a wedge of 2-spheres, and the link of each of
+    its vertices is shellable (Björner, *Topological methods*, 1995).  So
+    K is refuted when:
+
+    * the link of some vertex is disconnected: a shellable graph is
+      connected;
+    * b1 != 0 over GF(2), as a wedge of spheres has b1 = 0;
+    * no chi~ of its triangles can be deleted to leave an empty core.  In
+      a shelling, the facets whose whole boundary lies in the union of
+      their predecessors number b2 = chi~; dropping them leaves the order
+      a shelling, as their proper faces are there anyway, of a complex
+      that shells with no such facet and hence collapses, so its triangles
+      have an empty core.
+
+    :func:`collapse.least_removal` of chi~ decides the last two: it returns
+    None at once when b1 != 0, and otherwise when no such deletion exists.
+    Spends one node for the core and one per deletion subset tried; no
+    collapse steps are spent, as nothing is collapsed.
+    """
+    link: list[list[Face]] = [[] for _ in range(K.n_vertices)]
+    triangles = K.triangles
+    for a, b, c in triangles:
+        link[a].append((b, c))
+        link[b].append((a, c))
+        link[c].append((a, b))
+    for edges in link:
+        index: dict[int, int] = {}
+        relabeled = [(index.setdefault(u, len(index)), index.setdefault(w, len(index)))
+                     for u, w in edges]
+        if not is_connected_graph(len(index), relabeled):
+            return Unshellable()
+    if least_removal(triangles, K.reduced_euler_characteristic(), budget) is None:
+        return Unshellable()
+    return None
 
 
 def find_shelling(K: Complex, budget: int | Budget | None = None):
@@ -188,6 +240,12 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     nodes spent and the failed sets recorded are the same.  The search
     keeps its own stack, so the depth is not bounded by Python's recursion
     limit.
+
+    The first time a frame runs out of candidates, a 2-complex gets one
+    call to :func:`_refuted`, whose nodes come out of the same budget.  It
+    only refutes, so if it does not, the search goes on as before; a search
+    that never gets stuck never calls it, and finds the same shelling with
+    the same nodes.
     """
     if not K.is_pure():
         raise PurityError("shelling search requires a pure complex")
@@ -211,9 +269,11 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                 if prefix.key in failed:
                     prefix.pop()
                     continue
-                stack.append(iter(prefix.candidates()))
+                stack.append(prefix.candidates())
                 break
             else:
+                if not failed and K.dim == 2 and _refuted(K, budget) is not None:
+                    return Unshellable()
                 stack.pop()
                 failed.add(prefix.key)
                 if prefix.order:

@@ -13,7 +13,7 @@ compatibility.  Both deciders run on the triangle 2-core engine of
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .collapse import Triangle, core_components, least_deletion, peel
+from .collapse import Triangle, core_components, least_deletion, least_removal, peel
 from .complexes import (
     SATURATION,
     Complex,
@@ -226,12 +226,10 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     witnesses of a saturating order are distinct triangles, and they peel
     in reverse order, each through the edge it added; conversely, the free
     edges of a peel of S, added back in reverse order, each complete a K3,
-    so the host minus them saturates.  So wsat is at least m - |T| plus
-    the floors of the core components (:func:`core_components`), which
-    refutes at once when it exceeds n - 1.  The bound is never below
-    n - 1 (the boundaries of T span at most the m - n + 1 dimensional
-    cycle space), so otherwise every core component must meet its floor
-    (:func:`least_deletion`).  The certificate peels the S found, least
+    so the host minus them saturates.  So wsat = n - 1 iff deleting some
+    n - 1 - m + |T| triangles (the reduced Euler characteristic of the
+    host's clique 2-complex) leaves an empty core, which
+    :func:`least_removal` decides.  The certificate peels the S found, least
     free edge first, starts from the host minus its free edges (n - 1
     edges that saturate: a spanning tree) and takes its order and
     witnesses from :func:`extract_saturation_order`.  The budget counts
@@ -240,18 +238,12 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     n, host = _connected_host(F)
     triangles = _host_triangles(n, host)
     budget = as_budget(budget)
-    deleted: set[int] = set()
     try:
-        components = core_components(triangles, budget)
-        if len(host) - len(triangles) + sum(f for _, f in components) > n - 1:
-            return NotSaturated()
-        for component, floor in components:
-            found = least_deletion(triangles, component, floor, budget, at_floor=True)
-            if found is None:
-                return NotSaturated()
-            deleted.update(found)
+        deleted = least_removal(triangles, n - 1 - len(host) + len(triangles), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-tree-search")
+    if deleted is None:
+        return NotSaturated()
     freed, _ = peel(triangles, set(range(len(triangles))) - deleted)
     return extract_saturation_order(F, _subgraph(F, host - {e for e, _ in freed}))
 

@@ -181,6 +181,7 @@ def test_chain_subdivides_non_flag_input():
     report = run_chain(K, 300000)
     assert report.subdivision_depth == 2
     assert report.subject.is_flag2()
+    assert report.status == "unshellable"  # b1 = 1: the three triangles close a loop
 
 
 def test_chain_on_non_flag_input_with_large_sd2():

@@ -9,6 +9,7 @@ from shellsat import (
     GeneratorSpec,
     collapsible_after_removing,
     decide_wsat_eq_treesize,
+    find_shelling,
     generate,
     is_collapsible,
     wsat_number,
@@ -27,7 +28,7 @@ from shellsat.harness import (
     oracle_wsat,
     sample_pure2,
 )
-from shellsat.outcomes import Budget, Impossible, NotCollapsible, NotSaturated
+from shellsat.outcomes import Budget, Impossible, NotCollapsible, NotSaturated, Unshellable
 from conftest import complete_graph
 
 
@@ -150,7 +151,8 @@ def test_flag_dunce_hat_shape():
 
 def test_flag_dunce_hat_is_decided_within_small_budgets(tmp_path):
     # Contractible with no free edge: the GF(2) bound says wsat >= 16 and a
-    # tree might saturate, but the core needs one deletion.
+    # tree might saturate, but the core needs one deletion, so no shelling
+    # either.
     K = flag_dunce_hat()
     F = K.skeleton(1)
     components = core_components(K.triangles, Budget(100))
@@ -159,9 +161,11 @@ def test_flag_dunce_hat_is_decided_within_small_budgets(tmp_path):
     assert decide_wsat_eq_treesize(F, Budget(100)) == NotSaturated()
     assert is_collapsible(K, Budget(100)) == NotCollapsible()
     assert collapsible_after_removing(K, 0, Budget(100)) == Impossible()
+    assert find_shelling(K, Budget(100)) == Unshellable()
     path = tmp_path / "hat.sc"
     path.write_text(K.to_sc())
     assert main(["collapse", "--in", str(path), "--k", "0", "--budget", "100"]) == 1
+    assert main(["shell", "--in", str(path), "--budget", "100"]) == 1
 
 
 # -- oracles ------------------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shelling verifier and search, cross-checked against raw permutation search."""
 
+import random
 from itertools import permutations
 
 from shellsat.complexes import subfaces
@@ -13,18 +14,25 @@ from shellsat import (
     from_facets,
     verify_shelling,
 )
+from shellsat import shelling
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
     PurityError,
     UnsupportedDimensionError,
 )
-from shellsat.harness import enumerate_pure2, oracle_shelling
-from shellsat.outcomes import BudgetExceeded, Unshellable
+from shellsat.harness import (
+    ORACLE_MAX_FACETS,
+    enumerate_pure2,
+    oracle_shelling,
+    sample_pure2,
+)
+from shellsat.outcomes import Budget, BudgetExceeded, Unshellable
 from shellsat.shelling import (
     _meets_predecessors,
     _Prefix,
     _proper_subfaces,
+    _refuted,
     format_shelling,
     parse_shelling,
 )
@@ -139,23 +147,35 @@ def test_long_strip_is_shelled_without_recursion():
 def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
     """On every prefix the search reaches, the O(1) condition equals the
     facet-generic one, and the frontier is exactly the unplaced facets that
-    share a ridge with the placed union."""
+    share a ridge with the placed union.
+
+    The refutation is switched off so that the searches on unshellable
+    inputs backtrack, and prefixes restored by ``pop`` are checked too.
+    """
     prefixes = []
-    push = _Prefix.push
+    popped = [False]
+    push, pop = _Prefix.push, _Prefix.pop
 
     def recording_push(self, i):
         push(self, i)
         prefixes.append((tuple(self.order), set(self.frontier),
-                         [self.fits(j) for j in range(len(self.placed))]))
+                         [self.fits(j) for j in range(len(self.placed))], popped[0]))
+
+    def recording_pop(self):
+        pop(self)
+        popped[0] = True
 
     monkeypatch.setattr(_Prefix, "push", recording_push)
-    checked = 0
+    monkeypatch.setattr(_Prefix, "pop", recording_pop)
+    monkeypatch.setattr(shelling, "_refuted", lambda K, budget: None)
+    checked = after_pop = 0
     for base in enumerate_pure2(5, 10):
         for K in (base, base.barycentric_subdivision()):
             prefixes.clear()
+            popped[0] = False
             find_shelling(K, 300)
             d = K.dim
-            for order, frontier, fits in prefixes:
+            for order, frontier, fits, backtracked in prefixes:
                 covered = {f for i in order for f in subfaces(K.facets[i])}
                 unplaced = set(range(len(K.facets))) - set(order)
                 sharing = {j for j in unplaced
@@ -166,7 +186,94 @@ def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
                     proper = _proper_subfaces(K.facets[j])
                     assert fits[j] == _meets_predecessors(proper, covered, d)
                 checked += 1
+                after_pop += backtracked
     assert checked > 1000
+    assert after_pop > 1000, after_pop
+
+
+def eager_candidates(K):
+    """An iterator over the list of fitting frontier facets, all checked at
+    once by the facet-generic condition, on the subfaces read from
+    ``subfaces[i]``."""
+    proper = [_proper_subfaces(f) for f in K.facets]
+
+    def candidates(self):
+        return iter([i for i in sorted(self.frontier) if _meets_predecessors(
+            proper[i], {f for f, s in zip(proper[i], self.subfaces[i]) if self.cover[s]},
+            K.dim)])
+    return candidates
+
+
+def test_lazy_candidates_match_the_eager_reference(monkeypatch):
+    """Outcomes and nodes spent are those of an eager candidate list: on
+    shellable inputs, and on searches that backtrack (with the refutation
+    switched off), where each frame resumes after a ``pop``."""
+    def search(K, limit):
+        budget = Budget(limit)
+        lazy = find_shelling(K, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(_Prefix, "candidates", eager_candidates(K))
+            reference = Budget(limit)
+            assert find_shelling(K, reference) == lazy
+        assert budget.used == reference.used
+        return lazy
+
+    strip = from_facets([f"v{i:04d} v{i + 1:04d} v{i + 2:04d}" for i in range(1200)])
+    solid = from_facets(["a b c d", "b c d e", "c d e f", "a b c g"]).barycentric_subdivision()
+    bases = list(enumerate_pure2(5, 10))
+    shellable = [strip, solid] + [K.barycentric_subdivision() for K in bases
+                                  if isinstance(find_shelling(K), ShellingCertificate)]
+    assert len(shellable) == 28 and solid.dim == 3
+    for K in shellable:
+        assert isinstance(search(K, None), ShellingCertificate)
+    monkeypatch.setattr(shelling, "_refuted", lambda K, budget: None)
+    for base in bases:
+        for K in (base, base.barycentric_subdivision()):
+            search(K, 300)
+
+
+# -- refutation ---------------------------------------------------------------------
+
+def test_refutation_is_sound_and_decides_the_small_corpus(monkeypatch):
+    """The refutation never fires on a shellable complex and fires on every
+    unshellable one, and the search agrees with the ground truth everywhere.
+
+    Ground truth is the oracle, or for classes beyond its bound the search
+    with the refutation switched off.  A barycentric subdivision is
+    shellable iff its base is: the unshellable bases have b1 != 0 or a
+    disconnected vertex link, which the subdivision keeps.
+    """
+    classes = list(enumerate_pure2(5, 10))
+    with monkeypatch.context() as patch:
+        patch.setattr(shelling, "_refuted", lambda K, budget: None)
+        truth = [oracle_shelling(K) if len(K.facets) <= ORACLE_MAX_FACETS
+                 else isinstance(find_shelling(K), ShellingCertificate) for K in classes]
+    assert truth.count(False) == 7
+    rng = random.Random(8)
+    draws = [sample_pure2(rng, rng.choice((6, 7)), rng.randint(2, ORACLE_MAX_FACETS))[0]
+             for _ in range(60)]
+    corpus = (list(zip(classes, truth))
+              + [(K.barycentric_subdivision(), ok) for K, ok in zip(classes, truth)]
+              + [(K, oracle_shelling(K)) for K in draws])
+    for K, shellable in corpus:
+        assert (_refuted(K, Budget(None)) is None) == shellable, K.facets
+        result = find_shelling(K, 20000)
+        assert isinstance(result, ShellingCertificate if shellable else Unshellable), K.facets
+        if shellable:
+            assert verify_shelling(K, result)
+    assert sum(not shellable for _, shellable in corpus) == 7 + 7 + 50
+
+
+def test_subdivided_refutables_are_decided_within_small_budgets():
+    """b1 = 1 (annulus, Moebius strip) or a disconnected vertex link (two
+    disks at a vertex): each is refuted at the first dead end."""
+    annulus = [f"a{i} a{(i + 1) % 4} b{i}" for i in range(4)]
+    annulus += [f"a{(i + 1) % 4} b{i} b{(i + 1) % 4}" for i in range(4)]
+    mobius = [f"v{i} v{(i + 1) % 5} v{(i + 2) % 5}" for i in range(5)]
+    wedge = ["a b c", "a c d", "a e f", "a f g"]
+    for facets in (annulus, mobius, wedge):
+        K = from_facets(facets).barycentric_subdivision()
+        assert find_shelling(K, Budget(200)) == Unshellable()
 
 
 # -- certificate files --------------------------------------------------------------
