@@ -13,6 +13,7 @@ bytes.
 """
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -53,11 +54,8 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _report(data: dict, text: str, as_json: bool, out: str | None = None) -> None:
-    if as_json:
-        _emit(json.dumps(data, indent=2) + "\n", out)
-    else:
-        _emit(text, out)
+def _report(data: dict, text: str, as_json: bool) -> None:
+    _emit(json.dumps(data, indent=2) + "\n" if as_json else text, None)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -224,9 +222,9 @@ def _cmd_convert(args) -> int:
 def _cmd_chain(args) -> int:
     K = _read_complex(args.infile)
     report = certificates.run_chain(K, args.budget)
-    data = certificates.chain_report_json(report)
-    text = certificates.format_chain_report(report)
-    _report(data, text, args.json, args.out)
+    text = (json.dumps(certificates.chain_report_json(report), indent=2) + "\n"
+            if args.json else certificates.format_chain_report(report))
+    _emit(text, args.out)
     if report.status.startswith("budget-exceeded"):
         return EXIT_BUDGET
     if not report.complete or not all(report.verdicts.values()):
@@ -279,7 +277,9 @@ def _cmd_gen(args) -> int:
 
 # -- argument wiring -------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shellsat",
         description="shellability / collapsibility / weak K3-saturation toolkit")

@@ -73,6 +73,21 @@ def is_connected_graph(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     return components == 1
 
 
+def clique_triangles(n: int,
+                     edges: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """The 3-cliques of a graph on 0..n-1 as sorted id triples, in sorted order.
+
+    The edges are increasing id pairs, in any order.
+    """
+    edges = sorted(edges)
+    adjacency: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return [(u, v, w) for u, v in edges
+            for w in sorted(adjacency[u] & adjacency[v]) if w > v]
+
+
 def maximal_faces(faces: Iterable[Face]) -> list[Face]:
     """The listed faces not strictly contained in another listed face.
 
@@ -216,15 +231,8 @@ class Complex:
         if self.dim > 2:
             raise UnsupportedDimensionError(
                 f"flagness check supports dimension <= 2, got {self.dim}")
-        neighbours: dict[int, set[int]] = {v: set() for v in range(self.n_vertices)}
-        for u, v in self.faces_of_dim(1):
-            neighbours[u].add(v)
-            neighbours[v].add(u)
-        for u, v in self.faces_of_dim(1):
-            for w in neighbours[u] & neighbours[v]:
-                if (u, v, w) == tuple(sorted((u, v, w))) and (u, v, w) not in self.faces:
-                    return False
-        return True
+        triangles = clique_triangles(self.n_vertices, self.edges)
+        return all(t in self.faces for t in triangles)
 
     # -- derived complexes ---------------------------------------------------
 

@@ -13,11 +13,12 @@ compatibility.  Both deciders run on the triangle 2-core engine of
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .collapse import Triangle, core_components, least_deletion, least_removal, peel
+from .collapse import core_components, least_deletion, least_removal, peel
 from .complexes import (
     SATURATION,
     Complex,
     certificate_header,
+    clique_triangles,
     from_facets,
     listed_faces,
     read_certificate,
@@ -204,16 +205,6 @@ def _connected_host(F: Complex) -> tuple[int, set[Edge]]:
     return F.n_vertices, _edge_set(F)
 
 
-def _host_triangles(n: int, host: set[Edge]) -> list[Triangle]:
-    """The host's triangles as sorted vertex-id triples, in sorted order."""
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for u, v in host:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return [(u, v, w) for u, v in sorted(host)
-            for w in sorted(adjacency[u] & adjacency[v]) if w > v]
-
-
 def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     """Decide whether some spanning tree of F is weakly K3-saturated in F.
 
@@ -236,7 +227,7 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     one node per call and one per deletion set tried.
     """
     n, host = _connected_host(F)
-    triangles = _host_triangles(n, host)
+    triangles = clique_triangles(n, host)
     budget = as_budget(budget)
     try:
         deleted = least_removal(triangles, n - 1 - len(host) + len(triangles), budget)
@@ -257,7 +248,7 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
     one node per call and one per deletion set tried.
     """
     n, host = _connected_host(F)
-    triangles = _host_triangles(n, host)
+    triangles = clique_triangles(n, host)
     budget = as_budget(budget)
     try:
         deletions = sum(len(least_deletion(triangles, component, floor, budget))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from shellsat import certificates
 from shellsat import (
     CollapseCertificate,
     ShellingCertificate,
@@ -15,8 +16,10 @@ from shellsat import (
     verify_collapse,
     verify_saturation,
 )
+from shellsat.cli import main
 from shellsat.errors import CertificateError, FlagnessError, PurityError
 from shellsat.harness import enumerate_pure2
+from shellsat.shelling import first_shelling_violation
 from shellsat.wsat import SaturationCertificate, _edge_set
 
 
@@ -204,6 +207,37 @@ def test_chain_budget_is_stage_tagged(two_triangles):
 def test_chain_rejects_bad_inputs(three_cycle):
     with pytest.raises(PurityError):
         run_chain(three_cycle)
+
+
+def test_chain_checks_each_certificate_once(tetra_boundary, monkeypatch):
+    calls = {"first_shelling_violation": 0, "saturation_violation": 0}
+    for name in calls:
+        check = getattr(certificates, name)
+
+        def counted(*args, name=name, check=check):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(certificates, name, counted)
+    report = run_chain(tetra_boundary)
+    assert report.complete and all(report.verdicts.values())
+    assert calls == {"first_shelling_violation": 1, "saturation_violation": 1}
+
+
+def test_chain_refuses_a_corrupted_shelling(tmp_path, capsys, monkeypatch):
+    strip = from_facets(["a b c", "b c d", "c d e"])
+    good = shelling_of(strip, "a b c", "b c d", "c d e")
+    swapped = shelling_of(strip, "a b c", "c d e", "b c d")
+    assert first_shelling_violation(strip, good) is None
+    assert first_shelling_violation(strip, swapped) == 1
+    monkeypatch.setattr(certificates, "find_shelling", lambda L, budget: swapped)
+    with pytest.raises(CertificateError):
+        run_chain(strip)
+    path = tmp_path / "strip.sc"
+    path.write_text(strip.to_sc())
+    assert main(["chain", "--in", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_chain_on_shellable_sd_corpus():

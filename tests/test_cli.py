@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shellsat.cli import main
+from shellsat.cli import _build_parser, main
 
 TWO_TRIANGLES = "a b c\nb c d\n"
 BOWTIE = "a b c\nc d e\n"
@@ -322,6 +322,25 @@ def test_identical_invocations_identical_bytes(workdir, capsys):
         run(*argv)
         second = capsys.readouterr()
         assert first.out == second.out
+
+
+def test_shared_parser_leaks_no_state(workdir, capsys):
+    """The parser is built once per process; a call that follows another
+    prints what it prints when it runs first."""
+    (workdir / "tetra.sc").write_text("a b c\na b d\na c d\nb c d\n")
+    tetra = workdir / "tetra.sc"
+    pairs = [(["wsat", "--in", tetra, "--number"], ["wsat", "--in", tetra]),
+             (["collapse", "--in", tetra, "--k", 1], ["collapse", "--in", tetra]),
+             (["chain", "--in", tetra, "--json"], ["chain", "--in", tetra])]
+
+    def first_run(argv):
+        _build_parser.cache_clear()
+        return run(*argv), capsys.readouterr()
+
+    for before, after in pairs:
+        alone = first_run(after)
+        first_run(before)
+        assert (run(*after), capsys.readouterr()) == alone
 
 
 def test_gen_deterministic_across_runs(workdir):
