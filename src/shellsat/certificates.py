@@ -72,12 +72,14 @@ def shelling_to_saturated_tree(L: Complex,
                                cert: ShellingCertificate) -> SaturationCertificate:
     """Turn a shelling into a weakly K3-saturated spanning tree certificate.
 
-    The tree starts with the two lexicographically least edges of the first
-    facet; each facet meeting the previous union in a single edge
-    contributes its new vertex plus the least new edge at that vertex.  The
-    saturating order collects the one leftover edge per facet (none when a
-    facet arrives with all three edges already present), witnessed by the
-    facet's own vertex set.
+    One rule per facet, in shelling order: of its edges not yet covered, in
+    ``combinations`` order, all but the last join the tree and the last
+    joins the saturating order, witnessed by the facet.  The shelling is
+    verified, so a facet meets the union of the earlier ones in nothing
+    (the first facet: three new edges), in one edge (its third vertex is
+    new: two new edges, the first reaching it in the tree) or in two or
+    three edges (at most one new edge).  So each vertex enters the tree
+    once, and each ordered edge completes the K3 of its facet.
     """
     _require_pure2_connected(L, "the tree construction")
     violation = first_shelling_violation(L, cert)
@@ -85,39 +87,17 @@ def shelling_to_saturated_tree(L: Complex,
         raise CertificateError(
             f"invalid shelling: condition fails at index {violation}")
 
-    def facet_edges(facet: Face) -> list[Edge]:
-        return list(combinations(facet, 2))
-
-    order = cert.order
     tree: set[Edge] = set()
+    covered: set[Edge] = set()
     sat_order: list[Edge] = []
     witnesses: list[tuple[int, int, int]] = []
-
-    first_edges = facet_edges(order[0])
-    tree.update(first_edges[:2])
-    sat_order.append(first_edges[2])
-    witnesses.append(order[0])
-    covered: set[Edge] = set(first_edges)
-
-    for facet in order[1:]:
-        edges = facet_edges(facet)
-        shared = [e for e in edges if e in covered]
-        new = [e for e in edges if e not in covered]
-        if not shared:
-            raise AssertionError(
-                "a valid shelling cannot attach a facet along zero edges")
-        if len(shared) == 1:
-            new_vertex = (set(facet) - set(shared[0])).pop()
-            assert all(new_vertex in e for e in new) and len(new) == 2
-            tree.add(new[0])
-            sat_order.append(new[1])
+    for facet in cert.order:
+        new = [e for e in combinations(facet, 2) if e not in covered]
+        if new:
+            tree.update(new[:-1])
+            sat_order.append(new[-1])
             witnesses.append(facet)
-        else:
-            assert len(new) <= 1
-            if new:
-                sat_order.append(new[0])
-                witnesses.append(facet)
-        covered.update(edges)
+            covered.update(new)
 
     assert len(tree) == L.n_vertices - 1
     host = L.skeleton(1)

@@ -98,18 +98,19 @@ def sample_pure2(rng: random.Random, n_vertices: int,
 
 def enumerate_pure2(n_vertices: int, n_triangles: int) -> Iterator[Complex]:
     """All pure connected 2-complexes with at most the given support and
-    facet count, one representative per isomorphism class."""
+    facet count, one representative per isomorphism class.  The first
+    subset of each class marks its images under every vertex permutation,
+    so later members are skipped without computing a canonical form."""
     all_triangles = list(combinations(range(n_vertices), 3))
     seen: set[tuple[Triangle, ...]] = set()
     for t in range(1, n_triangles + 1):
         for triangles in combinations(all_triangles, t):
-            if not _triangles_connected(triangles):
+            if triangles in seen or not _triangles_connected(triangles):
                 continue
-            canonical = canonical_triangles(triangles)
-            if canonical in seen:
-                continue
-            seen.add(canonical)
-            yield complex_from_triangles(canonical)
+            seen.update(tuple(sorted(tuple(sorted((p[a], p[b], p[c])))
+                                     for a, b, c in triangles))
+                        for p in permutations(range(n_vertices)))
+            yield complex_from_triangles(canonical_triangles(triangles))
 
 
 def generate(spec: GeneratorSpec) -> Iterator[Complex]:

@@ -5,9 +5,8 @@ A spanning subgraph G is weakly K3-saturated in a host F when the missing
 host edges can be added one at a time, each completing a copy of K3; the
 greedy fixed point (the K3-bootstrap closure) decides this because an
 addable edge stays addable after other additions.  The engine is fixed to
-the K3 pattern; certificates carry a pattern field for forward
-compatibility.  Both deciders run on the triangle 2-core engine of
-:mod:`shellsat.collapse`.
+the K3 pattern: a certificate naming any other pattern is malformed.  Both
+deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 """
 
 from dataclasses import dataclass, field
@@ -61,13 +60,16 @@ def _edge_set(K: Complex) -> set[Edge]:
     return {(u, v) for u, v in K.faces_of_dim(1)}
 
 
-def _require_spanning(F: Complex, G: Complex) -> None:
+def _spanning_edges(F: Complex, G: Complex) -> tuple[set[Edge], set[Edge]]:
+    """The edge sets of the host F and of G, which must span it."""
     _require_graph(F)
     _require_graph(G)
     if F.labels != G.labels:
         raise ContainmentError("subgraph must span the host vertex set")
-    if not _edge_set(G) <= _edge_set(F):
+    host, start = _edge_set(F), _edge_set(G)
+    if not start <= host:
         raise ContainmentError("subgraph has edges outside the host")
+    return host, start
 
 
 def graph_complex(vertex_labels, edge_label_pairs) -> Complex:
@@ -82,93 +84,76 @@ def _subgraph(F: Complex, edges: set[Edge]) -> Complex:
     return graph_complex(F.labels, [F.label_face(e) for e in sorted(edges)])
 
 
-def _closure_edges(n: int, host: set[Edge], start: set[Edge]) -> set[Edge]:
-    """Greedy K3-bootstrap fixed point over raw edge sets."""
+def _bootstrap(n: int, host: set[Edge],
+               start: set[Edge]) -> tuple[list[Edge], list[tuple[int, int, int]]]:
+    """The K3-bootstrap of start inside host, run to its fixed point.
+
+    At every step the lexicographically least addable edge is added,
+    witnessed by its least common neighbour.  Returns the added edges in
+    order with their witnesses.  The fixed point does not depend on this
+    rule: a witness for an addable edge persists when other edges are added.
+    """
     adjacency: list[set[int]] = [set() for _ in range(n)]
     for u, v in start:
         adjacency[u].add(v)
         adjacency[v].add(u)
-    current = set(start)
-    remaining = sorted(host - current)
-    progress = True
-    while progress and remaining:
-        progress = False
-        rest = []
+    remaining = sorted(host - start)
+    order: list[Edge] = []
+    witnesses: list[tuple[int, int, int]] = []
+    while True:
         for u, v in remaining:
-            if adjacency[u] & adjacency[v]:
-                current.add((u, v))
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-                progress = True
-            else:
-                rest.append((u, v))
-        remaining = rest
-    return current
+            common = adjacency[u] & adjacency[v]
+            if common:
+                break
+        else:
+            return order, witnesses
+        remaining.remove((u, v))
+        order.append((u, v))
+        witnesses.append(tuple(sorted((u, v, min(common)))))
+        adjacency[u].add(v)
+        adjacency[v].add(u)
 
 
 def k3_closure(F: Complex, G: Complex) -> Complex:
-    """Add host edges completing a K3 until none qualifies.
-
-    The result does not depend on addition order: a witness for an addable
-    edge persists when other edges are added.
-    """
-    _require_spanning(F, G)
-    closed = _closure_edges(F.n_vertices, _edge_set(F), _edge_set(G))
-    return _subgraph(F, closed)
+    """Add host edges completing a K3 until none qualifies."""
+    host, start = _spanning_edges(F, G)
+    order, _ = _bootstrap(F.n_vertices, host, start)
+    return _subgraph(F, start.union(order))
 
 
 def is_weakly_saturated(F: Complex, G: Complex) -> bool:
     """True iff the K3-bootstrap closure of G inside F is all of F."""
-    _require_spanning(F, G)
-    return _closure_edges(F.n_vertices, _edge_set(F), _edge_set(G)) == _edge_set(F)
+    return not isinstance(extract_saturation_order(F, G), NotSaturated)
 
 
 def extract_saturation_order(F: Complex, G: Complex):
-    """Greedy saturating order with recorded witnesses.
+    """The saturating order of :func:`_bootstrap`, with its witnesses.
 
-    At every step the lexicographically least addable edge is taken and
-    witnessed by its least common neighbour.  Returns ``NotSaturated()``
-    when the closure falls short of the host.
+    Returns ``NotSaturated()`` when the closure falls short of the host.
     """
-    _require_spanning(F, G)
-    n = F.n_vertices
-    adjacency: list[set[int]] = [set() for _ in range(n)]
-    for u, v in _edge_set(G):
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    remaining = sorted(_edge_set(F) - _edge_set(G))
-    order: list[Edge] = []
-    witnesses: list[tuple[int, int, int]] = []
-    while remaining:
-        chosen = None
-        for u, v in remaining:
-            common = adjacency[u] & adjacency[v]
-            if common:
-                chosen = (u, v)
-                w = min(common)
-                break
-        if chosen is None:
-            return NotSaturated()
-        remaining.remove(chosen)
-        order.append(chosen)
-        witnesses.append(tuple(sorted((*chosen, w))))
-        adjacency[chosen[0]].add(chosen[1])
-        adjacency[chosen[1]].add(chosen[0])
+    host, start = _spanning_edges(F, G)
+    order, witnesses = _bootstrap(F.n_vertices, host, start)
+    if len(order) < len(host) - len(start):
+        return NotSaturated()
     return SaturationCertificate(G, tuple(order), tuple(witnesses))
 
 
 def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     """Replay the certificate; return a description of the first failure.
 
-    Raises MalformedCertificateError when the start graph does not span the
-    host, the order is not exactly the missing host edges, or the arity of
-    an entry is broken; a wrong witness merely invalidates the certificate.
+    Raises MalformedCertificateError when the pattern is not K3, the start
+    graph does not span the host, the order is not exactly the missing host
+    edges, or the arity of an entry is broken; a wrong witness merely
+    invalidates the certificate.
     """
+    if cert.pattern != "K3":
+        raise MalformedCertificateError(
+            f"unsupported pattern {cert.pattern!r}; only K3 is supported")
     try:
-        _require_spanning(F, cert.start)
+        host, start = _spanning_edges(F, cert.start)
     except ContainmentError as exc:
         raise MalformedCertificateError(str(exc)) from None
-    missing = _edge_set(F) - _edge_set(cert.start)
+    missing = host - start
     if sorted(cert.order) != sorted(missing) or len(cert.order) != len(missing):
         raise MalformedCertificateError(
             "certificate order is not exactly the missing host edges")
@@ -180,7 +165,7 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
             raise MalformedCertificateError(
                 f"witness {i} is not a 3-vertex set of the host")
 
-    present = set(_edge_set(cert.start))
+    present = start
     for i, (edge, witness) in enumerate(zip(cert.order, cert.witnesses)):
         present.add(edge)
         if not set(edge) <= set(witness):

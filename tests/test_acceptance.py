@@ -16,6 +16,7 @@ from shellsat import (
     free_faces,
     from_facets,
     is_collapsible,
+    k3_closure,
     saturation_to_collapse,
     shelling_to_saturated_tree,
     verify_collapse,
@@ -33,7 +34,7 @@ from shellsat.harness import (
     sample_spanning_subgraph,
 )
 from shellsat.outcomes import NotCollapsible, NotSaturated, Unshellable
-from shellsat.wsat import _closure_edges, _edge_set
+from shellsat.wsat import _edge_set
 from conftest import complete_graph, cycle_graph
 
 CORPUS_SEED = 20251
@@ -194,7 +195,7 @@ def test_criterion_7_closure_order_independence():
             current.add((u, v))
             adjacency[u].add(v)
             adjacency[v].add(u)
-        assert current == _closure_edges(n, host, start)
+        assert current == _edge_set(k3_closure(F, G))
     print("ACCEPTANCE 7 PASS - random greedy closure equals lexicographic "
           "closure on 1000 seeded pairs")
 

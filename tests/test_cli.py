@@ -217,7 +217,7 @@ def test_collapse_k_rejects_verify(workdir, capsys):
     assert run("collapse", "--in", two, "--cert", cert, "--verify") == 0
 
 
-def test_convert_chain_of_certificates(workdir):
+def test_convert_chain_of_certificates(workdir, capsys):
     shell_cert = workdir / "shelling.cert"
     sat_cert = workdir / "saturation.cert"
     col_cert = workdir / "collapse.cert"
@@ -237,6 +237,17 @@ def test_convert_chain_of_certificates(workdir):
     assert run("convert", "--in", workdir / "two.sc", "--cert", bare,
                "--out", workdir / "bare-collapse.cert") == 0
     assert (workdir / "bare-collapse.cert").read_text() == col_cert.read_text()
+    # The engine decides K3-saturation only: another pattern is an input error.
+    k4 = workdir / "k4.cert"
+    k4.write_text(sat_cert.read_text().replace("# pattern: K3", "# pattern: K4"))
+    capsys.readouterr()
+    for argv in (["wsat", "--verify"], ["convert", "--out", workdir / "k4-collapse.cert"]):
+        assert run(*argv, "--in", workdir / "two.sc", "--cert", k4) == 3
+        out, err = capsys.readouterr()
+        # wsat may first note that it uses the 1-skeleton as the host.
+        assert out == "" and err.count("error: ") == 1
+        assert err.splitlines()[-1].startswith("error: ") and "K4" in err
+    assert not (workdir / "k4-collapse.cert").exists()
 
 
 def test_convert_rejects_unknown_certificate(workdir, capsys):

@@ -294,10 +294,8 @@ def global_removal_scan(K, k):
 
 
 def test_removal_matches_global_scan():
-    # Seeded samples on 6 vertices stand in for enumerate_pure2(6, 6), whose
-    # canonical forms take minutes to list.
     rng = random.Random(66)
-    corpus = list(enumerate_pure2(5, 10)) + [
+    corpus = list(enumerate_pure2(5, 10)) + list(enumerate_pure2(6, 6)) + [
         sample_pure2(rng, 6, t)[0] for t in range(3, 9) for _ in range(30)]
     for K in corpus:
         chi = K.reduced_euler_characteristic()

@@ -86,26 +86,27 @@ def test_enumeration_on_5_vertices_contains_bowtie():
 
 
 def test_enumeration_matches_orbit_marking():
-    """Independent exhaustiveness check via mask orbits under S5."""
-    all_triangles = list(combinations(range(5), 3))
-    seen = set()
-    expected = 0
-    for t in range(1, 11):
-        for triangles in combinations(all_triangles, t):
-            key = frozenset(triangles)
-            if key in seen:
-                continue
-            K = complex_from_triangles(triangles)
-            if not K.is_connected():
-                continue
-            expected += 1
-            for perm in permutations(range(5)):
-                image = frozenset(tuple(sorted((perm[a], perm[b], perm[c])))
-                                  for a, b, c in triangles)
-                seen.add(image)
-    got = list(enumerate_pure2(5, 10))
-    assert len(got) == expected
-    assert len({canonical_triangles(K.facets) for K in got}) == len(got)
+    """Independent exhaustiveness check via mask orbits under S_n."""
+    for n, max_t in ((5, 10), (6, 5)):
+        all_triangles = list(combinations(range(n), 3))
+        seen = set()
+        expected = 0
+        for t in range(1, max_t + 1):
+            for triangles in combinations(all_triangles, t):
+                key = frozenset(triangles)
+                if key in seen:
+                    continue
+                K = complex_from_triangles(triangles)
+                if not K.is_connected():
+                    continue
+                expected += 1
+                for perm in permutations(range(n)):
+                    image = frozenset(tuple(sorted((perm[a], perm[b], perm[c])))
+                                      for a, b, c in triangles)
+                    seen.add(image)
+        got = list(enumerate_pure2(n, max_t))
+        assert len(got) == expected
+        assert len({canonical_triangles(K.facets) for K in got}) == len(got)
 
 
 def test_enumeration_is_deterministic():

@@ -31,7 +31,7 @@ from shellsat.harness import (
 )
 from shellsat.outcomes import Budget, BudgetExceeded, NotSaturated
 from shellsat.wsat import (
-    _closure_edges,
+    _bootstrap,
     _edge_set,
     format_saturation,
     parse_saturation,
@@ -264,7 +264,7 @@ def test_tree_restriction_matches_unrestricted_search():
     for F in hosts:
         n, host = F.n_vertices, _edge_set(F)
         number = next(size for size in range(n - 1, len(host) + 1)
-                      if any(_closure_edges(n, host, set(subset)) == host
+                      if any(len(_bootstrap(n, host, set(subset))[0]) == len(host) - size
                              for subset in combinations(sorted(host), size)))
         cert = decide_wsat_eq_treesize(F)
         if number > n - 1:
@@ -297,7 +297,7 @@ def test_closure_order_independence_seeded():
             current.add((u, v))
             adjacency[u].add(v)
             adjacency[v].add(u)
-        assert current == _closure_edges(n, host, start)
+        assert current == _edge_set(k3_closure(F, G))
 
 
 # -- certificate files -------------------------------------------------------------------------
@@ -320,6 +320,18 @@ def test_certificate_parse_errors():
         parse_saturation("# start: a b\nb c a b c\n", F)  # missing colon
     with pytest.raises(MalformedCertificateError):
         parse_saturation("# start: a z\n", F)  # unknown label
+
+
+def test_only_the_k3_pattern_verifies():
+    # The engine decides K3-saturation only; a certificate naming another
+    # pattern is malformed, not valid.
+    F = k4()
+    text = format_saturation(F, decide_wsat_eq_treesize(F))
+    for pattern in ("K4", "k3", "anything"):
+        cert = parse_saturation(text.replace("# pattern: K3", f"# pattern: {pattern}"), F)
+        assert cert.pattern == pattern
+        with pytest.raises(MalformedCertificateError, match="pattern"):
+            saturation_violation(F, cert)
 
 
 def test_certificate_fingerprint_mismatch():
