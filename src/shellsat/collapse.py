@@ -13,6 +13,7 @@ dimension.
 """
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -191,17 +192,24 @@ def _collapse(K: Complex, removed: frozenset[Face],
 Triangle = tuple[int, int, int]
 
 
-def _gf2_rank(rows) -> int:
-    """Rank over GF(2) of rows given as int bitsets."""
+def _floor(triangles: list[Triangle], core) -> int:
+    """|core| minus the rank over GF(2) of its boundaries, a lower bound on
+    the deletions that empty it: what is left then peels with an edge of
+    each triangle in no later one, so its boundaries are independent and
+    it holds at most rank triangles.  A peeled triangle's free edge is in
+    no other boundary, so count and rank fall by one and the floor stays.
+    """
+    bit: dict[Face, int] = {}
     basis: dict[int, int] = {}
-    for row in rows:
+    for t in core:
+        row = sum(bit.setdefault(e, 1 << len(bit)) for e in combinations(triangles[t], 2))
         while row:
             top = row.bit_length() - 1
             if top not in basis:
                 basis[top] = row
                 break
             row ^= basis[top]
-    return len(basis)
+    return len(core) - len(basis)
 
 
 def core_components(triangles: list[Triangle],
@@ -215,10 +223,7 @@ def core_components(triangles: list[Triangle],
     the core of the union lies in core(T) and in S, and is a subset of S
     with no free triangle, hence inside core(S).  Components (triangles
     joined through shared edges) share no edge, and freeness is decided
-    edge by edge, so each is solved on its own.  The floor of a component
-    C is |C| - rank over GF(2) of the boundaries of C: a set with an empty
-    core peels with an edge of each triangle in no later one, so its
-    boundaries are independent and at most rank(C) triangles of C stay.
+    edge by edge, so each is solved on its own, from its :func:`_floor`.
     """
     budget.spend()
     _, core = peel(triangles, range(len(triangles)))
@@ -241,49 +246,53 @@ def core_components(triangles: list[Triangle],
                 seen.update(fresh)
                 stack.extend(fresh)
         component.sort()
-        bit: dict[Face, int] = {}
-        rank = _gf2_rank(sum(bit.setdefault(e, 1 << len(bit))
-                             for e in combinations(triangles[t], 2))
-                         for t in component)
-        components.append((component, len(component) - rank))
+        components.append((component, _floor(triangles, component)))
     return components
 
 
-def least_deletion(triangles: list[Triangle], component: list[int], floor: int,
-                   budget: Budget, at_floor: bool = False) -> tuple[int, ...] | None:
-    """The first, in ``combinations`` order, of the least sets of a core
-    component's triangles whose deletion empties its core.
+def least_deletion(triangles: list[Triangle], component: list[int], size: int,
+                   budget: Budget) -> tuple[int, ...] | None:
+    """The first set of ``size`` triangles of a core component, in
+    ``combinations`` order, whose deletion empties its core, or None when
+    there is none, for a ``size`` that no fewer triangles meet.
 
-    Greedy first: delete the least triangle left in the core and peel
-    again, until the core is empty (deleting a triangle outside the core
-    leaves the core as it is, so each step peels only what is left of it).
-    A greedy set of ``floor`` triangles is the answer, and nothing is
-    searched.  Otherwise the sizes from the floor up to one below the
-    greedy count are tried, each subset in ``combinations`` order for one
-    budget node.  Deleting more triangles keeps the core empty, so the
-    first size that works is the least; if none does, the greedy set is.
-    With ``at_floor`` only the floor is tried, and None means it cannot be
-    met.
-
-    Why a greedy set of the least size is the first one: take the first
-    least set D and the greedy set G, equal below some triangle.  The next
-    triangle of D lies in the core that the shared part leaves, or D without
-    it would still empty the core, and it is no greater than the next of G,
-    the least triangle of that core; so the two are equal.
+    A depth-first search on its own stack (no recursion limit), one budget
+    node per node: a child deletes a triangle of its parent's core above
+    the last one deleted and peels, children in increasing order.  A node
+    whose :func:`_floor` exceeds the deletions still allowed has no child
+    after the first, computed only then so that a first descent that
+    succeeds computes none.  Why the first set found is the answer: let D
+    be the first such set.  Each triangle of D lies in the core that the
+    smaller ones leave, or D without it would empty the core too (deleting
+    a triangle outside a core keeps the core).  The core of a set minus
+    more triangles is the core of its core minus them
+    (:func:`core_components`), so D is a path of the search, and at each
+    node on it the rest of D empties the core, so the prune keeps it.
+    Paths come in ``combinations`` order, so D is found first.  The first
+    descent deletes the least triangle of each core: the greedy set, found
+    in ``size + 1`` nodes when it has ``size`` triangles.
     """
-    greedy: list[int] = []
-    core = set(component)
-    while core:
-        greedy.append(min(core))
-        core = peel(triangles, core - {greedy[-1]})[1]
-    if len(greedy) == floor:
-        return tuple(greedy)
-    for size in range(floor, floor + 1 if at_floor else len(greedy)):
-        for deleted in combinations(component, size):
+    def children(core: set[int], last: int, allowed: int) -> Iterator[int]:
+        for n, t in enumerate(sorted(t for t in core if t > last)):
+            if n == 1 and _floor(triangles, core) > allowed:
+                return
+            yield t
+
+    budget.spend()
+    frames = [(-1, set(component), children(set(component), -1, size))] if size else []
+    while frames:
+        _, core, later = frames[-1]
+        for t in later:
             budget.spend()
-            if not peel(triangles, set(component).difference(deleted))[1]:
-                return deleted
-    return None if at_floor else tuple(greedy)
+            _, left = peel(triangles, core - {t})
+            if not left:
+                return tuple(deleted for deleted, _, _ in frames[1:]) + (t,)
+            if len(frames) < size:
+                frames.append((t, left, children(left, t, size - len(frames))))
+                break
+        else:
+            frames.pop()
+    return None
 
 
 def least_removal(triangles: list[Triangle], chi: int,
@@ -300,14 +309,14 @@ def least_removal(triangles: list[Triangle], chi: int,
     union of each component's first (:func:`least_deletion`): the first of
     two equal-size sets is the one holding the least element of their
     difference, and components are disjoint.  One budget node is spent
-    first and one per subset tried.
+    first and one per search node.
     """
     components = core_components(triangles, budget)
     if chi < sum(floor for _, floor in components):
         return None
     removed: set[int] = set()
     for component, floor in components:
-        deleted = least_deletion(triangles, component, floor, budget, at_floor=True)
+        deleted = least_deletion(triangles, component, floor, budget)
         if deleted is None:
             return None
         removed.update(deleted)
@@ -360,7 +369,7 @@ def collapsible_after_removing(K: Complex, k: int,
     iff its triangles have an empty core (:func:`is_collapsible`: once they
     are gone, a connected graph with reduced Euler characteristic 0 is left,
     which is a tree), so R is :func:`least_removal` of k.  One budget node
-    is spent first and one per subset tried, and then one per step of the
+    is spent first and one per search node, and then one per step of the
     collapse of K minus R.
     """
     if k < 0:

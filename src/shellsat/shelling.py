@@ -19,7 +19,6 @@ from .complexes import (
     Face,
     certificate_header,
     is_connected_graph,
-    maximal_faces,
     read_certificate,
 )
 from .errors import (
@@ -43,26 +42,13 @@ def _proper_subfaces(facet: Face) -> list[Face]:
             for sub in combinations(facet, k)]
 
 
-def _meets_predecessors(proper: list[Face], covered: set[Face], d: int) -> bool:
-    """Check that the shared subcomplex is pure of dimension d-1.
-
-    ``proper`` lists the nonempty proper subfaces of the candidate facet,
-    ``covered`` holds every face of the predecessor union and ``d`` is the
-    facet dimension.
-    """
-    shared = [f for f in proper if f in covered]
-    if not shared:
-        # The intersection is the empty-face complex, of dimension -1.
-        return d == 0
-    return all(len(f) == d for f in maximal_faces(shared))
-
-
 def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | None:
     """Return the 0-based index of the first facet violating the shelling
     condition, or None when the certificate is a valid shelling.
 
     Raises MalformedCertificateError when the order is not a permutation of
-    the facet set, and PurityError for non-pure complexes.
+    the facet set, and PurityError for non-pure complexes.  Each facet after
+    the first is checked by :meth:`_Prefix.fits`, as in the search.
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
@@ -70,13 +56,14 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     if sorted(order) != list(K.facets) or len(order) != len(K.facets):
         raise MalformedCertificateError(
             "certificate order is not a permutation of the facet set")
-    d = K.dim
-    covered: set[Face] = set()
-    for i, facet in enumerate(order):
-        if i > 0 and not _meets_predecessors(_proper_subfaces(facet), covered, d):
-            return i
-        covered.add(facet)
-        covered.update(_proper_subfaces(facet))
+    if K.dim < 1:
+        return None  # two points meet in the empty face, pure of dimension -1
+    index = {f: i for i, f in enumerate(K.facets)}
+    prefix = _Prefix(K)
+    for n, facet in enumerate(order):
+        if n > 0 and not prefix.fits(index[facet]):
+            return n
+        prefix.push(index[facet])
     return None
 
 
@@ -200,7 +187,7 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
 
     :func:`collapse.least_removal` of chi~ decides the last two: it returns
     None at once when b1 != 0, and otherwise when no such deletion exists.
-    Spends one node for the core and one per deletion subset tried; no
+    Spends one node for the core and one per search node; no
     collapse steps are spent, as nothing is collapsed.
     """
     link: list[list[Face]] = [[] for _ in range(K.n_vertices)]

@@ -209,7 +209,7 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     free edge first, starts from the host minus its free edges (n - 1
     edges that saturate: a spanning tree) and takes its order and
     witnesses from :func:`extract_saturation_order`.  The budget counts
-    one node per call and one per deletion set tried.
+    one node per call and one per search node.
     """
     n, host = _connected_host(F)
     triangles = clique_triangles(n, host)
@@ -229,15 +229,19 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
 
     By the identity in :func:`decide_wsat_eq_treesize` this is m - |T| plus
     the least number of triangles whose deletion empties the 2-core, summed
-    over the core components (:func:`least_deletion`).  The budget counts
-    one node per call and one per deletion set tried.
+    over the core components, each searched at its floor, then one more and
+    so on (:func:`least_deletion`), at the latest up to its greedy size.
+    The budget counts one node per call and one per search node.
     """
     n, host = _connected_host(F)
     triangles = clique_triangles(n, host)
     budget = as_budget(budget)
+    deletions = 0
     try:
-        deletions = sum(len(least_deletion(triangles, component, floor, budget))
-                        for component, floor in core_components(triangles, budget))
+        for component, size in core_components(triangles, budget):
+            while least_deletion(triangles, component, size, budget) is None:
+                size += 1
+            deletions += size
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-number")
     return len(host) - len(triangles) + deletions

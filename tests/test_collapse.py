@@ -1,6 +1,7 @@
 """Elementary collapses: stepping, search, removal decisions, verification."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -14,15 +15,18 @@ from shellsat import (
     from_facets,
     is_collapsible,
     verify_collapse,
+    wsat_number,
 )
 from shellsat.collapse import (
     collapse_violation,
     core_components,
     format_collapse,
     least_deletion,
+    least_removal,
     parse_collapse,
     peel,
 )
+from shellsat.complexes import clique_triangles
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -36,9 +40,10 @@ from shellsat.harness import (
     enumerate_pure2,
     flag_dunce_hat,
     oracle_collapsible,
+    sample_connected_graph,
     sample_pure2,
 )
-from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible
+from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
 
 
 def step_of(K, free_labels, facet_labels):
@@ -339,11 +344,136 @@ def test_least_deletion_searches_where_greedy_falls_short():
                      for d in combinations(component, size)
                      if not peel(triangles, set(component) - set(d))[1])
         assert len(first) == least
-        for at_floor in (False, True):
+        assert len(greedy_deletion(triangles, component)) > floor
+        for size in range(floor, least + 1):
             budget = Budget(None)
-            found = least_deletion(triangles, component, floor, budget, at_floor)
+            found = least_deletion(triangles, component, size, budget)
             assert budget.used > 0
-            assert found == (None if at_floor and least > floor else first)
+            assert found == (first if size == least else None)
+
+
+# The least deletion as it was searched before the bounded search: the
+# greedy set, then every subset of each size from the floor up to one below
+# the greedy count, in ``combinations`` order; with ``at_floor`` only the
+# floor is tried.
+
+def greedy_deletion(triangles, component):
+    """Delete the least triangle of the core and peel, until it is empty."""
+    greedy, core = [], set(component)
+    while core:
+        greedy.append(min(core))
+        core = peel(triangles, core - {greedy[-1]})[1]
+    return tuple(greedy)
+
+
+def reference_least_deletion(triangles, component, floor, budget, at_floor=False):
+    greedy = greedy_deletion(triangles, component)
+    if len(greedy) == floor:
+        return greedy
+    for size in range(floor, floor + 1 if at_floor else len(greedy)):
+        for deleted in combinations(component, size):
+            budget.spend()
+            if not peel(triangles, set(component).difference(deleted))[1]:
+                return deleted
+    return None if at_floor else greedy
+
+
+def reference_least_removal(triangles, chi, budget):
+    components = core_components(triangles, budget)
+    if chi < sum(floor for _, floor in components):
+        return None
+    removed = set()
+    for component, floor in components:
+        deleted = reference_least_deletion(triangles, component, floor, budget, at_floor=True)
+        if deleted is None:
+            return None
+        removed.update(deleted)
+    return removed
+
+
+def reference_corpus():
+    """Triangle lists of the exhaustive 6-vertex corpus, the subdivided
+    5-vertex one, the dunce hat and the cliques of 200 seeded G(n, p)."""
+    yield from (K.triangles for K in enumerate_pure2(6, 6))
+    yield from (K.barycentric_subdivision().triangles for K in enumerate_pure2(5, 4))
+    yield flag_dunce_hat().triangles
+    for seed in range(200):
+        rng = random.Random(seed)
+        F = sample_connected_graph(rng, 6 + seed % 15, rng.uniform(0.2, 0.6))
+        yield clique_triangles(F.n_vertices, F.edges)
+
+
+def test_least_deletion_matches_the_greedy_and_scan_reference():
+    """The search returns the reference's set on every core component the
+    reference decides within 20 000 nodes, and, where it decides them all,
+    least_removal returns the reference's at the sum of the floors and one
+    above it.  Where the reference runs out, the search still finds a set
+    of the size it was asked for that empties the core."""
+    decided = undecided = 0
+    for triangles in reference_corpus():
+        components = core_components(triangles, Budget(None))
+        ran_out = False
+        for component, floor in components:
+            budget, size = Budget(20000), floor
+            while (found := least_deletion(triangles, component, size, budget)) is None:
+                size += 1
+            assert len(found) == size and not peel(triangles, set(component) - set(found))[1]
+            try:
+                expected = reference_least_deletion(triangles, component, floor, Budget(20000))
+            except OutOfBudget:
+                undecided += 1
+                ran_out = True
+                continue
+            assert found == expected, (triangles, component)
+            decided += 1
+        if ran_out:
+            continue
+        b2 = sum(floor for _, floor in components)
+        for chi in (b2, b2 + 1):
+            assert (least_removal(triangles, chi, Budget(None))
+                    == reference_least_removal(triangles, chi, Budget(None)))
+    assert decided > 100 and undecided > 0, (decided, undecided)
+
+
+# Seeded draws (one random.Random(n) per family, in order) on which the
+# greedy deletion misses the GF(2) floor and the flat subset scan used up a
+# 200 000-node budget in 16-39 s: family, draw index and wsat(F, K3).
+FLOOR_GAP_GRAPHS = [(30, 0.3, {1: 35, 3: 39, 9: 39}),
+                    (25, 0.35, {2: 36, 4: 31}),
+                    (40, 0.25, {0: 49, 3: 58, 7: 55})]
+
+
+def test_floor_gap_graphs_are_decided_under_a_small_budget():
+    for n, p, pinned in FLOOR_GAP_GRAPHS:
+        rng = random.Random(n)
+        for draw in range(max(pinned) + 1):
+            F = sample_connected_graph(rng, n, p)
+            if draw not in pinned:
+                continue
+            triangles = clique_triangles(n, F.edges)
+            components = core_components(triangles, Budget(None))
+            base = len(F.edges) - len(triangles)
+            bound = base + sum(floor for _, floor in components)
+            greedy = base + sum(len(greedy_deletion(triangles, component))
+                                for component, _ in components)
+            value = wsat_number(F, Budget(1000))
+            assert bound <= value <= greedy and bound < greedy, (n, draw)
+            assert value == pinned[draw], (n, draw)
+
+
+def test_least_removal_on_a_deep_stack_needs_no_recursion():
+    """The 2-skeleton of a stack of 300 tetrahedra has floor 300, so the
+    search goes 300 deep, past the recursion limit lowered here."""
+    stack = from_facets([" ".join(f"v{j:03d}" for j in range(i, i + 4))
+                         for i in range(300)]).skeleton(2)
+    assert stack.reduced_euler_characteristic() == 300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        removed = least_removal(stack.triangles, 300, Budget(None))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(removed) == 300
 
 
 def test_removal_preconditions(three_cycle, triangle):

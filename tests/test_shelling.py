@@ -3,7 +3,7 @@
 import random
 from itertools import permutations
 
-from shellsat.complexes import subfaces
+from shellsat.complexes import maximal_faces, subfaces
 
 import pytest
 
@@ -24,18 +24,44 @@ from shellsat.errors import (
 from shellsat.harness import (
     ORACLE_MAX_FACETS,
     enumerate_pure2,
+    flag_dunce_hat,
     oracle_shelling,
     sample_pure2,
 )
 from shellsat.outcomes import Budget, BudgetExceeded, Unshellable
 from shellsat.shelling import (
-    _meets_predecessors,
     _Prefix,
     _proper_subfaces,
     _refuted,
     format_shelling,
     parse_shelling,
 )
+
+
+def _meets_predecessors(proper, covered, d):
+    """Reference shelling condition: the shared subcomplex is pure of
+    dimension d-1.
+
+    ``proper`` lists the nonempty proper subfaces of the candidate facet,
+    ``covered`` holds every face of the predecessor union and ``d`` is the
+    facet dimension.
+    """
+    shared = [f for f in proper if f in covered]
+    if not shared:
+        # The intersection is the empty-face complex, of dimension -1.
+        return d == 0
+    return all(len(f) == d for f in maximal_faces(shared))
+
+
+def reference_violation(K, order):
+    """The first violating index by the facet-generic condition."""
+    covered = set()
+    for i, facet in enumerate(order):
+        if i > 0 and not _meets_predecessors(_proper_subfaces(facet), covered, K.dim):
+            return i
+        covered.add(facet)
+        covered.update(_proper_subfaces(facet))
+    return None
 
 
 def order_of(K, *facet_labels):
@@ -118,6 +144,29 @@ def test_search_agrees_with_oracle_small_corpus():
             assert verify_shelling(K, result)
         checked += 1
     assert checked >= 20
+
+
+def test_verifier_matches_the_facet_generic_reference():
+    """The verifier replays orders through the search's O(1) check; it
+    reports the index the facet-generic condition reports, on search
+    orders and on shuffled ones, in dimensions 0 to 3."""
+    rng = random.Random(7)
+    corpus = [from_facets(["a", "b", "c"]), from_facets(["a b", "b c", "c d", "b d"]),
+              from_facets(["a b c d", "b c d e", "a c d f"]), flag_dunce_hat()]
+    corpus += list(enumerate_pure2(5, 6))
+    corpus += [K.barycentric_subdivision() for K in enumerate_pure2(4, 4)]
+    corpus += [sample_pure2(rng, 7, 6)[0] for _ in range(10)]
+    checked = 0
+    for K in corpus:
+        found = find_shelling(K, 2000) if K.dim >= 1 and K.is_connected() else None
+        orders = [found.order] if isinstance(found, ShellingCertificate) else []
+        for _ in range(10):
+            orders.append(tuple(rng.sample(K.facets, len(K.facets))))
+        for order in orders:
+            assert (first_shelling_violation(K, ShellingCertificate(order))
+                    == reference_violation(K, order)), (K.facets, order)
+            checked += 1
+    assert checked > 400
 
 
 def test_violating_prefix_never_extends():
