@@ -2,9 +2,9 @@
 
 A face is free when it is contained in a single facet; the elementary
 collapse removes it together with every face above it.  Certificates list
-an optional set of removed triangles, the collapse steps in order, and the
-target subcomplex the steps must reach.  All faces in a certificate are
-expressed in the id coordinates of the subject complex.
+an optional set of removed triangle facets, the collapse steps in order,
+and the target subcomplex the steps must reach.  All faces in a
+certificate are expressed in the id coordinates of the subject complex.
 
 The searches need dimension at most 2, where one greedy peel of free faces
 decides collapsibility (:func:`is_collapsible`); from dimension 3 on the
@@ -13,6 +13,7 @@ dimension.
 """
 
 import heapq
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -24,8 +25,9 @@ from .complexes import (
     certificate_header,
     from_facets,
     listed_faces,
-    maximal_faces,
+    proper_subfaces,
     read_certificate,
+    subfaces,
 )
 from .errors import (
     ConnectivityError,
@@ -63,18 +65,25 @@ class CollapseCertificate:
         return self.target.dim == 0 and self.target.n_vertices == 1
 
 
-# -- replay machinery over plain face sets (empty face excluded) -------------
-#
-# ``faces`` is always a subset of the subject's faces and a step's free face
-# is a face of the subject, so the subject's coface lists bound every scan.
+# -- the replay -----------------------------------------------------------------
 
-def _cofacets(K: Complex, faces: set[Face], tau: Face) -> list[Face]:
-    """Facets of the current complex strictly containing tau."""
-    return maximal_faces([g for g in K.cofaces(tau) if g in faces])
+def _replay(K: Complex, removed: frozenset[Face] = frozenset()):
+    """The faces a replay has left, a closed set of nonempty faces, and
+    ``up[f]``, the number of them one vertex larger than f (facets: 0)."""
+    faces = {f for f in K.faces if f and f not in removed}
+    return faces, Counter(r for g in faces for r in combinations(g, len(g) - 1))
 
 
-def _step_violation(K: Complex, faces: set[Face], step: CollapseStep) -> str | None:
-    """Why the step is illegal on the current face set, or None if legal."""
+def _step_violation(faces: set[Face], up: Counter, step: CollapseStep) -> str | None:
+    """Why the step is illegal on the faces left, or None if legal.
+
+    Legal iff tau is a nonempty face left, sigma a face left strictly
+    holding it, up[sigma] == 0 and up[tau] == |sigma| - |tau|.  Why: the
+    faces are closed, so sigma is a facet iff up[sigma] == 0, and the faces
+    tau + v for v in sigma - tau are left.  A facet other than sigma holding
+    tau has a vertex w outside sigma and brings one more face, tau + w; and
+    such a tau + w lies in some facet other than sigma.
+    """
     tau, sigma = step.free_face, step.facet
     if not tau:
         return "the empty face cannot be collapsed"
@@ -82,22 +91,28 @@ def _step_violation(K: Complex, faces: set[Face], step: CollapseStep) -> str | N
         return f"free face {tau} is not a face of the current complex"
     if sigma not in faces or not set(tau) < set(sigma):
         return f"{sigma} is not a facet strictly containing {tau}"
-    cofacets = _cofacets(K, faces, tau)
-    if sigma not in cofacets:
+    if up[sigma]:
         return f"{sigma} is not a facet of the current complex"
-    others = [g for g in cofacets if g != sigma]
-    if others:
-        return f"free face {tau} is also contained in facet {min(others)}"
+    if up[tau] != len(sigma) - len(tau):
+        other = _other_facet(faces, up, step)
+        return f"free face {tau} is also contained in facet {other}"
     return None
 
 
-def _apply_step(K: Complex, faces: set[Face], step: CollapseStep) -> None:
-    """Remove the free face and every face above it, in place."""
-    faces.difference_update((step.free_face, *K.cofaces(step.free_face)))
+def _other_facet(faces: set[Face], up: Counter, step: CollapseStep) -> Face | None:
+    """The least facet left above a nonempty free face but the step's, or None."""
+    tau = set(step.free_face)
+    others = [g for g in faces if not up[g] and g != step.facet and tau < set(g)]
+    return min(others, default=None) if tau else None
 
 
-def _nonempty_faces(K: Complex) -> set[Face]:
-    return {f for f in K.faces if f}
+def _apply_step(faces: set[Face], up: Counter, step: CollapseStep) -> None:
+    """Remove a legal step's faces above tau: tau + S for each S in sigma - tau."""
+    tau = step.free_face
+    for extra in subfaces([v for v in step.facet if v not in tau]):
+        g = tuple(sorted(tau + extra))
+        faces.remove(g)
+        up.subtract(combinations(g, len(g) - 1))
 
 
 # -- public operations --------------------------------------------------------
@@ -108,21 +123,21 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
     The free face must be contained in exactly one facet, which must be the
     one named by the step; otherwise NotFreeError reports the obstruction.
     """
-    faces = _nonempty_faces(K)
-    reason = _step_violation(K, faces, step)
+    faces, up = _replay(K)
+    reason = _step_violation(faces, up, step)
     if reason is not None:
-        cofacets = _cofacets(K, faces, step.free_face) if step.free_face in faces else []
-        others = [g for g in cofacets if g != step.facet]
-        raise NotFreeError(reason, blocking_facet=min(others, default=None))
-    _apply_step(K, faces, step)
-    return from_facets([K.label_face(f) for f in maximal_faces(faces)])
+        raise NotFreeError(reason, blocking_facet=_other_facet(faces, up, step))
+    _apply_step(faces, up, step)
+    return from_facets([K.label_face(f) for f in faces if not up[f]])
 
 
 def free_faces(K: Complex) -> list[CollapseStep]:
     """All currently legal collapse steps, in lexicographic face order."""
-    faces = _nonempty_faces(K)
-    cofacets = {tau: _cofacets(K, faces, tau) for tau in sorted(faces)}
-    return [CollapseStep(tau, up[0]) for tau, up in cofacets.items() if len(up) == 1]
+    faces, up = _replay(K)
+    return sorted((CollapseStep(tau, sigma) for sigma in faces if not up[sigma]
+                   for tau in proper_subfaces(sigma)
+                   if tau and up[tau] == len(sigma) - len(tau)),
+                  key=lambda step: step.free_face)
 
 
 # -- the peel -------------------------------------------------------------------
@@ -399,26 +414,28 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     """Replay the certificate; return a description of the first failure.
 
     Structural breakage (faces that do not belong to the subject at all,
-    or removed entries that are not triangles of K) raises
-    MalformedCertificateError; an illegal step or a target mismatch merely
-    makes the certificate invalid and is reported as a string.
+    or removed entries that are not triangle facets of K, whose removal
+    would leave no complex) raises MalformedCertificateError; an illegal
+    step or a target mismatch merely makes the certificate invalid and is
+    reported as a string.
     """
+    facets = set(K.facets)
     for t in cert.removed_triangles:
-        if t not in K.faces or len(t) != 3:
+        if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
-                f"removed entry {t} is not a triangle of the subject")
+                f"removed entry {t} is not a triangle facet of the subject")
     for i, step in enumerate(cert.steps):
         for face in (step.free_face, step.facet):
             if face not in K.faces:
                 raise MalformedCertificateError(
                     f"step {i}: {face} is not a face of the subject")
 
-    faces = _nonempty_faces(K) - set(cert.removed_triangles)
+    faces, up = _replay(K, cert.removed_triangles)
     for i, step in enumerate(cert.steps):
-        reason = _step_violation(K, faces, step)
+        reason = _step_violation(faces, up, step)
         if reason is not None:
             return f"step {i}: {reason}"
-        _apply_step(K, faces, step)
+        _apply_step(faces, up, step)
 
     reached = {K.label_face(f) for f in faces}
     expected = {cert.target.label_face(f) for f in cert.target.faces if f}

@@ -107,8 +107,7 @@ def maximal_faces(faces: Iterable[Face]) -> list[Face]:
 class Complex:
     """Immutable simplicial complex; construct via :func:`from_facets`."""
 
-    __slots__ = ("labels", "facets", "faces", "_fingerprint", "_hash", "_cofaces",
-                 "_skeletons")
+    __slots__ = ("labels", "facets", "faces", "_kept")
 
     def __init__(self, labels: tuple[str, ...], facets: tuple[Face, ...],
                  faces: frozenset[Face]):
@@ -116,10 +115,7 @@ class Complex:
         self.labels = labels
         self.facets = facets
         self.faces = faces
-        self._fingerprint: str | None = None
-        self._hash: int | None = None
-        self._cofaces: dict[Face, tuple[Face, ...]] | None = None
-        self._skeletons: dict[int, Complex] = {}
+        self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -147,20 +143,14 @@ class Complex:
             ids.append(v)
         return tuple(sorted(ids))
 
-    def cofaces(self, face: Face) -> tuple[Face, ...]:
-        """The faces strictly containing a face of the complex.
-
-        The lists for all faces are built together on the first call, in
-        one pass over the faces, so complexes that never ask pay nothing.
-        Threads racing on that call build equal lists, so sharing stays safe.
-        """
-        if self._cofaces is None:
-            cofaces: dict[Face, list[Face]] = {f: [] for f in self.faces}
-            for f in self.faces:
-                for sub in proper_subfaces(f):
-                    cofaces[sub].append(f)
-            self._cofaces = {f: tuple(above) for f, above in cofaces.items()}
-        return self._cofaces[face]
+    def _keep(self, key, compute: Callable[[], object]):
+        """The answer kept under key, from compute() on the first ask: the
+        certificate chain asks one subject the same questions at each stage.
+        The complex is immutable, so a kept answer never goes stale, and
+        threads racing on a first ask compute equal answers."""
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
 
     def faces_of_dim(self, k: int) -> list[Face]:
         return sorted(f for f in self.faces if len(f) == k + 1)
@@ -181,9 +171,7 @@ class Complex:
         return self.labels == other.labels and self.facets == other.facets
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.labels, self.facets))
-        return self._hash
+        return self._keep("hash", lambda: hash((self.labels, self.facets)))
 
     def __repr__(self) -> str:
         parts = [" ".join(self.label_face(f)) for f in self.facets[:4]]
@@ -193,10 +181,8 @@ class Complex:
     @property
     def fingerprint(self) -> str:
         """Stable digest of the sorted facet list, usable as a table key."""
-        if self._fingerprint is None:
-            digest = hashlib.sha256(self.to_sc().encode("utf-8")).hexdigest()
-            self._fingerprint = digest[:16]
-        return self._fingerprint
+        return self._keep("fingerprint", lambda: hashlib.sha256(
+            self.to_sc().encode("utf-8")).hexdigest()[:16])
 
     # -- counting ----------------------------------------------------------
 
@@ -215,13 +201,12 @@ class Complex:
 
     def is_pure(self) -> bool:
         """True when all facets share one dimension."""
-        sizes = {len(f) for f in self.facets}
-        return len(sizes) == 1
+        return self._keep("pure", lambda: len({len(f) for f in self.facets}) == 1)
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton (single vertices count as components)."""
-        return is_connected_graph(self.n_vertices,
-                                  (f for f in self.faces if len(f) == 2))
+        return self._keep("connected", lambda: is_connected_graph(
+            self.n_vertices, (f for f in self.faces if len(f) == 2)))
 
     def is_flag2(self) -> bool:
         """True iff every 3-clique of the 1-skeleton spans a triangle.
@@ -231,8 +216,8 @@ class Complex:
         if self.dim > 2:
             raise UnsupportedDimensionError(
                 f"flagness check supports dimension <= 2, got {self.dim}")
-        triangles = clique_triangles(self.n_vertices, self.edges)
-        return all(t in self.faces for t in triangles)
+        return self._keep("flag", lambda: all(
+            t in self.faces for t in clique_triangles(self.n_vertices, self.edges)))
 
     # -- derived complexes ---------------------------------------------------
 
@@ -244,10 +229,8 @@ class Complex:
         """
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
-        if k not in self._skeletons:
-            kept = [f for f in self.faces if 0 < len(f) <= k + 1]
-            self._skeletons[k] = from_facets([self.label_face(f) for f in kept])
-        return self._skeletons[k]
+        return self._keep(("skeleton", k), lambda: from_facets(
+            [self.label_face(f) for f in self.faces if 0 < len(f) <= k + 1]))
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
         """The subcomplex induced by the listed faces (their downward closure)."""

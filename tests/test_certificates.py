@@ -1,5 +1,7 @@
 """The proof translations: shelling -> saturated tree -> collapse -> count check."""
 
+from collections import Counter
+
 import pytest
 
 from shellsat import certificates
@@ -17,6 +19,7 @@ from shellsat import (
     verify_saturation,
 )
 from shellsat.cli import main
+from shellsat.complexes import Complex
 from shellsat.errors import CertificateError, FlagnessError, PurityError
 from shellsat.harness import enumerate_pure2
 from shellsat.shelling import first_shelling_violation
@@ -222,6 +225,29 @@ def test_chain_checks_each_certificate_once(tetra_boundary, monkeypatch):
     report = run_chain(tetra_boundary)
     assert report.complete and all(report.verdicts.values())
     assert calls == {"first_shelling_violation": 1, "saturation_violation": 1}
+
+
+def test_chain_scans_each_structure_once(monkeypatch):
+    """Every stage asks its subject is_pure, is_connected or is_flag2 again;
+    the scan behind each answer runs at most once per complex."""
+    disk = from_facets(["a b c", "a c d", "a d e", "a e f"]).barycentric_subdivision()
+    asks, scans, alive = Counter(), Counter(), []
+    keep = Complex._keep
+
+    def counted(self, key, compute):
+        def scan():
+            alive.append(self)  # no id is reused while counting
+            scans[id(self), key] += 1
+            return compute()
+
+        asks[key] += 1
+        return keep(self, key, scan)
+
+    monkeypatch.setattr(Complex, "_keep", counted)
+    report = run_chain(disk)
+    assert report.complete and report.subject == disk
+    assert all(asks[key] >= 2 for key in ("pure", "connected", "flag")), asks
+    assert max(scans.values()) == 1, scans
 
 
 def test_chain_refuses_a_corrupted_shelling(tmp_path, capsys, monkeypatch):

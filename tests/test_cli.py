@@ -66,6 +66,19 @@ def test_collapse_solid_tetrahedron_is_a_usage_error(workdir, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_collapse_verify_rejects_a_removed_triangle_that_is_no_facet(workdir, capsys):
+    tet = workdir / "tet.sc"
+    tet.write_text("a b c d\n")
+    assert run("info", "--json", "--in", tet) == 0
+    fingerprint = json.loads(capsys.readouterr().out)["fingerprint"]
+    cert = workdir / "tet.cert"
+    cert.write_text(f"# collapse of {fingerprint}\n# removed: a b c\n"
+                    "a -> a b c d\n# target:\nb c d\n")
+    assert run("collapse", "--verify", "--in", tet, "--cert", cert) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a triangle facet" in err
+
+
 def test_budget_exit_code(workdir):
     assert run("shell", "--in", workdir / "two.sc", "--budget", 0) == 2
 

@@ -26,7 +26,7 @@ from shellsat.collapse import (
     parse_collapse,
     peel,
 )
-from shellsat.complexes import clique_triangles
+from shellsat.complexes import clique_triangles, maximal_faces
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -526,6 +526,145 @@ def test_verify_rejects_alien_faces(triangle):
     with pytest.raises(MalformedCertificateError):
         verify_collapse(triangle, CollapseCertificate(
             frozenset({(0, 1)}), (), triangle))
+
+
+def test_verify_rejects_a_removed_triangle_inside_a_tetrahedron():
+    # Removing abc from the solid tetrahedron leaves abcd without a face,
+    # which is no complex; the steps after it would be replayed on that.
+    tet = from_facets(["a b c d"])
+    cert = CollapseCertificate(frozenset({tet.face_from_labels("a b c".split())}),
+                               (step_of(tet, "a", "a b c d"),), from_facets(["b c d"]))
+    with pytest.raises(MalformedCertificateError, match="not a triangle facet"):
+        collapse_violation(tet, cert)
+
+
+# -- the coface replay, kept as the reference -----------------------------------------
+#
+# The replay before ridge counts: the facets above a free face are the
+# maximal faces among those left above it, and a step removes every face of
+# the subject above its free face.
+
+def reference_cofacets(faces, tau):
+    return maximal_faces([g for g in faces if set(tau) < set(g)])
+
+
+def reference_step_violation(K, faces, step):
+    tau, sigma = step.free_face, step.facet
+    if not tau:
+        return "the empty face cannot be collapsed"
+    if tau not in faces:
+        return f"free face {tau} is not a face of the current complex"
+    if sigma not in faces or not set(tau) < set(sigma):
+        return f"{sigma} is not a facet strictly containing {tau}"
+    cofacets = reference_cofacets(faces, tau)
+    if sigma not in cofacets:
+        return f"{sigma} is not a facet of the current complex"
+    others = [g for g in cofacets if g != sigma]
+    if others:
+        return f"free face {tau} is also contained in facet {min(others)}"
+    return None
+
+
+def reference_apply_step(K, faces, step):
+    tau = step.free_face
+    faces.difference_update([tau] + [g for g in K.faces if set(tau) < set(g)])
+
+
+def reference_violation(K, cert):
+    faces = {f for f in K.faces if f} - set(cert.removed_triangles)
+    for i, step in enumerate(cert.steps):
+        reason = reference_step_violation(K, faces, step)
+        if reason is not None:
+            return f"step {i}: {reason}"
+        reference_apply_step(K, faces, step)
+    reached = {K.label_face(f) for f in faces}
+    expected = {cert.target.label_face(f) for f in cert.target.faces if f}
+    if reached != expected:
+        return "final complex does not equal the certificate target"
+    return None
+
+
+def reference_free_steps(K, faces):
+    return [CollapseStep(tau, up[0]) for tau in sorted(faces)
+            if len(up := reference_cofacets(faces, tau)) == 1]
+
+
+def reference_apply(K, step):
+    """apply_collapse's result, or the NotFreeError's text and blocking facet."""
+    faces = {f for f in K.faces if f}
+    reason = reference_step_violation(K, faces, step)
+    if reason is not None:
+        tau = step.free_face
+        cofacets = reference_cofacets(faces, tau) if tau in faces else []
+        return reason, min((g for g in cofacets if g != step.facet), default=None)
+    reference_apply_step(K, faces, step)
+    return from_facets([K.label_face(f) for f in maximal_faces(faces)])
+
+
+def applied(K, step):
+    try:
+        return apply_collapse(K, step)
+    except NotFreeError as exc:
+        return str(exc), exc.blocking_facet
+
+
+def random_complex(rng):
+    """Up to 6 random faces of dimension 0..3 on at most 7 vertices."""
+    n = rng.randint(2, 7)
+    facets = [rng.sample(range(n), rng.randint(1, min(4, n)))
+              for _ in range(rng.randint(1, 6))]
+    return from_facets([[f"v{v}" for v in facet] for facet in facets])
+
+
+def test_ridge_count_replay_matches_the_coface_reference():
+    """Legal steps from the reference's free faces, mixed with arbitrary
+    steps on faces of the subject (the empty face among them), after the
+    removal of a random set of triangle facets; every complex a legal
+    prefix reaches is checked for apply_collapse and free_faces too."""
+    rng = random.Random(12)
+    corpus = list(enumerate_pure2(5, 4))
+    corpus += [sample_pure2(rng, n, t)[0] for n in (6, 7, 8) for t in (3, 6, 9)
+               for _ in range(3)]
+    corpus += [random_complex(rng) for _ in range(80)]
+    assert sum(K.dim == 3 for K in corpus) >= 10
+    assert sum(not K.is_pure() for K in corpus) >= 20
+    illegal = checked = 0
+    for K in corpus:
+        pool = sorted(K.faces)
+        triangles = [f for f in K.facets if len(f) == 3]
+        for _ in range(4):
+            removed = frozenset(t for t in triangles if rng.random() < 0.3)
+            faces = {f for f in K.faces if f} - removed
+            steps = []
+            for _ in range(rng.randint(0, 12)):
+                free = reference_free_steps(K, faces)
+                if free and rng.random() < 0.8:
+                    step = rng.choice(free)
+                else:
+                    step = CollapseStep(rng.choice(pool), rng.choice(pool))
+                steps.append(step)
+                if reference_step_violation(K, faces, step) is None:
+                    reference_apply_step(K, faces, step)
+            target = K if rng.random() < 0.2 else from_facets(
+                [K.label_face(f) for f in maximal_faces(faces)])
+            cert = CollapseCertificate(removed, tuple(steps), target)
+            expected = reference_violation(K, cert)
+            assert collapse_violation(K, cert) == expected, (K.facets, cert)
+            illegal += expected is not None
+
+        current = K
+        while True:
+            free = free_faces(current)
+            assert free == reference_free_steps(current, {f for f in current.faces if f})
+            pool = sorted(current.faces)
+            for step in free[:3] + [CollapseStep(rng.choice(pool), rng.choice(pool))
+                                    for _ in range(3)]:
+                assert applied(current, step) == reference_apply(current, step)
+                checked += 1
+            if not free:
+                break
+            current = apply_collapse(current, rng.choice(free))
+    assert illegal >= 100 and checked >= 1000
 
 
 # -- certificate files ---------------------------------------------------------------------

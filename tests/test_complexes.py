@@ -234,12 +234,6 @@ def test_maximal_faces_matches_brute_force_filter():
         assert maximal_faces(faces) == brute
 
 
-def test_cofaces_are_the_faces_strictly_above(bowtie):
-    for tau in bowtie.faces:
-        above = sorted(g for g in bowtie.faces if set(tau) < set(g))
-        assert sorted(bowtie.cofaces(tau)) == above
-
-
 def test_from_facets_idempotent_on_facets():
     for K in random_corpus():
         rebuilt = from_facets([K.label_face(f) for f in K.facets])
