@@ -23,7 +23,7 @@ from .collapse import (
     peel,
     verify_collapse,
 )
-from .complexes import Complex, Face, from_facets, is_connected_graph
+from .complexes import Complex, Face, is_connected_graph
 from .errors import (
     CertificateError,
     ConnectivityError,
@@ -148,8 +148,7 @@ def saturation_to_collapse(L: Complex,
     steps += [CollapseStep((n - 1 - leaf,), (n - 1 - u, n - 1 - v))
               for (leaf,), (u, v) in down]
     (target,) = set(range(n)).difference(n - 1 - leaf for (leaf,), _ in down)
-    return CollapseCertificate(removed, tuple(steps),
-                               from_facets([L.label_face((target,))]))
+    return CollapseCertificate(removed, tuple(steps), L.induced([(target,)]))
 
 
 def check_removal_count(L: Complex, cert: CollapseCertificate) -> bool:

@@ -128,7 +128,7 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
     if reason is not None:
         raise NotFreeError(reason, blocking_facet=_other_facet(faces, up, step))
     _apply_step(faces, up, step)
-    return from_facets([K.label_face(f) for f in faces if not up[f]])
+    return K.induced(f for f in faces if not up[f])
 
 
 def free_faces(K: Complex) -> list[CollapseStep]:
@@ -199,7 +199,7 @@ def _collapse(K: Complex, removed: frozenset[Face],
         return None
     (target,) = set(range(K.n_vertices)).difference(v for (v,), _ in down)
     steps = tuple(CollapseStep(*pair) for pair in up + down)
-    return CollapseCertificate(removed, steps, from_facets([K.label_face((target,))]))
+    return CollapseCertificate(removed, steps, K.induced([(target,)]))
 
 
 # -- the triangle 2-core engine -------------------------------------------------

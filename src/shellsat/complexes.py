@@ -4,7 +4,9 @@ A complex is stored as the downward closure of its facet list.  Vertex ids
 are assigned by sorting the original string labels, so two complexes built
 from the same label faces are structurally identical, serialize to the same
 bytes and share one fingerprint.  Faces are strictly increasing id tuples;
-the empty face ``()`` is always present.
+the empty face ``()`` is always present.  Labels are read only by
+:func:`from_facets` and ".sc" parsing and written only by ``to_sc`` and the
+formatters; derived complexes are built on ids.
 
 Complexes are immutable after construction and safe to share between
 threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
@@ -105,16 +107,19 @@ def maximal_faces(faces: Iterable[Face]) -> list[Face]:
 
 
 class Complex:
-    """Immutable simplicial complex; construct via :func:`from_facets`."""
+    """Immutable simplicial complex, read from labels by :func:`from_facets`;
+    :meth:`induced` and :meth:`barycentric_subdivision` derive on ids."""
 
     __slots__ = ("labels", "facets", "faces", "_kept")
 
-    def __init__(self, labels: tuple[str, ...], facets: tuple[Face, ...],
-                 faces: frozenset[Face]):
-        # Internal constructor; invariants are established by from_facets.
-        self.labels = labels
-        self.facets = facets
-        self.faces = faces
+    def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
+        """The closure of id_faces (increasing id tuples) on sorted labels."""
+        if not labels:
+            raise EmptyComplexError("a complex must have at least one vertex")
+        listed = set(id_faces)
+        self.labels = tuple(labels)
+        self.facets = tuple(sorted(maximal_faces(listed)))
+        self.faces = frozenset(sub for f in listed for sub in subfaces(f))
         self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -229,34 +234,42 @@ class Complex:
         """
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
-        return self._keep(("skeleton", k), lambda: from_facets(
-            [self.label_face(f) for f in self.faces if 0 < len(f) <= k + 1]))
+        return self._keep(("skeleton", k), lambda: self.induced(
+            f for f in self.faces if 0 < len(f) <= k + 1))
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
-        """The subcomplex induced by the listed faces (their downward closure)."""
+        """The subcomplex closing the listed faces, its vertices renumbered in
+        order: labels stay sorted, so it equals the complex built from labels."""
         listed = [tuple(f) for f in faces]
         for f in listed:
             if f not in self.faces or not f:
                 raise NotAFaceError(f"{f} is not a nonempty face of the complex")
-        return from_facets([self.label_face(f) for f in listed])
+        kept = sorted({v for f in listed for v in f})
+        new = {v: i for i, v in enumerate(kept)}
+        return Complex([self.labels[v] for v in kept],
+                       [tuple(new[v] for v in f) for f in listed])
 
     def barycentric_subdivision(self) -> "Complex":
         """The complex of chains of nonempty faces.
 
         New vertex labels serialize the original face: the face with labels
         a, b becomes "{a|b}".  Facets are the maximal chains, one per
-        (facet, vertex order) pair of the original complex.
+        (facet, vertex order) pair of the original complex.  Two faces
+        that serialize alike (the edge "a b", the vertex "a|b") raise.
         """
-        def chain_label(face: Face) -> str:
-            return "{" + "|".join(self.label_face(face)) + "}"
-
-        new_facets = []
-        for facet in self.facets:
-            for order in permutations(facet):
-                prefix_chain = [chain_label(tuple(sorted(order[:k + 1])))
-                                for k in range(len(order))]
-                new_facets.append(prefix_chain)
-        return from_facets(new_facets)
+        named: dict[str, Face] = {}
+        for face in filter(None, self.faces):
+            name = "{" + "|".join(self.label_face(face)) + "}"
+            other = named.setdefault(name, face)
+            if other != face:
+                a, b = (" ".join(self.label_face(f)) for f in sorted((other, face)))
+                raise ShellsatError(
+                    f"faces {a!r} and {b!r} both subdivide to vertex {name!r}")
+        labels = sorted(named)
+        vertex = {named[name]: v for v, name in enumerate(labels)}
+        return Complex(labels, [
+            tuple(sorted(vertex[tuple(sorted(order[:k + 1]))] for k in range(len(order))))
+            for facet in self.facets for order in permutations(facet)])
 
     # -- serialization -------------------------------------------------------
 
@@ -272,26 +285,11 @@ class Complex:
         return "\n".join(lines) + "\n"
 
 
-def _build(label_faces: Iterable[tuple[str, ...]]) -> Complex:
-    """Normalize label faces into a Complex (id assignment, closure, facets)."""
-    listed = list(label_faces)
-    vertex_labels = sorted({lab for face in listed for lab in face})
-    if not vertex_labels:
-        raise EmptyComplexError("a complex must have at least one vertex")
-    index = {lab: v for v, lab in enumerate(vertex_labels)}
-
-    id_faces = set()
-    for face in listed:
-        ids = tuple(sorted(index[lab] for lab in face))
-        if len(ids) > MAX_DIMENSION + 1:
-            raise UnsupportedDimensionError(
-                f"face {' '.join(face)!r} has dimension {len(ids) - 1}; "
-                f"the supported maximum is {MAX_DIMENSION}")
-        id_faces.add(ids)
-
-    faces = {sub for f in id_faces for sub in subfaces(f)}
-    facets = sorted(maximal_faces(id_faces))
-    return Complex(tuple(vertex_labels), tuple(facets), frozenset(faces))
+def _build(label_faces: list[tuple[str, ...]]) -> Complex:
+    """The Complex of valid label faces: labels -> ids."""
+    labels = sorted({lab for face in label_faces for lab in face})
+    index = {lab: v for v, lab in enumerate(labels)}
+    return Complex(labels, [tuple(sorted(map(index.get, face))) for face in label_faces])
 
 
 def from_facets(facets: Iterable[str | Sequence[str]]) -> Complex:
@@ -309,6 +307,10 @@ def from_facets(facets: Iterable[str | Sequence[str]]) -> Complex:
         if len(set(labels)) != len(labels):
             raise MalformedFaceError(
                 f"face {' '.join(labels)!r} repeats a vertex")
+        if len(labels) > MAX_DIMENSION + 1:
+            raise UnsupportedDimensionError(
+                f"face {' '.join(labels)!r} has dimension {len(labels) - 1}; "
+                f"the supported maximum is {MAX_DIMENSION}")
         label_faces.append(labels)
     return _build(label_faces)
 

@@ -19,7 +19,7 @@ from typing import Iterator
 from .collapse import Triangle
 from .complexes import Complex, from_facets, is_connected_graph
 from .errors import OracleBoundError, ParameterError
-from .wsat import graph_complex
+from .wsat import _subgraph, graph_complex
 
 MODES = ("random-pure-2", "enumerate-all", "subdivide-depth-k")
 
@@ -206,8 +206,7 @@ def sample_connected_graph(rng: random.Random, n: int, p: float) -> Complex:
 
 def sample_spanning_subgraph(rng: random.Random, F: Complex, p: float) -> Complex:
     """A seeded spanning subgraph of F keeping each edge with probability p."""
-    kept = [F.label_face(e) for e in F.faces_of_dim(1) if rng.random() < p]
-    return graph_complex(F.labels, kept)
+    return _subgraph(F, {e for e in F.edges if rng.random() < p})
 
 
 # -- brute-force oracles --------------------------------------------------------

@@ -189,6 +189,12 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
     None at once when b1 != 0, and otherwise when no such deletion exists.
     Spends one node for the core and one per search node; no
     collapse steps are spent, as nothing is collapsed.
+
+    The refutation is exact on pure connected 2-complexes by Hachimori's
+    criterion (*Decompositions of two-dimensional simplicial complexes*,
+    2008): connected links plus a chi~-removal leaving a collapsible complex
+    (an empty core leaves a connected graph with chi~ = 0, a tree) give a
+    shelling, so after None the search finds one.
     """
     link: list[list[Face]] = [[] for _ in range(K.n_vertices)]
     triangles = K.triangles

@@ -81,7 +81,7 @@ def graph_complex(vertex_labels, edge_label_pairs) -> Complex:
 
 
 def _subgraph(F: Complex, edges: set[Edge]) -> Complex:
-    return graph_complex(F.labels, [F.label_face(e) for e in sorted(edges)])
+    return F.induced([*edges, *zip(range(F.n_vertices))])
 
 
 def _bootstrap(n: int, host: set[Edge],
@@ -289,6 +289,7 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
     read_certificate(text, SATURATION, F, read)
     if not saw_start:
         raise MalformedCertificateError("certificate must contain '# start:'")
-    start = _subgraph(F, set(start_edges))
+    # Read, not derived: a start edge outside F is reported by the verifier.
+    start = graph_complex(F.labels, [F.label_face(e) for e in start_edges])
     return SaturationCertificate(start, tuple(order), tuple(witnesses),
                                  pattern=pattern)

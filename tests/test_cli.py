@@ -283,6 +283,24 @@ def test_sd_writes_subdivision(workdir, capsys):
     assert data["f_vector"] == [1, 11, 22, 12]
 
 
+def test_sd_label_clash_exit_code(workdir, capsys):
+    # The edge "a b" and the vertex "a|b" both serialize to "{a|b}".
+    pipe = workdir / "pipe.sc"
+    pipe.write_text("a b a|b\nb c y\na c z\n")
+    assert run("sd", "--in", pipe) == 3
+    assert "'{a|b}'" in capsys.readouterr().err
+    assert run("chain", "--in", pipe) == 3
+
+
+def test_sd_depth_one_twice_is_depth_two(workdir):
+    once, twice, direct = (workdir / name for name in ("1.sc", "11.sc", "2.sc"))
+    assert run("sd", "--in", workdir / "two.sc", "--out", once) == 0
+    assert run("sd", "--in", once, "--out", twice) == 0
+    assert run("sd", "--depth", 2, "--in", workdir / "two.sc", "--out", direct) == 0
+    body = [path.read_text().split("\n", 1)[1] for path in (twice, direct)]
+    assert body[0] == body[1]
+
+
 def test_chain_report(workdir, capsys):
     report = workdir / "report.txt"
     assert run("chain", "--in", workdir / "two.sc", "--out", report) == 0

@@ -1,20 +1,34 @@
 """Core complex representation: construction, predicates, sd, .sc format."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from shellsat import from_facets, parse_sc, parse_sc_with_warnings
+from shellsat import (
+    apply_collapse,
+    free_faces,
+    from_facets,
+    graph_complex,
+    parse_sc,
+    parse_sc_with_warnings,
+)
 from shellsat.complexes import Complex, maximal_faces
 from shellsat.errors import (
     EmptyComplexError,
     MalformedFaceError,
     NotAFaceError,
     ParseError,
+    ShellsatError,
     UnsupportedDimensionError,
 )
-from shellsat.harness import sample_pure2
+from shellsat.harness import (
+    enumerate_connected_graphs,
+    enumerate_pure2,
+    flag_dunce_hat,
+    sample_pure2,
+)
+from shellsat.wsat import _subgraph
 
 
 # -- construction ---------------------------------------------------------------
@@ -157,6 +171,24 @@ def test_sd_faces_match_chain_oracle(two_triangles, bowtie):
         assert sd_faces_as_chains(K, sd) == brute_force_chains(K)
 
 
+def test_sd_rejects_faces_that_serialize_alike():
+    # The edge "a b" and the vertex "a|b" would both become "{a|b}".
+    K = from_facets(["a b a|b", "b c y", "a c z"])
+    with pytest.raises(ShellsatError, match=r"'a b' and 'a\|b'.*'\{a\|b\}'"):
+        K.barycentric_subdivision()
+    assert from_facets(["a b x", "b c y", "a c z"]).barycentric_subdivision(
+        ).f_vector() == (1, 18, 36, 18)
+
+
+def test_sd_of_parsed_sd_output_keeps_every_face(two_triangles):
+    # Well-bracketed sd labels never serialize alike, so sd twice through
+    # ".sc" text is sd twice in memory.
+    sd = parse_sc(two_triangles.barycentric_subdivision().to_sc())
+    sd2 = two_triangles.barycentric_subdivision().barycentric_subdivision()
+    assert sd.barycentric_subdivision() == sd2
+    assert sd2.f_vector() == (1, 45, 116, 72)
+
+
 def test_sd_serialization_is_frozen(triangle):
     # The brace-and-bar naming scheme is a fixed output contract.
     assert triangle.barycentric_subdivision().to_sc() == (
@@ -238,6 +270,79 @@ def test_from_facets_idempotent_on_facets():
     for K in random_corpus():
         rebuilt = from_facets([K.label_face(f) for f in K.facets])
         assert rebuilt == K
+
+
+# -- the id build against the label build -------------------------------------------
+#
+# Derived complexes are built on ids.  The references below build the same
+# complexes the old way, from label faces through from_facets; both must
+# agree as values and byte for byte.
+
+def label_skeleton(K: Complex, k: int) -> Complex:
+    return from_facets([K.label_face(f) for f in K.faces if 0 < len(f) <= k + 1])
+
+
+def label_induced(K: Complex, faces) -> Complex:
+    return from_facets([K.label_face(f) for f in faces])
+
+
+def label_sd(K: Complex) -> Complex:
+    """One "{a|b}" label per face in each chain it appears in."""
+    def chain_label(face):
+        return "{" + "|".join(K.label_face(face)) + "}"
+
+    return from_facets([[chain_label(tuple(sorted(order[:k + 1])))
+                         for k in range(len(order))]
+                        for facet in K.facets for order in permutations(facet)])
+
+
+def label_collapse(K: Complex, step) -> Complex:
+    tau, sigma = set(step.free_face), set(step.facet)
+    left = [f for f in K.faces if f and not tau <= set(f) <= sigma]
+    return from_facets([K.label_face(f) for f in maximal_faces(left)])
+
+
+def assert_same(built: Complex, reference: Complex) -> None:
+    assert built == reference
+    assert built.labels == reference.labels and built.faces == reference.faces
+    assert built.to_sc() == reference.to_sc()
+    assert built.fingerprint == reference.fingerprint
+
+
+def id_build_corpus() -> list[Complex]:
+    classes = list(enumerate_pure2(5, 5))
+    tetrahedron = from_facets(["a b c d"])
+    return (classes + [K.barycentric_subdivision() for K in classes]
+            + [flag_dunce_hat(), tetrahedron, tetrahedron.barycentric_subdivision()]
+            + list(enumerate_connected_graphs(5)))
+
+
+def test_id_build_matches_label_build():
+    rng = random.Random(13)
+    for K in id_build_corpus():
+        for k in range(K.dim + 1):
+            assert_same(K.skeleton(k), label_skeleton(K, k))
+        for _ in range(3):
+            subset = rng.sample(K.facets, rng.randint(1, len(K.facets)))
+            assert_same(K.induced(subset), label_induced(K, subset))
+        assert_same(K.barycentric_subdivision(), label_sd(K))
+
+
+def test_apply_collapse_matches_label_build():
+    for K in id_build_corpus():
+        for step in free_faces(K):
+            assert_same(apply_collapse(K, step), label_collapse(K, step))
+
+
+def test_subgraph_matches_graph_complex():
+    rng = random.Random(17)
+    graphs = [*enumerate_connected_graphs(5),
+              *(K.skeleton(1) for K in enumerate_pure2(5, 3))]
+    for G in graphs:
+        for _ in range(4):
+            edges = {e for e in G.edges if rng.random() < 0.5}
+            assert_same(_subgraph(G, edges), graph_complex(
+                G.labels, [G.label_face(e) for e in sorted(edges)]))
 
 
 def test_sd_preserves_euler_characteristic():

@@ -8,7 +8,10 @@ from shellsat.complexes import maximal_faces, subfaces
 import pytest
 
 from shellsat import (
+    SaturationCertificate,
     ShellingCertificate,
+    collapsible_after_removing,
+    decide_wsat_eq_treesize,
     find_shelling,
     first_shelling_violation,
     from_facets,
@@ -323,6 +326,32 @@ def test_subdivided_refutables_are_decided_within_small_budgets():
     for facets in (annulus, mobius, wedge):
         K = from_facets(facets).barycentric_subdivision()
         assert find_shelling(K, Budget(200)) == Unshellable()
+
+
+def test_three_deciders_agree_on_flag_complexes():
+    """Hachimori's criterion: a flag, pure, connected 2-complex L shells
+    iff its vertex links are connected and some chi~ of its triangles can be
+    removed to leave a collapsible complex, iff its links are connected and
+    a spanning tree of its 1-skeleton is weakly K3-saturated.  The three
+    deciders must agree where the oracles cannot reach."""
+    corpus = [K.barycentric_subdivision() for K in enumerate_pure2(6, 6)]
+    corpus.append(flag_dunce_hat())
+    assert len(corpus) == 169
+    verdicts = []
+    for L in corpus:
+        links = all(L.induced(tuple(u for u in t if u != v)
+                              for t in L.triangles if v in t).is_connected()
+                    for v in range(L.n_vertices))
+        chi = L.reduced_euler_characteristic()
+        shelled = find_shelling(L, 100_000)
+        tree = decide_wsat_eq_treesize(L.skeleton(1), 100_000)
+        removal = collapsible_after_removing(L, chi, 100_000) if chi >= 0 else None
+        assert BudgetExceeded not in (type(shelled), type(tree), type(removal)), L.facets
+        verdict = isinstance(shelled, ShellingCertificate)
+        assert verdict == (links and isinstance(tree, SaturationCertificate)), L.facets
+        assert verdict == (links and isinstance(removal, tuple)), L.facets
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # -- certificate files --------------------------------------------------------------
