@@ -25,7 +25,6 @@ from .complexes import (
     certificate_header,
     from_facets,
     listed_faces,
-    proper_subfaces,
     read_certificate,
     subfaces,
 )
@@ -135,8 +134,8 @@ def free_faces(K: Complex) -> list[CollapseStep]:
     """All currently legal collapse steps, in lexicographic face order."""
     faces, up = _replay(K)
     return sorted((CollapseStep(tau, sigma) for sigma in faces if not up[sigma]
-                   for tau in proper_subfaces(sigma)
-                   if tau and up[tau] == len(sigma) - len(tau)),
+                   for k in range(1, len(sigma)) for tau in combinations(sigma, k)
+                   if up[tau] == len(sigma) - len(tau)),
                   key=lambda step: step.free_face)
 
 

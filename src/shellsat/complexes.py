@@ -1,12 +1,12 @@
 """Finite simplicial complexes over dense integer vertex ids.
 
-A complex is stored as the downward closure of its facet list.  Vertex ids
-are assigned by sorting the original string labels, so two complexes built
-from the same label faces are structurally identical, serialize to the same
-bytes and share one fingerprint.  Faces are strictly increasing id tuples;
-the empty face ``()`` is always present.  Labels are read only by
-:func:`from_facets` and ".sc" parsing and written only by ``to_sc`` and the
-formatters; derived complexes are built on ids.
+A complex is the downward closure of its facets; one largest-first sweep
+over the listed faces builds both.  Vertex ids follow sorted label order,
+so complexes built from the same label faces are identical, serialize to
+the same bytes and share one fingerprint.  Faces are strictly increasing
+id tuples; the empty face ``()`` is always present.  Labels are read only
+by :func:`from_facets` and ".sc" parsing (each distinct label checked
+once) and written only by ``to_sc`` and the formatters.
 
 Complexes are immutable after construction and safe to share between
 threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
@@ -48,11 +48,6 @@ def subfaces(face: Face) -> Iterable[Face]:
     return chain.from_iterable(combinations(face, k) for k in range(len(face) + 1))
 
 
-def proper_subfaces(face: Face) -> Iterable[Face]:
-    """All subsets of a face except the face itself, the empty face included."""
-    return chain.from_iterable(combinations(face, k) for k in range(len(face)))
-
-
 def is_connected_graph(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the edges join the vertices 0..n-1 into one component.
 
@@ -90,22 +85,6 @@ def clique_triangles(n: int,
             for w in sorted(adjacency[u] & adjacency[v]) if w > v]
 
 
-def maximal_faces(faces: Iterable[Face]) -> list[Face]:
-    """The listed faces not strictly contained in another listed face.
-
-    Every proper subface of every listed face is collected once; a face is
-    maximal exactly when it is not in that set.  With at most 2^(d+1)
-    subfaces per face this is linear in the number of faces for bounded
-    dimension d.  Faces are id tuples in increasing order; the result keeps
-    the input order.
-    """
-    listed = list(faces)
-    if len(listed) < 2:
-        return listed
-    below = {sub for f in listed for sub in proper_subfaces(f)}
-    return [f for f in listed if f not in below]
-
-
 class Complex:
     """Immutable simplicial complex, read from labels by :func:`from_facets`;
     :meth:`induced` and :meth:`barycentric_subdivision` derive on ids."""
@@ -113,13 +92,24 @@ class Complex:
     __slots__ = ("labels", "facets", "faces", "_kept")
 
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
-        """The closure of id_faces (increasing id tuples) on sorted labels."""
+        """The closure of id_faces (increasing id tuples) on sorted labels.
+
+        One sweep over the distinct faces, largest first: a face already in
+        the closure is not a facet; any other face is one and adds its
+        subfaces.  Distinct faces of one size never contain each other, so
+        a face not covered by a larger listed face is maximal.
+        """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
-        listed = set(id_faces)
+        faces: set[Face] = set()
+        facets = []
+        for f in sorted(set(id_faces), key=len, reverse=True):
+            if f not in faces:
+                facets.append(f)
+                faces.update(subfaces(f))
         self.labels = tuple(labels)
-        self.facets = tuple(sorted(maximal_faces(listed)))
-        self.faces = frozenset(sub for f in listed for sub in subfaces(f))
+        self.facets = tuple(sorted(facets))
+        self.faces = frozenset(faces)
         self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -209,9 +199,10 @@ class Complex:
         return self._keep("pure", lambda: len({len(f) for f in self.facets}) == 1)
 
     def is_connected(self) -> bool:
-        """Connectivity of the 1-skeleton (single vertices count as components)."""
+        """Connectivity of the 1-skeleton (single vertices count as components).
+        Every edge lies in a facet, so joining each facet's vertices suffices."""
         return self._keep("connected", lambda: is_connected_graph(
-            self.n_vertices, (f for f in self.faces if len(f) == 2)))
+            self.n_vertices, ((f[0], v) for f in self.facets for v in f[1:])))
 
     def is_flag2(self) -> bool:
         """True iff every 3-clique of the 1-skeleton spans a triangle.
@@ -274,22 +265,23 @@ class Complex:
     # -- serialization -------------------------------------------------------
 
     def to_sc(self) -> str:
-        """Serialize to the ".sc" text format: one facet per line, sorted."""
-        lines = []
-        for facet in self.facets:
-            labels = self.label_face(facet)
-            for lab in labels:
-                if not LABEL_RE.match(lab):
-                    raise ShellsatError(f"label {lab!r} is not serializable")
-            lines.append(" ".join(labels))
-        return "\n".join(lines) + "\n"
+        """Serialize to the ".sc" text format: one facet per line, sorted.
+        Each label is checked once; the first bad one in facet order raises."""
+        bad = {lab for lab in self.labels if not LABEL_RE.match(lab)}
+        if bad:
+            first = next((lab for f in self.facets for lab in self.label_face(f)
+                          if lab in bad), None)
+            if first is not None:
+                raise ShellsatError(f"label {first!r} is not serializable")
+        return "\n".join(" ".join(self.label_face(f)) for f in self.facets) + "\n"
 
 
-def _build(label_faces: list[tuple[str, ...]]) -> Complex:
-    """The Complex of valid label faces: labels -> ids."""
+def _build(label_faces: list[tuple[str, ...]]) -> tuple[Complex, list[Face]]:
+    """The Complex of valid label faces, and the id face of each: labels -> ids."""
     labels = sorted({lab for face in label_faces for lab in face})
     index = {lab: v for v, lab in enumerate(labels)}
-    return Complex(labels, [tuple(sorted(map(index.get, face))) for face in label_faces])
+    id_faces = [tuple(sorted(map(index.get, face))) for face in label_faces]
+    return Complex(labels, id_faces), id_faces
 
 
 def from_facets(facets: Iterable[str | Sequence[str]]) -> Complex:
@@ -312,7 +304,7 @@ def from_facets(facets: Iterable[str | Sequence[str]]) -> Complex:
                 f"face {' '.join(labels)!r} has dimension {len(labels) - 1}; "
                 f"the supported maximum is {MAX_DIMENSION}")
         label_faces.append(labels)
-    return _build(label_faces)
+    return _build(label_faces)[0]
 
 
 def parse_sc(text: str) -> Complex:
@@ -329,14 +321,16 @@ def parse_sc_with_warnings(text: str) -> tuple[Complex, list[str]]:
     with the offending 1-based line number.
     """
     listed: list[tuple[int, tuple[str, ...]]] = []
+    good: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         labels = tuple(line.split())
         for lab in labels:
-            if not LABEL_RE.match(lab):
+            if lab not in good and not LABEL_RE.match(lab):
                 raise ParseError(f"bad vertex label {lab!r}", lineno)
+        good.update(labels)
         if len(set(labels)) != len(labels):
             raise ParseError(f"face {line!r} repeats a vertex", lineno)
         if len(labels) > MAX_DIMENSION + 1:
@@ -348,15 +342,13 @@ def parse_sc_with_warnings(text: str) -> tuple[Complex, list[str]]:
     if not listed:
         raise ParseError("no facets found; a complex must have at least one vertex")
 
-    complex_ = _build([labels for _, labels in listed])
-    facet_set = {complex_.label_face(f) for f in complex_.facets}
+    complex_, id_faces = _build([labels for _, labels in listed])
+    unlisted = set(complex_.facets)  # a facet listed again is absorbed
     warnings = []
-    seen: set[tuple[str, ...]] = set()
-    for lineno, labels in listed:
-        canonical = tuple(sorted(labels))  # ids follow sorted label order
-        if canonical not in facet_set or canonical in seen:
+    for (lineno, labels), face in zip(listed, id_faces):
+        if face not in unlisted:
             warnings.append(f"line {lineno}: face {' '.join(labels)!r} absorbed")
-        seen.add(canonical)
+        unlisted.discard(face)
     return complex_, warnings
 
 

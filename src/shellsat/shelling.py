@@ -7,10 +7,9 @@ safe pruning possible; the verifier is dimension-generic, the search is
 exercised at dimension 2.
 """
 
-from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import combinations
 
 from .collapse import least_removal
 from .complexes import (
@@ -35,11 +34,6 @@ class ShellingCertificate:
     """An ordering of all facets witnessing shellability."""
 
     order: tuple[Face, ...]
-
-
-def _proper_subfaces(facet: Face) -> list[Face]:
-    return [sub for k in range(1, len(facet))
-            for sub in combinations(facet, k)]
 
 
 def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | None:
@@ -91,12 +85,13 @@ class _Prefix:
     def __init__(self, K: Complex):
         d = K.dim
         self.full = (1 << (d + 1)) - 1
-        slot = {sum(1 << j for j in positions): n
-                for n, positions in enumerate(_proper_subfaces(tuple(range(d + 1))))}
+        slot = {sum(1 << j for j in positions): n for n, positions in enumerate(
+            p for k in range(1, d + 1) for p in combinations(range(d + 1), k))}
         self.slot = [slot.get(mask) for mask in range(self.full)]
         self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
-        ids: dict[Face, int] = defaultdict(count().__next__)
-        self.subfaces = [[ids[f] for f in _proper_subfaces(facet)] for facet in K.facets]
+        ids: dict[Face, int] = {}
+        self.subfaces = [[ids.setdefault(f, len(ids)) for k in range(1, d + 1)
+                          for f in combinations(facet, k)] for facet in K.facets]
         self.holders: list[list[int]] = [[] for _ in range(len(ids))]
         for i, sub in enumerate(self.subfaces):
             for k in self.ridge_slots:

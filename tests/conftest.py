@@ -1,6 +1,22 @@
+from itertools import combinations
+
 import pytest
 
 from shellsat import from_facets, graph_complex
+
+
+def maximal_faces(faces):
+    """Reference filter: the listed faces not strictly contained in another
+    listed face, in input order.
+
+    Every proper subface of every listed face is collected once; a face is
+    maximal exactly when it is not in that set.
+    """
+    listed = list(faces)
+    if len(listed) < 2:
+        return listed
+    below = {sub for f in listed for k in range(len(f)) for sub in combinations(f, k)}
+    return [f for f in listed if f not in below]
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from shellsat.collapse import (
     parse_collapse,
     peel,
 )
-from shellsat.complexes import clique_triangles, maximal_faces
+from shellsat.complexes import clique_triangles
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -44,6 +44,7 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
+from conftest import maximal_faces
 
 
 def step_of(K, free_labels, facet_labels):

@@ -1,5 +1,6 @@
 """Core complex representation: construction, predicates, sd, .sc format."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -13,7 +14,7 @@ from shellsat import (
     parse_sc,
     parse_sc_with_warnings,
 )
-from shellsat.complexes import Complex, maximal_faces
+from shellsat.complexes import LABEL_RE, Complex, is_connected_graph
 from shellsat.errors import (
     EmptyComplexError,
     MalformedFaceError,
@@ -29,6 +30,7 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.wsat import _subgraph
+from conftest import maximal_faces
 
 
 # -- construction ---------------------------------------------------------------
@@ -343,6 +345,146 @@ def test_subgraph_matches_graph_complex():
             edges = {e for e in G.edges if rng.random() < 0.5}
             assert_same(_subgraph(G, edges), graph_complex(
                 G.labels, [G.label_face(e) for e in sorted(edges)]))
+
+
+# -- the one-sweep build against the earlier passes ----------------------------------
+#
+# Complex.__init__ builds the closure and the facets in one largest-first
+# sweep, parsing checks each distinct label once and compares absorbed faces
+# as id faces, to_sc checks each label once and is_connected joins vertices
+# within facets.  The references below are the earlier passes of each.
+
+def reference_build(id_faces) -> tuple[tuple, frozenset]:
+    """maximal_faces for the facets, then every subface of every face."""
+    listed = set(id_faces)
+    facets = tuple(sorted(maximal_faces(listed)))
+    faces = frozenset(sub for f in listed for k in range(len(f) + 1)
+                      for sub in combinations(f, k))
+    return facets, faces
+
+
+def reference_to_sc(K: Complex) -> str:
+    """Every label occurrence checked, facet by facet."""
+    lines = []
+    for facet in K.facets:
+        labels = K.label_face(facet)
+        for lab in labels:
+            if not LABEL_RE.match(lab):
+                raise ShellsatError(f"label {lab!r} is not serializable")
+        lines.append(" ".join(labels))
+    return "\n".join(lines) + "\n"
+
+
+def reference_connected(K: Complex) -> bool:
+    return is_connected_graph(K.n_vertices, (f for f in K.faces if len(f) == 2))
+
+
+def reference_parse(text: str) -> tuple[Complex, list[str]]:
+    """Every label occurrence checked; absorbed faces compared as label tuples."""
+    listed = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        labels = tuple(line.split())
+        for lab in labels:
+            if not LABEL_RE.match(lab):
+                raise ParseError(f"bad vertex label {lab!r}", lineno)
+        listed.append((lineno, labels))
+    K = from_facets([labels for _, labels in listed])
+    facet_set = {K.label_face(f) for f in K.facets}
+    warnings, seen = [], set()
+    for lineno, labels in listed:
+        canonical = tuple(sorted(labels))
+        if canonical not in facet_set or canonical in seen:
+            warnings.append(f"line {lineno}: face {' '.join(labels)!r} absorbed")
+        seen.add(canonical)
+    return K, warnings
+
+
+def outcome(compute):
+    """The value of compute(), or the type and text of the error it raises."""
+    try:
+        return compute()
+    except ShellsatError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def sweep_corpus() -> list[Complex]:
+    """The id-build corpus, 0-dimensional complexes and 200 seeded id-face
+    lists of mixed sizes with duplicates and nested faces."""
+    rng = random.Random(23)
+    out = id_build_corpus()
+    out += [from_facets(list("abcdefg"[:n])) for n in range(1, 8)]
+    out.append(Complex(["a", "b", "c"], [(2,), (0,), (1,), (0,)]))
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        pool = [f for k in range(1, 5) for f in combinations(range(n), k)]
+        faces = [rng.choice(pool) for _ in range(rng.randint(1, 20))]
+        faces += rng.sample(faces, rng.randint(0, len(faces)))
+        faces += [f[:k] for f in faces[:3] for k in range(1, len(f))]
+        rng.shuffle(faces)
+        out.append(Complex([f"v{i}" for i in range(n)], faces))
+    return out
+
+
+def test_one_sweep_build_matches_two_pass_build():
+    rng = random.Random(29)
+    for K in sweep_corpus():
+        listing = [f for f in K.faces if f and rng.random() < 0.3] + list(K.facets)
+        rng.shuffle(listing)
+        for faces in (K.facets, listing, listing + listing[:5]):
+            built = Complex(K.labels, faces)
+            assert (built.facets, built.faces) == reference_build(faces)
+        assert K.to_sc() == reference_to_sc(K)
+        assert K.fingerprint == hashlib.sha256(
+            reference_to_sc(K).encode("utf-8")).hexdigest()[:16]
+        assert K.is_connected() == reference_connected(K)
+
+
+def test_label_checks_match_per_occurrence_checks():
+    rng = random.Random(31)
+    for K in sweep_corpus():
+        lines = K.to_sc().splitlines()
+        lines += [" ".join(reversed(line.split()))
+                  for line in rng.sample(lines, min(2, len(lines)))]
+        lines += [" ".join(line.split()[1:]) for line in lines[:2] if " " in line]
+        rng.shuffle(lines)
+        text = "\n".join(lines) + "\n"
+        assert outcome(lambda: parse_sc_with_warnings(text)) == outcome(
+            lambda: reference_parse(text))
+        bad = rng.choice(K.labels)
+        broken = text.replace(bad, bad + "!")
+        assert outcome(lambda: parse_sc_with_warnings(broken)) == outcome(
+            lambda: reference_parse(broken))
+        relabeled = Complex([lab + "?" if rng.random() < 0.2 else lab
+                             for lab in K.labels], K.facets)
+        assert outcome(relabeled.to_sc) == outcome(lambda: reference_to_sc(relabeled))
+
+
+def test_to_sc_names_the_first_bad_label_in_facet_order():
+    # 'y?' comes first in label order, 'z!' in facet order.
+    with pytest.raises(ShellsatError, match="'z!'"):
+        from_facets(["a z!", "b y?"]).to_sc()
+
+
+def test_bad_label_is_reported_at_its_first_line():
+    with pytest.raises(ParseError, match="bad vertex label 'e!'") as exc:
+        parse_sc("a b\nb c a\nc e!\ne! a\n")
+    assert exc.value.line == 3
+
+
+def test_absorbed_warnings_keep_order_and_text():
+    cases = {
+        "a b c\nc b a\n": ["line 2: face 'c b a' absorbed"],
+        "b c\na b c\n": ["line 1: face 'b c' absorbed"],
+        "a b\na b\na b\n": ["line 2: face 'a b' absorbed",
+                             "line 3: face 'a b' absorbed"],
+        "a b c\nb c\nc b a\nb c d\n": ["line 2: face 'b c' absorbed",
+                                       "line 3: face 'c b a' absorbed"],
+    }
+    for text, expected in cases.items():
+        assert parse_sc_with_warnings(text)[1] == expected
 
 
 def test_sd_preserves_euler_characteristic():

@@ -1,9 +1,10 @@
 """Shelling verifier and search, cross-checked against raw permutation search."""
 
 import random
-from itertools import permutations
+from collections import defaultdict
+from itertools import combinations, count, permutations
 
-from shellsat.complexes import maximal_faces, subfaces
+from shellsat.complexes import subfaces
 
 import pytest
 
@@ -26,6 +27,7 @@ from shellsat.errors import (
 )
 from shellsat.harness import (
     ORACLE_MAX_FACETS,
+    enumerate_connected_graphs,
     enumerate_pure2,
     flag_dunce_hat,
     oracle_shelling,
@@ -34,11 +36,16 @@ from shellsat.harness import (
 from shellsat.outcomes import Budget, BudgetExceeded, Unshellable
 from shellsat.shelling import (
     _Prefix,
-    _proper_subfaces,
     _refuted,
     format_shelling,
     parse_shelling,
 )
+from conftest import maximal_faces
+
+
+def _proper_subfaces(facet):
+    return [sub for k in range(1, len(facet))
+            for sub in combinations(facet, k)]
 
 
 def _meets_predecessors(proper, covered, d):
@@ -387,3 +394,19 @@ def test_verifier_is_dimension_generic():
     pinched = from_facets(["a b c d", "d e f g"])
     cert = order_of(pinched, "a b c d", "d e f g")
     assert first_shelling_violation(pinched, cert) == 1
+
+
+def test_prefix_ids_match_the_counter_table():
+    """The setdefault id table gives the ids of the earlier table, which
+    numbered each facet's _proper_subfaces list through defaultdict(count)."""
+    classes = list(enumerate_pure2(5, 5))
+    tetrahedron = from_facets(["a b c d"])
+    corpus = (classes + [K.barycentric_subdivision() for K in classes]
+              + [flag_dunce_hat(), tetrahedron, tetrahedron.barycentric_subdivision()]
+              + list(enumerate_connected_graphs(5)))
+    for K in corpus:
+        ids = defaultdict(count().__next__)
+        reference = [[ids[f] for f in _proper_subfaces(facet)] for facet in K.facets]
+        prefix = _Prefix(K)
+        assert prefix.subfaces == reference
+        assert len(prefix.cover) == len(ids)
