@@ -20,10 +20,12 @@ from itertools import combinations
 from .collapse import (
     CollapseCertificate,
     CollapseStep,
+    collapse_fields,
+    format_collapse,
     peel,
     verify_collapse,
 )
-from .complexes import Complex, Face, is_connected_graph
+from .complexes import Complex, is_connected_graph
 from .errors import (
     CertificateError,
     ConnectivityError,
@@ -31,12 +33,20 @@ from .errors import (
     PurityError,
 )
 from .outcomes import Budget, BudgetExceeded, Unshellable, as_budget
-from .shelling import ShellingCertificate, find_shelling, first_shelling_violation
+from .shelling import (
+    ShellingCertificate,
+    find_shelling,
+    first_shelling_violation,
+    format_shelling,
+    shelling_fields,
+)
 from .wsat import (
     Edge,
     SaturationCertificate,
     _edge_set,
     _subgraph,
+    format_saturation,
+    saturation_fields,
     saturation_violation,
 )
 
@@ -109,12 +119,13 @@ def saturation_to_collapse(L: Complex,
                            cert: SaturationCertificate) -> CollapseCertificate:
     """Turn a saturated spanning tree of a flag complex into a collapse.
 
-    Each witness induces a triangle of L (flagness); the triangles are
-    pairwise distinct because a later triangle contains its own ordered
-    edge while earlier ones do not.  Triangles outside the witness list are
-    removed up front; the witness triangles collapse in reverse saturation
-    order, and the remaining spanning tree is pruned leaf by leaf
-    (largest leaf first) down to the least vertex.
+    Each witness induces a triangle of L: the replay finds its edges in the
+    1-skeleton, and L is flag.  The triangles are pairwise distinct because
+    a later triangle contains its own ordered edge while earlier ones do
+    not.  Triangles outside the witness list are removed up front; the
+    witness triangles collapse in reverse saturation order, and the
+    remaining spanning tree is pruned leaf by leaf (largest leaf first)
+    down to the least vertex.
     """
     _require_pure2_connected(L, "the collapse construction")
     if not L.is_flag2():
@@ -129,13 +140,7 @@ def saturation_to_collapse(L: Complex,
     if len(tree_edges) != n - 1 or not is_connected_graph(n, tree_edges):
         raise CertificateError("the start graph must be a spanning tree")
 
-    triangles: list[Face] = []
-    for i, witness in enumerate(cert.witnesses):
-        triangle = tuple(sorted(witness))
-        if triangle not in L.faces:
-            raise FlagnessError(
-                f"witness {witness} at index {i} does not induce a triangle")
-        triangles.append(triangle)
+    triangles = [tuple(sorted(witness)) for witness in cert.witnesses]
     assert len(set(triangles)) == len(triangles), "witness triangles must be distinct"
 
     removed = frozenset(set(L.triangles) - set(triangles))
@@ -206,73 +211,45 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
 
 # -- report serialization ------------------------------------------------------
 
+def _scalars(report: ChainReport) -> dict:
+    """The report's header values, in order, under their JSON keys."""
+    return {
+        "original": report.original.fingerprint,
+        "subject": report.subject.fingerprint,
+        "subdivision_depth": report.subdivision_depth,
+        "chi": report.chi,
+        "status": report.status,
+        "removed_count": report.removed_count,
+    }
+
+
+def _stages(report: ChainReport):
+    """(name, complex it is about, certificate, formatter, fields) per stage."""
+    L = report.subject
+    if report.shelling is not None:
+        yield "shelling", L, report.shelling, format_shelling, shelling_fields
+    if report.saturation is not None:
+        yield ("saturation", L.skeleton(1), report.saturation, format_saturation,
+               saturation_fields)
+    if report.collapse is not None:
+        yield "collapse", L, report.collapse, format_collapse, collapse_fields
+
+
 def format_chain_report(report: ChainReport) -> str:
     """Structured text report, one section per stage, certificates embedded."""
-    from .collapse import format_collapse
-    from .shelling import format_shelling
-    from .wsat import format_saturation
-
-    lines = [
-        "# chain report",
-        f"# original: {report.original.fingerprint}",
-        f"# subject: {report.subject.fingerprint}",
-        f"# subdivision-depth: {report.subdivision_depth}",
-        f"# chi: {report.chi}",
-        f"# status: {report.status}",
-    ]
-    if report.removed_count is not None:
-        lines.append(f"# removed-count: {report.removed_count}")
-    for name, value in report.verdicts.items():
-        lines.append(f"# verdict {name}: {str(value).lower()}")
-    if report.shelling is not None:
-        lines.append("# stage shelling")
-        lines.append(format_shelling(report.subject, report.shelling).rstrip("\n"))
-    if report.saturation is not None:
-        lines.append("# stage saturation")
-        host = report.subject.skeleton(1)
-        lines.append(format_saturation(host, report.saturation).rstrip("\n"))
-    if report.collapse is not None:
-        lines.append("# stage collapse")
-        lines.append(format_collapse(report.subject, report.collapse).rstrip("\n"))
+    lines = ["# chain report"]
+    lines += [f"# {key.replace('_', '-')}: {value}"
+              for key, value in _scalars(report).items() if value is not None]
+    lines += [f"# verdict {name}: {str(value).lower()}"
+              for name, value in report.verdicts.items()]
+    for name, K, cert, format_cert, _ in _stages(report):
+        lines += [f"# stage {name}", format_cert(K, cert).rstrip("\n")]
     return "\n".join(lines) + "\n"
 
 
 def chain_report_json(report: ChainReport) -> dict:
     """Stable machine-readable structure for the chain report."""
-    subject = report.subject
-
-    def face_text(f: Face) -> str:
-        return " ".join(subject.label_face(f))
-
-    data = {
-        "original": report.original.fingerprint,
-        "subject": subject.fingerprint,
-        "subdivision_depth": report.subdivision_depth,
-        "chi": report.chi,
-        "status": report.status,
-        "removed_count": report.removed_count,
-        "verdicts": dict(report.verdicts),
-        "shelling": None,
-        "saturation": None,
-        "collapse": None,
-    }
-    if report.shelling is not None:
-        data["shelling"] = [face_text(f) for f in report.shelling.order]
-    if report.saturation is not None:
-        sat = report.saturation
-        data["saturation"] = {
-            "start": [face_text(e) for e in sorted(_edge_set(sat.start))],
-            "order": [face_text(e) for e in sat.order],
-            "witnesses": [face_text(w) for w in sat.witnesses],
-            "pattern": sat.pattern,
-        }
-    if report.collapse is not None:
-        col = report.collapse
-        data["collapse"] = {
-            "removed": [face_text(t) for t in sorted(col.removed_triangles)],
-            "steps": [[face_text(s.free_face), face_text(s.facet)]
-                      for s in col.steps],
-            "target": [" ".join(col.target.label_face(f))
-                       for f in col.target.facets],
-        }
+    data = {**_scalars(report), "verdicts": dict(report.verdicts),
+            "shelling": None, "saturation": None, "collapse": None}
+    data.update((name, fields(K, cert)) for name, K, cert, _, fields in _stages(report))
     return data

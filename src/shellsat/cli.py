@@ -60,6 +60,17 @@ def _report(data: dict, text: str, as_json: bool) -> None:
 
 # -- subcommands ---------------------------------------------------------------
 
+def _info_text(value) -> str:
+    """An info value as text: lists space-joined, booleans lower-case, None n/a."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
 def _cmd_info(args) -> int:
     K = _read_complex(args.infile)
     try:
@@ -77,17 +88,8 @@ def _cmd_info(args) -> int:
         "flag": flag,
         "facets": len(K.facets),
     }
-    text = "\n".join([
-        f"file: {data['file']}",
-        f"fingerprint: {data['fingerprint']}",
-        f"dimension: {data['dimension']}",
-        f"f-vector: {' '.join(str(c) for c in data['f_vector'])}",
-        f"reduced-euler-characteristic: {data['reduced_euler_characteristic']}",
-        f"pure: {str(data['pure']).lower()}",
-        f"connected: {str(data['connected']).lower()}",
-        f"flag: {'n/a' if flag is None else str(flag).lower()}",
-        f"facets: {data['facets']}",
-    ]) + "\n"
+    text = "".join(f"{key.replace('_', '-')}: {_info_text(value)}\n"
+                   for key, value in data.items())
     _report(data, text, args.json)
     return EXIT_OK
 
@@ -172,8 +174,6 @@ def _cmd_collapse(args) -> int:
         result = collapse.is_collapsible(K, args.budget)
     else:
         result = collapse.collapsible_after_removing(K, args.k, args.budget)
-        if isinstance(result, tuple):
-            _, result = result
     return _conclude(args, result, K, collapse.format_collapse)
 
 

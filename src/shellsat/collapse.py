@@ -3,8 +3,9 @@
 A face is free when it is contained in a single facet; the elementary
 collapse removes it together with every face above it.  Certificates list
 an optional set of removed triangle facets, the collapse steps in order,
-and the target subcomplex the steps must reach.  All faces in a
-certificate are expressed in the id coordinates of the subject complex.
+and the target subcomplex the steps must reach.  Removed triangles and
+steps are in the subject's ids; the target is a complex of its own ids
+(:meth:`Complex.induced` renumbers), so it is compared by labels.
 
 The searches need dimension at most 2, where one greedy peel of free faces
 decides collapsibility (:func:`is_collapsible`); from dimension 3 on the
@@ -373,7 +374,7 @@ def collapsible_after_removing(K: Complex, k: int,
                                budget: int | Budget | None = None):
     """Decide whether removing some k triangles leaves a collapsible complex.
 
-    Returns the removed set with its certificate, the first such set in
+    Returns the certificate, whose removed set is the first such set in
     ``combinations`` order of the sorted triangles, or ``Impossible()``.
 
     Euler gate: a complex that collapses to a point has reduced Euler
@@ -406,7 +407,7 @@ def collapsible_after_removing(K: Complex, k: int,
         return BudgetExceeded(stage="collapse-after-removing")
     if cert is None:
         raise AssertionError("K minus R has an empty triangle core, so it collapses")
-    return cert.removed_triangles, cert
+    return cert
 
 
 def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
@@ -450,19 +451,22 @@ def verify_collapse(K: Complex, cert: CollapseCertificate) -> bool:
 
 # -- certificate file format ---------------------------------------------------
 
+def collapse_fields(K: Complex, cert: CollapseCertificate) -> dict:
+    """The certificate as label text, for its file and the chain report."""
+    return {
+        "removed": [K.face_text(t) for t in sorted(cert.removed_triangles)],
+        "steps": [[K.face_text(s.free_face), K.face_text(s.facet)] for s in cert.steps],
+        "target": [cert.target.face_text(f) for f in cert.target.facets],
+    }
+
+
 def format_collapse(K: Complex, cert: CollapseCertificate) -> str:
     """"# removed:" line, one "tau -> sigma" step per line, then the target."""
-    def face_text(face: Face) -> str:
-        return " ".join(K.label_face(face))
-
-    lines = [certificate_header(COLLAPSE, K)]
-    removed = ", ".join(face_text(t) for t in sorted(cert.removed_triangles))
-    lines.append(f"# removed: {removed}".rstrip())
-    for step in cert.steps:
-        lines.append(f"{face_text(step.free_face)} -> {face_text(step.facet)}")
-    lines.append("# target:")
-    for facet in cert.target.facets:
-        lines.append(" ".join(cert.target.label_face(facet)))
+    fields = collapse_fields(K, cert)
+    lines = [certificate_header(COLLAPSE, K),
+             f"# removed: {', '.join(fields['removed'])}".rstrip(),
+             *(f"{free} -> {facet}" for free, facet in fields["steps"]),
+             "# target:", *fields["target"]]
     return "\n".join(lines) + "\n"
 
 

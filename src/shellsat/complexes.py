@@ -125,6 +125,10 @@ class Complex:
     def label_face(self, face: Face) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in face)
 
+    def face_text(self, face: Face) -> str:
+        """The face as certificates and ".sc" lines write it: "a b c"."""
+        return " ".join(self.label_face(face))
+
     def face_from_labels(self, labels: Sequence[str]) -> Face:
         """Translate a label sequence to the id face it names, sorted.
 
@@ -169,7 +173,7 @@ class Complex:
         return self._keep("hash", lambda: hash((self.labels, self.facets)))
 
     def __repr__(self) -> str:
-        parts = [" ".join(self.label_face(f)) for f in self.facets[:4]]
+        parts = [self.face_text(f) for f in self.facets[:4]]
         more = ", ..." if len(self.facets) > 4 else ""
         return f"Complex({', '.join(parts)}{more})"
 
@@ -253,7 +257,7 @@ class Complex:
             name = "{" + "|".join(self.label_face(face)) + "}"
             other = named.setdefault(name, face)
             if other != face:
-                a, b = (" ".join(self.label_face(f)) for f in sorted((other, face)))
+                a, b = map(self.face_text, sorted((other, face)))
                 raise ShellsatError(
                     f"faces {a!r} and {b!r} both subdivide to vertex {name!r}")
         labels = sorted(named)
@@ -273,7 +277,7 @@ class Complex:
                           if lab in bad), None)
             if first is not None:
                 raise ShellsatError(f"label {first!r} is not serializable")
-        return "\n".join(" ".join(self.label_face(f)) for f in self.facets) + "\n"
+        return "\n".join(map(self.face_text, self.facets)) + "\n"
 
 
 def _build(label_faces: list[tuple[str, ...]]) -> tuple[Complex, list[Face]]:

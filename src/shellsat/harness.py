@@ -100,17 +100,20 @@ def enumerate_pure2(n_vertices: int, n_triangles: int) -> Iterator[Complex]:
     """All pure connected 2-complexes with at most the given support and
     facet count, one representative per isomorphism class.  The first
     subset of each class marks its images under every vertex permutation,
-    so later members are skipped without computing a canonical form."""
+    so later members are skipped.  The least image is canonical_triangles:
+    renumbering an image's support to 0..s-1 in order lowers no entry and
+    keeps its triangles' order, so the least image lies on 0..s-1."""
     all_triangles = list(combinations(range(n_vertices), 3))
     seen: set[tuple[Triangle, ...]] = set()
     for t in range(1, n_triangles + 1):
         for triangles in combinations(all_triangles, t):
             if triangles in seen or not _triangles_connected(triangles):
                 continue
-            seen.update(tuple(sorted(tuple(sorted((p[a], p[b], p[c])))
-                                     for a, b, c in triangles))
-                        for p in permutations(range(n_vertices)))
-            yield complex_from_triangles(canonical_triangles(triangles))
+            images = {tuple(sorted(tuple(sorted((p[a], p[b], p[c])))
+                                   for a, b, c in triangles))
+                      for p in permutations(range(n_vertices))}
+            seen.update(images)
+            yield complex_from_triangles(min(images))
 
 
 def generate(spec: GeneratorSpec) -> Iterator[Complex]:

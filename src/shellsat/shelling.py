@@ -273,11 +273,14 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
 
 # -- certificate file format -------------------------------------------------
 
+def shelling_fields(K: Complex, cert: ShellingCertificate) -> list[str]:
+    """The certificate as label text, for its file and the chain report."""
+    return [K.face_text(f) for f in cert.order]
+
+
 def format_shelling(K: Complex, cert: ShellingCertificate) -> str:
     """One facet per line in shelling order, with a fingerprint header."""
-    lines = [certificate_header(SHELLING, K)]
-    lines.extend(" ".join(K.label_face(f)) for f in cert.order)
-    return "\n".join(lines) + "\n"
+    return "\n".join([certificate_header(SHELLING, K), *shelling_fields(K, cert)]) + "\n"
 
 
 def parse_shelling(text: str, K: Complex) -> ShellingCertificate:

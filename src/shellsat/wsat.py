@@ -9,7 +9,7 @@ the K3 pattern: a certificate naming any other pattern is malformed.  Both
 deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .collapse import core_components, least_deletion, least_removal, peel
@@ -37,6 +37,7 @@ from .outcomes import (
 )
 
 Edge = tuple[int, int]
+PATTERN = "K3"  # the one pattern the engine decides
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class SaturationCertificate:
     start: Complex
     order: tuple[Edge, ...]
     witnesses: tuple[tuple[int, int, int], ...]
-    pattern: str = field(default="K3", compare=False)
 
 
 def _require_graph(K: Complex) -> None:
@@ -141,14 +141,10 @@ def extract_saturation_order(F: Complex, G: Complex):
 def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     """Replay the certificate; return a description of the first failure.
 
-    Raises MalformedCertificateError when the pattern is not K3, the start
-    graph does not span the host, the order is not exactly the missing host
-    edges, or the arity of an entry is broken; a wrong witness merely
-    invalidates the certificate.
+    Raises MalformedCertificateError when the start graph does not span the
+    host, the order is not exactly the missing host edges, or the arity of
+    an entry is broken; a wrong witness merely invalidates the certificate.
     """
-    if cert.pattern != "K3":
-        raise MalformedCertificateError(
-            f"unsupported pattern {cert.pattern!r}; only K3 is supported")
     try:
         host, start = _spanning_edges(F, cert.start)
     except ContainmentError as exc:
@@ -249,16 +245,22 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
 
 # -- certificate file format ---------------------------------------------------
 
+def saturation_fields(F: Complex, cert: SaturationCertificate) -> dict:
+    """The certificate as label text, for its file and the chain report."""
+    return {
+        "start": [F.face_text(e) for e in sorted(_edge_set(cert.start))],
+        "order": [F.face_text(e) for e in cert.order],
+        "witnesses": [F.face_text(w) for w in cert.witnesses],
+        "pattern": PATTERN,
+    }
+
+
 def format_saturation(F: Complex, cert: SaturationCertificate) -> str:
     """"# start:" edges, then one "e_i : J_i" line per ordered edge."""
-    def edge_text(e: Edge) -> str:
-        return " ".join(F.label_face(e))
-
-    lines = [certificate_header(SATURATION, F), f"# pattern: {cert.pattern}"]
-    start = ", ".join(edge_text(e) for e in sorted(_edge_set(cert.start)))
-    lines.append(f"# start: {start}".rstrip())
-    for edge, witness in zip(cert.order, cert.witnesses):
-        lines.append(f"{edge_text(edge)} : {' '.join(F.label_face(witness))}")
+    fields = saturation_fields(F, cert)
+    lines = [certificate_header(SATURATION, F), f"# pattern: {fields['pattern']}",
+             f"# start: {', '.join(fields['start'])}".rstrip(),
+             *(f"{e} : {w}" for e, w in zip(fields["order"], fields["witnesses"]))]
     return "\n".join(lines) + "\n"
 
 
@@ -267,7 +269,7 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
     start_edges: list[Edge] = []
     order: list[Edge] = []
     witnesses: list[tuple[int, int, int]] = []
-    pattern = "K3"
+    pattern = PATTERN
     saw_start = False
 
     def read(body: str, comment: bool) -> None:
@@ -275,7 +277,11 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
         if comment:
             if body.startswith("start:"):
                 saw_start = True
-                start_edges.extend(listed_faces(F, body[len("start:"):]))
+                for face in listed_faces(F, body[len("start:"):]):
+                    if len(set(face)) != 2:
+                        raise MalformedCertificateError(
+                            f"start entry {F.face_text(face)!r} is not an edge")
+                    start_edges.append(face)
             elif body.startswith("pattern:"):
                 pattern = body[len("pattern:"):].strip()
         elif ":" not in body:
@@ -291,5 +297,7 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
         raise MalformedCertificateError("certificate must contain '# start:'")
     # Read, not derived: a start edge outside F is reported by the verifier.
     start = graph_complex(F.labels, [F.label_face(e) for e in start_edges])
-    return SaturationCertificate(start, tuple(order), tuple(witnesses),
-                                 pattern=pattern)
+    if pattern != PATTERN:
+        raise MalformedCertificateError(
+            f"unsupported pattern {pattern!r}; only {PATTERN} is supported")
+    return SaturationCertificate(start, tuple(order), tuple(witnesses))

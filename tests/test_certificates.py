@@ -125,6 +125,20 @@ def test_invalid_saturation_rejected(two_triangles):
         saturation_to_collapse(two_triangles, bad)
 
 
+def test_saturation_that_fails_its_replay_is_rejected(two_triangles):
+    tree = two_triangles.induced([(0, 1), (0, 2), (1, 3)])  # ab, ac, bd
+    good = SaturationCertificate(tree, ((1, 2), (2, 3)), ((0, 1, 2), (1, 2, 3)))
+    assert verify_saturation(two_triangles.skeleton(1), good)
+    # bc witnessed by b c d before cd is present.
+    early = SaturationCertificate(tree, good.order, ((1, 2, 3), (1, 2, 3)))
+    # cd witnessed by a c d, which is no triangle of the complex: the replay
+    # finds its edge ad missing from the host, so flagness is never needed.
+    no_triangle = SaturationCertificate(tree, good.order, ((0, 1, 2), (0, 2, 3)))
+    for bad in (early, no_triangle):
+        with pytest.raises(CertificateError, match="invalid saturation certificate"):
+            saturation_to_collapse(two_triangles, bad)
+
+
 # -- removal count check ------------------------------------------------------------------
 
 def test_check_removal_count_triangle(triangle):
@@ -138,8 +152,8 @@ def test_check_removal_count_chi_two():
     wedge = from_facets(["a b c", "a b d", "a c d", "b c d",
                          "a e f", "a e g", "a f g", "e f g"])
     assert wedge.reduced_euler_characteristic() == 2
-    removed, cert = collapsible_after_removing(wedge, 2, 500000)
-    assert len(removed) == 2
+    cert = collapsible_after_removing(wedge, 2, 500000)
+    assert len(cert.removed_triangles) == 2
     assert check_removal_count(wedge, cert)
 
 

@@ -44,6 +44,60 @@ def test_info_json(workdir, capsys):
     assert data["flag"] is True
 
 
+# The whole info report, text and JSON, for a 2-complex, a 3-complex (no
+# flagness: "n/a", null) and a non-pure one whose file name has capitals.
+INFO_CASES = {
+    "two.sc": (TWO_TRIANGLES, """\
+fingerprint: 06f1d56e5bffdc2b
+dimension: 2
+f-vector: 1 4 5 2
+reduced-euler-characteristic: 0
+pure: true
+connected: true
+flag: true
+facets: 2
+""", {"fingerprint": "06f1d56e5bffdc2b", "dimension": 2, "f_vector": [1, 4, 5, 2],
+      "reduced_euler_characteristic": 0, "pure": True, "connected": True,
+      "flag": True, "facets": 2}),
+    "solid.sc": ("a b c d\nb c d e\n", """\
+fingerprint: 6b800fd93283a8a8
+dimension: 3
+f-vector: 1 5 9 7 2
+reduced-euler-characteristic: 0
+pure: true
+connected: true
+flag: n/a
+facets: 2
+""", {"fingerprint": "6b800fd93283a8a8", "dimension": 3,
+      "f_vector": [1, 5, 9, 7, 2], "reduced_euler_characteristic": 0,
+      "pure": True, "connected": True, "flag": None, "facets": 2}),
+    "Flag_True.sc": ("A b c\nc D\n", """\
+fingerprint: c66d679424d50856
+dimension: 2
+f-vector: 1 4 4 1
+reduced-euler-characteristic: 0
+pure: false
+connected: true
+flag: true
+facets: 2
+""", {"fingerprint": "c66d679424d50856", "dimension": 2, "f_vector": [1, 4, 4, 1],
+      "reduced_euler_characteristic": 0, "pure": False, "connected": True,
+      "flag": True, "facets": 2}),
+}
+
+
+@pytest.mark.parametrize("name", INFO_CASES)
+def test_info_report_is_pinned(workdir, capsys, name):
+    sc, text, data = INFO_CASES[name]
+    path = workdir / name
+    path.write_text(sc)
+    assert run("info", "--in", path) == 0
+    assert capsys.readouterr().out == f"file: {path}\n" + text
+    assert run("info", "--in", path, "--json") == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"file": str(path), **data}, indent=2) + "\n"
+
+
 # -- verdict exit codes --------------------------------------------------------------
 
 def test_wsat_c4_refuted(workdir):
@@ -190,6 +244,28 @@ def test_wsat_certificate_round_trip(workdir):
     assert run("wsat", "--in", k4, "--cert", cert, "--verify") == 0
 
 
+def test_wsat_verify_rejects_a_start_entry_that_is_no_edge(workdir, capsys):
+    # "# start:" lists edges.  An entry of one label or of four is malformed
+    # (exit 3) and the error names its line; without it the rest verifies.
+    for entry in ("a", "a b c d"):
+        cert = workdir / "start.cert"
+        cert.write_text(f"# pattern: K3\n# start: {entry}, a c, b d, c d\n"
+                        "b c : b c d\na b : a b c\n")
+        assert run("wsat", "--verify", "--in", workdir / "two.sc", "--cert", cert) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: line 2: start entry '{entry}' is not an edge"
+    cert.write_text("# pattern: K3\n# start: a c, b d, c d\nb c : b c d\na b : a b c\n")
+    assert run("wsat", "--verify", "--in", workdir / "two.sc", "--cert", cert) == 0
+
+
+def test_verify_requires_cert(workdir, capsys):
+    for command in ("shell", "collapse", "wsat"):
+        assert run(command, "--verify", "--in", workdir / "two.sc") == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: --verify requires --cert\n")
+
+
 def test_wsat_number_flag(workdir, capsys):
     k4 = workdir / "k4.sc"
     k4.write_text("a b\na c\na d\nb c\nb d\nc d\n")
@@ -314,6 +390,15 @@ def test_chain_bowtie_exit(workdir, capsys):
     assert run("chain", "--in", workdir / "bowtie.sc", "--json") == 1
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "unshellable"
+
+
+def test_chain_budget_exit(workdir, capsys):
+    assert run("chain", "--in", workdir / "two.sc", "--budget", 0) == 2
+    assert "# status: budget-exceeded:shelling\n" in capsys.readouterr().out
+    assert run("chain", "--in", workdir / "two.sc", "--budget", 0, "--json") == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "budget-exceeded:shelling"
+    assert data["removed_count"] is None and data["shelling"] is None
 
 
 def test_chain_json_fields(workdir, capsys):

@@ -251,8 +251,8 @@ def test_collapse_search_needs_dimension_at_most_two():
 # -- collapsible after removing k triangles ---------------------------------------------
 
 def test_triangle_removal_zero(triangle):
-    removed, cert = collapsible_after_removing(triangle, 0)
-    assert removed == frozenset()
+    cert = collapsible_after_removing(triangle, 0)
+    assert cert.removed_triangles == frozenset()
     assert verify_collapse(triangle, cert)
 
 
@@ -262,16 +262,16 @@ def test_triangle_removal_one_impossible(triangle):
 
 
 def test_two_triangles_removal_zero(two_triangles):
-    removed, cert = collapsible_after_removing(two_triangles, 0)
-    assert removed == frozenset()
+    cert = collapsible_after_removing(two_triangles, 0)
+    assert cert.removed_triangles == frozenset()
     assert verify_collapse(two_triangles, cert)
     assert cert.targets_point()
 
 
 def test_tetra_boundary_removal_one(tetra_boundary):
     assert tetra_boundary.reduced_euler_characteristic() == 1
-    removed, cert = collapsible_after_removing(tetra_boundary, 1)
-    assert len(removed) == 1
+    cert = collapsible_after_removing(tetra_boundary, 1)
+    assert len(cert.removed_triangles) == 1
     assert verify_collapse(tetra_boundary, cert)
     assert cert.targets_point()
 
@@ -280,8 +280,8 @@ def test_removal_count_must_match_chi():
     for K in enumerate_pure2(4, 4):
         chi = K.reduced_euler_characteristic()
         result = collapsible_after_removing(K, chi, 200000)
-        if isinstance(result, tuple):
-            assert len(result[0]) == chi
+        if isinstance(result, CollapseCertificate):
+            assert len(result.removed_triangles) == chi
         for k in (chi - 1, chi + 1):
             if k >= 0:
                 assert collapsible_after_removing(K, k) == Impossible()
@@ -309,9 +309,8 @@ def test_removal_matches_global_scan():
             expected = global_removal_scan(K, k)
             result = collapsible_after_removing(K, k)
             if isinstance(expected, CollapseCertificate):
-                removed, cert = result
-                assert removed == expected.removed_triangles
-                assert format_collapse(K, cert) == format_collapse(K, expected)
+                assert result.removed_triangles == expected.removed_triangles
+                assert format_collapse(K, result) == format_collapse(K, expected)
             else:
                 assert result == Impossible(), (K.facets, k)
     # Three spheres on one vertex: the global scan spends about 61k nodes
@@ -320,8 +319,8 @@ def test_removal_matches_global_scan():
         [f"o {a}{i} {b}{i}" for i in range(3) for a, b in combinations("abc", 2)]
         + [f"a{i} b{i} c{i}" for i in range(3)])
     K = spheres.barycentric_subdivision()
-    removed, cert = collapsible_after_removing(K, 3, 1000)
-    assert len(removed) == 3 and verify_collapse(K, cert) and cert.targets_point()
+    cert = collapsible_after_removing(K, 3, 1000)
+    assert len(cert.removed_triangles) == 3 and verify_collapse(K, cert) and cert.targets_point()
 
 
 def test_least_deletion_searches_where_greedy_falls_short():
@@ -671,7 +670,7 @@ def test_ridge_count_replay_matches_the_coface_reference():
 # -- certificate files ---------------------------------------------------------------------
 
 def test_certificate_round_trip(tetra_boundary):
-    _, cert = collapsible_after_removing(tetra_boundary, 1)
+    cert = collapsible_after_removing(tetra_boundary, 1)
     text = format_collapse(tetra_boundary, cert)
     parsed = parse_collapse(text, tetra_boundary)
     assert parsed.removed_triangles == cert.removed_triangles

@@ -83,6 +83,13 @@ def test_face_from_labels_sorts_and_rejects_unknown_labels():
 
 # -- skeleton / induced -----------------------------------------------------------
 
+def test_repr_names_the_first_four_facets(two_triangles):
+    assert repr(two_triangles) == "Complex(a b c, b c d)"
+    strip = from_facets([f"v{i} v{i + 1} v{i + 2}" for i in range(5)])
+    assert repr(strip) == "Complex(v0 v1 v2, v1 v2 v3, v2 v3 v4, v3 v4 v5, ...)"
+    assert repr(from_facets(["x"])) == "Complex(x)"
+
+
 def test_skeleton_drops_triangles(two_triangles):
     G = two_triangles.skeleton(1)
     assert G.f_vector() == (1, 4, 5)

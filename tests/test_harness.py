@@ -107,6 +107,7 @@ def test_enumeration_matches_orbit_marking():
         got = list(enumerate_pure2(n, max_t))
         assert len(got) == expected
         assert len({canonical_triangles(K.facets) for K in got}) == len(got)
+        assert all(K.facets == canonical_triangles(K.facets) for K in got)
 
 
 def test_enumeration_is_deterministic():

@@ -9,6 +9,7 @@ from shellsat.complexes import subfaces
 import pytest
 
 from shellsat import (
+    CollapseCertificate,
     SaturationCertificate,
     ShellingCertificate,
     collapsible_after_removing,
@@ -356,7 +357,7 @@ def test_three_deciders_agree_on_flag_complexes():
         assert BudgetExceeded not in (type(shelled), type(tree), type(removal)), L.facets
         verdict = isinstance(shelled, ShellingCertificate)
         assert verdict == (links and isinstance(tree, SaturationCertificate)), L.facets
-        assert verdict == (links and isinstance(removal, tuple)), L.facets
+        assert verdict == (links and isinstance(removal, CollapseCertificate)), L.facets
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -379,6 +380,13 @@ def test_certificate_fingerprint_mismatch(two_triangles, bowtie):
     for header in ("# shelling of", f"# shelling of {two_triangles.fingerprint} x"):
         with pytest.raises(MalformedCertificateError):
             parse_shelling(f"{header}\n{body}", two_triangles)
+
+
+def test_certificate_without_facets_is_malformed(two_triangles):
+    header = f"# shelling of {two_triangles.fingerprint}\n"
+    for text in ("", header, header + "# a comment\n\n"):
+        with pytest.raises(MalformedCertificateError, match="lists no facets"):
+            parse_shelling(text, two_triangles)
 
 
 def test_certificate_unknown_face(two_triangles):

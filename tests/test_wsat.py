@@ -308,7 +308,6 @@ def test_certificate_round_trip():
     text = format_saturation(F, cert)
     parsed = parse_saturation(text, F)
     assert parsed == cert
-    assert parsed.pattern == "K3"
     assert verify_saturation(F, parsed)
 
 
@@ -324,14 +323,46 @@ def test_certificate_parse_errors():
 
 def test_only_the_k3_pattern_verifies():
     # The engine decides K3-saturation only; a certificate naming another
-    # pattern is malformed, not valid.
+    # pattern is malformed, not valid, and the parser says so.
     F = k4()
     text = format_saturation(F, decide_wsat_eq_treesize(F))
+    assert "# pattern: K3\n" in text
     for pattern in ("K4", "k3", "anything"):
-        cert = parse_saturation(text.replace("# pattern: K3", f"# pattern: {pattern}"), F)
-        assert cert.pattern == pattern
-        with pytest.raises(MalformedCertificateError, match="pattern"):
-            saturation_violation(F, cert)
+        with pytest.raises(MalformedCertificateError,
+                           match=f"unsupported pattern '{pattern}'; only K3 is supported"):
+            parse_saturation(text.replace("# pattern: K3", f"# pattern: {pattern}"), F)
+
+
+@pytest.mark.parametrize("entry", ["a", "a b c", "a a", "a b c d"])
+def test_start_entries_must_be_edges(entry):
+    # Each "# start:" entry names one edge, two distinct labels; any other
+    # entry is malformed, and the error names its line.
+    F = k4()
+    text = format_saturation(F, decide_wsat_eq_treesize(F))
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("# start:"))
+    lines[i] = lines[i].replace("# start: ", f"# start: {entry}, ")
+    with pytest.raises(MalformedCertificateError,
+                       match=f"line {i + 1}: start entry '{entry}' is not an edge"):
+        parse_saturation("\n".join(lines) + "\n", F)
+
+
+def test_saturation_violation_rejects_broken_certificates():
+    F = from_facets(["a b", "b c", "a c", "c d"])
+    cert = decide_wsat_eq_treesize(F)
+    assert saturation_violation(F, cert) is None
+    # A start edge outside the host.
+    outside = graph_complex(F.labels, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    with pytest.raises(MalformedCertificateError, match="edges outside the host"):
+        saturation_violation(F, SaturationCertificate(outside, cert.order, cert.witnesses))
+    # One witness too many, and none at all.
+    for witnesses in (cert.witnesses * 2, ()):
+        with pytest.raises(MalformedCertificateError, match="one witness per ordered edge"):
+            saturation_violation(F, SaturationCertificate(cert.start, cert.order, witnesses))
+    # A witness that repeats a vertex, and one with a vertex outside the host.
+    for witness in ((0, 1, 1), (0, 1, 4)):
+        with pytest.raises(MalformedCertificateError, match="witness 0 is not a 3-vertex set"):
+            saturation_violation(F, SaturationCertificate(cert.start, cert.order, (witness,)))
 
 
 def test_certificate_fingerprint_mismatch():
