@@ -112,7 +112,8 @@ def _apply_step(faces: set[Face], up: Counter, step: CollapseStep) -> None:
     for extra in subfaces([v for v in step.facet if v not in tau]):
         g = tuple(sorted(tau + extra))
         faces.remove(g)
-        up.subtract(combinations(g, len(g) - 1))
+        for r in combinations(g, len(g) - 1):
+            up[r] -= 1
 
 
 # -- public operations --------------------------------------------------------

@@ -21,7 +21,7 @@ shared skeleton is at the end.
 import hashlib
 import re
 from bisect import bisect_left
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -94,19 +94,21 @@ class Complex:
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
         """The closure of id_faces (increasing id tuples) on sorted labels.
 
-        One sweep over the distinct faces, largest first: a face already in
-        the closure is not a facet; any other face is one and adds its
-        subfaces.  Distinct faces of one size never contain each other, so
-        a face not covered by a larger listed face is maximal.
+        One sweep over the distinct faces, largest size first: the faces of
+        a size not yet in the closure are facets, and add their subfaces one
+        size at a time.  Distinct faces of one size never contain each
+        other, so a face not covered by a larger listed face is maximal.
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
+        listed = set(id_faces)
         faces: set[Face] = set()
-        facets = []
-        for f in sorted(set(id_faces), key=len, reverse=True):
-            if f not in faces:
-                facets.append(f)
-                faces.update(subfaces(f))
+        facets: list[Face] = []
+        for size in sorted(set(map(len, listed)), reverse=True):
+            fresh = [f for f in listed if len(f) == size and f not in faces]
+            facets += fresh
+            for k in range(size + 1):
+                faces.update(chain.from_iterable(map(combinations, fresh, repeat(k))))
         self.labels = tuple(labels)
         self.facets = tuple(sorted(facets))
         self.faces = frozenset(faces)
@@ -127,7 +129,7 @@ class Complex:
 
     def face_text(self, face: Face) -> str:
         """The face as certificates and ".sc" lines write it: "a b c"."""
-        return " ".join(self.label_face(face))
+        return " ".join([self.labels[v] for v in face])
 
     def face_from_labels(self, labels: Sequence[str]) -> Face:
         """Translate a label sequence to the id face it names, sorted.
@@ -234,12 +236,17 @@ class Complex:
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
         """The subcomplex closing the listed faces, its vertices renumbered in
-        order: labels stay sorted, so it equals the complex built from labels."""
-        listed = [tuple(f) for f in faces]
-        for f in listed:
-            if f not in self.faces or not f:
-                raise NotAFaceError(f"{f} is not a nonempty face of the complex")
-        kept = sorted({v for f in listed for v in f})
+        order: labels stay sorted, so it equals the complex built from labels.
+        When the listed faces use every vertex, the renumbering is the
+        identity and is skipped."""
+        listed = list(map(tuple, faces))
+        if () in listed or not self.faces.issuperset(listed):
+            bad = next(f for f in listed if f not in self.faces or not f)
+            raise NotAFaceError(f"{bad} is not a nonempty face of the complex")
+        used = set(chain.from_iterable(listed))
+        if len(used) == self.n_vertices:
+            return Complex(self.labels, listed)
+        kept = sorted(used)
         new = {v: i for i, v in enumerate(kept)}
         return Complex([self.labels[v] for v in kept],
                        [tuple(new[v] for v in f) for f in listed])
@@ -251,6 +258,12 @@ class Complex:
         a, b becomes "{a|b}".  Facets are the maximal chains, one per
         (facet, vertex order) pair of the original complex.  Two faces
         that serialize alike (the edge "a b", the vertex "a|b") raise.
+
+        The result is flag, and keeps that answer for :meth:`is_flag2` when
+        its dimension is at most 2: its vertices are faces, and two are
+        adjacent iff they are comparable.  Pairwise adjacent vertices are
+        pairwise comparable faces, which form a chain, and every chain of
+        faces lies in a maximal one, so it is a face.
         """
         named: dict[str, Face] = {}
         for face in filter(None, self.faces):
@@ -262,9 +275,12 @@ class Complex:
                     f"faces {a!r} and {b!r} both subdivide to vertex {name!r}")
         labels = sorted(named)
         vertex = {named[name]: v for v, name in enumerate(labels)}
-        return Complex(labels, [
+        sd = Complex(labels, [
             tuple(sorted(vertex[tuple(sorted(order[:k + 1]))] for k in range(len(order))))
             for facet in self.facets for order in permutations(facet)])
+        if sd.dim <= 2:
+            sd._kept["flag"] = True
+        return sd
 
     # -- serialization -------------------------------------------------------
 

@@ -14,7 +14,7 @@ from shellsat import (
     parse_sc,
     parse_sc_with_warnings,
 )
-from shellsat.complexes import LABEL_RE, Complex, is_connected_graph
+from shellsat.complexes import LABEL_RE, Complex, clique_triangles, is_connected_graph
 from shellsat.errors import (
     EmptyComplexError,
     MalformedFaceError,
@@ -435,18 +435,45 @@ def sweep_corpus() -> list[Complex]:
     return out
 
 
+def reference_induced(K: Complex, listing) -> tuple[tuple, tuple, frozenset]:
+    """Labels, facets and faces of the subcomplex closing the listed faces:
+    the vertices they use renumbered in order, then reference_build."""
+    kept = sorted({v for f in listing for v in f})
+    new = {v: i for i, v in enumerate(kept)}
+    return (tuple(K.labels[v] for v in kept),
+            *reference_build([tuple(new[v] for v in f) for f in listing]))
+
+
 def test_one_sweep_build_matches_two_pass_build():
-    rng = random.Random(29)
+    """Complex, induced and skeleton(k) against the two-pass reference, on
+    listings that keep every vertex (no renumbering) and on listings that
+    drop one (renumbered)."""
+    rng, drop = random.Random(29), random.Random(37)
+    identity = renumbered = 0
     for K in sweep_corpus():
         listing = [f for f in K.faces if f and rng.random() < 0.3] + list(K.facets)
         rng.shuffle(listing)
         for faces in (K.facets, listing, listing + listing[:5]):
             built = Complex(K.labels, faces)
             assert (built.facets, built.faces) == reference_build(faces)
+        vertices = [f for f in K.faces if len(f) == 1]
+        every = listing + vertices
+        (dropped,) = drop.choice(vertices)
+        without = [f for f in every if dropped not in f]
+        for faces in (every, without) if without else (every,):
+            built = K.induced(faces)
+            assert (built.labels, built.facets, built.faces) == reference_induced(K, faces)
+            identity += built.labels == K.labels
+            renumbered += built.labels != K.labels
+        for k in range(3):
+            skeleton = K.skeleton(k)
+            assert (skeleton.labels, skeleton.facets, skeleton.faces) == reference_induced(
+                K, [f for f in K.faces if 0 < len(f) <= k + 1])
         assert K.to_sc() == reference_to_sc(K)
         assert K.fingerprint == hashlib.sha256(
             reference_to_sc(K).encode("utf-8")).hexdigest()[:16]
         assert K.is_connected() == reference_connected(K)
+    assert identity > 100 and renumbered > 100, (identity, renumbered)
 
 
 def test_label_checks_match_per_occurrence_checks():
@@ -507,8 +534,14 @@ def test_sd_f_vector_law():
 
 
 def test_sd_is_flag():
-    for K in random_corpus():
-        assert K.barycentric_subdivision().is_flag2()
+    """Every 3-clique of the 1-skeleton of sd and sd² spans a triangle, and
+    the flagness a subdivision keeps is the answer a scan computes."""
+    for K in random_corpus() + list(enumerate_pure2(5, 6)):
+        sd = K.barycentric_subdivision()
+        for L in (sd, sd.barycentric_subdivision()):
+            assert all(t in L.faces for t in clique_triangles(L.n_vertices, L.edges))
+            assert L.is_flag2() is True
+            assert Complex(L.labels, L.facets).is_flag2() is True
 
 
 def test_sd_preserves_connectivity():
