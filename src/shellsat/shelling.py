@@ -7,7 +7,7 @@ safe pruning possible; the verifier is dimension-generic, the search is
 exercised at dimension 2.
 """
 
-from collections.abc import Iterator
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -104,11 +104,15 @@ class _Prefix:
     """A shelling prefix of a pure complex of dimension d >= 1: the replay
     state over K's shared :class:`_Tables`, whose fields it reads as its own.
 
-    ``cover[s]`` counts the placed facets containing face ``s``, so
-    ``push`` and ``pop`` are exact inverses and the search can backtrack.
-    ``frontier`` holds the unplaced facets that share a ridge (a face of
-    dimension d-1) with the placed union, and ``key`` is the set of placed
-    facets as a bitmask.  Only these change; the tables are read only.
+    ``cover[s]`` counts the placed facets containing face ``s``, and
+    ``key`` is the set of placed facets as a bitmask.  ``frontier`` is the
+    sorted list, without duplicates, of the unplaced facets that share a
+    ridge (a face of dimension d-1) with the placed union.  ``push`` keeps
+    it sorted with ``bisect`` and logs in ``undo`` whether it took the
+    placed facet off the frontier and which facets it added; ``pop`` undoes
+    the last ``push`` from that entry, so ``push`` and ``pop`` are exact
+    inverses and the search can backtrack.  Only these change; the tables
+    are read only.
     """
 
     def __init__(self, K: Complex):
@@ -118,12 +122,9 @@ class _Prefix:
         self.cover = [0] * len(self.holders)
         self.placed = [False] * len(K.facets)
         self.order: list[int] = []
-        self.frontier: set[int] = set()
+        self.frontier: list[int] = []
+        self.undo: list[tuple[bool, list[int]]] = []
         self.key = 0
-
-    def _touches(self, i: int) -> bool:
-        sub, cover = self.subfaces[i], self.cover
-        return any(cover[sub[k]] for k in self.ridge_slots)
 
     def fits(self, i: int) -> bool:
         """The shelling condition for appending facet i, in O(1).
@@ -144,41 +145,51 @@ class _Prefix:
                 mask |= 1 << j
         return mask == self.full or (mask != 0 and not cover[sub[self.slot[mask]]])
 
-    def candidates(self) -> Iterator[int]:
-        """Frontier facets that may follow the prefix, in increasing index.
-
-        The frontier is sorted now, and each facet is checked only when the
-        search asks for it.  The search asks for the next one after undoing
-        the child it tried, and ``pop`` undoes ``push`` exactly, so each
-        check sees this prefix, as an eager list would have.
-        """
-        return (i for i in sorted(self.frontier) if self.fits(i))
+    def after(self, last: int) -> int | None:
+        """The least frontier facet above index ``last`` that may follow the
+        prefix, or None.  Only the facets above ``last`` are checked, up to
+        the first that fits."""
+        frontier = self.frontier
+        for n in range(bisect_right(frontier, last), len(frontier)):
+            if self.fits(frontier[n]):
+                return frontier[n]
+        return None
 
     def push(self, i: int) -> None:
         self.placed[i] = True
         self.order.append(i)
         self.key |= 1 << i
-        self.frontier.discard(i)
+        frontier, placed = self.frontier, self.placed
+        n = bisect_left(frontier, i)
+        was_frontier = n < len(frontier) and frontier[n] == i
+        if was_frontier:
+            del frontier[n]
+        added = []
         sub, cover = self.subfaces[i], self.cover
         for s in sub:
             cover[s] += 1
         for k in self.ridge_slots:
             if cover[sub[k]] == 1:
-                self.frontier.update(g for g in self.holders[sub[k]] if not self.placed[g])
+                for g in self.holders[sub[k]]:
+                    if not placed[g]:
+                        n = bisect_left(frontier, g)
+                        if n == len(frontier) or frontier[n] != g:
+                            frontier.insert(n, g)
+                            added.append(g)
+        self.undo.append((was_frontier, added))
 
     def pop(self) -> None:
         i = self.order.pop()
         self.placed[i] = False
         self.key ^= 1 << i
-        sub, cover = self.subfaces[i], self.cover
-        for s in sub:
-            cover[s] -= 1
-        for k in self.ridge_slots:
-            if cover[sub[k]] == 0:
-                self.frontier.difference_update(
-                    g for g in self.holders[sub[k]] if not self._touches(g))
-        if self._touches(i):
-            self.frontier.add(i)
+        for s in self.subfaces[i]:
+            self.cover[s] -= 1
+        was_frontier, added = self.undo.pop()
+        frontier = self.frontier
+        for g in added:
+            del frontier[bisect_left(frontier, g)]
+        if was_frontier:
+            insort(frontier, i)
 
 
 def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
@@ -251,9 +262,20 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     dimension d-1 and a scan over all facets would skip it as well.  Trying
     the fitting frontier facets in increasing index therefore tries the
     same facets in the same order as that scan: the shelling found, the
-    nodes spent and the failed sets recorded are the same.  The search
-    keeps its own stack, so the depth is not bounded by Python's recursion
-    limit.
+    nodes spent and the failed sets recorded are the same.
+
+    The search keeps its own stack, so the depth is not bounded by
+    Python's recursion limit.  Each frame on it is one int, the last facet
+    it tried (-1 before the first).  The root frame walks ``range(m)``;
+    every other frame asks :meth:`_Prefix.after` for the next facet.  A
+    frame resumes only after its child is undone, and ``pop`` restores the
+    frontier exactly, so the frame sees the sorted frontier of its own
+    prefix again: the facets above its last one are those a sorted
+    snapshot taken when the frame began would still hold, in the same
+    order, each checked against the same prefix.  So a cursor tries what
+    a snapshot of the frontier would, spends the same nodes and records
+    the same failed sets, without copying or sorting the frontier at each
+    node.
 
     The first time a frame runs out of candidates, a 2-complex gets one
     call to :func:`_refuted`, whose nodes come out of the same budget.  It
@@ -272,26 +294,31 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     m = len(K.facets)
     prefix = _Prefix(K)
     failed: set[int] = set()
-    stack = [iter(range(m))]
+    stack = [-1]
     try:
         while stack:
-            for i in stack[-1]:
-                budget.spend()
-                prefix.push(i)
-                if len(prefix.order) == m:
-                    return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
-                if prefix.key in failed:
-                    prefix.pop()
-                    continue
-                stack.append(prefix.candidates())
-                break
+            last = stack[-1]
+            if prefix.order:
+                i = prefix.after(last)
             else:
+                i = last + 1 if last + 1 < m else None
+            if i is None:
                 if not failed and K.dim == 2 and _refuted(K, budget) is not None:
                     return Unshellable()
                 stack.pop()
                 failed.add(prefix.key)
                 if prefix.order:
                     prefix.pop()
+                continue
+            stack[-1] = i
+            budget.spend()
+            prefix.push(i)
+            if len(prefix.order) == m:
+                return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
+            if prefix.key in failed:
+                prefix.pop()
+            else:
+                stack.append(-1)
     except OutOfBudget:
         return BudgetExceeded(stage="shelling")
     return Unshellable()

@@ -34,7 +34,7 @@ from shellsat.harness import (
     oracle_shelling,
     sample_pure2,
 )
-from shellsat.outcomes import Budget, BudgetExceeded, Unshellable
+from shellsat.outcomes import Budget, BudgetExceeded, OutOfBudget, Unshellable
 from shellsat.shelling import (
     _Prefix,
     _refuted,
@@ -207,7 +207,8 @@ def test_long_strip_is_shelled_without_recursion():
 def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
     """On every prefix the search reaches, the O(1) condition equals the
     facet-generic one, and the frontier is exactly the unplaced facets that
-    share a ridge with the placed union.
+    share a ridge with the placed union, as a sorted list without
+    duplicates.
 
     The refutation is switched off so that the searches on unshellable
     inputs backtrack, and prefixes restored by ``pop`` are checked too.
@@ -218,7 +219,7 @@ def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
 
     def recording_push(self, i):
         push(self, i)
-        prefixes.append((tuple(self.order), set(self.frontier),
+        prefixes.append((tuple(self.order), list(self.frontier),
                          [self.fits(j) for j in range(len(self.placed))], popped[0]))
 
     def recording_pop(self):
@@ -241,7 +242,8 @@ def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
                 sharing = {j for j in unplaced
                            if any(r in covered for r in _proper_subfaces(K.facets[j])
                                   if len(r) == d)}
-                assert frontier == sharing
+                assert frontier == sorted(set(frontier))
+                assert set(frontier) == sharing
                 for j in unplaced:
                     proper = _proper_subfaces(K.facets[j])
                     assert fits[j] == _meets_predecessors(proper, covered, d)
@@ -251,17 +253,17 @@ def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
     assert after_pop > 1000, after_pop
 
 
-def eager_candidates(K):
-    """An iterator over the list of fitting frontier facets, all checked at
-    once by the facet-generic condition, on the subfaces read from
-    ``subfaces[i]``."""
+def eager_after(K):
+    """``after`` over the list of fitting frontier facets above ``last``, all
+    checked at once by the facet-generic condition, on the subfaces read
+    from ``subfaces[i]``."""
     proper = [_proper_subfaces(f) for f in K.facets]
 
-    def candidates(self):
-        return iter([i for i in sorted(self.frontier) if _meets_predecessors(
+    def after(self, last):
+        return min((i for i in self.frontier if i > last and _meets_predecessors(
             proper[i], {f for f, s in zip(proper[i], self.subfaces[i]) if self.cover[s]},
-            K.dim)])
-    return candidates
+            K.dim)), default=None)
+    return after
 
 
 def test_lazy_candidates_match_the_eager_reference(monkeypatch):
@@ -272,7 +274,7 @@ def test_lazy_candidates_match_the_eager_reference(monkeypatch):
         budget = Budget(limit)
         lazy = find_shelling(K, budget)
         with monkeypatch.context() as patch:
-            patch.setattr(_Prefix, "candidates", eager_candidates(K))
+            patch.setattr(_Prefix, "after", eager_after(K))
             reference = Budget(limit)
             assert find_shelling(K, reference) == lazy
         assert budget.used == reference.used
@@ -290,6 +292,110 @@ def test_lazy_candidates_match_the_eager_reference(monkeypatch):
     for base in bases:
         for K in (base, base.barycentric_subdivision()):
             search(K, 300)
+
+
+class _SetPrefix(_Prefix):
+    """The replay state of the earlier search: the frontier is a set, each
+    frame iterates a sorted snapshot of it, and ``pop`` recomputes which
+    facets leave it."""
+
+    def __init__(self, K):
+        super().__init__(K)
+        self.frontier = set()
+
+    def _touches(self, i):
+        sub, cover = self.subfaces[i], self.cover
+        return any(cover[sub[k]] for k in self.ridge_slots)
+
+    def candidates(self):
+        return (i for i in sorted(self.frontier) if self.fits(i))
+
+    def push(self, i):
+        self.placed[i] = True
+        self.order.append(i)
+        self.key |= 1 << i
+        self.frontier.discard(i)
+        sub, cover = self.subfaces[i], self.cover
+        for s in sub:
+            cover[s] += 1
+        for k in self.ridge_slots:
+            if cover[sub[k]] == 1:
+                self.frontier.update(g for g in self.holders[sub[k]] if not self.placed[g])
+
+    def pop(self):
+        i = self.order.pop()
+        self.placed[i] = False
+        self.key ^= 1 << i
+        sub, cover = self.subfaces[i], self.cover
+        for s in sub:
+            cover[s] -= 1
+        for k in self.ridge_slots:
+            if cover[sub[k]] == 0:
+                self.frontier.difference_update(
+                    g for g in self.holders[sub[k]] if not self._touches(g))
+        if self._touches(i):
+            self.frontier.add(i)
+
+
+def reference_shelling(K, budget):
+    """The earlier search: a stack of candidate generators over
+    :class:`_SetPrefix`, with the same memo and the same one call to
+    ``shelling._refuted``."""
+    m = len(K.facets)
+    prefix = _SetPrefix(K)
+    failed = set()
+    stack = [iter(range(m))]
+    try:
+        while stack:
+            for i in stack[-1]:
+                budget.spend()
+                prefix.push(i)
+                if len(prefix.order) == m:
+                    return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
+                if prefix.key in failed:
+                    prefix.pop()
+                    continue
+                stack.append(prefix.candidates())
+                break
+            else:
+                if not failed and K.dim == 2 and shelling._refuted(K, budget) is not None:
+                    return Unshellable()
+                stack.pop()
+                failed.add(prefix.key)
+                if prefix.order:
+                    prefix.pop()
+    except OutOfBudget:
+        return BudgetExceeded(stage="shelling")
+    return Unshellable()
+
+
+def test_search_matches_the_set_frontier_reference(monkeypatch):
+    """The search with per-frame cursors over a sorted frontier returns
+    what the earlier search over set snapshots returned, and spends the
+    same nodes, with the refutation on and off and at three budgets.
+
+    Without the refutation an unshellable subdivision takes millions of
+    nodes, so there the unlimited budget is replaced by 3000."""
+    rng = random.Random(19)
+    bases = list(enumerate_pure2(5, 10))
+    corpus = bases + [K.barycentric_subdivision() for K in bases]
+    corpus.append(from_facets([f"v{i:04d} v{i + 1:04d} v{i + 2:04d}" for i in range(1200)]))
+    corpus.append(
+        from_facets(["a b c d", "b c d e", "c d e f", "a b c g"]).barycentric_subdivision())
+    corpus += [sample_pure2(rng, rng.randint(5, 8), rng.randint(2, 10))[0]
+               for _ in range(200)]
+    outcomes = defaultdict(int)
+    for limits in ((None, 300, 7), (3000, 300, 7)):
+        for K in corpus:
+            for limit in limits:
+                budget, reference = Budget(limit), Budget(limit)
+                result = find_shelling(K, budget)
+                assert result == reference_shelling(K, reference), (K.facets, limit)
+                assert budget.used == reference.used, (K.facets, limit)
+                outcomes[type(result).__name__] += 1
+        monkeypatch.setattr(shelling, "_refuted", lambda K, budget: None)
+    kinds = ("ShellingCertificate", "Unshellable", "BudgetExceeded")
+    assert all(outcomes[kind] > 100 for kind in kinds), outcomes
 
 
 def test_shared_tables_leak_no_state():
@@ -389,9 +495,12 @@ def test_three_deciders_agree_on_flag_complexes():
     removed to leave a collapsible complex, iff its links are connected and
     a spanning tree of its 1-skeleton is weakly K3-saturated.  The three
     deciders must agree where the oracles cannot reach."""
+    rng = random.Random(17)
     corpus = [K.barycentric_subdivision() for K in enumerate_pure2(6, 6)]
     corpus.append(flag_dunce_hat())
-    assert len(corpus) == 169
+    corpus += [sample_pure2(rng, 7, rng.randint(4, 9))[0].barycentric_subdivision()
+               for _ in range(60)]
+    assert len(corpus) == 229
     verdicts = []
     for L in corpus:
         links = all(L.induced(tuple(u for u in t if u != v)
