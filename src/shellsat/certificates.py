@@ -122,8 +122,9 @@ def saturation_to_collapse(L: Complex,
     Each witness induces a triangle of L: the replay finds its edges in the
     1-skeleton, and L is flag.  The triangles are pairwise distinct because
     a later triangle contains its own ordered edge while earlier ones do
-    not.  Triangles outside the witness list are removed up front; the
-    witness triangles collapse in reverse saturation order, and the
+    not.  Triangles outside the witness list are removed up front (L is
+    pure of dimension 2, so its triangles are its facets); the witness
+    triangles collapse in reverse saturation order, and the
     remaining spanning tree is pruned leaf by leaf (largest leaf first)
     down to the least vertex.
     """
@@ -143,7 +144,7 @@ def saturation_to_collapse(L: Complex,
     triangles = [tuple(sorted(witness)) for witness in cert.witnesses]
     assert len(set(triangles)) == len(triangles), "witness triangles must be distinct"
 
-    removed = frozenset(set(L.triangles) - set(triangles))
+    removed = frozenset(set(L.facets) - set(triangles))
     steps = [CollapseStep(edge, triangle)
              for edge, triangle in reversed(list(zip(cert.order, triangles)))]
     # The peel takes the least free vertex first; on reversed ids

@@ -14,10 +14,9 @@ dimension.
 """
 
 import heapq
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress
 
 from .complexes import (
     COLLAPSE,
@@ -67,53 +66,91 @@ class CollapseCertificate:
 
 # -- the replay -----------------------------------------------------------------
 
-def _replay(K: Complex, removed: frozenset[Face] = frozenset()):
-    """The faces a replay has left, a closed set of nonempty faces, and
-    ``up[f]``, the number of them one vertex larger than f (facets: 0)."""
-    faces = {f for f in K.faces if f and f not in removed}
-    return faces, Counter(r for g in faces for r in combinations(g, len(g) - 1))
+class _Replay:
+    """The faces a certificate replay has left, on integer face ids.
 
+    Built once per replay from K and not kept on it.  ``face[i]`` is the
+    nonempty face with id i and ``ids`` maps it back; ``ridges[i]`` lists the
+    ids of its faces one vertex smaller (none for a vertex: the empty face
+    has no id, and a step naming it is refused before any lookup).
+    ``left[i]`` is 1 while face i is left, and ``up[i]`` counts the faces
+    left one vertex larger than face i (facets: 0).
 
-def _step_violation(faces: set[Face], up: Counter, step: CollapseStep) -> str | None:
-    """Why the step is illegal on the faces left, or None if legal.
-
-    Legal iff tau is a nonempty face left, sigma a face left strictly
-    holding it, up[sigma] == 0 and up[tau] == |sigma| - |tau|.  Why: the
-    faces are closed, so sigma is a facet iff up[sigma] == 0, and the faces
-    tau + v for v in sigma - tau are left.  A facet other than sigma holding
-    tau has a vertex w outside sigma and brings one more face, tau + w; and
-    such a tau + w lies in some facet other than sigma.
+    Why it replays exactly as a set of face tuples with a count per face
+    would: ids are a bijection onto the nonempty faces, so ``left`` is the
+    set's indicator and ``up[i]`` the count of ``face[i]``, and a count for
+    ``()`` would never be read.  Each step removes the same faces and lowers
+    the same counts, and each check reads the same membership and counts,
+    so every verdict and message is the same.
     """
-    tau, sigma = step.free_face, step.facet
-    if not tau:
-        return "the empty face cannot be collapsed"
-    if tau not in faces:
-        return f"free face {tau} is not a face of the current complex"
-    if sigma not in faces or not set(tau) < set(sigma):
-        return f"{sigma} is not a facet strictly containing {tau}"
-    if up[sigma]:
-        return f"{sigma} is not a facet of the current complex"
-    if up[tau] != len(sigma) - len(tau):
-        other = _other_facet(faces, up, step)
-        return f"free face {tau} is also contained in facet {other}"
-    return None
 
+    __slots__ = ("face", "ids", "ridges", "left", "up")
 
-def _other_facet(faces: set[Face], up: Counter, step: CollapseStep) -> Face | None:
-    """The least facet left above a nonempty free face but the step's, or None."""
-    tau = set(step.free_face)
-    others = [g for g in faces if not up[g] and g != step.facet and tau < set(g)]
-    return min(others, default=None) if tau else None
+    def __init__(self, K: Complex, removed: frozenset[Face] = frozenset()):
+        above = [f for f in K.faces if len(f) > 1]
+        self.face = face = above + [f for f in K.faces if len(f) == 1]
+        self.ids = ids = {f: i for i, f in enumerate(face)}
+        self.ridges = ridges = [
+            tuple(map(ids.__getitem__, combinations(f, len(f) - 1))) for f in above
+        ] + [()] * (len(face) - len(above))
+        self.left = left = bytearray(b"\1") * len(face)
+        for t in removed:
+            left[ids[t]] = 0
+        self.up = up = [0] * len(face)
+        for r in chain.from_iterable(compress(ridges, left)):
+            up[r] += 1
 
+    def take(self, step: CollapseStep) -> str | None:
+        """Apply the step if it is legal; else say why not and change nothing.
 
-def _apply_step(faces: set[Face], up: Counter, step: CollapseStep) -> None:
-    """Remove a legal step's faces above tau: tau + S for each S in sigma - tau."""
-    tau = step.free_face
-    for extra in subfaces([v for v in step.facet if v not in tau]):
-        g = tuple(sorted(tau + extra))
-        faces.remove(g)
-        for r in combinations(g, len(g) - 1):
-            up[r] -= 1
+        Legal iff tau is a nonempty face left, sigma a face left strictly
+        holding it, up[sigma] == 0 and up[tau] == |sigma| - |tau|.  Why: the
+        faces are closed, so sigma is a facet iff up[sigma] == 0, and the
+        faces tau + v for v in sigma - tau are left.  A facet other than
+        sigma holding tau has a vertex w outside sigma and brings one more
+        face, tau + w; and such a tau + w lies in some facet other than
+        sigma.  A legal step removes tau + S for each S in sigma - tau.
+
+        When |sigma| = |tau| + 1 (every step the chain and the peel emit),
+        sigma strictly holds tau iff tau is one of its ridges, and the faces
+        removed are just tau and sigma, so the step costs two id lookups
+        and a decrement per ridge of each.
+        """
+        tau, sigma = step.free_face, step.facet
+        if not tau:
+            return "the empty face cannot be collapsed"
+        ids, left, up, ridges = self.ids, self.left, self.up, self.ridges
+        t = ids.get(tau)
+        if t is None or not left[t]:
+            return f"free face {tau} is not a face of the current complex"
+        s = ids.get(sigma)
+        codim1 = len(sigma) == len(tau) + 1
+        if s is None or not left[s] or not (
+                t in ridges[s] if codim1 else set(tau) < set(sigma)):
+            return f"{sigma} is not a facet strictly containing {tau}"
+        if up[s]:
+            return f"{sigma} is not a facet of the current complex"
+        if up[t] != len(sigma) - len(tau):
+            return f"free face {tau} is also contained in facet {self.other_facet(step)}"
+        gone = (t, s) if codim1 else [
+            ids[tuple(sorted(tau + extra))]
+            for extra in subfaces([v for v in sigma if v not in tau])]
+        for g in gone:
+            left[g] = 0
+            for r in ridges[g]:
+                up[r] -= 1
+        return None
+
+    def facets(self) -> list[Face]:
+        """The facets left, in id order."""
+        return [f for f, alive, up in zip(self.face, self.left, self.up)
+                if alive and not up]
+
+    def other_facet(self, step: CollapseStep) -> Face | None:
+        """The least facet left above a nonempty free face but the step's, or None."""
+        tau = set(step.free_face)
+        others = [f for f in self.facets() if f != step.facet and tau < set(f)]
+        return min(others, default=None) if tau else None
 
 
 # -- public operations --------------------------------------------------------
@@ -124,20 +161,20 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
     The free face must be contained in exactly one facet, which must be the
     one named by the step; otherwise NotFreeError reports the obstruction.
     """
-    faces, up = _replay(K)
-    reason = _step_violation(faces, up, step)
+    replay = _Replay(K)
+    reason = replay.take(step)
     if reason is not None:
-        raise NotFreeError(reason, blocking_facet=_other_facet(faces, up, step))
-    _apply_step(faces, up, step)
-    return K.induced(f for f in faces if not up[f])
+        raise NotFreeError(reason, blocking_facet=replay.other_facet(step))
+    return K.induced(replay.facets())
 
 
 def free_faces(K: Complex) -> list[CollapseStep]:
     """All currently legal collapse steps, in lexicographic face order."""
-    faces, up = _replay(K)
-    return sorted((CollapseStep(tau, sigma) for sigma in faces if not up[sigma]
+    replay = _Replay(K)
+    ids, up = replay.ids, replay.up
+    return sorted((CollapseStep(tau, sigma) for sigma in replay.facets()
                    for k in range(1, len(sigma)) for tau in combinations(sigma, k)
-                   if up[tau] == len(sigma) - len(tau)),
+                   if up[ids[tau]] == len(sigma) - len(tau)),
                   key=lambda step: step.free_face)
 
 
@@ -431,14 +468,13 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
                 raise MalformedCertificateError(
                     f"step {i}: {face} is not a face of the subject")
 
-    faces, up = _replay(K, cert.removed_triangles)
+    replay = _Replay(K, cert.removed_triangles)
     for i, step in enumerate(cert.steps):
-        reason = _step_violation(faces, up, step)
+        reason = replay.take(step)
         if reason is not None:
             return f"step {i}: {reason}"
-        _apply_step(faces, up, step)
 
-    reached = {K.label_face(f) for f in faces}
+    reached = {K.label_face(f) for f in compress(replay.face, replay.left)}
     expected = {cert.target.label_face(f) for f in cert.target.faces if f}
     if reached != expected:
         return "final complex does not equal the certificate target"

@@ -47,7 +47,7 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
     order = [tuple(f) for f in cert.order]
-    if sorted(order) != list(K.facets) or len(order) != len(K.facets):
+    if sorted(order) != list(K.facets):
         raise MalformedCertificateError(
             "certificate order is not a permutation of the facet set")
     if K.dim < 1:

@@ -144,6 +144,14 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     Raises MalformedCertificateError when the start graph does not span the
     host, the order is not exactly the missing host edges, or the arity of
     an entry is broken; a wrong witness merely invalidates the certificate.
+
+    Each ordered edge is a host edge (u, v), so it lies in the witness iff
+    u and v do.  The edges of the witness are the pairs of its sorted
+    vertices: for three distinct vertices these are the sorted pairs of any
+    order of them, and a witness with a repeated vertex (more than three
+    entries on three values) has a pair (x, x) that is no edge either way.
+    Only a failing witness is walked again in its own order, to name the
+    first absent edge.
     """
     try:
         host, start = _spanning_edges(F, cert.start)
@@ -156,20 +164,22 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     if len(cert.witnesses) != len(cert.order):
         raise MalformedCertificateError(
             "certificate must carry one witness per ordered edge")
+    n = F.n_vertices
     for i, witness in enumerate(cert.witnesses):
-        if len(set(witness)) != 3 or any(not 0 <= v < F.n_vertices for v in witness):
+        if len(set(witness)) != 3 or any(not 0 <= v < n for v in witness):
             raise MalformedCertificateError(
                 f"witness {i} is not a 3-vertex set of the host")
 
     present = start
     for i, (edge, witness) in enumerate(zip(cert.order, cert.witnesses)):
         present.add(edge)
-        if not set(edge) <= set(witness):
+        u, v = edge
+        if u not in witness or v not in witness:
             return f"index {i}: witness {witness} does not contain edge {edge}"
-        witness_edges = [tuple(sorted(p)) for p in combinations(witness, 2)]
-        absent = [e for e in witness_edges if e not in present]
-        if absent:
-            return (f"index {i}: witness edge {absent[0]} is not present "
+        if not all(map(present.__contains__, combinations(sorted(witness), 2))):
+            absent = next(e for e in (tuple(sorted(p)) for p in combinations(witness, 2))
+                          if e not in present)
+            return (f"index {i}: witness edge {absent} is not present "
                     f"after adding edge {edge}")
     return None
 

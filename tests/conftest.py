@@ -1,8 +1,10 @@
+import random
 from itertools import combinations
 
 import pytest
 
-from shellsat import from_facets, graph_complex
+from shellsat import from_facets, graph_complex, run_chain
+from shellsat.harness import sample_pure2
 
 
 def maximal_faces(faces):
@@ -17,6 +19,32 @@ def maximal_faces(faces):
         return listed
     below = {sub for f in listed for k in range(len(f)) for sub in combinations(f, k)}
     return [f for f in listed if f not in below]
+
+
+# (vertices, triangles) of sample_pure2 draws whose sd² is a chain subject;
+# the tetrahedron boundary (4, 4) and (5, 7) have a removed triangle.
+CHAIN_SHAPES = [(4, 4), (5, 3), (5, 5), (6, 4), (6, 6), (5, 7), (6, 5)]
+
+
+def chain_reports(seed: int):
+    """The complete :func:`run_chain` reports on sd² of one seeded
+    ``sample_pure2`` draw per shape of ``CHAIN_SHAPES``."""
+    rng = random.Random(seed)
+    reports = []
+    for n, t in CHAIN_SHAPES:
+        K, _ = sample_pure2(rng, n, t)
+        report = run_chain(K.barycentric_subdivision().barycentric_subdivision())
+        if report.complete:
+            reports.append(report)
+    return reports
+
+
+def outcome(check, *args):
+    """What a check returns, or the type and text of what it raises."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -44,7 +45,7 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
-from conftest import maximal_faces
+from conftest import chain_reports, maximal_faces, outcome
 
 
 def step_of(K, free_labels, facet_labels):
@@ -665,6 +666,70 @@ def test_ridge_count_replay_matches_the_coface_reference():
                 break
             current = apply_collapse(current, rng.choice(free))
     assert illegal >= 100 and checked >= 1000
+
+
+def reference_checked_violation(K, cert):
+    """The structural pass over the whole certificate, then the coface replay."""
+    facets = set(K.facets)
+    for t in cert.removed_triangles:
+        if len(t) != 3 or t not in facets:
+            raise MalformedCertificateError(
+                f"removed entry {t} is not a triangle facet of the subject")
+    for i, step in enumerate(cert.steps):
+        for face in (step.free_face, step.facet):
+            if face not in K.faces:
+                raise MalformedCertificateError(
+                    f"step {i}: {face} is not a face of the subject")
+    return reference_violation(K, cert)
+
+
+def tampered_collapses(rng, L, cert):
+    """The certificate and copies broken in one place each."""
+    steps = list(cert.steps)
+    i = rng.randrange(len(steps) - 1)
+    # A step whose free face lies in the facet of the one before cannot go first.
+    j = rng.choice([j for j in range(len(steps) - 1)
+                    if set(steps[j + 1].free_face) < set(steps[j].facet)])
+
+    def at(i, step):
+        return replace(cert, steps=tuple(steps[:i] + [step] + steps[i + 1:]))
+
+    def swapped(i):
+        return replace(cert, steps=tuple(steps[:i] + [steps[i + 1], steps[i]] + steps[i + 2:]))
+
+    yield cert
+    yield replace(cert, steps=(steps[-1], *steps[:-1]))
+    yield swapped(i)
+    yield swapped(j)
+    for t in sorted(cert.removed_triangles)[:1]:
+        yield replace(cert, removed_triangles=cert.removed_triangles - {t})
+    yield at(i, CollapseStep((), steps[i].facet))
+    yield at(i, CollapseStep(steps[i].free_face, (0, L.n_vertices)))
+    (point,) = cert.target.labels
+    yield replace(cert, target=from_facets([next(x for x in L.labels if x != point)]))
+
+
+def test_id_replay_matches_the_coface_reference_on_chain_certificates():
+    """The chain's own collapse certificates on sd² subjects, each also
+    with its last step first, two adjacent steps swapped, a removed
+    triangle dropped, an empty free face, a face outside the subject and a
+    wrong target: the same message, or the same exception and text."""
+    rng = random.Random(18)
+    reports = chain_reports(18)
+    assert len(reports) >= 4 and any(r.collapse.removed_triangles for r in reports)
+    seen = []
+    for report in reports:
+        L = report.subject
+        for cert in tampered_collapses(rng, L, report.collapse):
+            expected = outcome(reference_checked_violation, L, cert)
+            assert outcome(collapse_violation, L, cert) == expected
+            seen.append(expected)
+    assert len(reports) <= seen.count(None) < 2 * len(reports)
+    assert sum(isinstance(x, tuple) for x in seen) == len(reports)
+    assert sum(isinstance(x, str) and "also contained" in x for x in seen) >= len(reports)
+    assert sum(isinstance(x, str) and "empty face" in x for x in seen) == len(reports)
+    assert sum(x == "final complex does not equal the certificate target"
+               for x in seen) >= len(reports)
 
 
 # -- certificate files ---------------------------------------------------------------------

@@ -33,11 +33,12 @@ from shellsat.outcomes import Budget, BudgetExceeded, NotSaturated
 from shellsat.wsat import (
     _bootstrap,
     _edge_set,
+    _spanning_edges,
     format_saturation,
     parse_saturation,
     saturation_violation,
 )
-from conftest import complete_graph, cycle_graph
+from conftest import chain_reports, complete_graph, cycle_graph, outcome
 
 
 def star_at_a_in_k4():
@@ -363,6 +364,92 @@ def test_saturation_violation_rejects_broken_certificates():
     for witness in ((0, 1, 1), (0, 1, 4)):
         with pytest.raises(MalformedCertificateError, match="witness 0 is not a 3-vertex set"):
             saturation_violation(F, SaturationCertificate(cert.start, cert.order, (witness,)))
+
+
+
+# -- the per-pair replay, kept as the reference -----------------------------------------
+
+def reference_saturation_violation(F, cert):
+    """saturation_violation with the host size read per vertex and each
+    witness edge sorted pair by pair."""
+    try:
+        host, start = _spanning_edges(F, cert.start)
+    except ContainmentError as exc:
+        raise MalformedCertificateError(str(exc)) from None
+    missing = host - start
+    if sorted(cert.order) != sorted(missing) or len(cert.order) != len(missing):
+        raise MalformedCertificateError(
+            "certificate order is not exactly the missing host edges")
+    if len(cert.witnesses) != len(cert.order):
+        raise MalformedCertificateError(
+            "certificate must carry one witness per ordered edge")
+    for i, witness in enumerate(cert.witnesses):
+        if len(set(witness)) != 3 or any(not 0 <= v < F.n_vertices for v in witness):
+            raise MalformedCertificateError(
+                f"witness {i} is not a 3-vertex set of the host")
+
+    present = start
+    for i, (edge, witness) in enumerate(zip(cert.order, cert.witnesses)):
+        present.add(edge)
+        if not set(edge) <= set(witness):
+            return f"index {i}: witness {witness} does not contain edge {edge}"
+        witness_edges = [tuple(sorted(p)) for p in combinations(witness, 2)]
+        absent = [e for e in witness_edges if e not in present]
+        if absent:
+            return (f"index {i}: witness edge {absent[0]} is not present "
+                    f"after adding edge {edge}")
+    return None
+
+
+def tampered_saturations(rng, L, cert):
+    """The certificate and copies broken in one place each."""
+    order, witnesses = list(cert.order), list(cert.witnesses)
+    i = rng.choice([i for i in range(len(order) - 1)
+                    if sum(set(order[i]) < set(t) for t in L.facets) == 2])
+
+    def at(order=order, witnesses=witnesses):
+        return SaturationCertificate(cert.start, tuple(order), tuple(witnesses))
+
+    def put(items, i, *new):
+        return items[:i] + list(new) + items[i + len(new):]
+
+    yield cert
+    yield at(order=put(order, i, order[i + 1], order[i]))
+    yield at(put(order, i, order[i + 1], order[i]), put(witnesses, i, witnesses[i + 1], witnesses[i]))
+    other = next(t for t in L.facets if set(order[i]) < set(t) and t != witnesses[i])
+    yield at(witnesses=put(witnesses, i, other))
+    yield at(witnesses=put(witnesses, i, other[::-1]))
+    yield at(witnesses=put(witnesses, i, rng.choice(L.facets)))
+    # Two absent witness edges, the first named in the witness's own order.
+    u, v = order[i]
+    far = next(w for w in range(L.n_vertices)
+               if (min(u, w), max(u, w)) not in L.faces and (min(v, w), max(v, w)) not in L.faces)
+    yield at(witnesses=put(witnesses, i, (far, v, u)))
+    yield at(witnesses=put(witnesses, i, witnesses[i][:1] + witnesses[i]))
+    yield at(order=put(order, i, order[i + 1]))
+    yield at(witnesses=put(witnesses, i, witnesses[i][:2] + (L.n_vertices,)))
+
+
+def test_saturation_replay_matches_the_reference_on_chain_certificates():
+    """The chain's own saturation certificates on sd² subjects, each also
+    with two ordered edges swapped (alone, and with their witnesses), a
+    witness replaced by another host triangle (sorted, reversed, or any)
+    or by a non-triangle with two absent edges, a witness repeating a vertex, an ordered edge repeated and a witness
+    vertex out of range: the same message, or the same exception and text."""
+    rng = random.Random(18)
+    reports = chain_reports(18)
+    assert len(reports) >= 4
+    seen = []
+    for report in reports:
+        host = report.subject.skeleton(1)
+        for cert in tampered_saturations(rng, report.subject, report.saturation):
+            expected = outcome(reference_saturation_violation, host, cert)
+            assert outcome(saturation_violation, host, cert) == expected
+            seen.append(expected)
+    assert len(reports) <= seen.count(None) < 2 * len(reports)
+    assert sum(isinstance(x, tuple) for x in seen) == 2 * len(reports)
+    assert sum(isinstance(x, str) and "does not contain" in x for x in seen) >= len(reports)
+    assert sum(isinstance(x, str) and "is not present" in x for x in seen) >= 4 * len(reports)
 
 
 def test_certificate_fingerprint_mismatch():
