@@ -21,8 +21,9 @@ shared skeleton is at the end.
 import hashlib
 import re
 from bisect import bisect_left
-from itertools import chain, combinations, permutations, repeat
-from typing import Callable, Iterable, Sequence
+from itertools import chain, combinations, count, permutations, repeat
+from operator import itemgetter, ne
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (
     EmptyComplexError,
@@ -39,8 +40,18 @@ Face = tuple[int, ...]
 MAX_DIMENSION = 3
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_{}|.\-]+\Z")
+_LABELS_RE = re.compile(r"[A-Za-z0-9_{}|.\-]+(?: [A-Za-z0-9_{}|.\-]+)*\Z")
 
 SHELLING, COLLAPSE, SATURATION = "shelling", "collapse", "saturation"
+
+
+def _labels_ok(labels: Collection[str]) -> bool:
+    """True iff each of the (one or more) labels matches ``LABEL_RE``, in
+    one regex pass: when the labels joined by spaces hold just the joining
+    spaces, the pieces between them are the labels, and ``_LABELS_RE``
+    matches iff each piece matches ``LABEL_RE``."""
+    text = " ".join(labels)
+    return text.count(" ") == len(labels) - 1 and _LABELS_RE.match(text) is not None
 
 
 def subfaces(face: Face) -> Iterable[Face]:
@@ -51,21 +62,20 @@ def subfaces(face: Face) -> Iterable[Face]:
 def is_connected_graph(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """True iff the edges join the vertices 0..n-1 into one component.
 
-    Union-find with path halving; the edges may come in any order.
+    Union-find with path halving, ``find`` written out for both ends; the
+    edges may come in any order.  In ``parent[u] = u = parent[parent[u]]``
+    the targets are assigned left to right, so the old u gets its
+    grandparent as parent before u moves there.
     """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     components = n
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
             components -= 1
     return components == 1
 
@@ -89,7 +99,7 @@ class Complex:
     """Immutable simplicial complex, read from labels by :func:`from_facets`;
     :meth:`induced` and :meth:`barycentric_subdivision` derive on ids."""
 
-    __slots__ = ("labels", "facets", "faces", "_kept")
+    __slots__ = ("labels", "facets", "faces", "dim", "_kept")
 
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
         """The closure of id_faces (increasing id tuples) on sorted labels.
@@ -98,20 +108,30 @@ class Complex:
         a size not yet in the closure are facets, and add their subfaces one
         size at a time.  Distinct faces of one size never contain each
         other, so a face not covered by a larger listed face is maximal.
+        The empty face enters once, before the sweep, so it is never a
+        facet beside a nonempty face; the facets of a size enter whole,
+        as their only subfaces of that size are themselves, and their
+        vertices enter once each rather than once per facet.  ``dim`` is
+        one less than the first size of the sweep, the largest.
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
         listed = set(id_faces)
-        faces: set[Face] = set()
+        sizes = sorted(set(map(len, listed)), reverse=True)
+        faces: set[Face] = {()}
         facets: list[Face] = []
-        for size in sorted(set(map(len, listed)), reverse=True):
+        for size in sizes:
             fresh = [f for f in listed if len(f) == size and f not in faces]
             facets += fresh
-            for k in range(size + 1):
+            faces.update(fresh)
+            faces.update(zip(set(chain.from_iterable(fresh))))  # the vertices, once each
+            for k in range(2, size):
                 faces.update(chain.from_iterable(map(combinations, fresh, repeat(k))))
         self.labels = tuple(labels)
-        self.facets = tuple(sorted(facets))
+        # When only the empty face is listed, it is the one facet.
+        self.facets = tuple(sorted(facets)) or tuple(listed)
         self.faces = frozenset(faces)
+        self.dim = sizes[0] - 1 if sizes else -1
         self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -120,16 +140,21 @@ class Complex:
     def n_vertices(self) -> int:
         return len(self.labels)
 
-    @property
-    def dim(self) -> int:
-        return max(len(f) for f in self.facets) - 1
-
     def label_face(self, face: Face) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in face)
 
     def face_text(self, face: Face) -> str:
         """The face as certificates and ".sc" lines write it: "a b c"."""
         return " ".join([self.labels[v] for v in face])
+
+    def face_texts(self, faces: Iterable[Face]) -> list[str]:
+        """:meth:`face_text` of each face.  ``itemgetter`` of two or more ids
+        picks the tuple of their labels in one C call; of one id it picks
+        the bare label, so shorter faces go through ``face_text``.  Nothing
+        is kept on the complex."""
+        labels = self.labels
+        return [" ".join(itemgetter(*f)(labels)) if len(f) > 1 else self.face_text(f)
+                for f in faces]
 
     def face_from_labels(self, labels: Sequence[str]) -> Face:
         """Translate a label sequence to the id face it names, sorted.
@@ -202,13 +227,21 @@ class Complex:
 
     def is_pure(self) -> bool:
         """True when all facets share one dimension."""
-        return self._keep("pure", lambda: len({len(f) for f in self.facets}) == 1)
+        return self._keep("pure", lambda: len(set(map(len, self.facets))) == 1)
 
     def is_connected(self) -> bool:
         """Connectivity of the 1-skeleton (single vertices count as components).
-        Every edge lies in a facet, so joining each facet's vertices suffices."""
+        Every edge lies in a facet, so joining each facet's first vertex to
+        its others suffices: for each position j, column 0 of the facets
+        longer than j zipped with their column j (all facets, when pure)."""
+        facets = self.facets
+
+        def edges(j: int) -> Iterable[tuple[int, int]]:
+            longer = facets if self.is_pure() else [f for f in facets if len(f) > j]
+            return zip(map(itemgetter(0), longer), map(itemgetter(j), longer))
+
         return self._keep("connected", lambda: is_connected_graph(
-            self.n_vertices, ((f[0], v) for f in self.facets for v in f[1:])))
+            self.n_vertices, chain.from_iterable(map(edges, range(1, self.dim + 1)))))
 
     def is_flag2(self) -> bool:
         """True iff every 3-clique of the 1-skeleton spans a triangle.
@@ -287,20 +320,20 @@ class Complex:
     def to_sc(self) -> str:
         """Serialize to the ".sc" text format: one facet per line, sorted.
         Each label is checked once; the first bad one in facet order raises."""
-        bad = {lab for lab in self.labels if not LABEL_RE.match(lab)}
-        if bad:
+        if not _labels_ok(self.labels):
+            bad = {lab for lab in self.labels if not LABEL_RE.match(lab)}
             first = next((lab for f in self.facets for lab in self.label_face(f)
                           if lab in bad), None)
             if first is not None:
                 raise ShellsatError(f"label {first!r} is not serializable")
-        return "\n".join(map(self.face_text, self.facets)) + "\n"
+        return "\n".join(self.face_texts(self.facets)) + "\n"
 
 
-def _build(label_faces: list[tuple[str, ...]]) -> tuple[Complex, list[Face]]:
+def _build(label_faces: list[Sequence[str]]) -> tuple[Complex, list[Face]]:
     """The Complex of valid label faces, and the id face of each: labels -> ids."""
-    labels = sorted({lab for face in label_faces for lab in face})
-    index = {lab: v for v, lab in enumerate(labels)}
-    id_faces = [tuple(sorted(map(index.get, face))) for face in label_faces]
+    labels = sorted(set(chain.from_iterable(label_faces)))
+    index = dict(zip(labels, count()))
+    id_faces = list(map(tuple, map(sorted, map(map, repeat(index.__getitem__), label_faces))))
     return Complex(labels, id_faces), id_faces
 
 
@@ -339,14 +372,48 @@ def parse_sc_with_warnings(text: str) -> tuple[Complex, list[str]]:
     facet of whitespace-separated labels.  Labels must match
     ``[A-Za-z0-9_{}|.-]+``.  Malformed input raises :class:`ParseError`
     with the offending 1-based line number.
+
+    One bulk pass over the split rows finds whether any line is bad: the
+    distinct labels are checked at once by :func:`_labels_ok`, and the
+    repeated vertices and oversize faces are found by comparing lengths.
+    A line is bad iff it fails one of these, so only when the pass finds a
+    bad line does the line loop of :func:`_raise_first_error` run, to name
+    the first one and its line.
+    When there are as many facets as listed faces, every listed face is a
+    facet listed once, so none is absorbed and no face is compared.
     """
-    listed: list[tuple[int, tuple[str, ...]]] = []
+    lines = list(map(str.strip, text.splitlines()))
+    rows = [line.split() for line in lines if line and line[0] != "#"]
+    if not rows:
+        raise ParseError("no facets found; a complex must have at least one vertex")
+    sizes = list(map(len, rows))
+    if (not _labels_ok(set(chain.from_iterable(rows)))
+            or any(map(ne, map(len, map(set, rows)), sizes))
+            or max(sizes) > MAX_DIMENSION + 1):
+        _raise_first_error(lines)
+
+    complex_, id_faces = _build(rows)
+    if len(complex_.facets) == len(id_faces):
+        return complex_, []  # every listed face is a distinct facet
+    unlisted = set(complex_.facets)  # a facet listed again is absorbed
+    warnings = []
+    linenos = [n for n, line in enumerate(lines, start=1) if line and line[0] != "#"]
+    for lineno, row, face in zip(linenos, rows, id_faces):
+        if face not in unlisted:
+            warnings.append(f"line {lineno}: face {' '.join(row)!r} absorbed")
+        unlisted.discard(face)
+    return complex_, warnings
+
+
+def _raise_first_error(lines: list[str]) -> None:
+    """Raise the ParseError of the first bad line of stripped ".sc" lines:
+    in line order, each line's first bad label, then a repeated vertex,
+    then a face above the supported dimension."""
     good: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line[0] == "#":
             continue
-        labels = tuple(line.split())
+        labels = line.split()
         for lab in labels:
             if lab not in good and not LABEL_RE.match(lab):
                 raise ParseError(f"bad vertex label {lab!r}", lineno)
@@ -357,19 +424,6 @@ def parse_sc_with_warnings(text: str) -> tuple[Complex, list[str]]:
             raise ParseError(
                 f"face {line!r} has dimension {len(labels) - 1}; "
                 f"the supported maximum is {MAX_DIMENSION}", lineno)
-        listed.append((lineno, labels))
-
-    if not listed:
-        raise ParseError("no facets found; a complex must have at least one vertex")
-
-    complex_, id_faces = _build([labels for _, labels in listed])
-    unlisted = set(complex_.facets)  # a facet listed again is absorbed
-    warnings = []
-    for (lineno, labels), face in zip(listed, id_faces):
-        if face not in unlisted:
-            warnings.append(f"line {lineno}: face {' '.join(labels)!r} absorbed")
-        unlisted.discard(face)
-    return complex_, warnings
 
 
 # -- certificate files ---------------------------------------------------------

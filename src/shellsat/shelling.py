@@ -8,8 +8,11 @@ exercised at dimension 2.
 """
 
 from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count, repeat
+from math import comb
+from operator import add
 
 from .collapse import least_removal
 from .complexes import (
@@ -72,32 +75,51 @@ class _Tables:
     verifies the shelling its search found on the same subject), and never
     changed after.
 
-    Faces get dense ids.  ``subfaces[i]`` lists the ids of the nonempty
+    Faces get dense ids: vertex ``(v,)`` is id ``v`` (a label in no face
+    leaves its id unused), and the faces of each size 2..d follow, numbered
+    in order of first appearance in the facets' ``combinations`` streams.
+    The numbering is internal: the search and the verifier only compare
+    cover counts and facet indices, so no id ever reaches output.  ``subfaces[i]`` lists the ids of the nonempty
     proper subfaces of facet i in ``combinations`` order of its sorted
     vertices, so the subface on a given set of vertex positions sits at the
     same slot for every facet: ``slot[mask]`` is the slot of the subface on
     the positions in ``mask``, and ridge j (the one omitting vertex j) sits
-    at ``ridge_slots[j]``.  ``holders[r]`` lists the facets having face r
-    as a ridge.  The rows are tuples, so the tables stay read only.
+    at ``ridge_slots[j]``.  ``holders[r]`` lists, in increasing order, the
+    facets having face r as a ridge; faces of other sizes share one empty
+    tuple.  The rows are tuples, and no table is changed after the build.
+
+    The build runs in C-level passes.  One ``combinations`` stream per size
+    k lists each facet's k-subfaces in order; ``dict.fromkeys`` keeps its
+    distinct faces in order of first appearance, and mapping the stream
+    through the numbered dict gives a column of ids, C(d+1, k) per facet.
+    A facet's vertices are its own size-1 ids, so row i is the facet
+    followed by its chunk of each column, in increasing k: the slot order.
+    The ridges are the last column (the facets' vertices when d = 1), d+1
+    per facet, so zipping it with each facet index repeated d+1 times
+    appends every facet to the holders of its ridges, in facet order.
     """
 
     __slots__ = ("full", "slot", "ridge_slots", "subfaces", "holders")
 
     def __init__(self, K: Complex):
-        d = K.dim
+        d, facets = K.dim, K.facets
         self.full = (1 << (d + 1)) - 1
         slot = {sum(1 << j for j in positions): n for n, positions in enumerate(
             p for k in range(1, d + 1) for p in combinations(range(d + 1), k))}
         self.slot = [slot.get(mask) for mask in range(self.full)]
         self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
-        ids: dict[Face, int] = {}
-        self.subfaces = [tuple([ids.setdefault(f, len(ids)) for k in range(1, d + 1)
-                                for f in combinations(facet, k)]) for facet in K.facets]
-        holders: list[list[int]] = [[] for _ in range(len(ids))]
-        for i, sub in enumerate(self.subfaces):
-            for k in self.ridge_slots:
-                holders[sub[k]].append(i)
-        self.holders = list(map(tuple, holders))
+        rows, column = facets, chain.from_iterable(facets)
+        base, n_ids = 0, K.n_vertices
+        for k in range(2, d + 1):
+            stream = list(chain.from_iterable(map(combinations, facets, repeat(k))))
+            ids = dict(zip(dict.fromkeys(stream), count(n_ids)))
+            base, n_ids = n_ids, n_ids + len(ids)
+            column = list(map(ids.__getitem__, stream))
+            rows = map(add, rows, zip(*[iter(column)] * comb(d + 1, k)))
+        self.subfaces = list(rows)
+        self.holders = [()] * base + [[] for _ in range(base, n_ids)]
+        deque(map(list.append, map(self.holders.__getitem__, column),
+                  chain.from_iterable(zip(*repeat(range(len(facets)), d + 1)))), maxlen=0)
 
 
 class _Prefix:
@@ -328,7 +350,7 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
 
 def shelling_fields(K: Complex, cert: ShellingCertificate) -> list[str]:
     """The certificate as label text, for its file and the chain report."""
-    return [K.face_text(f) for f in cert.order]
+    return K.face_texts(cert.order)
 
 
 def format_shelling(K: Complex, cert: ShellingCertificate) -> str:

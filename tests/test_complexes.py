@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import deque
 from itertools import combinations, permutations
 
 import pytest
@@ -383,11 +384,22 @@ def reference_to_sc(K: Complex) -> str:
 
 
 def reference_connected(K: Complex) -> bool:
-    return is_connected_graph(K.n_vertices, (f for f in K.faces if len(f) == 2))
+    """Breadth-first search over the 1-skeleton from vertex 0."""
+    neighbours = {v: set() for v in range(K.n_vertices)}
+    for u, v in (f for f in K.faces if len(f) == 2):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    seen, queue = {0}, deque([0])
+    while queue:
+        for w in neighbours[queue.popleft()] - seen:
+            seen.add(w)
+            queue.append(w)
+    return len(seen) == K.n_vertices
 
 
 def reference_parse(text: str) -> tuple[Complex, list[str]]:
-    """Every label occurrence checked; absorbed faces compared as label tuples."""
+    """Line by line: every label occurrence checked, then a repeated vertex,
+    then the dimension; absorbed faces compared as label tuples."""
     listed = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -397,7 +409,14 @@ def reference_parse(text: str) -> tuple[Complex, list[str]]:
         for lab in labels:
             if not LABEL_RE.match(lab):
                 raise ParseError(f"bad vertex label {lab!r}", lineno)
+        if len(set(labels)) != len(labels):
+            raise ParseError(f"face {line!r} repeats a vertex", lineno)
+        if len(labels) > 4:
+            raise ParseError(f"face {line!r} has dimension {len(labels) - 1}; "
+                             "the supported maximum is 3", lineno)
         listed.append((lineno, labels))
+    if not listed:
+        raise ParseError("no facets found; a complex must have at least one vertex")
     K = from_facets([labels for _, labels in listed])
     facet_set = {K.label_face(f) for f in K.facets}
     warnings, seen = [], set()
@@ -496,10 +515,102 @@ def test_label_checks_match_per_occurrence_checks():
         assert outcome(relabeled.to_sc) == outcome(lambda: reference_to_sc(relabeled))
 
 
+# Whitespace that str.split separates labels on, and line breaks of
+# str.splitlines besides "\n".
+SPACES = [" ", "  ", "\t", "\xa0", " \t "]
+BREAKS = ["\r\n", "\x0b", "\x0c", "\u2028", "\r"]
+
+
+def noisy_text(rng: random.Random, K: Complex) -> tuple[str, set[str]]:
+    """K's ".sc" lines shuffled, with absorbed and duplicate faces, comments,
+    blank lines, mixed whitespace and line breaks, and at random lines some
+    of the three errors (a bad label, a repeated vertex, a face of dimension
+    4).  Returns the text and the error kinds put in."""
+    lines = K.to_sc().splitlines()
+    if rng.random() < 0.5:
+        lines += [" ".join(reversed(line.split()))
+                  for line in rng.sample(lines, min(2, len(lines)))]
+        lines += [" ".join(line.split()[:-1]) for line in lines[:2] if " " in line]
+    lines += rng.choices(["#", "  # x", "# a b c", "", "   ", "\t", "\xa0"], k=rng.randint(0, 4))
+    kinds = set()
+    for kind in rng.sample(["label", "repeat", "dimension"], rng.choice([0, 0, 1, 2, 3])):
+        kinds.add(kind)
+        at = rng.randrange(len(lines) + 1)
+        lab = rng.choice(K.labels)
+        if kind == "label":
+            lines.insert(at, rng.choice([f"{lab} #b", f"{lab} {lab}!", f"{lab} ?"]))
+        elif kind == "repeat":
+            lines.insert(at, f"{lab} {rng.choice(K.labels)} {lab}")
+        else:
+            # Sometimes with a repeated vertex too, which is reported first.
+            lines.insert(at, " ".join(rng.sample("pqrstu", rng.randint(5, 6))
+                                      + rng.choice([[], ["p"]])))
+    rng.shuffle(lines)
+    pieces = []
+    for line in lines:
+        words = line.split(" ") if not line.startswith("#") else [line]
+        pieces.append(rng.choice(["", " ", "\t"]) + "".join(
+            w + rng.choice(SPACES) for w in words[:-1]) + words[-1] + rng.choice(["", " ", "\t"]))
+    return "".join(p + rng.choice(["\n", "\n", *BREAKS]) for p in pieces), kinds
+
+
+def test_parse_matches_the_line_by_line_reference():
+    """Texts mixing the three error kinds at random lines with comments,
+    blank lines, odd whitespace and line breaks, absorbed and duplicate
+    faces give the reference's complex and warnings, or its error type,
+    text and line number."""
+    rng = random.Random(43)
+    corpus = sweep_corpus()
+    seen = {"clean": 0, "warned": 0, "label": 0, "repeat": 0, "dimension": 0}
+    for _ in range(400):
+        K = rng.choice(corpus)
+        text, kinds = noisy_text(rng, K)
+        got = outcome(lambda: parse_sc_with_warnings(text))
+        assert got == outcome(lambda: reference_parse(text)), text
+        if isinstance(got[0], Complex):
+            assert not kinds
+            seen["warned" if got[1] else "clean"] += 1
+        else:
+            assert got[0] == "ParseError" and got[2] is not None
+            message = got[1]
+            seen["label" if "bad vertex label" in message
+                 else "repeat" if "repeats a vertex" in message else "dimension"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_connectivity_matches_breadth_first_search():
+    """Disconnected inputs, and a long path listed with its edges in reverse
+    order (the worst case for path halving), against the BFS reference."""
+    rng = random.Random(47)
+    cases = [
+        from_facets(["a b c", "d e f"]),
+        from_facets(["a b", "c"]),
+        from_facets(["a b c d", "e f"]),
+        from_facets(["a", "b", "c"]),
+        from_facets(["a b c", "c d", "e f g", "g h"]),
+        Complex(["a", "b", "c"], [(0, 1)]),
+    ]
+    n = 2000
+    path = Complex([f"v{i:04d}" for i in range(n)], [(i, i + 1) for i in reversed(range(n - 1))])
+    cases += [path, Complex(path.labels, path.facets[:n // 2] + path.facets[n // 2 + 1:])]
+    for _ in range(100):
+        faces = rng.sample(list(combinations(range(9), 3)), rng.randint(1, 6))
+        faces += rng.sample(list(combinations(range(9), 2)), rng.randint(0, 4))
+        cases.append(Complex([f"v{i}" for i in range(9)], faces))
+    truth = [reference_connected(K) for K in cases]
+    assert [K.is_connected() for K in cases] == truth
+    assert truth[:6] == [False] * 6 and truth[6:8] == [True, False]
+    assert 20 < truth.count(False) < len(truth) - 20, truth.count(False)
+
+
 def test_to_sc_names_the_first_bad_label_in_facet_order():
     # 'y?' comes first in label order, 'z!' in facet order.
     with pytest.raises(ShellsatError, match="'z!'"):
         from_facets(["a z!", "b y?"]).to_sc()
+    # Labels holding the space that joins them in the one-match check.
+    for labels in (("a b", "c"), ("a", " "), ("a ", "b")):
+        with pytest.raises(ShellsatError, match=f"label {labels[0]!r}|label {labels[1]!r}"):
+            from_facets([labels]).to_sc()
 
 
 def test_bad_label_is_reported_at_its_first_line():

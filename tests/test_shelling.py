@@ -2,7 +2,7 @@
 
 import random
 from collections import defaultdict
-from itertools import combinations, count, permutations
+from itertools import combinations, permutations
 
 from shellsat.complexes import Complex, subfaces
 
@@ -560,17 +560,87 @@ def test_verifier_is_dimension_generic():
     assert first_shelling_violation(pinched, cert) == 1
 
 
-def test_prefix_ids_match_the_counter_table():
-    """The setdefault id table gives the ids of the earlier table, which
-    numbered each facet's _proper_subfaces list through defaultdict(count)."""
+class ReferenceTables:
+    """The earlier table build: each facet's subfaces numbered through one
+    ``dict.setdefault`` table as they are first met, and ``holders`` filled
+    facet by facet."""
+
+    def __init__(self, K):
+        d = K.dim
+        self.full = (1 << (d + 1)) - 1
+        slot = {sum(1 << j for j in positions): n for n, positions in enumerate(
+            p for k in range(1, d + 1) for p in combinations(range(d + 1), k))}
+        self.slot = [slot.get(mask) for mask in range(self.full)]
+        self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
+        self.ids = {}
+        self.subfaces = [tuple([self.ids.setdefault(f, len(self.ids))
+                                for f in _proper_subfaces(facet)]) for facet in K.facets]
+        holders = [[] for _ in range(len(self.ids))]
+        for i, sub in enumerate(self.subfaces):
+            for k in self.ridge_slots:
+                holders[sub[k]].append(i)
+        self.holders = list(map(tuple, holders))
+
+
+def inverse_ids(K, tables) -> dict:
+    """The face of each id, read off the rows: slot n of row i is the subface
+    of facet i in the n-th place of ``_proper_subfaces``.  Asserts that each
+    id names one face and each face has one id."""
+    inverse = {}
+    for facet, row in zip(K.facets, tables.subfaces):
+        for face, i in zip(_proper_subfaces(facet), row, strict=True):
+            assert inverse.setdefault(i, face) == face
+    assert len(set(inverse.values())) == len(inverse)
+    return inverse
+
+
+def table_corpus():
+    """Complexes of dimension 1, 2 and 3: the 5-vertex classes and their
+    subdivisions, the flag dunce hat, connected graphs, and single, glued,
+    subdivided and seeded sets of tetrahedra."""
     classes = list(enumerate_pure2(5, 5))
     tetrahedron = from_facets(["a b c d"])
     corpus = (classes + [K.barycentric_subdivision() for K in classes]
-              + [flag_dunce_hat(), tetrahedron, tetrahedron.barycentric_subdivision()]
+              + [flag_dunce_hat(), tetrahedron, tetrahedron.barycentric_subdivision(),
+                 from_facets(["a b c d", "b c d e", "c d e f"]),
+                 from_facets(map(" ".join, combinations("abcde", 4)))]
               + list(enumerate_connected_graphs(5)))
-    for K in corpus:
-        ids = defaultdict(count().__next__)
-        reference = [tuple([ids[f] for f in _proper_subfaces(facet)]) for facet in K.facets]
+    rng = random.Random(41)
+    pool = list(combinations("abcdefg", 4))
+    for _ in range(60):
+        corpus.append(from_facets(rng.sample(pool, rng.randint(2, 9))))
+    return corpus
+
+
+def test_tables_match_the_setdefault_tables():
+    """The table build numbers faces differently from the earlier build (the
+    numbering never reaches output), but names the same faces in every row,
+    numbers them densely, gives each ridge the same holders and leads the
+    search to the same result with the same nodes."""
+    dims = set()
+    for K in table_corpus():
+        if not K.is_pure() or K.dim < 1:
+            continue
+        dims.add(K.dim)
+        reference, tables = ReferenceTables(K), shelling._Tables(K)
+        assert (tables.full, tables.slot, tables.ridge_slots) == (
+            reference.full, reference.slot, reference.ridge_slots)
+        inverse, ref_inverse = inverse_ids(K, tables), inverse_ids(K, reference)
+        assert ref_inverse == {i: f for f, i in reference.ids.items()}
+        for row, ref_row in zip(tables.subfaces, reference.subfaces, strict=True):
+            assert [inverse[i] for i in row] == [ref_inverse[i] for i in ref_row]
         prefix = _Prefix(K)
-        assert prefix.subfaces == reference
-        assert len(prefix.cover) == len(ids)
+        assert sorted(inverse) == list(range(len(prefix.cover)))
+        assert all(inverse.get(v, (v,)) == (v,) for v in range(K.n_vertices))
+        ridges = {inverse[row[k]] for row in tables.subfaces for k in tables.ridge_slots}
+        holders = {inverse[i]: tuple(h) for i, h in enumerate(tables.holders) if h}
+        assert holders == {ref_inverse[i]: h for i, h in enumerate(reference.holders) if h}
+        assert set(holders) == ridges
+        if not K.is_connected():
+            continue
+        replica = Complex(K.labels, K.facets)
+        replica._kept["shelling tables"] = reference
+        found, ref_found = Budget(3000), Budget(3000)
+        assert find_shelling(K, found) == find_shelling(replica, ref_found)
+        assert found.used == ref_found.used
+    assert dims == {1, 2, 3}
