@@ -25,13 +25,8 @@ from .collapse import (
     peel,
     verify_collapse,
 )
-from .complexes import Complex, is_connected_graph
-from .errors import (
-    CertificateError,
-    ConnectivityError,
-    FlagnessError,
-    PurityError,
-)
+from .complexes import Complex, require_pure2_connected
+from .errors import CertificateError, FlagnessError
 from .outcomes import Budget, BudgetExceeded, Unshellable, as_budget
 from .shelling import (
     ShellingCertificate,
@@ -43,7 +38,6 @@ from .shelling import (
 from .wsat import (
     Edge,
     SaturationCertificate,
-    _edge_set,
     _subgraph,
     format_saturation,
     saturation_fields,
@@ -71,13 +65,6 @@ class ChainReport:
         return self.status == "complete"
 
 
-def _require_pure2_connected(L: Complex, what: str) -> None:
-    if L.dim != 2 or not L.is_pure():
-        raise PurityError(f"{what} requires a pure 2-dimensional complex")
-    if not L.is_connected():
-        raise ConnectivityError(f"{what} requires a connected complex")
-
-
 def shelling_to_saturated_tree(L: Complex,
                                cert: ShellingCertificate) -> SaturationCertificate:
     """Turn a shelling into a weakly K3-saturated spanning tree certificate.
@@ -91,7 +78,7 @@ def shelling_to_saturated_tree(L: Complex,
     three edges (at most one new edge).  So each vertex enters the tree
     once, and each ordered edge completes the K3 of its facet.
     """
-    _require_pure2_connected(L, "the tree construction")
+    require_pure2_connected(L, "the tree construction")
     violation = first_shelling_violation(L, cert)
     if violation is not None:
         raise CertificateError(
@@ -128,7 +115,7 @@ def saturation_to_collapse(L: Complex,
     remaining spanning tree is pruned leaf by leaf (largest leaf first)
     down to the least vertex.
     """
-    _require_pure2_connected(L, "the collapse construction")
+    require_pure2_connected(L, "the collapse construction")
     if not L.is_flag2():
         raise FlagnessError(
             "the collapse construction requires a flag complex")
@@ -136,9 +123,10 @@ def saturation_to_collapse(L: Complex,
     failure = saturation_violation(host, cert)
     if failure is not None:
         raise CertificateError(f"invalid saturation certificate: {failure}")
-    tree_edges = _edge_set(cert.start)
+    # The replay checked that the start spans the host, so it has n vertices.
+    tree_edges = cert.start.edges
     n = L.n_vertices
-    if len(tree_edges) != n - 1 or not is_connected_graph(n, tree_edges):
+    if len(tree_edges) != n - 1 or not cert.start.is_connected():
         raise CertificateError("the start graph must be a spanning tree")
 
     triangles = [tuple(sorted(witness)) for witness in cert.witnesses]
@@ -177,7 +165,7 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
     verdicts are recorded; a failed search stops the chain with an honest
     status instead of an error.
     """
-    _require_pure2_connected(K, "the certificate chain")
+    require_pure2_connected(K, "the certificate chain")
     budget = as_budget(budget)
     depth = 0 if K.is_flag2() else 2
     L = K

@@ -13,8 +13,10 @@ bytes.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
+import random
 import sys
 from itertools import islice
 from pathlib import Path
@@ -241,33 +243,20 @@ def _cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    entries = []
     if spec.mode == "random-pure-2":
-        import random
         rng = random.Random(spec.seed)
-        count = args.count if args.count is not None else 10
-        for i in range(count):
-            instance, retries = sample_pure2(rng, spec.n_vertices, spec.n_triangles)
-            entries.append((instance, {"retries": retries}))
+        samples = (sample_pure2(rng, spec.n_vertices, spec.n_triangles)
+                   for _ in range(10 if args.count is None else args.count))
+        entries = [(instance, {"retries": retries}) for instance, retries in samples]
     else:
-        stream = harness.generate(spec)
-        if args.count is not None:
-            stream = islice(stream, args.count)
-        for instance in stream:
-            entries.append((instance, {}))
+        entries = [(instance, {}) for instance in islice(harness.generate(spec), args.count)]
 
-    manifest = {
-        "spec": {"seed": spec.seed, "n_vertices": spec.n_vertices,
-                 "n_triangles": spec.n_triangles, "mode": spec.mode,
-                 "depth": spec.depth},
-        "instances": [],
-    }
+    manifest = {"spec": dataclasses.asdict(spec), "instances": []}
     for i, (instance, extra) in enumerate(entries):
         name = f"inst_{i:04d}.sc"
         (out_dir / name).write_text(instance.to_sc(), encoding="utf-8")
-        entry = {"file": name, "fingerprint": instance.fingerprint}
-        entry.update(extra)
-        manifest["instances"].append(entry)
+        manifest["instances"].append(
+            {"file": name, "fingerprint": instance.fingerprint, **extra})
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     message = f"wrote {len(entries)} instances to {out_dir}\n"

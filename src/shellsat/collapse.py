@@ -26,6 +26,7 @@ from .complexes import (
     from_facets,
     listed_faces,
     read_certificate,
+    require_pure2_connected,
     subfaces,
 )
 from .errors import (
@@ -33,7 +34,6 @@ from .errors import (
     MalformedCertificateError,
     NotFreeError,
     ParameterError,
-    PurityError,
     UnsupportedDimensionError,
 )
 from .outcomes import (
@@ -427,10 +427,7 @@ def collapsible_after_removing(K: Complex, k: int,
     """
     if k < 0:
         raise ParameterError("removal count must be >= 0")
-    if K.dim != 2 or not K.is_pure():
-        raise PurityError("removal search requires a pure 2-dimensional complex")
-    if not K.is_connected():
-        raise ConnectivityError("removal search requires a connected complex")
+    require_pure2_connected(K, "removal search")
     if K.reduced_euler_characteristic() != k:
         return Impossible()
 
@@ -490,10 +487,11 @@ def verify_collapse(K: Complex, cert: CollapseCertificate) -> bool:
 
 def collapse_fields(K: Complex, cert: CollapseCertificate) -> dict:
     """The certificate as label text, for its file and the chain report."""
+    texts = K.face_texts(chain.from_iterable((s.free_face, s.facet) for s in cert.steps))
     return {
-        "removed": [K.face_text(t) for t in sorted(cert.removed_triangles)],
-        "steps": [[K.face_text(s.free_face), K.face_text(s.facet)] for s in cert.steps],
-        "target": [cert.target.face_text(f) for f in cert.target.facets],
+        "removed": K.face_texts(sorted(cert.removed_triangles)),
+        "steps": [texts[i:i + 2] for i in range(0, len(texts), 2)],
+        "target": cert.target.face_texts(cert.target.facets),
     }
 
 

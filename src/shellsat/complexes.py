@@ -26,11 +26,13 @@ from operator import itemgetter, ne
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (
+    ConnectivityError,
     EmptyComplexError,
     MalformedCertificateError,
     MalformedFaceError,
     NotAFaceError,
     ParseError,
+    PurityError,
     ShellsatError,
     UnsupportedDimensionError,
 )
@@ -327,6 +329,14 @@ class Complex:
             if first is not None:
                 raise ShellsatError(f"label {first!r} is not serializable")
         return "\n".join(self.face_texts(self.facets)) + "\n"
+
+
+def require_pure2_connected(K: Complex, what: str) -> None:
+    """Raise unless K is pure of dimension 2 and connected; what names the caller."""
+    if K.dim != 2 or not K.is_pure():
+        raise PurityError(f"{what} requires a pure 2-dimensional complex")
+    if not K.is_connected():
+        raise ConnectivityError(f"{what} requires a connected complex")
 
 
 def _build(label_faces: list[Sequence[str]]) -> tuple[Complex, list[Face]]:

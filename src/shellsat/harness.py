@@ -10,11 +10,13 @@ the weak saturation number by raw exhaustion and are used only to
 cross-check the real deciders on small instances.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .collapse import Triangle
 from .complexes import Complex, from_facets, is_connected_graph
@@ -45,7 +47,7 @@ class GeneratorSpec:
             raise ParameterError("2-complexes need at least 3 vertices")
         if self.n_triangles < 1:
             raise ParameterError("need at least one triangle")
-        cap = len(list(combinations(range(self.n_vertices), 3)))
+        cap = math.comb(self.n_vertices, 3)
         if self.n_triangles > cap:
             raise ParameterError(
                 f"{self.n_triangles} triangles do not fit on "
@@ -66,19 +68,20 @@ def complex_from_triangles(triangles) -> Complex:
     return from_facets([tuple(f"v{v}" for v in t) for t in triangles])
 
 
+def _images(subsets, perms) -> set[tuple[tuple[int, ...], ...]]:
+    """The image of a set of k-subsets under each permutation, as a sorted
+    tuple of sorted k-subsets.  k >= 2, so each ``itemgetter`` picks a tuple."""
+    getters = [itemgetter(*s) for s in subsets]
+    return {tuple(sorted(tuple(sorted(get(p))) for get in getters)) for p in perms}
+
+
 def canonical_triangles(triangles) -> tuple[Triangle, ...]:
-    """Canonical form: relabel the support densely, then take the minimum
-    lexicographic sorted facet list over all support permutations."""
+    """Canonical form: relabel the support densely, then take the least
+    image over all support permutations."""
     support = sorted({v for t in triangles for v in t})
     index = {v: i for i, v in enumerate(support)}
-    dense = [tuple(sorted(index[v] for v in t)) for t in triangles]
-    best = None
-    for perm in permutations(range(len(support))):
-        mapped = tuple(sorted(tuple(sorted((perm[a], perm[b], perm[c])))
-                              for a, b, c in dense))
-        if best is None or mapped < best:
-            best = mapped
-    return best
+    return min(_images([[index[v] for v in t] for t in triangles],
+                       permutations(range(len(support)))))
 
 
 def sample_pure2(rng: random.Random, n_vertices: int,
@@ -96,24 +99,33 @@ def sample_pure2(rng: random.Random, n_vertices: int,
         retries += 1
 
 
+def _least_images(n: int, k: int, sizes: Iterable[int],
+                  keep: Callable[[tuple], bool]) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The least image of each class of sets of k-subsets of 0..n-1 under
+    the permutations of 0..n-1, for the given set sizes in order.  The
+    first set of a class (in ``combinations`` order) that ``keep`` accepts
+    marks its images, so later members are skipped; ``keep`` must accept
+    all of a class or none."""
+    perms = list(permutations(range(n)))
+    seen: set[tuple[tuple[int, ...], ...]] = set()
+    for size in sizes:
+        for chosen in combinations(combinations(range(n), k), size):
+            if chosen in seen or not keep(chosen):
+                continue
+            images = _images(chosen, perms)
+            seen.update(images)
+            yield min(images)
+
+
 def enumerate_pure2(n_vertices: int, n_triangles: int) -> Iterator[Complex]:
     """All pure connected 2-complexes with at most the given support and
-    facet count, one representative per isomorphism class.  The first
-    subset of each class marks its images under every vertex permutation,
-    so later members are skipped.  The least image is canonical_triangles:
-    renumbering an image's support to 0..s-1 in order lowers no entry and
-    keeps its triangles' order, so the least image lies on 0..s-1."""
-    all_triangles = list(combinations(range(n_vertices), 3))
-    seen: set[tuple[Triangle, ...]] = set()
-    for t in range(1, n_triangles + 1):
-        for triangles in combinations(all_triangles, t):
-            if triangles in seen or not _triangles_connected(triangles):
-                continue
-            images = {tuple(sorted(tuple(sorted((p[a], p[b], p[c])))
-                                   for a, b, c in triangles))
-                      for p in permutations(range(n_vertices))}
-            seen.update(images)
-            yield complex_from_triangles(min(images))
+    facet count, one representative per isomorphism class, by facet count.
+    The least image is canonical_triangles: renumbering an image's support
+    to 0..s-1 in order lowers no entry and keeps its triangles' order, so
+    the least image lies on 0..s-1."""
+    for triangles in _least_images(n_vertices, 3, range(1, n_triangles + 1),
+                                   _triangles_connected):
+        yield complex_from_triangles(triangles)
 
 
 def generate(spec: GeneratorSpec) -> Iterator[Complex]:
@@ -171,29 +183,13 @@ def flag_dunce_hat() -> Complex:
 # -- graph instance helpers (used by the test suites) --------------------------
 
 def enumerate_connected_graphs(n: int) -> Iterator[Complex]:
-    """All connected graphs on exactly n labelled-then-canonicalized vertices,
-    one representative per isomorphism class (feasible up to n = 6)."""
-    if n == 1:
-        yield graph_complex(["v0"], [])
-        return
-    pairs = list(combinations(range(n), 2))
-    bit = {p: i for i, p in enumerate(pairs)}
-    perms = list(permutations(range(n)))
-    seen = bytearray(1 << len(pairs))
-
-    for mask in range(1 << len(pairs)):
-        if seen[mask]:
-            continue
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        if not is_connected_graph(n, edges):
-            continue
-        for perm in perms:
-            image = 0
-            for u, v in edges:
-                image |= 1 << bit[tuple(sorted((perm[u], perm[v])))]
-            seen[image] = 1
-        yield graph_complex([f"v{i}" for i in range(n)],
-                            [(f"v{u}", f"v{v}") for u, v in edges])
+    """All connected graphs on the vertices v0..v{n-1}, one per isomorphism
+    class, each yielded as its least image (its sorted edge list is least
+    over all vertex permutations), by edge count; feasible up to n = 6."""
+    labels = [f"v{i}" for i in range(n)]
+    for edges in _least_images(n, 2, range(n * (n - 1) // 2 + 1),
+                               lambda edges: is_connected_graph(n, edges)):
+        yield graph_complex(labels, [(labels[u], labels[v]) for u, v in edges])
 
 
 def sample_connected_graph(rng: random.Random, n: int, p: float) -> Complex:
@@ -279,12 +275,8 @@ def oracle_wsat(F: Complex) -> int:
     if n > ORACLE_MAX_VERTICES:
         raise OracleBoundError(
             f"wsat oracle is limited to {ORACLE_MAX_VERTICES} vertices")
-    edges = sorted(tuple(e) for e in F.faces_of_dim(1))
-    full = 0
-    bit_of = {}
-    for i, e in enumerate(edges):
-        bit_of[e] = 1 << i
-        full |= 1 << i
+    edges = F.edges
+    full = (1 << len(edges)) - 1
 
     def closes(mask: int) -> bool:
         adjacency = [0] * n

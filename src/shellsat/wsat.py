@@ -56,17 +56,13 @@ def _require_graph(K: Complex) -> None:
             f"expected a graph (dimension <= 1), got dimension {K.dim}")
 
 
-def _edge_set(K: Complex) -> set[Edge]:
-    return {(u, v) for u, v in K.faces_of_dim(1)}
-
-
 def _spanning_edges(F: Complex, G: Complex) -> tuple[set[Edge], set[Edge]]:
     """The edge sets of the host F and of G, which must span it."""
     _require_graph(F)
     _require_graph(G)
     if F.labels != G.labels:
         raise ContainmentError("subgraph must span the host vertex set")
-    host, start = _edge_set(F), _edge_set(G)
+    host, start = set(F.edges), set(G.edges)
     if not start <= host:
         raise ContainmentError("subgraph has edges outside the host")
     return host, start
@@ -142,23 +138,22 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     """Replay the certificate; return a description of the first failure.
 
     Raises MalformedCertificateError when the start graph does not span the
-    host, the order is not exactly the missing host edges, or the arity of
-    an entry is broken; a wrong witness merely invalidates the certificate.
+    host, the order is not exactly the missing host edges, or a witness is
+    not three distinct host vertices; a wrong witness merely invalidates
+    the certificate.
 
     Each ordered edge is a host edge (u, v), so it lies in the witness iff
     u and v do.  The edges of the witness are the pairs of its sorted
-    vertices: for three distinct vertices these are the sorted pairs of any
-    order of them, and a witness with a repeated vertex (more than three
-    entries on three values) has a pair (x, x) that is no edge either way.
-    Only a failing witness is walked again in its own order, to name the
-    first absent edge.
+    vertices, which for three distinct vertices are the sorted pairs of any
+    order of them.  Only a failing witness is walked again in its own
+    order, to name the first absent edge.
     """
     try:
         host, start = _spanning_edges(F, cert.start)
     except ContainmentError as exc:
         raise MalformedCertificateError(str(exc)) from None
     missing = host - start
-    if sorted(cert.order) != sorted(missing) or len(cert.order) != len(missing):
+    if sorted(cert.order) != sorted(missing):
         raise MalformedCertificateError(
             "certificate order is not exactly the missing host edges")
     if len(cert.witnesses) != len(cert.order):
@@ -166,7 +161,8 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
             "certificate must carry one witness per ordered edge")
     n = F.n_vertices
     for i, witness in enumerate(cert.witnesses):
-        if len(set(witness)) != 3 or any(not 0 <= v < n for v in witness):
+        if (len(witness) != 3 or len(set(witness)) != 3
+                or any(not 0 <= v < n for v in witness)):
             raise MalformedCertificateError(
                 f"witness {i} is not a 3-vertex set of the host")
 
@@ -193,7 +189,7 @@ def _connected_host(F: Complex) -> tuple[int, set[Edge]]:
     _require_graph(F)
     if not F.is_connected():
         raise ConnectivityError("the host graph must be connected")
-    return F.n_vertices, _edge_set(F)
+    return F.n_vertices, set(F.edges)
 
 
 def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
@@ -258,9 +254,9 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
 def saturation_fields(F: Complex, cert: SaturationCertificate) -> dict:
     """The certificate as label text, for its file and the chain report."""
     return {
-        "start": [F.face_text(e) for e in sorted(_edge_set(cert.start))],
-        "order": [F.face_text(e) for e in cert.order],
-        "witnesses": [F.face_text(w) for w in cert.witnesses],
+        "start": F.face_texts(cert.start.edges),
+        "order": F.face_texts(cert.order),
+        "witnesses": F.face_texts(cert.witnesses),
         "pattern": PATTERN,
     }
 

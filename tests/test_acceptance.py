@@ -34,7 +34,6 @@ from shellsat.harness import (
     sample_spanning_subgraph,
 )
 from shellsat.outcomes import NotCollapsible, NotSaturated, Unshellable
-from shellsat.wsat import _edge_set
 from conftest import complete_graph, cycle_graph
 
 CORPUS_SEED = 20251
@@ -128,7 +127,7 @@ def test_criterion_5_chain_theorem_at_desk_scale():
         saturation = shelling_to_saturated_tree(L, result)
         host = L.skeleton(1)
         assert verify_saturation(host, saturation)                      # (a)
-        assert len(_edge_set(saturation.start)) == L.n_vertices - 1     # (a)
+        assert len(set(saturation.start.edges)) == L.n_vertices - 1     # (a)
         collapse = saturation_to_collapse(L, saturation)
         assert verify_collapse(L, collapse)                             # (b)
         assert collapse.targets_point()                                 # (b)
@@ -180,7 +179,7 @@ def test_criterion_7_closure_order_independence():
         n = rng.randint(3, 7)
         F = sample_connected_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
         G = sample_spanning_subgraph(rng, F, rng.choice((0.3, 0.5, 0.7)))
-        host, start = _edge_set(F), _edge_set(G)
+        host, start = set(F.edges), set(G.edges)
         current = set(start)
         adjacency = {v: set() for v in range(n)}
         for u, v in current:
@@ -195,7 +194,7 @@ def test_criterion_7_closure_order_independence():
             current.add((u, v))
             adjacency[u].add(v)
             adjacency[v].add(u)
-        assert current == _edge_set(k3_closure(F, G))
+        assert current == set(k3_closure(F, G).edges)
     print("ACCEPTANCE 7 PASS - random greedy closure equals lexicographic "
           "closure on 1000 seeded pairs")
 

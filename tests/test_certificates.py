@@ -20,10 +20,12 @@ from shellsat import (
 )
 from shellsat.cli import main
 from shellsat.complexes import Complex
-from shellsat.errors import CertificateError, FlagnessError, PurityError
+from shellsat.collapse import collapse_fields
+from shellsat.errors import CertificateError, ConnectivityError, FlagnessError, PurityError
 from shellsat.harness import enumerate_pure2
 from shellsat.shelling import first_shelling_violation
-from shellsat.wsat import SaturationCertificate, _edge_set
+from shellsat.wsat import SaturationCertificate, saturation_fields
+from conftest import chain_reports
 
 
 def shelling_of(K, *facet_labels):
@@ -37,7 +39,7 @@ def test_two_triangles_construction(two_triangles):
     cert = shelling_to_saturated_tree(
         two_triangles, shelling_of(two_triangles, "a b c", "b c d"))
     # G takes ab, ac from the first facet, then bd for the new vertex d.
-    assert sorted(_edge_set(cert.start)) == [(0, 1), (0, 2), (1, 3)]
+    assert sorted(set(cert.start.edges)) == [(0, 1), (0, 2), (1, 3)]
     assert cert.order == ((1, 2), (2, 3))          # bc then cd
     assert cert.witnesses == ((0, 1, 2), (1, 2, 3))  # abc then bcd
     assert verify_saturation(two_triangles.skeleton(1), cert)
@@ -45,13 +47,13 @@ def test_two_triangles_construction(two_triangles):
 
 def test_single_triangle_base_case(triangle):
     cert = shelling_to_saturated_tree(triangle, shelling_of(triangle, "a b c"))
-    assert sorted(_edge_set(cert.start)) == [(0, 1), (0, 2)]
+    assert sorted(set(cert.start.edges)) == [(0, 1), (0, 2)]
     assert cert.order == ((1, 2),)
 
 
 def test_tetra_boundary_tree_size(tetra_boundary):
     cert = shelling_to_saturated_tree(tetra_boundary, find_shelling(tetra_boundary))
-    assert len(_edge_set(cert.start)) == 3
+    assert len(set(cert.start.edges)) == 3
     assert len(cert.order) == 3
     assert verify_saturation(tetra_boundary.skeleton(1), cert)
 
@@ -74,7 +76,7 @@ def test_tree_size_on_shellable_corpus():
         if not isinstance(result, ShellingCertificate):
             continue
         cert = shelling_to_saturated_tree(K, result)
-        assert len(_edge_set(cert.start)) == K.n_vertices - 1
+        assert len(set(cert.start.edges)) == K.n_vertices - 1
         assert verify_saturation(K.skeleton(1), cert)
 
 
@@ -226,6 +228,19 @@ def test_chain_rejects_bad_inputs(three_cycle):
         run_chain(three_cycle)
 
 
+def test_chain_and_removal_search_share_one_pure2_check(three_cycle):
+    """One precondition, its messages naming the caller: purity first,
+    then connectivity."""
+    apart = from_facets(["a b c", "d e f"])
+    for check, what in ((run_chain, "the certificate chain"),
+                        (lambda K: collapsible_after_removing(K, 0), "removal search")):
+        with pytest.raises(PurityError, match=f"^{what} requires a pure 2-dimensional"):
+            check(three_cycle)
+        with pytest.raises(ConnectivityError,
+                           match=f"^{what} requires a connected complex$"):
+            check(apart)
+
+
 def test_chain_checks_each_certificate_once(tetra_boundary, monkeypatch):
     calls = {"first_shelling_violation": 0, "saturation_violation": 0}
     for name in calls:
@@ -292,3 +307,39 @@ def test_chain_on_shellable_sd_corpus():
         assert report.removed_count == report.chi
         completed += 1
     assert completed >= 2
+
+
+# -- certificate text --------------------------------------------------------------------
+
+def reference_saturation_fields(F, cert):
+    """saturation_fields with each face rendered by its own call."""
+    return {
+        "start": [F.face_text(e) for e in sorted(set(cert.start.faces_of_dim(1)))],
+        "order": [F.face_text(e) for e in cert.order],
+        "witnesses": [F.face_text(w) for w in cert.witnesses],
+        "pattern": "K3",
+    }
+
+
+def reference_collapse_fields(K, cert):
+    """collapse_fields with each face rendered by its own call."""
+    return {
+        "removed": [K.face_text(t) for t in sorted(cert.removed_triangles)],
+        "steps": [[K.face_text(s.free_face), K.face_text(s.facet)] for s in cert.steps],
+        "target": [cert.target.face_text(f) for f in cert.target.facets],
+    }
+
+
+def test_certificate_fields_match_the_per_face_rendering():
+    """The chain's saturation and collapse certificates on sd² subjects, some
+    with removed triangles, render as they do face by face."""
+    reports = chain_reports(20)
+    assert len(reports) >= 4
+    assert any(report.removed_count for report in reports)
+    for report in reports:
+        L = report.subject
+        F = L.skeleton(1)
+        assert saturation_fields(F, report.saturation) == reference_saturation_fields(
+            F, report.saturation)
+        assert collapse_fields(L, report.collapse) == reference_collapse_fields(
+            L, report.collapse)

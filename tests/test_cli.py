@@ -259,6 +259,21 @@ def test_wsat_verify_rejects_a_start_entry_that_is_no_edge(workdir, capsys):
     assert run("wsat", "--verify", "--in", workdir / "two.sc", "--cert", cert) == 0
 
 
+def test_wsat_verify_rejects_a_witness_that_is_no_3_set(workdir, capsys):
+    # A witness of two, four, or three distinct labels with one repeated is
+    # malformed (exit 3), not merely a witness that fails its replay (exit 1).
+    cert = workdir / "witness.cert"
+    for witness in ("a b", "a b c d", "a b c c", "b c b a"):
+        cert.write_text(
+            f"# pattern: K3\n# start: a b, a c, b d\nb c : {witness}\nc d : b c d\n")
+        assert run("wsat", "--verify", "--in", workdir / "two.sc", "--cert", cert) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: witness 0 is not a 3-vertex set of the host"
+    cert.write_text("# pattern: K3\n# start: a b, a c, b d\nb c : a b c\nc d : b c d\n")
+    assert run("wsat", "--verify", "--in", workdir / "two.sc", "--cert", cert) == 0
+
+
 def test_verify_requires_cert(workdir, capsys):
     for command in ("shell", "collapse", "wsat"):
         assert run(command, "--verify", "--in", workdir / "two.sc") == 3
@@ -422,6 +437,24 @@ def test_gen_manifest_and_files(workdir, capsys):
         assert run("info", "--in", corpus / entry["file"], "--json") == 0
         data = json.loads(capsys.readouterr().out)
         assert data["fingerprint"] == entry["fingerprint"]
+
+
+def test_gen_count_takes_a_prefix_of_the_enumeration(workdir, capsys):
+    full, prefix = workdir / "full", workdir / "prefix"
+    spec = ["--mode", "enumerate-all", "--n", 5, "--t", 3, "--seed", 4]
+    assert run("gen", "--out", full, *spec) == 0
+    capsys.readouterr()
+    assert run("gen", "--out", prefix, *spec, "--count", 2, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 2, "directory": str(prefix)}
+    every = json.loads((full / "manifest.json").read_text())
+    some = json.loads((prefix / "manifest.json").read_text())
+    assert len(every["instances"]) > 2
+    assert some == {"spec": every["spec"], "instances": every["instances"][:2]}
+    assert list(some["spec"].items()) == [
+        ("seed", 4), ("n_vertices", 5), ("n_triangles", 3), ("mode", "enumerate-all"),
+        ("depth", 1)]
+    assert sorted(p.name for p in prefix.iterdir()) == [
+        "inst_0000.sc", "inst_0001.sc", "manifest.json"]
 
 
 def test_gen_random_records_retries(workdir):

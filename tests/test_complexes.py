@@ -108,6 +108,19 @@ def test_skeleton_of_solid_tetrahedron_is_k4():
     assert K.skeleton(1).f_vector() == (1, 4, 6)
 
 
+def test_skeleton_dimension_must_be_nonnegative(two_triangles):
+    with pytest.raises(UnsupportedDimensionError, match="must be >= 0"):
+        two_triangles.skeleton(-1)
+
+
+def test_equality_and_hash_follow_labels_and_facets(two_triangles):
+    same = from_facets(["b c d", "c b a", "a b"])
+    assert same == two_triangles and hash(same) == hash(two_triangles)
+    assert len({same, two_triangles, from_facets(["a b c"])}) == 2
+    assert two_triangles.__eq__(3) is NotImplemented
+    assert (two_triangles == 3) is False and two_triangles != "a b c\nb c d\n"
+
+
 def test_induced_single_face(two_triangles):
     abc = two_triangles.face_from_labels(["a", "b", "c"])
     sub = two_triangles.induced([abc])

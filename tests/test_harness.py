@@ -1,5 +1,6 @@
 """Generators: determinism, exhaustiveness up to isomorphism, oracle bounds."""
 
+import hashlib
 import random
 from itertools import combinations, permutations, islice
 
@@ -67,6 +68,16 @@ def test_infeasible_specs_rejected():
         next(generate(GeneratorSpec(0, 5, 2, "subdivide-depth-k", depth=-1)))
 
 
+@pytest.mark.parametrize("n, t, message", [
+    (2, 1, "2-complexes need at least 3 vertices"),
+    (5, 0, "need at least one triangle"),
+    (4, 5, r"5 triangles do not fit on 4 vertices \(max 4\)"),
+])
+def test_spec_validation_messages(n, t, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        GeneratorSpec(0, n, t, "enumerate-all").validate()
+
+
 # -- enumerate-all ---------------------------------------------------------------------
 
 def test_enumeration_on_4_vertices():
@@ -116,6 +127,18 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n, t, count, digest", [
+    (5, 5, 19, "4c5732d7a10e61b7"),
+    (6, 4, 31, "5010dcf2c7bff087"),
+])
+def test_enumeration_order_is_pinned(n, t, count, digest):
+    """The classes, each as its representative, in the order that the
+    benchmark and golden corpora are built from."""
+    fingerprints = [K.fingerprint for K in enumerate_pure2(n, t)]
+    assert len(fingerprints) == count
+    assert hashlib.sha256(" ".join(fingerprints).encode()).hexdigest()[:16] == digest
+
+
 # -- subdivide mode ------------------------------------------------------------------------
 
 def test_subdivide_stream_is_flag():
@@ -139,6 +162,19 @@ def test_connected_graph_counts():
     expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
     for n, count in expected.items():
         assert len(list(enumerate_connected_graphs(n))) == count
+
+
+def test_connected_graphs_are_least_images():
+    """Each class comes as the least of its sorted edge lists over all
+    vertex permutations, on the vertices v0..v{n-1}."""
+    for n in range(1, 7):
+        perms = list(permutations(range(n)))
+        for G in enumerate_connected_graphs(n):
+            assert G.labels == tuple(f"v{i}" for i in range(n))
+            edges = tuple(G.edges)
+            images = (tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                      for p in perms)
+            assert edges == min(images)
 
 
 # -- hard instances ---------------------------------------------------------------------
