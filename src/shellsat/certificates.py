@@ -9,7 +9,9 @@ For a pure connected 2-dimensional complex L:
   triangles in reverse saturation order and then pruning the tree;
 * any collapse certificate reaching a point must remove exactly as many
   triangles as the reduced Euler characteristic, which gives a cheap
-  consistency check on the whole pipeline.
+  consistency check on the whole pipeline;
+* a shelling of L lifts, facet by facet, to a shelling of its barycentric
+  subdivision (:func:`lift_shelling`).
 
 ``run_chain`` wires the three translations together behind one budget.
 """
@@ -25,11 +27,12 @@ from .collapse import (
     peel,
     verify_collapse,
 )
-from .complexes import Complex, require_pure2_connected
+from .complexes import Complex, Face, require_pure2_connected
 from .errors import CertificateError, FlagnessError
-from .outcomes import Budget, BudgetExceeded, Unshellable, as_budget
+from .outcomes import Budget, BudgetExceeded, OutOfBudget, Unshellable, as_budget
 from .shelling import (
     ShellingCertificate,
+    _refuted,
     find_shelling,
     first_shelling_violation,
     format_shelling,
@@ -145,6 +148,59 @@ def saturation_to_collapse(L: Complex,
     return CollapseCertificate(removed, tuple(steps), L.induced([(target,)]))
 
 
+# Facet (a, b, c) -> positions (x, y, z), by which of its edges ab, ac, bc
+# (bits 1, 2, 4) earlier facets cover: xy is covered, and yz is when two are.
+_HEXAGON_START = {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 2, 1), 4: (1, 2, 0),
+                  3: (1, 0, 2), 5: (0, 1, 2), 6: (0, 2, 1), 7: (0, 1, 2)}
+
+
+def lift_shelling(K: Complex, cert: ShellingCertificate) -> ShellingCertificate:
+    """A shelling of ``K.barycentric_subdivision()`` from a shelling of the
+    pure 2-complex K, in one pass and without search.
+
+    Each facet F of K, in shelling order, gives its six chain facets
+    {p} < {p, q} < F in hexagon order: with its vertices ordered (x, y, z),
+    the (p, q) pairs (x, y), (y, x), (y, z), (z, y), (z, x), (x, z).  The
+    order is chosen so that the edge xy is covered by earlier facets, and
+    yz too when two edges are.
+
+    Why it is a shelling: sd commutes with intersections of subcomplexes,
+    so the six meet the earlier groups in sd(F ∩ earlier), and the
+    shelling condition makes F ∩ earlier either nothing (the first facet)
+    or one, two (the path x-y-z) or three edges of F with their vertices.
+    Call b the barycentre of F, the edges from b spokes, and the edge of a
+    small triangle opposite b its outer half-edge, which lies on an edge
+    of F.  The first small triangle {x, xy, b} meets the union so far in
+    its outer half-edge x-xy when xy is covered, and is the first facet of
+    the shelling otherwise.  The k-th (k = 2..6) shares a spoke with the
+    (k-1)-th, the sixth also the spoke x-b with the first, and it holds
+    one more vertex: y, yz, z, zx, or none for the sixth.  That vertex is
+    in the union exactly when the outer half-edge is: y and xy lie on the
+    covered xy; yz lies on yz; z was reached by an earlier facet only if
+    two or three edges are covered, and then yz is one of them; zx only
+    if all three are.  So each small triangle meets the union in its
+    shared spokes plus, when it is covered, its outer half-edge: pure of
+    dimension 1 in all four cases.  The result is a shelling of the pure
+    2-complex sd(K), so the same table lifts it on to sd²(K).
+    """
+    vertex = K.barycenters()
+    covered: set[Face] = set()
+    order = []
+    for facet in cert.order:
+        a, b, c = facet
+        edges = (a, b), (a, c), (b, c)
+        mask = sum(bit for bit, e in zip((1, 2, 4), edges) if e in covered)
+        covered.update(edges)
+        x, y, z = (facet[i] for i in _HEXAGON_START[mask])
+        vx, vy, vz = vertex[(x,)], vertex[(y,)], vertex[(z,)]
+        vxy, vyz, vxz = (vertex[tuple(sorted(e))] for e in ((x, y), (y, z), (x, z)))
+        vf = vertex[facet]
+        order += [tuple(sorted(chain)) for chain in (
+            (vx, vxy, vf), (vy, vxy, vf), (vy, vyz, vf),
+            (vz, vyz, vf), (vz, vxz, vf), (vx, vxz, vf))]
+    return ShellingCertificate(tuple(order))
+
+
 def check_removal_count(L: Complex, cert: CollapseCertificate) -> bool:
     """For a point-targeting certificate: removed count equals chi tilde.
 
@@ -164,6 +220,14 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
     node budget.  Every produced certificate is verified once and the
     verdicts are recorded; a failed search stops the chain with an honest
     status instead of an error.
+
+    A non-flag K is shelled on K itself, and the shelling found is lifted
+    by :func:`lift_shelling` to sd(K) and on to sd²(K) without a search
+    there; the lift spends no budget, as it is one pass.  When K has no
+    shelling, the chain reports ``unshellable`` if :func:`_refuted` refutes
+    K, which by Hachimori's criterion is exact for sd²(K).  Should it not
+    refute (never observed), the chain searches sd²(K) directly with the
+    budget left.
     """
     require_pure2_connected(K, "the certificate chain")
     budget = as_budget(budget)
@@ -175,7 +239,9 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
     report = ChainReport(original=K, subject=L, subdivision_depth=depth,
                          chi=chi, status="pending")
 
-    shell = find_shelling(L, budget)
+    shell = find_shelling(K, budget)
+    if depth:
+        shell = _on_sd2(K, L, shell, budget)
     if isinstance(shell, BudgetExceeded):
         report.status = "budget-exceeded:shelling"
         return report
@@ -196,6 +262,22 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
     report.removed_count = len(collapse.removed_triangles)
     report.status = "complete"
     return report
+
+
+def _on_sd2(K: Complex, L: Complex, shell, budget: Budget):
+    """The shelling outcome for L = sd²(K) from the search outcome on K: a
+    shelling lifted twice, a refutation by :func:`_refuted`, or else the
+    direct search on L."""
+    if isinstance(shell, ShellingCertificate):
+        return lift_shelling(K.barycentric_subdivision(), lift_shelling(K, shell))
+    if isinstance(shell, Unshellable):
+        try:
+            refuted = _refuted(K, budget)
+        except OutOfBudget:
+            return BudgetExceeded(stage="shelling")
+        if refuted is None:
+            return find_shelling(L, budget)
+    return shell
 
 
 # -- report serialization ------------------------------------------------------

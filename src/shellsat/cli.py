@@ -18,7 +18,7 @@ import functools
 import json
 import random
 import sys
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 from . import certificates, collapse, harness, shelling, wsat
@@ -56,8 +56,46 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+_ENCODE = json.encoder.encode_basestring_ascii
+
+
+def to_json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, at C speed where the
+    reports are long.
+
+    With ``indent`` set, ``json.dumps`` always takes its pure-Python
+    encoder.  Here a dict with string keys and a list of values are laid
+    out as it lays them out, a list of strings (a certificate's faces) is
+    joined from the C string encoder, and a list of equal-length string
+    lists (the collapse steps) fills one item template per entry.  What is
+    left goes through ``json.dumps``: a scalar as it is, and an empty or
+    unusual container indented, each of its newlines followed by the
+    enclosing indent (a nested value is the top-level one shifted right,
+    and JSON strings hold no raw newline).
+    """
+    inner = indent + "  "
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        return "{\n" + ",\n".join([f"{inner}{_ENCODE(key)}: {to_json(item, inner)}"
+                                   for key, item in value.items()]) + f"\n{indent}}}"
+    if type(value) is list and value:
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_ENCODE, value)
+        elif (kinds == {list} and len(sizes := set(map(len, value))) == 1
+              and set(map(type, chain.from_iterable(value))) == {str}):
+            deeper, (size,) = inner + "  ", sizes
+            item = f"[\n{deeper}" + f",\n{deeper}".join(["%s"] * size) + f"\n{inner}]"
+            items = map(item.__mod__, zip(*[map(_ENCODE, chain.from_iterable(value))] * size))
+        else:
+            items = [to_json(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+    return json.dumps(value)
+
+
 def _report(data: dict, text: str, as_json: bool) -> None:
-    _emit(json.dumps(data, indent=2) + "\n" if as_json else text, None)
+    _emit(to_json(data) + "\n" if as_json else text, None)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -224,7 +262,7 @@ def _cmd_convert(args) -> int:
 def _cmd_chain(args) -> int:
     K = _read_complex(args.infile)
     report = certificates.run_chain(K, args.budget)
-    text = (json.dumps(certificates.chain_report_json(report), indent=2) + "\n"
+    text = (to_json(certificates.chain_report_json(report)) + "\n"
             if args.json else certificates.format_chain_report(report))
     _emit(text, args.out)
     if report.status.startswith("budget-exceeded"):
@@ -258,7 +296,7 @@ def _cmd_gen(args) -> int:
         manifest["instances"].append(
             {"file": name, "fingerprint": instance.fingerprint, **extra})
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        to_json(manifest) + "\n", encoding="utf-8")
     message = f"wrote {len(entries)} instances to {out_dir}\n"
     _report({"count": len(entries), "directory": str(out_dir)}, message, args.json)
     return EXIT_OK

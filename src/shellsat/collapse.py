@@ -84,9 +84,10 @@ class _Replay:
     so every verdict and message is the same.
     """
 
-    __slots__ = ("face", "ids", "ridges", "left", "up")
+    __slots__ = ("subject", "face", "ids", "ridges", "left", "up")
 
     def __init__(self, K: Complex, removed: frozenset[Face] = frozenset()):
+        self.subject = K
         above = [f for f in K.faces if len(f) > 1]
         self.face = face = above + [f for f in K.faces if len(f) == 1]
         self.ids = ids = {f: i for i, f in enumerate(face)}
@@ -114,24 +115,27 @@ class _Replay:
         When |sigma| = |tau| + 1 (every step the chain and the peel emit),
         sigma strictly holds tau iff tau is one of its ridges, and the faces
         removed are just tau and sigma, so the step costs two id lookups
-        and a decrement per ridge of each.
+        and a decrement per ridge of each.  A reason names faces by the
+        subject's labels.
         """
         tau, sigma = step.free_face, step.facet
         if not tau:
             return "the empty face cannot be collapsed"
         ids, left, up, ridges = self.ids, self.left, self.up, self.ridges
+        name = self.subject.face_name
         t = ids.get(tau)
         if t is None or not left[t]:
-            return f"free face {tau} is not a face of the current complex"
+            return f"free face {name(tau)} is not a face of the current complex"
         s = ids.get(sigma)
         codim1 = len(sigma) == len(tau) + 1
         if s is None or not left[s] or not (
                 t in ridges[s] if codim1 else set(tau) < set(sigma)):
-            return f"{sigma} is not a facet strictly containing {tau}"
+            return f"{name(sigma)} is not a facet strictly containing {name(tau)}"
         if up[s]:
-            return f"{sigma} is not a facet of the current complex"
+            return f"{name(sigma)} is not a facet of the current complex"
         if up[t] != len(sigma) - len(tau):
-            return f"free face {tau} is also contained in facet {self.other_facet(step)}"
+            return (f"free face {name(tau)} is also contained in facet "
+                    f"{name(self.other_facet(step))}")
         gone = (t, s) if codim1 else [
             ids[tuple(sorted(tau + extra))]
             for extra in subfaces([v for v in sigma if v not in tau])]
@@ -458,12 +462,12 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     for t in cert.removed_triangles:
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
-                f"removed entry {t} is not a triangle facet of the subject")
+                f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
     for i, step in enumerate(cert.steps):
         for face in (step.free_face, step.facet):
             if face not in K.faces:
                 raise MalformedCertificateError(
-                    f"step {i}: {face} is not a face of the subject")
+                    f"step {i}: {K.face_name(face)} is not a face of the subject")
 
     replay = _Replay(K, cert.removed_triangles)
     for i, step in enumerate(cert.steps):

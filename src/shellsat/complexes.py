@@ -149,6 +149,13 @@ class Complex:
         """The face as certificates and ".sc" lines write it: "a b c"."""
         return " ".join([self.labels[v] for v in face])
 
+    def face_name(self, face: Face) -> str:
+        """The face quoted in labels, for a failure message: 'a b c'.  An id
+        naming no vertex (only a hand-built certificate has one) shows as
+        #id, which no label can be."""
+        n = self.n_vertices
+        return repr(" ".join([self.labels[v] if 0 <= v < n else f"#{v}" for v in face]))
+
     def face_texts(self, faces: Iterable[Face]) -> list[str]:
         """:meth:`face_text` of each face.  ``itemgetter`` of two or more ids
         picks the tuple of their labels in one C call; of one id it picks
@@ -293,6 +300,8 @@ class Complex:
         a, b becomes "{a|b}".  Facets are the maximal chains, one per
         (facet, vertex order) pair of the original complex.  Two faces
         that serialize alike (the edge "a b", the vertex "a|b") raise.
+        Built once and kept, with the vertex id of each face for
+        :meth:`barycenters`.
 
         The result is flag, and keeps that answer for :meth:`is_flag2` when
         its dimension is at most 2: its vertices are faces, and two are
@@ -300,6 +309,14 @@ class Complex:
         pairwise comparable faces, which form a chain, and every chain of
         faces lies in a maximal one, so it is a face.
         """
+        return self._keep("subdivision", self._subdivide)[0]
+
+    def barycenters(self) -> dict[Face, int]:
+        """The vertex id in :meth:`barycentric_subdivision` of each nonempty
+        face: a facet of the subdivision is the sorted ids of a chain."""
+        return self._keep("subdivision", self._subdivide)[1]
+
+    def _subdivide(self) -> tuple["Complex", dict[Face, int]]:
         named: dict[str, Face] = {}
         for face in filter(None, self.faces):
             name = "{" + "|".join(self.label_face(face)) + "}"
@@ -315,7 +332,7 @@ class Complex:
             for facet in self.facets for order in permutations(facet)])
         if sd.dim <= 2:
             sd._kept["flag"] = True
-        return sd
+        return sd, vertex
 
     # -- serialization -------------------------------------------------------
 

@@ -243,12 +243,14 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
     2019), connected vertex links of K plus a chi~-removal leaving K
     collapsible (an empty core leaves a connected graph with chi~ = 0, a
     tree) hold iff sd²(K) is shellable.  So the test on K is exact for the
-    shellability of sd²(K).  That it is exact for K itself, so that after
-    None the search on K finds a shelling, is only observed: the search
-    found a shelling of each of 211 783 complexes this does not refute
-    (``enumerate_pure2(6, 7)`` and ``(6, 8)`` with at least 5 facets, and
-    seeded ``sample_pure2`` draws on 6 to 9 vertices).  The search is sound
-    either way, as this only refutes.
+    shellability of sd²(K), and the certificate chain relies on it: when a
+    non-flag K has no shelling and this refutes K, the chain reports its
+    subject sd²(K) unshellable without searching it.  That it is exact for
+    K itself, so that after None the search on K finds a shelling, is only
+    observed: the search found a shelling of each of 211 783 complexes
+    this does not refute (``enumerate_pure2(6, 7)`` and ``(6, 8)`` with at
+    least 5 facets, and seeded ``sample_pure2`` draws on 6 to 9 vertices).
+    The search is sound either way, as this only refutes.
     """
     link: list[list[Face]] = [[] for _ in range(K.n_vertices)]
     triangles = K.triangles

@@ -171,12 +171,13 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
         present.add(edge)
         u, v = edge
         if u not in witness or v not in witness:
-            return f"index {i}: witness {witness} does not contain edge {edge}"
+            return (f"index {i}: witness {F.face_name(witness)} does not contain "
+                    f"edge {F.face_name(edge)}")
         if not all(map(present.__contains__, combinations(sorted(witness), 2))):
             absent = next(e for e in (tuple(sorted(p)) for p in combinations(witness, 2))
                           if e not in present)
-            return (f"index {i}: witness edge {absent} is not present "
-                    f"after adding edge {edge}")
+            return (f"index {i}: witness edge {F.face_name(absent)} is not present "
+                    f"after adding edge {F.face_name(edge)}")
     return None
 
 
@@ -286,7 +287,7 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
                 for face in listed_faces(F, body[len("start:"):]):
                     if len(set(face)) != 2:
                         raise MalformedCertificateError(
-                            f"start entry {F.face_text(face)!r} is not an edge")
+                            f"start entry {F.face_name(face)} is not an edge")
                     start_edges.append(face)
             elif body.startswith("pattern:"):
                 pattern = body[len("pattern:"):].strip()

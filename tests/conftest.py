@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -45,6 +46,13 @@ def outcome(check, *args):
         return check(*args)
     except Exception as exc:
         return type(exc).__name__, str(exc)
+
+
+def shows_an_id_tuple(result) -> bool:
+    """True iff an :func:`outcome` (a reason, or an exception's type and
+    text) writes a tuple of ints, such as a face by its internal ids."""
+    text = result[1] if isinstance(result, tuple) else result or ""
+    return re.search(r"\(-?\d+(, -?\d+)*,?\)", text) is not None
 
 
 @pytest.fixture

@@ -8,16 +8,20 @@ from shellsat import certificates
 from shellsat import (
     CollapseCertificate,
     ShellingCertificate,
+    BudgetExceeded,
+    Unshellable,
     check_removal_count,
     collapsible_after_removing,
     find_shelling,
     from_facets,
+    parse_sc,
     run_chain,
     saturation_to_collapse,
     shelling_to_saturated_tree,
     verify_collapse,
     verify_saturation,
 )
+from shellsat.certificates import lift_shelling
 from shellsat.cli import main
 from shellsat.complexes import Complex
 from shellsat.collapse import collapse_fields
@@ -218,9 +222,107 @@ def test_chain_on_non_flag_input_with_large_sd2():
     assert report.removed_count == report.chi
 
 
+# Grown triangle by triangle, each meeting the earlier ones along one or
+# two edges, so it is shellable; not flag, as the 3-cycle v121 v143 v40
+# bounds no triangle.  A direct search of its sd² (1080 facets) takes a
+# wrong early turn and runs out of 20 000 nodes.
+CLIFF = """\
+v121 v143 v188
+v121 v188 v40
+v121 v188 v82
+v129 v208 v233
+v136 v143 v177
+v143 v177 v188
+v143 v181 v40
+v143 v188 v40
+v143 v217 v236
+v143 v217 v40
+v161 v208 v233
+v167 v175 v85
+v167 v233 v85
+v177 v179 v181
+v177 v179 v40
+v177 v181 v40
+v177 v188 v40
+v188 v208 v85
+v188 v40 v85
+v188 v40 v97
+v208 v228 v89
+v208 v233 v5
+v208 v233 v85
+v208 v256 v40
+v208 v40 v85
+v208 v85 v89
+v229 v233 v85
+v233 v27 v5
+v233 v3 v85
+v256 v40 v94
+"""
+
+
+def test_chain_lifts_the_shelling_past_the_sd2_cliff():
+    K = parse_sc(CLIFF)
+    assert len(K.facets) == 30 and not K.is_flag2()
+    report = run_chain(K, 20000)
+    assert report.complete and all(report.verdicts.values()), report.status
+    assert len(report.subject.facets) == 36 * 30
+    assert report.removed_count == report.chi
+    L = K.barycentric_subdivision().barycentric_subdivision()
+    assert report.subject == L
+    assert find_shelling(L, 20000) == BudgetExceeded(stage="shelling")
+
+
+def test_lifts_verify_and_the_chain_agrees_with_the_direct_sd2_search():
+    """On every non-flag class of enumerate_pure2(5, 6): the status of the
+    chain is the outcome of the direct search on sd²(K), and a shelling of
+    K lifts to shellings of sd(K) and sd²(K)."""
+    statuses = Counter()
+    for K in enumerate_pure2(5, 6):
+        if K.is_flag2():
+            continue
+        report = run_chain(K, 100000)
+        sd = K.barycentric_subdivision()
+        direct = find_shelling(sd.barycentric_subdivision(), 100000)
+        expected = {ShellingCertificate: "complete", Unshellable: "unshellable"}
+        assert report.status == expected[type(direct)], K.facets
+        assert all(report.verdicts.values())
+        statuses[report.status] += 1
+        shell = find_shelling(K, 100000)
+        if isinstance(shell, ShellingCertificate):
+            once = lift_shelling(K, shell)
+            assert first_shelling_violation(sd, once) is None, K.facets
+            twice = lift_shelling(sd, once)
+            assert first_shelling_violation(report.subject, twice) is None, K.facets
+            assert report.shelling == twice
+    assert statuses == {"complete": 11, "unshellable": 6}
+
+
+def test_chain_searches_sd2_when_the_refutation_does_not_refute(monkeypatch):
+    """With the chain's own _refuted silenced (the search's stays), an
+    unshellable K falls through to the direct search on sd²(K), which
+    still refutes it."""
+    K = from_facets(["a b d", "a c e", "b c f"])
+    searched = []
+
+    def spied(L, budget):
+        searched.append(L)
+        return find_shelling(L, budget)
+
+    monkeypatch.setattr(certificates, "_refuted", lambda K, budget: None)
+    monkeypatch.setattr(certificates, "find_shelling", spied)
+    report = run_chain(K, 300000)
+    assert report.status == "unshellable"
+    assert searched == [K, report.subject]
+    assert len(report.subject.facets) == 36 * 3
+
+
 def test_chain_budget_is_stage_tagged(two_triangles):
     report = run_chain(two_triangles, 0)
     assert report.status == "budget-exceeded:shelling"
+    non_flag = from_facets(["a b c", "b c d", "a c d"])  # a b d bounds nothing
+    report = run_chain(non_flag, 0)
+    assert report.status == "budget-exceeded:shelling"
+    assert report.subdivision_depth == 2 and report.shelling is None
 
 
 def test_chain_rejects_bad_inputs(three_cycle):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from shellsat.cli import _build_parser, main
+from shellsat.cli import _build_parser, main, to_json
 
 TWO_TRIANGLES = "a b c\nb c d\n"
 BOWTIE = "a b c\nc d e\n"
@@ -469,6 +469,48 @@ def test_gen_random_records_retries(workdir):
 def test_gen_infeasible_spec(workdir):
     assert run("gen", "--out", workdir / "x", "--mode", "random-pure-2",
                "--n", 4, "--t", 9) == 3
+
+
+# -- the JSON writer -------------------------------------------------------------------------
+
+def test_json_writer_matches_the_indented_encoder_on_edge_values():
+    """Empty containers, scalars and strings that need escapes, alone and
+    nested in the shapes the writer lays out itself."""
+    odd = ['say "hi"', "back\\slash", "two\nlines", "caf\u00e9 \u2603", "tab\t", ""]
+    values = [{}, [], None, True, False, 0, -7, 2.5, *odd, odd, [odd, odd[::-1]],
+              {"a": [], "b": {}, "c": None, "d": [True, 1, "x"], "e": [[], []]},
+              {"steps": [["a b", "a b c"], ["c", "b c"]], "nested": {"deep": [odd]}},
+              [["a"], ["b", "c"]], [[1, 2]], [{"k": "v"}, {}], (1, "t"), {1: "int key"}]
+    for value in values:
+        assert to_json(value) == json.dumps(value, indent=2), value
+        assert to_json({"wrap": [value]}) == json.dumps({"wrap": [value]}, indent=2), value
+
+
+def test_json_reports_are_the_indented_encoder_bytes(workdir, capsys):
+    """Every subcommand's --json report, and the gen manifest, is what
+    json.dumps(..., indent=2) writes for the same data."""
+    (workdir / "nf.sc").write_text("a b c\nb c d\na c d\n")
+    (workdir / "odd dir").mkdir()
+    path = workdir / "odd dir" / "caf\u00e9 \"q\".cert"
+    calls = [["info", "--in", workdir / "two.sc"], ["info", "--in", workdir / "c4.sc"],
+             ["shell", "--in", workdir / "two.sc"], ["shell", "--in", workdir / "bowtie.sc"],
+             ["shell", "--in", workdir / "two.sc", "--cert", path],
+             ["shell", "--in", workdir / "two.sc", "--verify", "--cert", path],
+             ["collapse", "--in", workdir / "two.sc"], ["collapse", "--in", workdir / "c4.sc"],
+             ["collapse", "--in", workdir / "two.sc", "--k", 0, "--budget", 0],
+             ["wsat", "--in", workdir / "c4.sc"], ["wsat", "--in", workdir / "two.sc"],
+             ["wsat", "--in", workdir / "two.sc", "--number"],
+             ["chain", "--in", workdir / "two.sc"], ["chain", "--in", workdir / "nf.sc"],
+             ["chain", "--in", workdir / "bowtie.sc"],
+             ["chain", "--in", workdir / "two.sc", "--budget", 0],
+             ["gen", "--out", workdir / "corpus", "--mode", "random-pure-2", "--n", 6,
+              "--t", 3, "--count", 2]]
+    for argv in calls:
+        run(*argv, "--json")
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+    manifest = (workdir / "corpus" / "manifest.json").read_text()
+    assert manifest == json.dumps(json.loads(manifest), indent=2) + "\n"
 
 
 # -- determinism ---------------------------------------------------------------------------------

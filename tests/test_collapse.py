@@ -1,6 +1,7 @@
 """Elementary collapses: stepping, search, removal decisions, verification."""
 
 import random
+import re
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -45,7 +46,7 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
-from conftest import chain_reports, maximal_faces, outcome
+from conftest import chain_reports, maximal_faces, outcome, shows_an_id_tuple
 
 
 def step_of(K, free_labels, facet_labels):
@@ -554,15 +555,17 @@ def reference_step_violation(K, faces, step):
     if not tau:
         return "the empty face cannot be collapsed"
     if tau not in faces:
-        return f"free face {tau} is not a face of the current complex"
+        return f"free face {K.face_name(tau)} is not a face of the current complex"
     if sigma not in faces or not set(tau) < set(sigma):
-        return f"{sigma} is not a facet strictly containing {tau}"
+        return (f"{K.face_name(sigma)} is not a facet strictly containing "
+                f"{K.face_name(tau)}")
     cofacets = reference_cofacets(faces, tau)
     if sigma not in cofacets:
-        return f"{sigma} is not a facet of the current complex"
+        return f"{K.face_name(sigma)} is not a facet of the current complex"
     others = [g for g in cofacets if g != sigma]
     if others:
-        return f"free face {tau} is also contained in facet {min(others)}"
+        return (f"free face {K.face_name(tau)} is also contained in facet "
+                f"{K.face_name(min(others))}")
     return None
 
 
@@ -674,12 +677,12 @@ def reference_checked_violation(K, cert):
     for t in cert.removed_triangles:
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
-                f"removed entry {t} is not a triangle facet of the subject")
+                f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
     for i, step in enumerate(cert.steps):
         for face in (step.free_face, step.facet):
             if face not in K.faces:
                 raise MalformedCertificateError(
-                    f"step {i}: {face} is not a face of the subject")
+                    f"step {i}: {K.face_name(face)} is not a face of the subject")
     return reference_violation(K, cert)
 
 
@@ -730,6 +733,26 @@ def test_id_replay_matches_the_coface_reference_on_chain_certificates():
     assert sum(isinstance(x, str) and "empty face" in x for x in seen) == len(reports)
     assert sum(x == "final complex does not equal the certificate target"
                for x in seen) >= len(reports)
+
+
+def test_collapse_reasons_name_faces_by_labels():
+    """On tampered chain certificates, each reason and malformed text
+    writes its faces quoted in the subject's labels, never by id tuples;
+    an id naming no vertex shows as #id."""
+    rng = random.Random(7)
+    reports = chain_reports(7)
+    assert reports
+    named = 0
+    for report in reports:
+        L = report.subject
+        for cert in list(tampered_collapses(rng, L, report.collapse))[1:]:
+            result = outcome(collapse_violation, L, cert)
+            assert not shows_an_id_tuple(result), result
+            text = result[1] if isinstance(result, tuple) else result or ""
+            for face in re.findall(r"'([^']*)'", text):
+                assert all(v in L.labels or v[0] == "#" for v in face.split()), text
+                named += 1
+    assert named >= 3 * len(reports)
 
 
 # -- certificate files ---------------------------------------------------------------------

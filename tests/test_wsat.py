@@ -1,6 +1,7 @@
 """K3-bootstrap closures, saturation certificates, wsat decisions."""
 
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -37,7 +38,7 @@ from shellsat.wsat import (
     parse_saturation,
     saturation_violation,
 )
-from conftest import chain_reports, complete_graph, cycle_graph, outcome
+from conftest import chain_reports, complete_graph, cycle_graph, outcome, shows_an_id_tuple
 
 
 def star_at_a_in_k4():
@@ -392,12 +393,13 @@ def reference_saturation_violation(F, cert):
     for i, (edge, witness) in enumerate(zip(cert.order, cert.witnesses)):
         present.add(edge)
         if not set(edge) <= set(witness):
-            return f"index {i}: witness {witness} does not contain edge {edge}"
+            return (f"index {i}: witness {F.face_name(witness)} does not contain "
+                    f"edge {F.face_name(edge)}")
         witness_edges = [tuple(sorted(p)) for p in combinations(witness, 2)]
         absent = [e for e in witness_edges if e not in present]
         if absent:
-            return (f"index {i}: witness edge {absent[0]} is not present "
-                    f"after adding edge {edge}")
+            return (f"index {i}: witness edge {F.face_name(absent[0])} is not present "
+                    f"after adding edge {F.face_name(edge)}")
     return None
 
 
@@ -451,6 +453,26 @@ def test_saturation_replay_matches_the_reference_on_chain_certificates():
     assert sum(isinstance(x, tuple) for x in seen) == 3 * len(reports)
     assert sum(isinstance(x, str) and "does not contain" in x for x in seen) >= len(reports)
     assert sum(isinstance(x, str) and "is not present" in x for x in seen) >= 3 * len(reports)
+
+
+def test_saturation_reasons_name_faces_by_labels():
+    """On tampered chain certificates, each reason writes its witness and
+    edges quoted in the host's labels, never by id tuples."""
+    rng = random.Random(7)
+    reports = chain_reports(7)
+    assert reports
+    named = 0
+    for report in reports:
+        host = report.subject.skeleton(1)
+        for cert in list(tampered_saturations(rng, report.subject, report.saturation))[1:]:
+            result = outcome(saturation_violation, host, cert)
+            assert not shows_an_id_tuple(result), result
+            if isinstance(result, str):
+                faces = re.findall(r"'([^']*)'", result)
+                assert len(faces) == 2, result
+                assert all(v in host.labels for f in faces for v in f.split()), result
+                named += 1
+    assert named >= 3 * len(reports)
 
 
 def test_certificate_fingerprint_mismatch():
