@@ -29,10 +29,9 @@ from .collapse import (
 )
 from .complexes import Complex, Face, require_pure2_connected
 from .errors import CertificateError, FlagnessError
-from .outcomes import Budget, BudgetExceeded, OutOfBudget, Unshellable, as_budget
+from .outcomes import Budget, BudgetExceeded, Unshellable, as_budget
 from .shelling import (
     ShellingCertificate,
-    _refuted,
     find_shelling,
     first_shelling_violation,
     format_shelling,
@@ -224,10 +223,10 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
     A non-flag K is shelled on K itself, and the shelling found is lifted
     by :func:`lift_shelling` to sd(K) and on to sd²(K) without a search
     there; the lift spends no budget, as it is one pass.  When K has no
-    shelling, the chain reports ``unshellable`` if :func:`_refuted` refutes
-    K, which by Hachimori's criterion is exact for sd²(K).  Should it not
-    refute (never observed), the chain searches sd²(K) directly with the
-    budget left.
+    shelling, the chain reports ``unshellable`` if ``shelling._refuted``
+    decided it, as by Hachimori's criterion that is exact for sd²(K).
+    Should the search on K be exhausted without it (never observed), the
+    chain searches sd²(K) directly with the budget left.
     """
     require_pure2_connected(K, "the certificate chain")
     budget = as_budget(budget)
@@ -266,17 +265,12 @@ def run_chain(K: Complex, budget: int | Budget | None = None) -> ChainReport:
 
 def _on_sd2(K: Complex, L: Complex, shell, budget: Budget):
     """The shelling outcome for L = sd²(K) from the search outcome on K: a
-    shelling lifted twice, a refutation by :func:`_refuted`, or else the
-    direct search on L."""
+    shelling lifted twice, K's refutation (exact for L), or else, after a
+    search on K exhausted without a refutation, the direct search on L."""
     if isinstance(shell, ShellingCertificate):
         return lift_shelling(K.barycentric_subdivision(), lift_shelling(K, shell))
-    if isinstance(shell, Unshellable):
-        try:
-            refuted = _refuted(K, budget)
-        except OutOfBudget:
-            return BudgetExceeded(stage="shelling")
-        if refuted is None:
-            return find_shelling(L, budget)
+    if isinstance(shell, Unshellable) and shell.decided_by == "search":
+        return find_shelling(L, budget)
     return shell
 
 

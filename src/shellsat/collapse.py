@@ -88,8 +88,8 @@ class _Replay:
 
     def __init__(self, K: Complex, removed: frozenset[Face] = frozenset()):
         self.subject = K
-        above = [f for f in K.faces if len(f) > 1]
-        self.face = face = above + [f for f in K.faces if len(f) == 1]
+        above = list(chain.from_iterable(map(K.faces_of_dim, range(1, K.dim + 1))))
+        self.face = face = above + list(K.faces_of_dim(0))
         self.ids = ids = {f: i for i, f in enumerate(face)}
         self.ridges = ridges = [
             tuple(map(ids.__getitem__, combinations(f, len(f) - 1))) for f in above

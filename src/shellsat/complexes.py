@@ -1,9 +1,10 @@
 """Finite simplicial complexes over dense integer vertex ids.
 
 A complex is the downward closure of its facets; one largest-first sweep
-over the listed faces builds both.  Vertex ids follow sorted label order,
-so complexes built from the same label faces are identical, serialize to
-the same bytes and share one fingerprint.  Faces are strictly increasing
+over the listed faces builds both, keeping each size's faces in a set
+that every face listing, count and skeleton reads.  Vertex ids follow
+sorted label order, so complexes built from the same label faces are
+identical, serialize to the same bytes and share one fingerprint.  Faces are strictly increasing
 id tuples; the empty face ``()`` is always present.  Labels are read only
 by :func:`from_facets` and ".sc" parsing (each distinct label checked
 once) and written only by ``to_sc`` and the formatters.
@@ -101,39 +102,39 @@ class Complex:
     """Immutable simplicial complex, read from labels by :func:`from_facets`;
     :meth:`induced` and :meth:`barycentric_subdivision` derive on ids."""
 
-    __slots__ = ("labels", "facets", "faces", "dim", "_kept")
+    __slots__ = ("labels", "facets", "faces", "dim", "_by_size", "_kept")
 
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
         """The closure of id_faces (increasing id tuples) on sorted labels.
 
-        One sweep over the distinct faces, largest size first: the faces of
-        a size not yet in the closure are facets, and add their subfaces one
-        size at a time.  Distinct faces of one size never contain each
-        other, so a face not covered by a larger listed face is maximal.
-        The empty face enters once, before the sweep, so it is never a
-        facet beside a nonempty face; the facets of a size enter whole,
-        as their only subfaces of that size are themselves, and their
-        vertices enter once each rather than once per facet.  ``dim`` is
-        one less than the first size of the sweep, the largest.
+        One sweep over the distinct nonempty faces, largest size first: the
+        faces of a size not yet in the closure are facets, and add their
+        subfaces to the set of each smaller size.  Distinct faces of one
+        size never contain each other, so a face not covered by a larger
+        listed face is maximal.  The empty face is in the size-0 set from
+        the start, so it is never a facet beside a nonempty face; the
+        facets of a size enter whole, and their vertices enter once each
+        rather than once per facet.  ``dim`` is one less than the largest
+        size, and ``faces`` is the union of the sets.
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
         listed = set(id_faces)
-        sizes = sorted(set(map(len, listed)), reverse=True)
-        faces: set[Face] = {()}
+        sizes = sorted(set(map(len, listed)) - {0}, reverse=True)
+        self.dim = dim = sizes[0] - 1 if sizes else -1
+        self._by_size = by_size = [{()}] + [set() for _ in range(dim + 1)]
         facets: list[Face] = []
         for size in sizes:
-            fresh = [f for f in listed if len(f) == size and f not in faces]
+            fresh = [f for f in listed if len(f) == size and f not in by_size[size]]
             facets += fresh
-            faces.update(fresh)
-            faces.update(zip(set(chain.from_iterable(fresh))))  # the vertices, once each
+            by_size[size].update(fresh)
+            by_size[1].update(zip(set(chain.from_iterable(fresh))))  # the vertices, once each
             for k in range(2, size):
-                faces.update(chain.from_iterable(map(combinations, fresh, repeat(k))))
+                by_size[k].update(chain.from_iterable(map(combinations, fresh, repeat(k))))
         self.labels = tuple(labels)
         # When only the empty face is listed, it is the one facet.
         self.facets = tuple(sorted(facets)) or tuple(listed)
-        self.faces = frozenset(faces)
-        self.dim = sizes[0] - 1 if sizes else -1
+        self.faces = frozenset().union(*by_size)
         self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -187,15 +188,19 @@ class Complex:
             self._kept[key] = compute()
         return self._kept[key]
 
-    def faces_of_dim(self, k: int) -> list[Face]:
-        return sorted(f for f in self.faces if len(f) == k + 1)
+    def faces_of_dim(self, k: int) -> tuple[Face, ...]:
+        """The faces of dimension k sorted, from the sweep's set on the first
+        ask and then kept: ``((),)`` for k = -1, and none outside -1..dim."""
+        if not -1 <= k <= self.dim:
+            return ()
+        return self._keep(("faces", k), lambda: tuple(sorted(self._by_size[k + 1])))
 
     @property
-    def edges(self) -> list[Face]:
+    def edges(self) -> tuple[Face, ...]:
         return self.faces_of_dim(1)
 
     @property
-    def triangles(self) -> list[Face]:
+    def triangles(self) -> tuple[Face, ...]:
         return self.faces_of_dim(2)
 
     # -- equality / hashing / fingerprint ----------------------------------
@@ -223,14 +228,11 @@ class Complex:
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts (f_-1, f_0, ..., f_dim); f_-1 = 1 for the empty face."""
-        counts = [0] * (self.dim + 2)
-        for f in self.faces:
-            counts[len(f)] += 1
-        return tuple(counts)
+        return tuple(map(len, self._by_size))
 
     def reduced_euler_characteristic(self) -> int:
         """Alternating face-count sum, the empty face contributing -1."""
-        return sum(1 if len(f) % 2 else -1 for f in self.faces)
+        return sum(n if size % 2 else -n for size, n in enumerate(self.f_vector()))
 
     # -- predicates ----------------------------------------------------------
 
@@ -239,29 +241,22 @@ class Complex:
         return self._keep("pure", lambda: len(set(map(len, self.facets))) == 1)
 
     def is_connected(self) -> bool:
-        """Connectivity of the 1-skeleton (single vertices count as components).
-        Every edge lies in a facet, so joining each facet's first vertex to
-        its others suffices: for each position j, column 0 of the facets
-        longer than j zipped with their column j (all facets, when pure)."""
-        facets = self.facets
-
-        def edges(j: int) -> Iterable[tuple[int, int]]:
-            longer = facets if self.is_pure() else [f for f in facets if len(f) > j]
-            return zip(map(itemgetter(0), longer), map(itemgetter(j), longer))
-
+        """Connectivity of the 1-skeleton (single vertices count as components),
+        read from the sweep's set of edges."""
         return self._keep("connected", lambda: is_connected_graph(
-            self.n_vertices, chain.from_iterable(map(edges, range(1, self.dim + 1)))))
+            self.n_vertices, self._by_size[2] if self.dim > 0 else ()))
 
     def is_flag2(self) -> bool:
         """True iff every 3-clique of the 1-skeleton spans a triangle.
 
-        Only defined up to dimension 2; higher dimensions raise.
+        Each triangle is a 3-clique, so it is iff their counts match.  Only
+        defined up to dimension 2; higher dimensions raise.
         """
         if self.dim > 2:
             raise UnsupportedDimensionError(
                 f"flagness check supports dimension <= 2, got {self.dim}")
-        return self._keep("flag", lambda: all(
-            t in self.faces for t in clique_triangles(self.n_vertices, self.edges)))
+        return self._keep("flag", lambda: len(
+            clique_triangles(self.n_vertices, self.edges)) == len(self.triangles))
 
     # -- derived complexes ---------------------------------------------------
 
@@ -274,7 +269,7 @@ class Complex:
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
         return self._keep(("skeleton", k), lambda: self.induced(
-            f for f in self.faces if 0 < len(f) <= k + 1))
+            chain.from_iterable(self._by_size[1:k + 2])))
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
         """The subcomplex closing the listed faces, its vertices renumbered in

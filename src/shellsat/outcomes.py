@@ -6,14 +6,17 @@ caps the number of search-tree nodes a decider may expand, so exhaustive
 searches degrade to an explicit ``BudgetExceeded`` instead of hanging.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
 
 @dataclass(frozen=True)
 class Unshellable:
-    """The facet-ordering search space was exhausted without a shelling."""
+    """No shelling exists, as the exhausted search or a failed necessary
+    condition showed (``decided_by``, which equality ignores)."""
+
+    decided_by: str = field(default="search", compare=False)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from shellsat import certificates
+from shellsat import certificates, shelling
 from shellsat import (
     CollapseCertificate,
     ShellingCertificate,
@@ -298,17 +298,19 @@ def test_lifts_verify_and_the_chain_agrees_with_the_direct_sd2_search():
 
 
 def test_chain_searches_sd2_when_the_refutation_does_not_refute(monkeypatch):
-    """With the chain's own _refuted silenced (the search's stays), an
-    unshellable K falls through to the direct search on sd²(K), which
-    still refutes it."""
+    """With the refutation silenced on K alone (it stays on sd²(K)), the
+    search on K is exhausted without it, and the chain falls through to
+    the direct search on sd²(K), which still refutes it."""
     K = from_facets(["a b d", "a c e", "b c f"])
     searched = []
+    refuted = shelling._refuted
 
     def spied(L, budget):
         searched.append(L)
         return find_shelling(L, budget)
 
-    monkeypatch.setattr(certificates, "_refuted", lambda K, budget: None)
+    monkeypatch.setattr(shelling, "_refuted",
+                        lambda L, budget: None if L == K else refuted(L, budget))
     monkeypatch.setattr(certificates, "find_shelling", spied)
     report = run_chain(K, 300000)
     assert report.status == "unshellable"

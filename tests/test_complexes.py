@@ -371,9 +371,10 @@ def test_subgraph_matches_graph_complex():
 # -- the one-sweep build against the earlier passes ----------------------------------
 #
 # Complex.__init__ builds the closure and the facets in one largest-first
-# sweep, parsing checks each distinct label once and compares absorbed faces
-# as id faces, to_sc checks each label once and is_connected joins vertices
-# within facets.  The references below are the earlier passes of each.
+# sweep, keeping the faces of each size apart, and every face listing reads
+# those sets; parsing checks each distinct label once and compares absorbed
+# faces as id faces, and to_sc checks each label once.  The references
+# below are the earlier passes of each: full scans over K.faces.
 
 def reference_build(id_faces) -> tuple[tuple, frozenset]:
     """maximal_faces for the facets, then every subface of every face."""
@@ -479,7 +480,8 @@ def reference_induced(K: Complex, listing) -> tuple[tuple, tuple, frozenset]:
 def test_one_sweep_build_matches_two_pass_build():
     """Complex, induced and skeleton(k) against the two-pass reference, on
     listings that keep every vertex (no renumbering) and on listings that
-    drop one (renumbered)."""
+    drop one (renumbered); and each face listing read from the faces kept
+    by size against a full scan of K.faces, for k = -2..dim+1."""
     rng, drop = random.Random(29), random.Random(37)
     identity = renumbered = 0
     for K in sweep_corpus():
@@ -497,10 +499,25 @@ def test_one_sweep_build_matches_two_pass_build():
             assert (built.labels, built.facets, built.faces) == reference_induced(K, faces)
             identity += built.labels == K.labels
             renumbered += built.labels != K.labels
-        for k in range(3):
+        def scan(k):
+            return tuple(sorted(f for f in K.faces if len(f) == k + 1))
+
+        for k in range(-2, K.dim + 2):
+            assert K.faces_of_dim(k) == scan(k)
+            if k < 0:
+                with pytest.raises(UnsupportedDimensionError):
+                    K.skeleton(k)
+                continue
             skeleton = K.skeleton(k)
             assert (skeleton.labels, skeleton.facets, skeleton.faces) == reference_induced(
                 K, [f for f in K.faces if 0 < len(f) <= k + 1])
+        assert (K.edges, K.triangles) == (scan(1), scan(2))
+        counts = [0] * (K.dim + 2)
+        for f in K.faces:
+            counts[len(f)] += 1
+        assert K.f_vector() == tuple(counts)
+        assert K.reduced_euler_characteristic() == sum(
+            1 if len(f) % 2 else -1 for f in K.faces)
         assert K.to_sc() == reference_to_sc(K)
         assert K.fingerprint == hashlib.sha256(
             reference_to_sc(K).encode("utf-8")).hexdigest()[:16]

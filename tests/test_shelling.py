@@ -398,6 +398,51 @@ def test_search_matches_the_set_frontier_reference(monkeypatch):
     assert all(outcomes[kind] > 100 for kind in kinds), outcomes
 
 
+def search_without_memo(K, budget):
+    """The search of ``find_shelling`` without its ``failed`` memo: a prefix
+    whose facet set already failed is extended again.  Only for complexes
+    of dimension 3, where the search never calls ``_refuted``."""
+    m = len(K.facets)
+    prefix = _Prefix(K)
+    stack = [-1]
+    try:
+        while stack:
+            last = stack[-1]
+            i = prefix.after(last) if prefix.order else (last + 1 if last + 1 < m else None)
+            if i is None:
+                stack.pop()
+                if prefix.order:
+                    prefix.pop()
+                continue
+            stack[-1] = i
+            budget.spend()
+            prefix.push(i)
+            if len(prefix.order) == m:
+                return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
+            stack.append(-1)
+    except OutOfBudget:
+        return BudgetExceeded(stage="shelling")
+    return Unshellable()
+
+
+def test_failed_memo_spends_fewer_nodes_for_the_same_results():
+    """On 300 seeded sets of tetrahedra on 7 vertices (the generator of
+    ``table_corpus``), the search without the memo returns the same
+    results, never spends fewer nodes and spends strictly more on many:
+    173 sets, 213 137 nodes in all against 14 760 with the memo."""
+    rng = random.Random(41)
+    pool = list(combinations("abcdefg", 4))
+    kept = plain = more = 0
+    for _ in range(300):
+        K = from_facets(rng.sample(pool, rng.randint(2, 9)))
+        with_memo, without = Budget(None), Budget(None)
+        assert find_shelling(K, with_memo) == search_without_memo(K, without), K.facets
+        assert with_memo.used <= without.used, K.facets
+        kept, plain = kept + with_memo.used, plain + without.used
+        more += with_memo.used < without.used
+    assert more > 100 and plain > 10 * kept, (kept, plain, more)
+
+
 def test_shared_tables_leak_no_state():
     """A search and a verification on one complex share its shelling
     tables.  Searches, replays that stop at a violation and a search cut
