@@ -14,9 +14,11 @@ dimension.
 """
 
 import heapq
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, count, repeat
+from operator import attrgetter
 
 from .complexes import (
     COLLAPSE,
@@ -52,6 +54,9 @@ class CollapseStep:
     facet: Face
 
 
+_step_faces = attrgetter("free_face", "facet")
+
+
 @dataclass(frozen=True)
 class CollapseCertificate:
     """Remove the listed triangles, apply the steps, arrive at the target."""
@@ -81,25 +86,34 @@ class _Replay:
     set's indicator and ``up[i]`` the count of ``face[i]``, and a count for
     ``()`` would never be read.  Each step removes the same faces and lowers
     the same counts, and each check reads the same membership and counts,
-    so every verdict and message is the same.
+    so every verdict and message is the same.  Which id a face gets is
+    never read: reasons name faces, the facets left are only compared or
+    closed into a complex, and :func:`free_faces` sorts its steps.
+
+    The build runs in C-level passes.  Ids follow the sweep's sets of each
+    size, smallest first, in their own order.  The ridges of the faces of
+    size k are one ``combinations`` column of size k-1 faces mapped to
+    ids, k per face, zipped back per face; ``up`` is one ``Counter`` pass
+    over the ridges of the faces left.
     """
 
     __slots__ = ("subject", "face", "ids", "ridges", "left", "up")
 
     def __init__(self, K: Complex, removed: frozenset[Face] = frozenset()):
         self.subject = K
-        above = list(chain.from_iterable(map(K.faces_of_dim, range(1, K.dim + 1))))
-        self.face = face = above + list(K.faces_of_dim(0))
-        self.ids = ids = {f: i for i, f in enumerate(face)}
-        self.ridges = ridges = [
-            tuple(map(ids.__getitem__, combinations(f, len(f) - 1))) for f in above
-        ] + [()] * (len(face) - len(above))
+        sized = K._by_size[1:]
+        self.face = face = list(chain.from_iterable(sized))
+        self.ids = ids = dict(zip(face, count()))
+        self.ridges = ridges = [()] * len(sized[0]) if sized else []
+        for k, faces in enumerate(sized[1:], start=2):
+            column = map(ids.__getitem__, chain.from_iterable(map(
+                combinations, face[len(ridges):len(ridges) + len(faces)], repeat(k - 1))))
+            ridges += zip(*[column] * k)
         self.left = left = bytearray(b"\1") * len(face)
         for t in removed:
             left[ids[t]] = 0
-        self.up = up = [0] * len(face)
-        for r in chain.from_iterable(compress(ridges, left)):
-            up[r] += 1
+        held = Counter(chain.from_iterable(compress(ridges, left)))
+        self.up = list(map(held.get, range(len(face)), repeat(0)))
 
     def take(self, step: CollapseStep) -> str | None:
         """Apply the step if it is legal; else say why not and change nothing.
@@ -456,18 +470,21 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     or removed entries that are not triangle facets of K, whose removal
     would leave no complex) raises MalformedCertificateError; an illegal
     step or a target mismatch merely makes the certificate invalid and is
-    reported as a string.
+    reported as a string.  Whether every step face is a face of K is one
+    ``issuperset`` over the steps' faces; only when it fails are the steps
+    walked, to name the first one outside K.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
                 f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
-    for i, step in enumerate(cert.steps):
-        for face in (step.free_face, step.facet):
-            if face not in K.faces:
-                raise MalformedCertificateError(
-                    f"step {i}: {K.face_name(face)} is not a face of the subject")
+    if not K.faces.issuperset(chain.from_iterable(map(_step_faces, cert.steps))):
+        for i, step in enumerate(cert.steps):
+            for face in _step_faces(step):
+                if face not in K.faces:
+                    raise MalformedCertificateError(
+                        f"step {i}: {K.face_name(face)} is not a face of the subject")
 
     replay = _Replay(K, cert.removed_triangles)
     for i, step in enumerate(cert.steps):
@@ -491,7 +508,7 @@ def verify_collapse(K: Complex, cert: CollapseCertificate) -> bool:
 
 def collapse_fields(K: Complex, cert: CollapseCertificate) -> dict:
     """The certificate as label text, for its file and the chain report."""
-    texts = K.face_texts(chain.from_iterable((s.free_face, s.facet) for s in cert.steps))
+    texts = K.face_texts(chain.from_iterable(map(_step_faces, cert.steps)))
     return {
         "removed": K.face_texts(sorted(cert.removed_triangles)),
         "steps": [texts[i:i + 2] for i in range(0, len(texts), 2)],

@@ -22,8 +22,10 @@ shared skeleton is at the end.
 import hashlib
 import re
 from bisect import bisect_left
+from functools import cache
 from itertools import chain, combinations, count, permutations, repeat
-from operator import itemgetter, ne
+from math import comb
+from operator import add, itemgetter, ne
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (
@@ -96,6 +98,21 @@ def clique_triangles(n: int,
         adjacency[v].add(u)
     return [(u, v, w) for u, v in edges
             for w in sorted(adjacency[u] & adjacency[v]) if w > v]
+
+
+@cache
+def _chain_slots(size: int) -> Callable[[tuple], tuple]:
+    """For facets of ``size`` vertices, the getter that lists, from a row of
+    ids in ``combinations`` order of the facet's nonempty subfaces (the
+    vertices, then the pairs and so on), the ids of each maximal chain:
+    one chain per vertex order, its prefixes in turn.  The subface on a set
+    of vertex positions sits at the same slot of every row, so the slots
+    come from one table of position masks, the same for every facet."""
+    slot = {sum(1 << j for j in positions): n for n, positions in enumerate(
+        p for k in range(1, size + 1) for p in combinations(range(size), k))}
+    picks = [slot[sum(1 << j for j in order[:k])]
+             for order in permutations(range(size)) for k in range(1, size + 1)]
+    return itemgetter(*picks) if size > 1 else tuple
 
 
 class Complex:
@@ -312,19 +329,41 @@ class Complex:
         return self._keep("subdivision", self._subdivide)[1]
 
     def _subdivide(self) -> tuple["Complex", dict[Face, int]]:
-        named: dict[str, Face] = {}
-        for face in filter(None, self.faces):
-            name = "{" + "|".join(self.label_face(face)) + "}"
-            other = named.setdefault(name, face)
-            if other != face:
-                a, b = map(self.face_text, sorted((other, face)))
-                raise ShellsatError(
-                    f"faces {a!r} and {b!r} both subdivide to vertex {name!r}")
+        """The subdivision and the barycentre ids, in C-level passes per
+        size.  The vertex names of the faces of size k are one column of
+        labels, k per face, joined.  When two faces share a name, the faces
+        are walked as a frozen set iterates, to name the first clash.  Each
+        facet's row holds the barycentre id of each of its nonempty
+        subfaces, in ``combinations`` order (one lookup per subface), and
+        :func:`_chain_slots` picks the chains from the row."""
+        faces: list[Face] = []
+        names: list[str] = []
+        for k, sized in enumerate(map(list, self._by_size[1:]), start=1):
+            faces += sized
+            names += map("{%s}".__mod__, map("|".join, zip(
+                *[map(self.labels.__getitem__, chain.from_iterable(sized))] * k)))
+        named = dict(zip(names, faces))
+        if len(named) < len(faces):
+            name_of, claimed = dict(zip(faces, names)), {}
+            for face in filter(None, self.faces):
+                other = claimed.setdefault(name_of[face], face)
+                if other != face:
+                    a, b = map(self.face_text, sorted((other, face)))
+                    raise ShellsatError(f"faces {a!r} and {b!r} both subdivide "
+                                        f"to vertex {name_of[face]!r}")
         labels = sorted(named)
-        vertex = {named[name]: v for v, name in enumerate(labels)}
-        sd = Complex(labels, [
-            tuple(sorted(vertex[tuple(sorted(order[:k + 1]))] for k in range(len(order))))
-            for facet in self.facets for order in permutations(facet)])
+        vertex = dict(zip(map(named.__getitem__, labels), count()))
+        chains: list[Face] = []
+        for size in set(map(len, self.facets)):
+            facets = [f for f in self.facets if len(f) == size]
+            rows: Iterable[tuple[int, ...]] = [()] * len(facets)
+            for k in range(1, size + 1):
+                column = map(vertex.__getitem__, chain.from_iterable(
+                    map(combinations, facets, repeat(k))))
+                rows = map(add, rows, zip(*[column] * comb(size, k)))
+            flat = chain.from_iterable(map(_chain_slots(size), rows))
+            chains += map(tuple, map(sorted, zip(*[flat] * size)))
+        sd = Complex(labels, chains)
         if sd.dim <= 2:
             sd._kept["flag"] = True
         return sd, vertex

@@ -14,7 +14,9 @@ from .errors import ParameterError
 @dataclass(frozen=True)
 class Unshellable:
     """No shelling exists, as the exhausted search or a failed necessary
-    condition showed (``decided_by``, which equality ignores)."""
+    condition showed: ``decided_by`` is ``"search"``, or the failed test of
+    ``shelling._refuted`` (``"link"``, ``"betti1"`` or ``"core"``); equality
+    ignores it."""
 
     decided_by: str = field(default="search", compare=False)
 

@@ -12,9 +12,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, count, repeat
 from math import comb
-from operator import add
+from operator import add, itemgetter
 
-from .collapse import least_removal
+from .collapse import core_components, least_deletion
 from .complexes import (
     SHELLING,
     Complex,
@@ -44,23 +44,42 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     condition, or None when the certificate is a valid shelling.
 
     Raises MalformedCertificateError when the order is not a permutation of
-    the facet set, and PurityError for non-pure complexes.  Each facet after
-    the first is checked by :meth:`_Prefix.fits`, as in the search.
+    the facet set, and PurityError for non-pure complexes.  The order is a
+    permutation iff it has as many entries as there are facets and the same
+    set of them: with fewer distinct entries than facets, the sets differ.
+
+    Each facet after the first is checked by the test of
+    :meth:`_Prefix.fits`, which reads the cover counts only as nonzero or
+    zero.  The verifier only places facets, so before facet n a count is
+    nonzero iff one of the first n facets holds the face: iff ``first``,
+    the least position of a facet holding the face, is below n.  ``first``
+    is one C-level ``dict`` build over the order's subface column, read
+    backwards so that the least position is written last.  The frontier,
+    the undo log, the placed flags and the key of the search's prefix are
+    never read by the check, so none is kept.
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
     order = [tuple(f) for f in cert.order]
-    if sorted(order) != list(K.facets):
+    index = dict(zip(K.facets, count()))
+    if len(order) != len(index) or index.keys() != set(order):
         raise MalformedCertificateError(
             "certificate order is not a permutation of the facet set")
     if K.dim < 1:
         return None  # two points meet in the empty face, pure of dimension -1
-    index = {f: i for i, f in enumerate(K.facets)}
-    prefix = _Prefix(K)
-    for n, facet in enumerate(order):
-        if n > 0 and not prefix.fits(index[facet]):
+    tables = _tables(K)
+    full, slot, ridge_slots = tables.full, tables.slot, tables.ridge_slots
+    rows = list(map(tables.subfaces.__getitem__, map(index.__getitem__, order)))
+    column = list(chain.from_iterable(rows))
+    first = dict(zip(reversed(column), chain.from_iterable(
+        map(repeat, range(len(rows) - 1, -1, -1), repeat(len(rows[0]))))))
+    for n, sub in enumerate(rows[1:], start=1):
+        mask = 0
+        for j, k in enumerate(ridge_slots):
+            if first[sub[k]] < n:
+                mask |= 1 << j
+        if mask != full and (not mask or first[sub[slot[mask]]] < n):
             return n
-        prefix.push(index[facet])
     return None
 
 
@@ -73,13 +92,14 @@ class _Tables:
     """The static tables of the shelling prefixes of a pure complex of
     dimension d >= 1, built once per complex and kept on it (the chain
     verifies the shelling its search found on the same subject), and never
-    changed after.
+    changed after; ``holders`` is filled once, on its first ask.
 
     Faces get dense ids: vertex ``(v,)`` is id ``v`` (a label in no face
     leaves its id unused), and the faces of each size 2..d follow, numbered
     in order of first appearance in the facets' ``combinations`` streams.
     The numbering is internal: the search and the verifier only compare
-    cover counts and facet indices, so no id ever reaches output.  ``subfaces[i]`` lists the ids of the nonempty
+    cover counts, positions and facet indices, so no id ever reaches
+    output.  ``subfaces[i]`` lists the ids of the nonempty
     proper subfaces of facet i in ``combinations`` order of its sorted
     vertices, so the subface on a given set of vertex positions sits at the
     same slot for every facet: ``slot[mask]`` is the slot of the subface on
@@ -94,12 +114,16 @@ class _Tables:
     through the numbered dict gives a column of ids, C(d+1, k) per facet.
     A facet's vertices are its own size-1 ids, so row i is the facet
     followed by its chunk of each column, in increasing k: the slot order.
-    The ridges are the last column (the facets' vertices when d = 1), d+1
-    per facet, so zipping it with each facet index repeated d+1 times
-    appends every facet to the holders of its ridges, in facet order.
+
+    Only the search reads ``holders``, so they are built on its first ask:
+    the verifier, which the chain runs on an sd² subject it never searched,
+    builds no holders.  Each row's ridge ids, at ``ridge_slots``, form one
+    column, d+1 per facet, so zipping it with each facet index repeated
+    d+1 times appends every facet to the holders of its ridges, in facet
+    order.
     """
 
-    __slots__ = ("full", "slot", "ridge_slots", "subfaces", "holders")
+    __slots__ = ("full", "slot", "ridge_slots", "subfaces", "_ridge_ids", "_holders")
 
     def __init__(self, K: Complex):
         d, facets = K.dim, K.facets
@@ -108,7 +132,7 @@ class _Tables:
             p for k in range(1, d + 1) for p in combinations(range(d + 1), k))}
         self.slot = [slot.get(mask) for mask in range(self.full)]
         self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
-        rows, column = facets, chain.from_iterable(facets)
+        rows = facets
         base, n_ids = 0, K.n_vertices
         for k in range(2, d + 1):
             stream = list(chain.from_iterable(map(combinations, facets, repeat(k))))
@@ -117,9 +141,22 @@ class _Tables:
             column = list(map(ids.__getitem__, stream))
             rows = map(add, rows, zip(*[iter(column)] * comb(d + 1, k)))
         self.subfaces = list(rows)
-        self.holders = [()] * base + [[] for _ in range(base, n_ids)]
-        deque(map(list.append, map(self.holders.__getitem__, column),
-                  chain.from_iterable(zip(*repeat(range(len(facets)), d + 1)))), maxlen=0)
+        self._ridge_ids = range(base, n_ids)
+        self._holders = None
+
+    @property
+    def holders(self) -> list:
+        if self._holders is None:
+            holders = [()] * self._ridge_ids.start + [[] for _ in self._ridge_ids]
+            ridges = chain.from_iterable(map(itemgetter(*self.ridge_slots), self.subfaces))
+            deque(map(list.append, map(holders.__getitem__, ridges), chain.from_iterable(
+                zip(*repeat(range(len(self.subfaces)), len(self.ridge_slots))))), maxlen=0)
+            self._holders = holders
+        return self._holders
+
+
+def _tables(K: Complex) -> _Tables:
+    return K._keep("shelling tables", lambda: _Tables(K))
 
 
 class _Prefix:
@@ -138,7 +175,7 @@ class _Prefix:
     """
 
     def __init__(self, K: Complex):
-        tables = K._keep("shelling tables", lambda: _Tables(K))
+        tables = _tables(K)
         self.full, self.slot, self.ridge_slots = tables.full, tables.slot, tables.ridge_slots
         self.subfaces, self.holders = tables.subfaces, tables.holders
         self.cover = [0] * len(self.holders)
@@ -215,27 +252,31 @@ class _Prefix:
 
 
 def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
-    """``Unshellable()`` when a pure 2-complex fails a necessary condition
-    for shellability, else None; it never accepts.
+    """``Unshellable`` when a pure 2-complex fails a necessary condition
+    for shellability, its ``decided_by`` naming the test that failed, else
+    None; it never accepts.
 
     A shellable 2-complex is a wedge of 2-spheres, and the link of each of
     its vertices is shellable (Björner, *Topological methods*, 1995).  So
     K is refuted when:
 
-    * the link of some vertex is disconnected: a shellable graph is
-      connected;
-    * b1 != 0 over GF(2), as a wedge of spheres has b1 = 0;
-    * no chi~ of its triangles can be deleted to leave an empty core.  In
+    * the link of some vertex is disconnected (``"link"``): a shellable
+      graph is connected;
+    * b1 != 0 over GF(2) (``"betti1"``), as a wedge of spheres has b1 = 0;
+    * (``"core"``) no chi~ of its triangles can be deleted to leave an empty core.  In
       a shelling, the facets whose whole boundary lies in the union of
       their predecessors number b2 = chi~; dropping them leaves the order
       a shelling, as their proper faces are there anyway, of a complex
       that shells with no such facet and hence collapses, so its triangles
       have an empty core.
 
-    :func:`collapse.least_removal` of chi~ decides the last two: it returns
-    None at once when b1 != 0, and otherwise when no such deletion exists.
-    Spends one node for the core and one per search node; no
-    collapse steps are spent, as nothing is collapsed.
+    The last two are the two tests of :func:`collapse.least_removal` of
+    chi~, made here one at a time to tell them apart, with the same nodes:
+    the floors of the core components sum to b2, so chi~ = b2 - b1 below
+    that sum is b1 != 0, and otherwise the deletion exists iff each
+    component has one of its floor's size.  Spends one node for the core
+    and one per search node; no collapse steps are spent, as nothing is
+    collapsed.
 
     What is proved about exactness concerns sd²(K).  By Hachimori's
     criterion (*Decompositions of two-dimensional simplicial complexes*,
@@ -263,9 +304,13 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
         relabeled = [(index.setdefault(u, len(index)), index.setdefault(w, len(index)))
                      for u, w in edges]
         if not is_connected_graph(len(index), relabeled):
-            return Unshellable()
-    if least_removal(triangles, K.reduced_euler_characteristic(), budget) is None:
-        return Unshellable()
+            return Unshellable(decided_by="link")
+    components = core_components(triangles, budget)
+    if K.reduced_euler_characteristic() < sum(floor for _, floor in components):
+        return Unshellable(decided_by="betti1")
+    if any(least_deletion(triangles, component, floor, budget) is None
+           for component, floor in components):
+        return Unshellable(decided_by="core")
     return None
 
 
@@ -308,8 +353,9 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     call to :func:`_refuted`, whose nodes come out of the same budget.  It
     only refutes, so if it does not, the search goes on as before; a search
     that never gets stuck never calls it, and finds the same shelling with
-    the same nodes.  It decides ``Unshellable(decided_by="refutation")``;
-    an exhausted search got stuck, so it ran there and did not refute.
+    the same nodes.  Its ``Unshellable`` is returned as it is, so
+    ``decided_by`` names the test that refuted; an exhausted search got
+    stuck, so it ran there and did not refute.
     """
     if not K.is_pure():
         raise PurityError("shelling search requires a pure complex")
@@ -331,8 +377,9 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
             else:
                 i = last + 1 if last + 1 < m else None
             if i is None:
-                if not failed and K.dim == 2 and _refuted(K, budget) is not None:
-                    return Unshellable(decided_by="refutation")
+                refuted = _refuted(K, budget) if not failed and K.dim == 2 else None
+                if refuted is not None:
+                    return refuted
                 stack.pop()
                 failed.add(prefix.key)
                 if prefix.order:

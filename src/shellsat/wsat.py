@@ -10,7 +10,8 @@ deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count, repeat
+from operator import contains, itemgetter, le
 
 from .collapse import core_components, least_deletion, least_removal, peel
 from .complexes import (
@@ -142,32 +143,55 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     not three distinct host vertices; a wrong witness merely invalidates
     the certificate.
 
-    Each ordered edge is a host edge (u, v), so it lies in the witness iff
-    u and v do.  The edges of the witness are the pairs of its sorted
-    vertices, which for three distinct vertices are the sorted pairs of any
-    order of them.  Only a failing witness is walked again in its own
-    order, to name the first absent edge.
+    Each check is first made on the whole certificate in C-level passes,
+    and the certificate is walked in order only when one fails, to raise
+    or name the first failure as the walk alone would:
+
+    * The order is a permutation of the missing edges iff it has as many
+      entries and the same set: with a repeated entry its set is smaller.
+    * Every witness is three distinct host vertices iff the sizes of the
+      witnesses and of their vertex sets are all 3 and every vertex is one
+      of the ids 0..n-1.
+    * The replay: an ordered edge (u, v) lies in its witness iff u and v
+      do, and the witness edges are the pairs of its sorted vertices.
+      After edge i is added, the present edges are the start and the first
+      i+1 ordered edges, so a witness edge is present iff ``when``, its
+      position in the order (-1 for a start edge, past the end for any
+      other pair), is at most i.
     """
     try:
         host, start = _spanning_edges(F, cert.start)
     except ContainmentError as exc:
         raise MalformedCertificateError(str(exc)) from None
     missing = host - start
-    if sorted(cert.order) != sorted(missing):
+    order, witnesses = cert.order, cert.witnesses
+    if len(order) != len(missing) or missing != set(order):
         raise MalformedCertificateError(
             "certificate order is not exactly the missing host edges")
-    if len(cert.witnesses) != len(cert.order):
+    if len(witnesses) != len(order):
         raise MalformedCertificateError(
             "certificate must carry one witness per ordered edge")
     n = F.n_vertices
-    for i, witness in enumerate(cert.witnesses):
-        if (len(witness) != 3 or len(set(witness)) != 3
-                or any(not 0 <= v < n for v in witness)):
-            raise MalformedCertificateError(
-                f"witness {i} is not a 3-vertex set of the host")
+    sizes = {*map(len, witnesses), *map(len, map(set, witnesses))}
+    if sizes - {3} or not set(chain.from_iterable(witnesses)).issubset(range(n)):
+        for i, witness in enumerate(witnesses):
+            if (len(witness) != 3 or len(set(witness)) != 3
+                    or any(not 0 <= v < n for v in witness)):
+                raise MalformedCertificateError(
+                    f"witness {i} is not a 3-vertex set of the host")
 
+    when = dict.fromkeys(start, -1)
+    when.update(zip(order, count()))
+    # Per witness, the positions of its three edges, the pairs of its
+    # sorted vertices; each map is consumed as it is made, so none is kept.
+    stamps = map(map, repeat(when.get), map(combinations, map(sorted, witnesses), repeat(2)),
+                 repeat(repeat(len(order))))
+    if (all(map(contains, witnesses, map(itemgetter(0), order)))
+            and all(map(contains, witnesses, map(itemgetter(1), order)))
+            and all(map(le, map(max, stamps), count()))):
+        return None
     present = start
-    for i, (edge, witness) in enumerate(zip(cert.order, cert.witnesses)):
+    for i, (edge, witness) in enumerate(zip(order, witnesses)):
         present.add(edge)
         u, v = edge
         if u not in witness or v not in witness:

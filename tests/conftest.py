@@ -1,10 +1,11 @@
 import random
 import re
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from shellsat import from_facets, graph_complex, run_chain
+from shellsat.complexes import Complex
 from shellsat.harness import sample_pure2
 
 
@@ -20,6 +21,22 @@ def maximal_faces(faces):
         return listed
     below = {sub for f in listed for k in range(len(f)) for sub in combinations(f, k)}
     return [f for f in listed if f not in below]
+
+
+def reference_subdivision(K):
+    """The earlier subdivision build, and its vertex of each face: every
+    nonempty face named "{a|b}" one at a time, and the chains of each facet
+    read off each permutation of its vertices, one sorted prefix at a time.
+    Faces that name alike are not looked for."""
+    named = {}
+    for face in filter(None, K.faces):
+        named.setdefault("{" + "|".join(K.label_face(face)) + "}", face)
+    labels = sorted(named)
+    vertex = {named[name]: v for v, name in enumerate(labels)}
+    sd = Complex(labels, [
+        tuple(sorted(vertex[tuple(sorted(order[:k + 1]))] for k in range(len(order))))
+        for facet in K.facets for order in permutations(facet)])
+    return sd, vertex
 
 
 # (vertices, triangles) of sample_pure2 draws whose sd² is a chain subject;

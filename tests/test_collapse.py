@@ -630,6 +630,11 @@ def test_ridge_count_replay_matches_the_coface_reference():
     corpus += [sample_pure2(rng, n, t)[0] for n in (6, 7, 8) for t in (3, 6, 9)
                for _ in range(3)]
     corpus += [random_complex(rng) for _ in range(80)]
+    # Named ones too, as the ridge columns are built per size: a pure
+    # 3-complex, and a solid tetrahedron with a pendant triangle and edge
+    # and an isolated vertex.
+    corpus += [from_facets(["a b c d", "b c d e", "c d e f"]),
+               from_facets(["a b c d", "c d e", "e f", "g"])]
     assert sum(K.dim == 3 for K in corpus) >= 10
     assert sum(not K.is_pure() for K in corpus) >= 20
     illegal = checked = 0
@@ -712,11 +717,26 @@ def tampered_collapses(rng, L, cert):
     yield replace(cert, target=from_facets([next(x for x in L.labels if x != point)]))
 
 
+def free_step_collapse(K):
+    """A certificate collapsing K to a point by the reference's free steps:
+    a step whose free face lies in the facet of the one before when there
+    is one, else the least."""
+    faces, steps = {f for f in K.faces if f}, []
+    while len(faces) > 1:
+        free = reference_free_steps(K, faces)
+        after = [s for s in free if steps and set(s.free_face) < set(steps[-1].facet)]
+        steps.append((after or free)[0])
+        reference_apply_step(K, faces, steps[-1])
+    return CollapseCertificate(frozenset(), tuple(steps), K.induced(list(faces)))
+
+
 def test_id_replay_matches_the_coface_reference_on_chain_certificates():
-    """The chain's own collapse certificates on sd² subjects, each also
-    with its last step first, two adjacent steps swapped, a removed
-    triangle dropped, an empty free face, a face outside the subject and a
-    wrong target: the same message, or the same exception and text."""
+    """The chain's own collapse certificates on sd² subjects, and greedy
+    collapses of a pure 3-complex and of a non-pure one (with steps whose
+    facet is more than one vertex larger), each also with its last step
+    first, two adjacent steps swapped, a removed triangle dropped, an empty
+    free face, a face outside the subject and a wrong target: the same
+    message, or the same exception and text."""
     rng = random.Random(18)
     reports = chain_reports(18)
     assert len(reports) >= 4 and any(r.collapse.removed_triangles for r in reports)
@@ -727,6 +747,15 @@ def test_id_replay_matches_the_coface_reference_on_chain_certificates():
             expected = outcome(reference_checked_violation, L, cert)
             assert outcome(collapse_violation, L, cert) == expected
             seen.append(expected)
+    for K in (from_facets(["a b c d", "b c d e", "c d e f"]),
+              from_facets(["a b c d", "d e f", "f g", "g h i"])):
+        cert = free_step_collapse(K)
+        assert any(len(s.facet) > len(s.free_face) + 1 for s in cert.steps)
+        results = []
+        for tampered in tampered_collapses(rng, K, cert):
+            results.append(outcome(reference_checked_violation, K, tampered))
+            assert outcome(collapse_violation, K, tampered) == results[-1]
+        assert results[0] is None and results.count(None) < len(results) - 3
     assert len(reports) <= seen.count(None) < 2 * len(reports)
     assert sum(isinstance(x, tuple) for x in seen) == len(reports)
     assert sum(isinstance(x, str) and "also contained" in x for x in seen) >= len(reports)

@@ -31,7 +31,7 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.wsat import _subgraph
-from conftest import maximal_faces
+from conftest import maximal_faces, reference_subdivision
 
 
 # -- construction ---------------------------------------------------------------
@@ -189,9 +189,24 @@ def test_sd_triangle_f_vector(triangle):
 
 
 def test_sd_faces_match_chain_oracle(two_triangles, bowtie):
+    """The faces of sd are the chains of faces; and the per-size slot
+    tables give the labels, facets and barycentres of the permutation
+    build, on the 5-vertex classes, a solid tetrahedron, a triangle with a
+    pendant edge and an isolated vertex, and sd of sd."""
     for K in (two_triangles, bowtie):
         sd = K.barycentric_subdivision()
         assert sd_faces_as_chains(K, sd) == brute_force_chains(K)
+    tetrahedron = from_facets(["a b c d"])
+    pendant = from_facets(["a b c", "c d", "e"])
+    corpus = list(enumerate_pure2(5, 6)) + [tetrahedron, pendant]
+    corpus += [K.barycentric_subdivision() for K in corpus[-3:]]
+    corpus.append(corpus[-1].barycentric_subdivision())
+    for K in corpus:
+        sd, vertex = reference_subdivision(K)
+        assert K.barycentric_subdivision().labels == sd.labels
+        assert K.barycentric_subdivision().facets == sd.facets
+        assert K.barycenters() == vertex
+    assert {K.dim for K in corpus} == {2, 3} and not all(K.is_pure() for K in corpus)
 
 
 def test_sd_rejects_faces_that_serialize_alike():

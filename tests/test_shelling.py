@@ -41,7 +41,8 @@ from shellsat.shelling import (
     format_shelling,
     parse_shelling,
 )
-from conftest import maximal_faces
+from shellsat.certificates import lift_shelling, run_chain
+from conftest import maximal_faces, outcome
 
 
 def _proper_subfaces(facet):
@@ -178,6 +179,97 @@ def test_verifier_matches_the_facet_generic_reference():
                     == reference_violation(K, order)), (K.facets, order)
             checked += 1
     assert checked > 400
+
+
+def reference_push_violation(K, cert):
+    """The earlier verifier loop: each facet after the first checked by
+    ``_Prefix.fits`` and every facet placed by ``_Prefix.push``, which also
+    keeps the frontier, the undo log, the placed flags and the key."""
+    if not K.is_pure():
+        raise PurityError("shellings are defined for pure complexes only")
+    order = [tuple(f) for f in cert.order]
+    if sorted(order) != list(K.facets):
+        raise MalformedCertificateError(
+            "certificate order is not a permutation of the facet set")
+    if K.dim < 1:
+        return None
+    index = {f: i for i, f in enumerate(K.facets)}
+    prefix = _Prefix(K)
+    for n, facet in enumerate(order):
+        if n > 0 and not prefix.fits(index[facet]):
+            return n
+        prefix.push(index[facet])
+    return None
+
+
+def tampered_orders(rng, order, tries):
+    """The order, and copies with two adjacent facets swapped or one facet
+    moved to the front: every such copy when ``tries`` is None, else
+    ``tries`` seeded ones of each kind."""
+    order = list(order)
+    m = len(order)
+    swaps = range(m - 1) if tries is None else [rng.randrange(m - 1) for _ in range(tries)]
+    fronts = range(1, m) if tries is None else [rng.randrange(1, m) for _ in range(tries)]
+    yield order
+    for i in swaps:
+        yield order[:i] + [order[i + 1], order[i]] + order[i + 2:]
+    for i in fronts:
+        yield [order[i]] + order[:i] + order[i + 1:]
+
+
+def test_verifier_matches_the_push_loop_on_tampered_orders():
+    """The first-position replay reports what the earlier loop over
+    ``_Prefix.push`` reports, or raises the same error, on shellings and
+    their tampered copies: the shellings found on the 5-vertex classes,
+    their lifts to sd, the chain's shellings lifted to sd², all orders of a
+    path and the shellings found on seeded sets of tetrahedra."""
+    rng = random.Random(23)
+    cases = []
+    for K in enumerate_pure2(5, 10):
+        found = find_shelling(K)
+        if isinstance(found, ShellingCertificate):
+            cases += [(K, found, None),
+                      (K.barycentric_subdivision(), lift_shelling(K, found), None)]
+    lifted = [report for report in (run_chain(K) for K in enumerate_pure2(5, 4)
+                                    if not K.is_flag2()) if report.complete]
+    assert len(lifted) >= 3 and all(report.subdivision_depth == 2 for report in lifted)
+    cases += [(report.subject, report.shelling, 40) for report in lifted]
+    path = from_facets(["a b", "b c", "c d", "d e"])
+    cases += [(path, ShellingCertificate(order), None) for order in permutations(path.facets)]
+    pool = list(combinations("abcdefg", 4))
+    for _ in range(150):
+        K = from_facets(rng.sample(pool, rng.randint(2, 9)))
+        found = find_shelling(K, 3000) if K.is_pure() and K.is_connected() else None
+        if isinstance(found, ShellingCertificate):
+            cases.append((K, found, None))
+    assert sum(K.dim == 3 for K, _, _ in cases) >= 10
+    results = []
+    for K, cert, tries in cases:
+        for order in tampered_orders(rng, cert.order, tries):
+            tampered = ShellingCertificate(tuple(order))
+            expected = outcome(reference_push_violation, K, tampered)
+            assert outcome(first_shelling_violation, K, tampered) == expected, (K.facets, order)
+            results.append(expected)
+    assert results.count(None) >= 1000 and len(results) - results.count(None) >= 1000
+    assert all(result is None or isinstance(result, int) for result in results)
+
+
+def test_verifier_raises_as_the_push_loop_on_malformed_orders(two_triangles, tetra_boundary):
+    """A repeated, missing, extra or foreign facet, and a non-pure subject,
+    raise the same error from both verifiers."""
+    K = tetra_boundary
+    facets = list(K.facets)
+    orders = [facets[:3], facets + facets[:1], facets[:3] + facets[:1],
+              facets[:3] + [(0, 1, 4)], [(0, 1)] + facets[1:]]
+    for order in orders:
+        cert = ShellingCertificate(tuple(order))
+        expected = outcome(reference_push_violation, K, cert)
+        assert expected[0] == "MalformedCertificateError"
+        assert outcome(first_shelling_violation, K, cert) == expected
+    mixed = from_facets(["a b c", "c d"])
+    cert = ShellingCertificate(mixed.facets)
+    assert outcome(first_shelling_violation, mixed, cert) == outcome(
+        reference_push_violation, mixed, cert)
 
 
 def test_violating_prefix_never_extends():
@@ -520,6 +612,27 @@ def test_refutation_is_sound_and_decides_the_small_corpus(monkeypatch):
         if shellable:
             assert verify_shelling(K, result)
     assert sum(not shellable for _, shellable in corpus) == 7 + 7 + 50
+
+
+def test_refutation_names_the_test_that_fired():
+    """``decided_by`` names the check of ``_refuted`` that refuted, with
+    the nodes it spent: a disconnected link (two disks wedged at a vertex)
+    none, b1 != 0 (an annulus) the one node of the core, and a core that
+    no deletion of chi~ = 0 triangles empties (the flag dunce hat) one more
+    for that search.  ``find_shelling`` returns that outcome, with the
+    nodes of its search before it got stuck added."""
+    annulus = [f"a{i} a{(i + 1) % 4} b{i}" for i in range(4)]
+    annulus += [f"a{(i + 1) % 4} b{i} b{(i + 1) % 4}" for i in range(4)]
+    cases = [(from_facets(["a b c", "a c d", "a e f", "a f g"]), "link", 0, 2),
+             (from_facets(annulus), "betti1", 1, 7),
+             (flag_dunce_hat(), "core", 2, 22)]
+    for K, test, refuted_nodes, search_nodes in cases:
+        budget = Budget(None)
+        assert _refuted(K, budget).decided_by == test
+        assert budget.used == refuted_nodes
+        budget = Budget(None)
+        assert find_shelling(K, budget).decided_by == test
+        assert budget.used == search_nodes
 
 
 def test_subdivided_refutables_are_decided_within_small_budgets():

@@ -455,6 +455,31 @@ def test_saturation_replay_matches_the_reference_on_chain_certificates():
     assert sum(isinstance(x, str) and "is not present" in x for x in seen) >= 3 * len(reports)
 
 
+def test_saturation_bulk_checks_raise_as_the_reference():
+    """The set and length tests of the order and the witnesses raise what
+    the walk of the reference raises, at the same index: a witness of two
+    or four vertices, or with a negative vertex, after a good one; an
+    order one edge short, one edge long, or with one edge twice."""
+    report = chain_reports(18)[0]
+    host, cert = report.subject.skeleton(1), report.saturation
+    order, witnesses = list(cert.order), list(cert.witnesses)
+    n = len(order)
+
+    def at(order=order, witnesses=witnesses):
+        return SaturationCertificate(cert.start, tuple(order), tuple(witnesses))
+
+    cases = [at(witnesses=witnesses[:5] + [w] + witnesses[6:])
+             for w in (witnesses[5][:2], witnesses[5] + (0,), (-1,) + witnesses[5][1:])]
+    cases += [at(order[:-1], witnesses[:-1]),
+              at(order + [(0, host.n_vertices)], witnesses + witnesses[:1]),
+              at(order[:-1] + order[:1], witnesses)]
+    for tampered in cases:
+        expected = outcome(reference_saturation_violation, host, tampered)
+        assert expected[0] == "MalformedCertificateError"
+        assert outcome(saturation_violation, host, tampered) == expected
+    assert n > 6 and "witness 5 " in outcome(saturation_violation, host, cases[2])[1]
+
+
 def test_saturation_reasons_name_faces_by_labels():
     """On tampered chain certificates, each reason writes its witness and
     edges quoted in the host's labels, never by id tuples."""
