@@ -17,7 +17,7 @@ import heapq
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import attrgetter
 
 from .complexes import (
@@ -74,12 +74,13 @@ class CollapseCertificate:
 class _Replay:
     """The faces a certificate replay has left, on integer face ids.
 
-    Built once per replay from K and not kept on it.  ``face[i]`` is the
-    nonempty face with id i and ``ids`` maps it back; ``ridges[i]`` lists the
-    ids of its faces one vertex smaller (none for a vertex: the empty face
-    has no id, and a step naming it is refused before any lookup).
-    ``left[i]`` is 1 while face i is left, and ``up[i]`` counts the faces
-    left one vertex larger than face i (facets: 0).
+    Built once per replay from K and not kept on it, over K's kept
+    :meth:`Complex.face_ids`.  ``face[i]`` is the nonempty face with id i
+    and ``ids`` maps it back; ``ridges[i]`` lists the ids of its faces one
+    vertex smaller (none for a vertex: the empty face has no id, and a step
+    naming it is refused before any lookup).  ``left[i]`` is 1 while face i
+    is left, and ``up[i]`` counts the faces left one vertex larger than
+    face i (facets: 0).
 
     Why it replays exactly as a set of face tuples with a count per face
     would: ids are a bijection onto the nonempty faces, so ``left`` is the
@@ -90,10 +91,10 @@ class _Replay:
     never read: reasons name faces, the facets left are only compared or
     closed into a complex, and :func:`free_faces` sorts its steps.
 
-    The build runs in C-level passes.  Ids follow the sweep's sets of each
-    size, smallest first, in their own order.  The ridges of the faces of
-    size k are one ``combinations`` column of size k-1 faces mapped to
-    ids, k per face, zipped back per face; ``up`` is one ``Counter`` pass
+    The build runs in C-level passes.  Ids run over the faces by size,
+    smallest first, so the faces of size k are one slice of ``face``; their
+    ridges are one ``combinations`` column of size k-1 faces mapped to
+    ids, k per face, zipped back per face.  ``up`` is one ``Counter`` pass
     over the ridges of the faces left.
     """
 
@@ -101,13 +102,13 @@ class _Replay:
 
     def __init__(self, K: Complex, removed: frozenset[Face] = frozenset()):
         self.subject = K
-        sized = K._by_size[1:]
-        self.face = face = list(chain.from_iterable(sized))
-        self.ids = ids = dict(zip(face, count()))
-        self.ridges = ridges = [()] * len(sized[0]) if sized else []
-        for k, faces in enumerate(sized[1:], start=2):
+        self.ids = ids = K.face_ids()
+        self.face = face = list(ids)
+        sizes = K.f_vector()[1:]
+        self.ridges = ridges = [()] * sizes[0] if sizes else []
+        for k, n in enumerate(sizes[1:], start=2):
             column = map(ids.__getitem__, chain.from_iterable(map(
-                combinations, face[len(ridges):len(ridges) + len(faces)], repeat(k - 1))))
+                combinations, face[len(ridges):len(ridges) + n], repeat(k - 1))))
             ridges += zip(*[column] * k)
         self.left = left = bytearray(b"\1") * len(face)
         for t in removed:

@@ -2,12 +2,14 @@
 
 A complex is the downward closure of its facets; one largest-first sweep
 over the listed faces builds both, keeping each size's faces in a set
-that every face listing, count and skeleton reads.  Vertex ids follow
-sorted label order, so complexes built from the same label faces are
-identical, serialize to the same bytes and share one fingerprint.  Faces are strictly increasing
-id tuples; the empty face ``()`` is always present.  Labels are read only
-by :func:`from_facets` and ".sc" parsing (each distinct label checked
-once) and written only by ``to_sc`` and the formatters.
+that every face listing, count and skeleton reads.  The shelling,
+collapse and subdivision code read one kept numbering of its faces.
+Vertex ids follow sorted label order, so complexes built from the same
+label faces are identical, serialize to the same bytes and share one
+fingerprint.  Faces are strictly increasing id tuples; the empty face
+``()`` is always present.  Labels are read only by :func:`from_facets`
+and ".sc" parsing (each distinct label checked once) and written only by
+``to_sc`` and the formatters.
 
 Complexes are immutable after construction and safe to share between
 threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
@@ -23,7 +25,7 @@ import hashlib
 import re
 from bisect import bisect_left
 from functools import cache
-from itertools import chain, combinations, count, permutations, repeat
+from itertools import chain, combinations, compress, count, permutations, repeat
 from math import comb
 from operator import add, itemgetter, ne
 from typing import Callable, Collection, Iterable, Sequence
@@ -101,15 +103,24 @@ def clique_triangles(n: int,
 
 
 @cache
+def subface_slots(size: int) -> tuple:
+    """For facets of ``size`` vertices, the slot in every row of
+    :meth:`Complex.facet_rows` of the subface on the vertex positions in
+    each bitmask; the full mask's slot is one past the row's end."""
+    slot: list = [None] * (1 << size)
+    for n, positions in enumerate(p for k in range(1, size + 1)
+                                  for p in combinations(range(size), k)):
+        slot[sum(1 << j for j in positions)] = n
+    return tuple(slot)
+
+
+@cache
 def _chain_slots(size: int) -> Callable[[tuple], tuple]:
     """For facets of ``size`` vertices, the getter that lists, from a row of
-    ids in ``combinations`` order of the facet's nonempty subfaces (the
-    vertices, then the pairs and so on), the ids of each maximal chain:
-    one chain per vertex order, its prefixes in turn.  The subface on a set
-    of vertex positions sits at the same slot of every row, so the slots
-    come from one table of position masks, the same for every facet."""
-    slot = {sum(1 << j for j in positions): n for n, positions in enumerate(
-        p for k in range(1, size + 1) for p in combinations(range(size), k))}
+    :meth:`Complex.facet_rows` followed by the facet's own id, the ids of
+    each maximal chain: one chain per vertex order, its prefixes in turn,
+    each found by :func:`subface_slots`."""
+    slot = subface_slots(size)
     picks = [slot[sum(1 << j for j in order[:k])]
              for order in permutations(range(size)) for k in range(1, size + 1)]
     return itemgetter(*picks) if size > 1 else tuple
@@ -211,6 +222,33 @@ class Complex:
         if not -1 <= k <= self.dim:
             return ()
         return self._keep(("faces", k), lambda: tuple(sorted(self._by_size[k + 1])))
+
+    def face_ids(self) -> dict[Face, int]:
+        """The dense id of each nonempty face, kept, listed in id order: by
+        size, smallest first, each size in its sweep set's order.  Only real
+        faces are numbered, so a label in no face leaves no gap.  No id
+        reaches output."""
+        return self._keep("face ids", lambda: dict(zip(
+            chain.from_iterable(self._by_size[1:]), count())))
+
+    def facet_rows(self) -> tuple[tuple[int, ...], ...]:
+        """For each facet, the :meth:`face_ids` of its nonempty proper
+        subfaces in ``combinations`` order, kept.  Per facet size, one
+        ``combinations`` column of ids per subface size is zipped back per
+        facet."""
+        return self._keep("facet rows", self._rows)
+
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        ids, rows = self.face_ids(), {}
+        for size in set(map(len, self.facets)):
+            facets = [f for f in self.facets if len(f) == size]
+            sized: Iterable[tuple[int, ...]] = [()] * len(facets)
+            for k in range(1, size):
+                column = map(ids.__getitem__, chain.from_iterable(
+                    map(combinations, facets, repeat(k))))
+                sized = map(add, sized, zip(*[column] * comb(size, k)))
+            rows[size] = iter(sized)
+        return tuple(map(next, map(rows.__getitem__, map(len, self.facets))))
 
     @property
     def edges(self) -> tuple[Face, ...]:
@@ -332,10 +370,11 @@ class Complex:
         """The subdivision and the barycentre ids, in C-level passes per
         size.  The vertex names of the faces of size k are one column of
         labels, k per face, joined.  When two faces share a name, the faces
-        are walked as a frozen set iterates, to name the first clash.  Each
-        facet's row holds the barycentre id of each of its nonempty
-        subfaces, in ``combinations`` order (one lookup per subface), and
-        :func:`_chain_slots` picks the chains from the row."""
+        are walked as a frozen set iterates, to name the first clash.
+        :func:`_chain_slots` picks the chains of each facet from its row of
+        :meth:`facet_rows` with the facet's own id appended, at the slot of
+        the full mask, and each face id on them maps to the barycentre id
+        of its face."""
         faces: list[Face] = []
         names: list[str] = []
         for k, sized in enumerate(map(list, self._by_size[1:]), start=1):
@@ -353,15 +392,15 @@ class Complex:
                                         f"to vertex {name_of[face]!r}")
         labels = sorted(named)
         vertex = dict(zip(map(named.__getitem__, labels), count()))
+        ids, rows = self.face_ids(), self.facet_rows()
+        barycentre = list(map(vertex.__getitem__, ids))
         chains: list[Face] = []
         for size in set(map(len, self.facets)):
-            facets = [f for f in self.facets if len(f) == size]
-            rows: Iterable[tuple[int, ...]] = [()] * len(facets)
-            for k in range(1, size + 1):
-                column = map(vertex.__getitem__, chain.from_iterable(
-                    map(combinations, facets, repeat(k))))
-                rows = map(add, rows, zip(*[column] * comb(size, k)))
-            flat = chain.from_iterable(map(_chain_slots(size), rows))
+            mine = [len(f) == size for f in self.facets]
+            full = map(add, compress(rows, mine), zip(map(ids.__getitem__, compress(
+                self.facets, mine))))
+            flat = map(barycentre.__getitem__, chain.from_iterable(
+                map(_chain_slots(size), full)))
             chains += map(tuple, map(sorted, zip(*[flat] * size)))
         sd = Complex(labels, chains)
         if sd.dim <= 2:

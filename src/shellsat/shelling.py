@@ -10,9 +10,8 @@ exercised at dimension 2.
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations, count, repeat
-from math import comb
-from operator import add, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .collapse import core_components, least_deletion
 from .complexes import (
@@ -22,6 +21,7 @@ from .complexes import (
     certificate_header,
     is_connected_graph,
     read_certificate,
+    subface_slots,
 )
 from .errors import (
     ConnectivityError,
@@ -53,23 +53,23 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     zero.  The verifier only places facets, so before facet n a count is
     nonzero iff one of the first n facets holds the face: iff ``first``,
     the least position of a facet holding the face, is below n.  ``first``
-    is one C-level ``dict`` build over the order's subface column, read
-    backwards so that the least position is written last.  The frontier,
-    the undo log, the placed flags and the key of the search's prefix are
-    never read by the check, so none is kept.
+    is one C-level ``dict`` build over the column of the order's rows of
+    :meth:`Complex.facet_rows`, read backwards so that the least position
+    is written last.  The frontier, the undo log, the placed flags and the
+    key of the search's prefix are never read by the check, so none is
+    kept.
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
     order = [tuple(f) for f in cert.order]
-    index = dict(zip(K.facets, count()))
-    if len(order) != len(index) or index.keys() != set(order):
+    row_of = dict(zip(K.facets, K.facet_rows()))
+    if len(order) != len(row_of) or row_of.keys() != set(order):
         raise MalformedCertificateError(
             "certificate order is not a permutation of the facet set")
     if K.dim < 1:
         return None  # two points meet in the empty face, pure of dimension -1
-    tables = _tables(K)
-    full, slot, ridge_slots = tables.full, tables.slot, tables.ridge_slots
-    rows = list(map(tables.subfaces.__getitem__, map(index.__getitem__, order)))
+    full, slot, ridge_slots = _slots(K.dim)
+    rows = list(map(row_of.__getitem__, order))
     column = list(chain.from_iterable(rows))
     first = dict(zip(reversed(column), chain.from_iterable(
         map(repeat, range(len(rows) - 1, -1, -1), repeat(len(rows[0]))))))
@@ -88,80 +88,24 @@ def verify_shelling(K: Complex, cert: ShellingCertificate) -> bool:
     return first_shelling_violation(K, cert) is None
 
 
-class _Tables:
-    """The static tables of the shelling prefixes of a pure complex of
-    dimension d >= 1, built once per complex and kept on it (the chain
-    verifies the shelling its search found on the same subject), and never
-    changed after; ``holders`` is filled once, on its first ask.
-
-    Faces get dense ids: vertex ``(v,)`` is id ``v`` (a label in no face
-    leaves its id unused), and the faces of each size 2..d follow, numbered
-    in order of first appearance in the facets' ``combinations`` streams.
-    The numbering is internal: the search and the verifier only compare
-    cover counts, positions and facet indices, so no id ever reaches
-    output.  ``subfaces[i]`` lists the ids of the nonempty
-    proper subfaces of facet i in ``combinations`` order of its sorted
-    vertices, so the subface on a given set of vertex positions sits at the
-    same slot for every facet: ``slot[mask]`` is the slot of the subface on
-    the positions in ``mask``, and ridge j (the one omitting vertex j) sits
-    at ``ridge_slots[j]``.  ``holders[r]`` lists, in increasing order, the
-    facets having face r as a ridge; faces of other sizes share one empty
-    tuple.  The rows are tuples, and no table is changed after the build.
-
-    The build runs in C-level passes.  One ``combinations`` stream per size
-    k lists each facet's k-subfaces in order; ``dict.fromkeys`` keeps its
-    distinct faces in order of first appearance, and mapping the stream
-    through the numbered dict gives a column of ids, C(d+1, k) per facet.
-    A facet's vertices are its own size-1 ids, so row i is the facet
-    followed by its chunk of each column, in increasing k: the slot order.
-
-    Only the search reads ``holders``, so they are built on its first ask:
-    the verifier, which the chain runs on an sd² subject it never searched,
-    builds no holders.  Each row's ridge ids, at ``ridge_slots``, form one
-    column, d+1 per facet, so zipping it with each facet index repeated
-    d+1 times appends every facet to the holders of its ridges, in facet
-    order.
-    """
-
-    __slots__ = ("full", "slot", "ridge_slots", "subfaces", "_ridge_ids", "_holders")
-
-    def __init__(self, K: Complex):
-        d, facets = K.dim, K.facets
-        self.full = (1 << (d + 1)) - 1
-        slot = {sum(1 << j for j in positions): n for n, positions in enumerate(
-            p for k in range(1, d + 1) for p in combinations(range(d + 1), k))}
-        self.slot = [slot.get(mask) for mask in range(self.full)]
-        self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
-        rows = facets
-        base, n_ids = 0, K.n_vertices
-        for k in range(2, d + 1):
-            stream = list(chain.from_iterable(map(combinations, facets, repeat(k))))
-            ids = dict(zip(dict.fromkeys(stream), count(n_ids)))
-            base, n_ids = n_ids, n_ids + len(ids)
-            column = list(map(ids.__getitem__, stream))
-            rows = map(add, rows, zip(*[iter(column)] * comb(d + 1, k)))
-        self.subfaces = list(rows)
-        self._ridge_ids = range(base, n_ids)
-        self._holders = None
-
-    @property
-    def holders(self) -> list:
-        if self._holders is None:
-            holders = [()] * self._ridge_ids.start + [[] for _ in self._ridge_ids]
-            ridges = chain.from_iterable(map(itemgetter(*self.ridge_slots), self.subfaces))
-            deque(map(list.append, map(holders.__getitem__, ridges), chain.from_iterable(
-                zip(*repeat(range(len(self.subfaces)), len(self.ridge_slots))))), maxlen=0)
-            self._holders = holders
-        return self._holders
-
-
-def _tables(K: Complex) -> _Tables:
-    return K._keep("shelling tables", lambda: _Tables(K))
+def _slots(d: int) -> tuple[int, tuple, list[int]]:
+    """For facets of dimension d, the mask of all d+1 vertex positions, the
+    :func:`subface_slots` table of a facet row and the slot of each ridge,
+    ridge j omitting vertex j."""
+    full, slot = (1 << (d + 1)) - 1, subface_slots(d + 1)
+    return full, slot, [slot[full ^ (1 << j)] for j in range(d + 1)]
 
 
 class _Prefix:
-    """A shelling prefix of a pure complex of dimension d >= 1: the replay
-    state over K's shared :class:`_Tables`, whose fields it reads as its own.
+    """A shelling prefix of a pure complex of dimension d >= 1, over K's
+    kept :meth:`Complex.facet_rows`: ``subfaces[i]`` is the row of facet i,
+    so ridge j of every facet (the one omitting vertex j) sits at
+    ``ridge_slots[j]`` and the subface on the vertex positions in a mask at
+    ``slot[mask]`` (see :func:`_slots`).  ``holders[r]`` lists, in
+    increasing order, the facets having face r as a ridge; only the search
+    reads it, so it is built here, from the rows' ridge column zipped with
+    each facet index repeated d+1 times.  No id reaches output: the search
+    compares only cover counts and facet indices.
 
     ``cover[s]`` counts the placed facets containing face ``s``, and
     ``key`` is the set of placed facets as a bitmask.  ``frontier`` is the
@@ -170,15 +114,18 @@ class _Prefix:
     it sorted with ``bisect`` and logs in ``undo`` whether it took the
     placed facet off the frontier and which facets it added; ``pop`` undoes
     the last ``push`` from that entry, so ``push`` and ``pop`` are exact
-    inverses and the search can backtrack.  Only these change; the tables
-    are read only.
+    inverses and the search can backtrack.  Only these change; the rows
+    and the holders are read only.
     """
 
     def __init__(self, K: Complex):
-        tables = _tables(K)
-        self.full, self.slot, self.ridge_slots = tables.full, tables.slot, tables.ridge_slots
-        self.subfaces, self.holders = tables.subfaces, tables.holders
-        self.cover = [0] * len(self.holders)
+        self.full, self.slot, self.ridge_slots = _slots(K.dim)
+        self.subfaces = rows = K.facet_rows()
+        ridges = list(chain.from_iterable(map(itemgetter(*self.ridge_slots), rows)))
+        self.holders = holders = {r: [] for r in ridges}
+        deque(map(list.append, map(holders.__getitem__, ridges), chain.from_iterable(
+            zip(*repeat(range(len(rows)), len(self.ridge_slots))))), maxlen=0)
+        self.cover = [0] * len(K.face_ids())
         self.placed = [False] * len(K.facets)
         self.order: list[int] = []
         self.frontier: list[int] = []

@@ -8,16 +8,22 @@ from itertools import combinations, permutations
 import pytest
 
 from shellsat import (
+    CollapseCertificate,
+    CollapseStep,
+    ShellingCertificate,
     apply_collapse,
+    first_shelling_violation,
     free_faces,
     from_facets,
     graph_complex,
     parse_sc,
     parse_sc_with_warnings,
 )
+from shellsat.collapse import collapse_violation
 from shellsat.complexes import LABEL_RE, Complex, clique_triangles, is_connected_graph
 from shellsat.errors import (
     EmptyComplexError,
+    MalformedCertificateError,
     MalformedFaceError,
     NotAFaceError,
     ParseError,
@@ -207,6 +213,72 @@ def test_sd_faces_match_chain_oracle(two_triangles, bowtie):
         assert K.barycentric_subdivision().facets == sd.facets
         assert K.barycenters() == vertex
     assert {K.dim for K in corpus} == {2, 3} and not all(K.is_pure() for K in corpus)
+
+
+def test_a_label_in_no_face_leaves_no_gap_in_the_face_numbering():
+    """A hand-built complex may name a label that is in no face, here "d".
+    The face numbering covers only real faces, so the collapse replay, the
+    subdivision and the shelling verifier answer as they would without
+    it.  A numbering that gave vertex v id v and started the larger faces
+    after the labels would leave id 3 naming no face, and ``free_faces``
+    would miss every step."""
+    K = Complex(["a", "b", "c", "d"], [(0, 1, 2)])
+    assert free_faces(K) == [CollapseStep(tau, (0, 1, 2)) for tau in
+                             [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]]
+    for step, (labels, facets) in [
+            (CollapseStep((0,), (0, 1, 2)), (("b", "c"), ((0, 1),))),
+            (CollapseStep((0, 1), (0, 1, 2)), (("a", "b", "c"), ((0, 2), (1, 2)))),
+            (CollapseStep((1, 2), (0, 1, 2)), (("a", "b", "c"), ((0, 1), (0, 2))))]:
+        L = apply_collapse(K, step)
+        assert (L.labels, L.facets) == (labels, facets)
+    steps = tuple(CollapseStep(*pair) for pair in [
+        ((0, 1), (0, 1, 2)), ((0,), (0, 2)), ((1,), (1, 2))])
+    point = from_facets(["c"])
+    for cert, expected in [
+            (CollapseCertificate(frozenset(), steps, point), None),
+            (CollapseCertificate(frozenset(), steps[::-1], point),
+             "step 0: 'b c' is not a facet of the current complex"),
+            (CollapseCertificate(frozenset(), steps, from_facets(["a"])),
+             "final complex does not equal the certificate target"),
+            (CollapseCertificate(frozenset({(0, 1, 2)}), (), from_facets(["a b", "b c", "a c"])),
+             None)]:
+        assert collapse_violation(K, cert) == expected
+    with pytest.raises(MalformedCertificateError, match="step 1: 'd' is not a face"):
+        collapse_violation(K, CollapseCertificate(
+            frozenset(), (steps[0], CollapseStep((3,), (2, 3))), point))
+    sd = K.barycentric_subdivision()
+    assert sd.labels == ("{a|b|c}", "{a|b}", "{a|c}", "{a}", "{b|c}", "{b}", "{c}")
+    assert sd.facets == ((0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 6), (0, 4, 5), (0, 4, 6))
+    assert K.barycenters() == {(0,): 3, (0, 1): 1, (0, 1, 2): 0, (0, 2): 2,
+                               (1,): 5, (1, 2): 4, (2,): 6}
+    assert first_shelling_violation(K, ShellingCertificate(((0, 1, 2),))) is None
+    pinched = Complex(["a", "b", "c", "d", "e", "f"], [(0, 1, 2), (2, 4, 5)])
+    assert first_shelling_violation(pinched, ShellingCertificate(pinched.facets)) == 1
+    assert sorted(K.face_ids().values()) == list(range(7))
+    assert set(K.face_ids()) == K.faces - {()}
+
+
+def test_facet_rows_name_the_proper_subfaces_of_each_facet():
+    """Each row of ``facet_rows`` lists the ids of its facet's nonempty
+    proper subfaces in ``combinations`` order, and the subdivision built on
+    the rows is the permutation build's, on complexes with a label in no
+    face (last or in the middle), facets of several sizes and a vertex
+    facet."""
+    corpus = [Complex(["a", "b", "c", "d"], [(0, 1, 2)]),
+              Complex(["a", "b", "c", "d"], [(0, 2, 3)]),
+              Complex(["a", "b", "c", "d", "e", "f"], [(0, 1, 2), (2, 4, 5), (0, 5)]),
+              Complex(["a", "b", "c", "d", "e", "f"], [(1, 2, 3, 5), (0, 1), (4,)]),
+              from_facets(["a b c", "c d", "e"])]
+    for K in corpus:
+        face = {i: f for f, i in K.face_ids().items()}
+        assert sorted(face) == list(range(len(face))) and set(face.values()) == K.faces - {()}
+        for facet, row in zip(K.facets, K.facet_rows(), strict=True):
+            assert [face[i] for i in row] == [
+                sub for k in range(1, len(facet)) for sub in combinations(facet, k)]
+        sd, vertex = reference_subdivision(K)
+        assert (K.barycentric_subdivision().labels, K.barycentric_subdivision().facets) == (
+            sd.labels, sd.facets)
+        assert K.barycenters() == vertex
 
 
 def test_sd_rejects_faces_that_serialize_alike():

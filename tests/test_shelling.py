@@ -10,16 +10,20 @@ import pytest
 
 from shellsat import (
     CollapseCertificate,
+    CollapseStep,
     SaturationCertificate,
     ShellingCertificate,
+    apply_collapse,
     collapsible_after_removing,
     decide_wsat_eq_treesize,
     find_shelling,
     first_shelling_violation,
+    free_faces,
     from_facets,
     verify_shelling,
 )
 from shellsat import shelling
+from shellsat.collapse import collapse_violation
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -536,10 +540,14 @@ def test_failed_memo_spends_fewer_nodes_for_the_same_results():
 
 
 def test_shared_tables_leak_no_state():
-    """A search and a verification on one complex share its shelling
-    tables.  Searches, replays that stop at a violation and a search cut
-    short by its budget, made in turn on one complex, give each call the
-    result and Budget.used of the same call on a fresh copy."""
+    """Searches, shelling verifications, collapse replays and the
+    subdivision on one complex share its kept face numbering and facet
+    rows.  Searches, shelling replays that stop at a violation, a search cut
+    short by its budget, collapse replays of a valid and of a tampered
+    certificate, ``free_faces`` and the subdivision, made in turn on one
+    complex, give each call the result and Budget.used of the same call on
+    a fresh copy, and the numbering is built once: the same objects after
+    every call."""
     rng = random.Random(16)
     corpus = list(enumerate_pure2(5, 8))
     corpus += [sample_pure2(rng, rng.randint(5, 7), rng.randint(3, 8))[0]
@@ -559,23 +567,38 @@ def test_shared_tables_leak_no_state():
                 return str(exc)
         return call
 
+    def collapse(cert):
+        return lambda K: collapse_violation(K, cert)
+
+    def subdivide(K):
+        return K.barycentric_subdivision(), K.barycenters()
+
     def fresh(K):
         return Complex(K.labels, K.facets)
 
-    violations = cut = 0
+    violations = cut = refused = 0
     for K in corpus:
+        ids, rows = K.face_ids(), K.facet_rows()
         found, used = search(5000)(fresh(K))
         order = list(found.order) if isinstance(found, ShellingCertificate) else list(K.facets)
         half = len(order) // 2
         orders = [rng.sample(order, len(order)) for _ in range(3)]
         orders += [order[:half] + rng.sample(order[half:], len(order) - half),
                    order[:-1], order]
-        calls = [search(5000), *map(replay, orders), search(used - 1), search(5000)]
+        free = free_faces(fresh(K))[:1]
+        step = free[0] if free else CollapseStep(K.facets[0][:1], K.facets[0])
+        valid = CollapseCertificate(frozenset(), tuple(free), apply_collapse(
+            fresh(K), step) if free else fresh(K))
+        tampered = CollapseCertificate(frozenset(), (step, step), valid.target)
+        calls = [search(5000), *map(replay, orders), collapse(valid), subdivide,
+                 search(used - 1), free_faces, collapse(tampered), search(5000)]
         for call in calls:
             assert call(K) == call(fresh(K)), K.facets
+        assert K.face_ids() is ids and K.facet_rows() is rows
         violations += sum(isinstance(replay(o)(K), int) for o in orders)
         cut += isinstance(search(used - 1)(K)[0], BudgetExceeded)
-    assert violations > 50 and cut == len(corpus), (violations, cut)
+        refused += collapse(tampered)(K) is not None and collapse(valid)(K) is None
+    assert violations > 50 and cut == refused == len(corpus), (violations, cut, refused)
 
 
 # -- refutation ---------------------------------------------------------------------
@@ -719,9 +742,11 @@ def test_verifier_is_dimension_generic():
 
 
 class ReferenceTables:
-    """The earlier table build: each facet's subfaces numbered through one
-    ``dict.setdefault`` table as they are first met, and ``holders`` filled
-    facet by facet."""
+    """The earlier table build: each facet's nonempty subfaces numbered
+    through one ``dict.setdefault`` table as they are first met, and
+    ``holders`` filled facet by facet.  ``ids`` and ``rows`` have the form
+    of ``Complex.face_ids`` and ``Complex.facet_rows``, so a search can be
+    run on them."""
 
     def __init__(self, K):
         d = K.dim
@@ -731,21 +756,22 @@ class ReferenceTables:
         self.slot = [slot.get(mask) for mask in range(self.full)]
         self.ridge_slots = [slot[self.full ^ (1 << j)] for j in range(d + 1)]
         self.ids = {}
-        self.subfaces = [tuple([self.ids.setdefault(f, len(self.ids))
-                                for f in _proper_subfaces(facet)]) for facet in K.facets]
-        holders = [[] for _ in range(len(self.ids))]
-        for i, sub in enumerate(self.subfaces):
+        self.rows = tuple(tuple([self.ids.setdefault(f, len(self.ids))
+                                 for f in _proper_subfaces(facet)]) for facet in K.facets)
+        for facet in K.facets:
+            self.ids[facet] = len(self.ids)
+        self.holders = defaultdict(list)
+        for i, row in enumerate(self.rows):
             for k in self.ridge_slots:
-                holders[sub[k]].append(i)
-        self.holders = list(map(tuple, holders))
+                self.holders[row[k]].append(i)
 
 
-def inverse_ids(K, tables) -> dict:
+def inverse_ids(K, rows) -> dict:
     """The face of each id, read off the rows: slot n of row i is the subface
     of facet i in the n-th place of ``_proper_subfaces``.  Asserts that each
     id names one face and each face has one id."""
     inverse = {}
-    for facet, row in zip(K.facets, tables.subfaces):
+    for facet, row in zip(K.facets, rows, strict=True):
         for face, i in zip(_proper_subfaces(facet), row, strict=True):
             assert inverse.setdefault(i, face) == face
     assert len(set(inverse.values())) == len(inverse)
@@ -771,34 +797,38 @@ def table_corpus():
 
 
 def test_tables_match_the_setdefault_tables():
-    """The table build numbers faces differently from the earlier build (the
-    numbering never reaches output), but names the same faces in every row,
-    numbers them densely, gives each ridge the same holders and leads the
-    search to the same result with the same nodes."""
+    """The kept face numbering (``Complex.face_ids``) numbers faces
+    differently from the earlier build (the numbering never reaches
+    output), but each row of ``Complex.facet_rows`` names the facet's
+    subfaces in ``combinations`` order, each face has exactly one id, each
+    ridge has the same holders, and the search on the reference numbering
+    reaches the same result with the same nodes."""
     dims = set()
     for K in table_corpus():
         if not K.is_pure() or K.dim < 1:
             continue
         dims.add(K.dim)
-        reference, tables = ReferenceTables(K), shelling._Tables(K)
-        assert (tables.full, tables.slot, tables.ridge_slots) == (
+        reference, prefix = ReferenceTables(K), _Prefix(K)
+        full, slot, ridge_slots = shelling._slots(K.dim)
+        assert (full, list(slot[:full]), ridge_slots) == (
             reference.full, reference.slot, reference.ridge_slots)
-        inverse, ref_inverse = inverse_ids(K, tables), inverse_ids(K, reference)
-        assert ref_inverse == {i: f for f, i in reference.ids.items()}
-        for row, ref_row in zip(tables.subfaces, reference.subfaces, strict=True):
+        ids = K.face_ids()
+        assert sorted(ids.values()) == list(range(len(prefix.cover)))
+        assert set(ids) == K.faces - {()}
+        inverse, ref_inverse = inverse_ids(K, K.facet_rows()), inverse_ids(K, reference.rows)
+        assert {f: i for i, f in ref_inverse.items()}.items() <= reference.ids.items()
+        assert {f: i for i, f in inverse.items()}.items() <= ids.items()
+        for row, ref_row in zip(K.facet_rows(), reference.rows, strict=True):
             assert [inverse[i] for i in row] == [ref_inverse[i] for i in ref_row]
-        prefix = _Prefix(K)
-        assert sorted(inverse) == list(range(len(prefix.cover)))
-        assert all(inverse.get(v, (v,)) == (v,) for v in range(K.n_vertices))
-        ridges = {inverse[row[k]] for row in tables.subfaces for k in tables.ridge_slots}
-        holders = {inverse[i]: tuple(h) for i, h in enumerate(tables.holders) if h}
-        assert holders == {ref_inverse[i]: h for i, h in enumerate(reference.holders) if h}
-        assert set(holders) == ridges
+        holders = {inverse[r]: tuple(h) for r, h in prefix.holders.items()}
+        assert holders == {ref_inverse[r]: tuple(h) for r, h in reference.holders.items()}
+        assert set(holders) == set(K.faces_of_dim(K.dim - 1))
         if not K.is_connected():
             continue
         replica = Complex(K.labels, K.facets)
-        replica._kept["shelling tables"] = reference
+        replica._kept["face ids"], replica._kept["facet rows"] = reference.ids, reference.rows
         found, ref_found = Budget(3000), Budget(3000)
         assert find_shelling(K, found) == find_shelling(replica, ref_found)
         assert found.used == ref_found.used
+        assert replica.facet_rows() is reference.rows
     assert dims == {1, 2, 3}
