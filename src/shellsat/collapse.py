@@ -368,31 +368,50 @@ def least_deletion(triangles: list[Triangle], component: list[int], size: int,
 
 
 def least_removal(triangles: list[Triangle], chi: int,
-                  budget: Budget) -> set[int] | None:
+                  budget: Budget) -> set[int] | Impossible:
     """The first set of ``chi`` triangles, in ``combinations`` order, whose
-    deletion empties the core, or None when there is none.
+    deletion empties the core, or ``Impossible`` naming the test that
+    showed there is none.
 
     ``chi`` is the reduced Euler characteristic of a connected complex
     whose triangles these are, so chi = b2 - b1 over GF(2).  A set that
     empties the core holds at least the floor of each core component
     (:func:`core_components`), and the floors sum to b2.  So chi < b2
-    (b1 != 0) has none, without search; otherwise the set holds exactly
-    the floor of each component and nothing else, and the first one is the
-    union of each component's first (:func:`least_deletion`): the first of
-    two equal-size sets is the one holding the least element of their
-    difference, and components are disjoint.  One budget node is spent
-    first and one per search node.
+    (b1 != 0) has none, without search (``"betti1"``); otherwise the set
+    holds exactly the floor of each component and nothing else, and the
+    first one is the union of each component's first
+    (:func:`least_deletion`; ``"core"`` when a component has none): the
+    first of two equal-size sets is the one holding the least element of
+    their difference, and components are disjoint.  One budget node is
+    spent first and one per search node, and the search stops at the first
+    component with no deletion.
     """
     components = core_components(triangles, budget)
     if chi < sum(floor for _, floor in components):
-        return None
+        return Impossible(decided_by="betti1")
     removed: set[int] = set()
     for component, floor in components:
         deleted = least_deletion(triangles, component, floor, budget)
         if deleted is None:
-            return None
+            return Impossible(decided_by="core")
         removed.update(deleted)
     return removed
+
+
+def least_deletions(triangles: list[Triangle], budget: Budget) -> int:
+    """The least number of triangles whose deletion empties the core.
+
+    The sum over the core components (:func:`core_components`) of each
+    one's least, searched at its floor, then one more and so on
+    (:func:`least_deletion`), at the latest up to its greedy size.  One
+    budget node is spent first and one per search node.
+    """
+    deletions = 0
+    for component, size in core_components(triangles, budget):
+        while least_deletion(triangles, component, size, budget) is None:
+            size += 1
+        deletions += size
+    return deletions
 
 
 def is_collapsible(K: Complex, budget: int | Budget | None = None):
@@ -432,30 +451,31 @@ def collapsible_after_removing(K: Complex, k: int,
     """Decide whether removing some k triangles leaves a collapsible complex.
 
     Returns the certificate, whose removed set is the first such set in
-    ``combinations`` order of the sorted triangles, or ``Impossible()``.
+    ``combinations`` order of the sorted triangles, or ``Impossible``.
 
     Euler gate: a complex that collapses to a point has reduced Euler
     characteristic 0 and removing one triangle lowers it by exactly 1, so
     any feasible k equals the reduced Euler characteristic, k = b2 - b1
-    over GF(2); other k are Impossible without search.  K minus R collapses
-    iff its triangles have an empty core (:func:`is_collapsible`: once they
-    are gone, a connected graph with reduced Euler characteristic 0 is left,
-    which is a tree), so R is :func:`least_removal` of k.  One budget node
-    is spent first and one per search node, and then one per step of the
-    collapse of K minus R.
+    over GF(2); other k are ``Impossible(decided_by="euler")`` without
+    search.  K minus R collapses iff its triangles have an empty core
+    (:func:`is_collapsible`: once they are gone, a connected graph with
+    reduced Euler characteristic 0 is left, which is a tree), so R is
+    :func:`least_removal` of k, whose ``Impossible`` is returned as it is.
+    One budget node is spent first and one per search node, and then one
+    per step of the collapse of K minus R.
     """
     if k < 0:
         raise ParameterError("removal count must be >= 0")
     require_pure2_connected(K, "removal search")
     if K.reduced_euler_characteristic() != k:
-        return Impossible()
+        return Impossible(decided_by="euler")
 
     budget = as_budget(budget)
     triangles = K.triangles
     try:
         removed = least_removal(triangles, k, budget)
-        if removed is None:
-            return Impossible()
+        if isinstance(removed, Impossible):
+            return removed
         cert = _collapse(K, frozenset(triangles[t] for t in removed), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="collapse-after-removing")
@@ -471,21 +491,19 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     or removed entries that are not triangle facets of K, whose removal
     would leave no complex) raises MalformedCertificateError; an illegal
     step or a target mismatch merely makes the certificate invalid and is
-    reported as a string.  Whether every step face is a face of K is one
-    ``issuperset`` over the steps' faces; only when it fails are the steps
-    walked, to name the first one outside K.
+    reported as a string.  One walk over the steps names the first face
+    outside K before any step is replayed.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
                 f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
-    if not K.faces.issuperset(chain.from_iterable(map(_step_faces, cert.steps))):
-        for i, step in enumerate(cert.steps):
-            for face in _step_faces(step):
-                if face not in K.faces:
-                    raise MalformedCertificateError(
-                        f"step {i}: {K.face_name(face)} is not a face of the subject")
+    for i, step in enumerate(cert.steps):
+        for face in _step_faces(step):
+            if face not in K.faces:
+                raise MalformedCertificateError(
+                    f"step {i}: {K.face_name(face)} is not a face of the subject")
 
     replay = _Replay(K, cert.removed_triangles)
     for i, step in enumerate(cert.steps):

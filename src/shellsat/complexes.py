@@ -46,8 +46,9 @@ Face = tuple[int, ...]
 
 MAX_DIMENSION = 3
 
-LABEL_RE = re.compile(r"[A-Za-z0-9_{}|.\-]+\Z")
-_LABELS_RE = re.compile(r"[A-Za-z0-9_{}|.\-]+(?: [A-Za-z0-9_{}|.\-]+)*\Z")
+_LABEL = r"[A-Za-z0-9_{}|.\-]+"
+LABEL_RE = re.compile(rf"{_LABEL}\Z")
+_LABELS_RE = re.compile(rf"{_LABEL}(?: {_LABEL})*\Z")
 
 SHELLING, COLLAPSE, SATURATION = "shelling", "collapse", "saturation"
 

@@ -28,7 +28,13 @@ class NotCollapsible:
 
 @dataclass(frozen=True)
 class Impossible:
-    """No triangle removal of the requested size leaves a collapsible complex."""
+    """No triangle removal of the requested size leaves a collapsible
+    complex: ``decided_by`` names the test that showed it, ``"euler"`` (the
+    size is not the reduced Euler characteristic), or the failed test of
+    ``collapse.least_removal`` (``"betti1"`` or ``"core"``); equality
+    ignores it."""
+
+    decided_by: str = field(default="core", compare=False)
 
 
 @dataclass(frozen=True)

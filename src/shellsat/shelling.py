@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .collapse import core_components, least_deletion
+from .collapse import least_removal
 from .complexes import (
     SHELLING,
     Complex,
@@ -29,7 +29,7 @@ from .errors import (
     PurityError,
     UnsupportedDimensionError,
 )
-from .outcomes import Budget, BudgetExceeded, OutOfBudget, Unshellable, as_budget
+from .outcomes import Budget, BudgetExceeded, Impossible, OutOfBudget, Unshellable, as_budget
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,10 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
       that shells with no such facet and hence collapses, so its triangles
       have an empty core.
 
-    The last two are the two tests of :func:`collapse.least_removal` of
-    chi~, made here one at a time to tell them apart, with the same nodes:
-    the floors of the core components sum to b2, so chi~ = b2 - b1 below
-    that sum is b1 != 0, and otherwise the deletion exists iff each
-    component has one of its floor's size.  Spends one node for the core
-    and one per search node; no collapse steps are spent, as nothing is
-    collapsed.
+    The last two are decided by one call of :func:`collapse.least_removal`
+    of chi~, whose ``Impossible`` names the test that failed.  It spends
+    one node for the core and one per search node; no collapse steps are
+    spent, as nothing is collapsed.
 
     What is proved about exactness concerns sd²(K).  By Hachimori's
     criterion (*Decompositions of two-dimensional simplicial complexes*,
@@ -252,12 +249,9 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
                      for u, w in edges]
         if not is_connected_graph(len(index), relabeled):
             return Unshellable(decided_by="link")
-    components = core_components(triangles, budget)
-    if K.reduced_euler_characteristic() < sum(floor for _, floor in components):
-        return Unshellable(decided_by="betti1")
-    if any(least_deletion(triangles, component, floor, budget) is None
-           for component, floor in components):
-        return Unshellable(decided_by="core")
+    removal = least_removal(triangles, K.reduced_euler_characteristic(), budget)
+    if isinstance(removal, Impossible):
+        return Unshellable(decided_by=removal.decided_by)
     return None
 
 

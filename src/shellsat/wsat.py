@@ -10,10 +10,9 @@ deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 """
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count, repeat
-from operator import contains, itemgetter, le
+from itertools import combinations
 
-from .collapse import core_components, least_deletion, least_removal, peel
+from .collapse import least_deletions, least_removal, peel
 from .complexes import (
     SATURATION,
     Complex,
@@ -32,6 +31,7 @@ from .errors import (
 from .outcomes import (
     Budget,
     BudgetExceeded,
+    Impossible,
     NotSaturated,
     OutOfBudget,
     as_budget,
@@ -143,21 +143,10 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     not three distinct host vertices; a wrong witness merely invalidates
     the certificate.
 
-    Each check is first made on the whole certificate in C-level passes,
-    and the certificate is walked in order only when one fails, to raise
-    or name the first failure as the walk alone would:
-
-    * The order is a permutation of the missing edges iff it has as many
-      entries and the same set: with a repeated entry its set is smaller.
-    * Every witness is three distinct host vertices iff the sizes of the
-      witnesses and of their vertex sets are all 3 and every vertex is one
-      of the ids 0..n-1.
-    * The replay: an ordered edge (u, v) lies in its witness iff u and v
-      do, and the witness edges are the pairs of its sorted vertices.
-      After edge i is added, the present edges are the start and the first
-      i+1 ordered edges, so a witness edge is present iff ``when``, its
-      position in the order (-1 for a start edge, past the end for any
-      other pair), is at most i.
+    Each check is made once, in certificate order: every witness is
+    checked to be three distinct host vertices, then the ordered edges are
+    added one at a time, each checked to lie in its witness, whose three
+    edges must then be present.
     """
     try:
         host, start = _spanning_edges(F, cert.start)
@@ -172,24 +161,12 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
         raise MalformedCertificateError(
             "certificate must carry one witness per ordered edge")
     n = F.n_vertices
-    sizes = {*map(len, witnesses), *map(len, map(set, witnesses))}
-    if sizes - {3} or not set(chain.from_iterable(witnesses)).issubset(range(n)):
-        for i, witness in enumerate(witnesses):
-            if (len(witness) != 3 or len(set(witness)) != 3
-                    or any(not 0 <= v < n for v in witness)):
-                raise MalformedCertificateError(
-                    f"witness {i} is not a 3-vertex set of the host")
+    for i, witness in enumerate(witnesses):
+        if (len(witness) != 3 or len(set(witness)) != 3
+                or any(not 0 <= v < n for v in witness)):
+            raise MalformedCertificateError(
+                f"witness {i} is not a 3-vertex set of the host")
 
-    when = dict.fromkeys(start, -1)
-    when.update(zip(order, count()))
-    # Per witness, the positions of its three edges, the pairs of its
-    # sorted vertices; each map is consumed as it is made, so none is kept.
-    stamps = map(map, repeat(when.get), map(combinations, map(sorted, witnesses), repeat(2)),
-                 repeat(repeat(len(order))))
-    if (all(map(contains, witnesses, map(itemgetter(0), order)))
-            and all(map(contains, witnesses, map(itemgetter(1), order)))
-            and all(map(le, map(max, stamps), count()))):
-        return None
     present = start
     for i, (edge, witness) in enumerate(zip(order, witnesses)):
         present.add(edge)
@@ -245,7 +222,7 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
         deleted = least_removal(triangles, n - 1 - len(host) + len(triangles), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-tree-search")
-    if deleted is None:
+    if isinstance(deleted, Impossible):
         return NotSaturated()
     freed, _ = peel(triangles, set(range(len(triangles))) - deleted)
     return extract_saturation_order(F, _subgraph(F, host - {e for e, _ in freed}))
@@ -255,20 +232,14 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
     """Minimum edge count of a weakly K3-saturated subgraph of F, exactly.
 
     By the identity in :func:`decide_wsat_eq_treesize` this is m - |T| plus
-    the least number of triangles whose deletion empties the 2-core, summed
-    over the core components, each searched at its floor, then one more and
-    so on (:func:`least_deletion`), at the latest up to its greedy size.
-    The budget counts one node per call and one per search node.
+    the least number of triangles whose deletion empties the 2-core
+    (:func:`least_deletions`).  The budget counts one node per call and one
+    per search node.
     """
     n, host = _connected_host(F)
     triangles = clique_triangles(n, host)
-    budget = as_budget(budget)
-    deletions = 0
     try:
-        for component, size in core_components(triangles, budget):
-            while least_deletion(triangles, component, size, budget) is None:
-                size += 1
-            deletions += size
+        deletions = least_deletions(triangles, as_budget(budget))
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-number")
     return len(host) - len(triangles) + deletions

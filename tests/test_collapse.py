@@ -289,6 +289,32 @@ def test_removal_count_must_match_chi():
                 assert collapsible_after_removing(K, k) == Impossible()
 
 
+def test_impossible_names_the_test_that_decided_it():
+    """``decided_by`` names what ruled every removal out, with the nodes
+    spent: the Euler gate (an annulus and a Moebius strip, chi~ = -1, at
+    k = 0) none; b1 != 0 at k = chi~ (the 6-vertex projective plane, and an
+    annulus with a tetrahedron boundary at one vertex, chi~ = 0) the one
+    node of the core; a core that no deletion of chi~ = 0 triangles
+    empties (the flag dunce hat) one more for that search."""
+    annulus = [f"a{i} a{(i + 1) % 4} b{i}" for i in range(4)]
+    annulus += [f"a{(i + 1) % 4} b{i} b{(i + 1) % 4}" for i in range(4)]
+    mobius = [f"v{i} v{(i + 1) % 5} v{(i + 2) % 5}" for i in range(5)]
+    rp2 = ["1 2 3", "1 3 4", "1 4 5", "1 5 6", "1 6 2",
+           "2 3 5", "3 4 6", "4 5 2", "5 6 3", "6 2 4"]
+    sphere = [" ".join(f) for f in combinations(["a0", "x", "y", "z"], 3)]
+    cases = [(from_facets(annulus), 0, "euler", 0),
+             (from_facets(mobius), 0, "euler", 0),
+             (from_facets(rp2), 0, "betti1", 1),
+             (from_facets(annulus + sphere), 0, "betti1", 1),
+             (flag_dunce_hat(), 0, "core", 2)]
+    for K, k, test, nodes in cases:
+        assert K.reduced_euler_characteristic() == (-1 if test == "euler" else k)
+        budget = Budget(None)
+        result = collapsible_after_removing(K, k, budget)
+        assert result == Impossible() and result.decided_by == test, K.facets
+        assert budget.used == nodes, K.facets
+
+
 def global_removal_scan(K, k):
     """The removal search the core engine replaced: every k-subset of the
     sorted triangles in ``combinations`` order, one collapse search each."""
@@ -383,12 +409,12 @@ def reference_least_deletion(triangles, component, floor, budget, at_floor=False
 def reference_least_removal(triangles, chi, budget):
     components = core_components(triangles, budget)
     if chi < sum(floor for _, floor in components):
-        return None
+        return Impossible()
     removed = set()
     for component, floor in components:
         deleted = reference_least_deletion(triangles, component, floor, budget, at_floor=True)
         if deleted is None:
-            return None
+            return Impossible()
         removed.update(deleted)
     return removed
 

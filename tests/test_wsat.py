@@ -456,10 +456,10 @@ def test_saturation_replay_matches_the_reference_on_chain_certificates():
 
 
 def test_saturation_bulk_checks_raise_as_the_reference():
-    """The set and length tests of the order and the witnesses raise what
-    the walk of the reference raises, at the same index: a witness of two
-    or four vertices, or with a negative vertex, after a good one; an
-    order one edge short, one edge long, or with one edge twice."""
+    """The checks of the order and the witnesses raise what the walk of
+    the reference raises, at the same index: a witness of two or four
+    vertices, or with a negative vertex, after a good one; an order one
+    edge short, one edge long, or with one edge twice."""
     report = chain_reports(18)[0]
     host, cert = report.subject.skeleton(1), report.saturation
     order, witnesses = list(cert.order), list(cert.witnesses)
