@@ -17,14 +17,15 @@ For a pure connected 2-dimensional complex L:
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations, compress, repeat
+from operator import ne, not_
 
 from .collapse import (
     CollapseCertificate,
     CollapseStep,
     collapse_fields,
     format_collapse,
-    peel,
     verify_collapse,
 )
 from .complexes import Complex, Face, require_pure2_connected
@@ -38,7 +39,6 @@ from .shelling import (
     shelling_fields,
 )
 from .wsat import (
-    Edge,
     SaturationCertificate,
     _subgraph,
     format_saturation,
@@ -79,6 +79,13 @@ def shelling_to_saturated_tree(L: Complex,
     new: two new edges, the first reaching it in the tree) or in two or
     three edges (at most one new edge).  So each vertex enters the tree
     once, and each ordered edge completes the K3 of its facet.
+
+    The rule runs as column passes over the order's ``combinations``
+    column of edges, three per facet.  An edge is new at its first
+    position, read from one ``dict`` built over the column backwards, so
+    that the least position is written last; the sorted first positions
+    list the new edges in order.  A new edge is the last of its facet iff
+    the next new edge lies in a later facet.
     """
     require_pure2_connected(L, "the tree construction")
     violation = first_shelling_violation(L, cert)
@@ -86,22 +93,18 @@ def shelling_to_saturated_tree(L: Complex,
         raise CertificateError(
             f"invalid shelling: condition fails at index {violation}")
 
-    tree: set[Edge] = set()
-    covered: set[Edge] = set()
-    sat_order: list[Edge] = []
-    witnesses: list[tuple[int, int, int]] = []
-    for facet in cert.order:
-        new = [e for e in combinations(facet, 2) if e not in covered]
-        if new:
-            tree.update(new[:-1])
-            sat_order.append(new[-1])
-            witnesses.append(facet)
-            covered.update(new)
-
+    order = cert.order
+    edges = list(chain.from_iterable(map(combinations, order, repeat(2))))
+    first = dict(zip(reversed(edges), range(len(edges) - 1, -1, -1)))
+    new = sorted(first.values())
+    facet_of = [p // 3 for p in new]
+    last = list(map(ne, facet_of, facet_of[1:] + [-1]))
+    tree = list(map(edges.__getitem__, compress(new, map(not_, last))))
     assert len(tree) == L.n_vertices - 1
-    host = L.skeleton(1)
-    return SaturationCertificate(_subgraph(host, tree),
-                                 tuple(sat_order), tuple(witnesses))
+    return SaturationCertificate(
+        _subgraph(L.skeleton(1), tree),
+        tuple(map(edges.__getitem__, compress(new, last))),
+        tuple(map(order.__getitem__, compress(facet_of, last))))
 
 
 def saturation_to_collapse(L: Complex,
@@ -114,8 +117,15 @@ def saturation_to_collapse(L: Complex,
     not.  Triangles outside the witness list are removed up front (L is
     pure of dimension 2, so its triangles are its facets); the witness
     triangles collapse in reverse saturation order, and the
-    remaining spanning tree is pruned leaf by leaf (largest leaf first)
-    down to the least vertex.
+    remaining spanning tree is pruned leaf by leaf, largest leaf first.
+
+    The prune keeps each vertex's set of tree neighbours and a heap of the
+    negated ids of the leaves, so the heap's least entry is the largest
+    leaf.  A vertex is pushed when its degree falls to one, which happens
+    once, so the heap holds every current leaf; a popped vertex whose
+    degree has fallen to zero is the last one left and is skipped.  The
+    tree has n vertices, so n - 1 leaves go, and the vertex left is the
+    target: the neighbour of the last leaf pruned.
     """
     require_pure2_connected(L, "the collapse construction")
     if not L.is_flag2():
@@ -131,20 +141,30 @@ def saturation_to_collapse(L: Complex,
     if len(tree_edges) != n - 1 or not cert.start.is_connected():
         raise CertificateError("the start graph must be a spanning tree")
 
-    triangles = [tuple(sorted(witness)) for witness in cert.witnesses]
+    triangles = list(map(tuple, map(sorted, cert.witnesses)))
     assert len(set(triangles)) == len(triangles), "witness triangles must be distinct"
 
-    removed = frozenset(set(L.facets) - set(triangles))
-    steps = [CollapseStep(edge, triangle)
-             for edge, triangle in reversed(list(zip(cert.order, triangles)))]
-    # The peel takes the least free vertex first; on reversed ids
-    # (v -> n-1-v) that is the largest leaf.
-    tree = [(n - 1 - u, n - 1 - v) for u, v in tree_edges]
-    down, _ = peel(tree, range(len(tree)))
-    steps += [CollapseStep((n - 1 - leaf,), (n - 1 - u, n - 1 - v))
-              for (leaf,), (u, v) in down]
-    (target,) = set(range(n)).difference(n - 1 - leaf for (leaf,), _ in down)
-    return CollapseCertificate(removed, tuple(steps), L.induced([(target,)]))
+    removed = frozenset(L.facets).difference(triangles)
+    steps = list(map(CollapseStep, reversed(cert.order), reversed(triangles)))
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for u, v in tree_edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    heap = [-v for v in range(n) if len(neighbours[v]) == 1]
+    heapify(heap)
+    leaves, stems = [], []
+    while heap:
+        leaf = -heappop(heap)
+        if neighbours[leaf]:
+            (stem,) = neighbours[leaf]
+            neighbours[stem].discard(leaf)
+            leaves.append(leaf)
+            stems.append(stem)
+            if len(neighbours[stem]) == 1:
+                heappush(heap, -stem)
+    steps += map(CollapseStep, zip(leaves), [(leaf, stem) if leaf < stem else (stem, leaf)
+                                             for leaf, stem in zip(leaves, stems)])
+    return CollapseCertificate(removed, tuple(steps), L.induced([(stems[-1],)]))
 
 
 # Facet (a, b, c) -> positions (x, y, z), by which of its edges ab, ac, bc

@@ -320,12 +320,33 @@ class Complex:
         """The subcomplex of faces of dimension at most k.
 
         Built once per k and kept, like the fingerprint: the certificate
-        chain asks for the same 1-skeleton at every stage.
+        chain asks for the same 1-skeleton at every stage.  When every
+        label lies in a face, the vertices need no renumbering and no face
+        is swept again: the skeleton shares this complex's sets of sizes
+        0..k+1, which nothing changes after ``__init__``.  Its facets are
+        the faces of size k+1 and this complex's facets of size at most k.
+        A face of size k+1 has no larger face in the skeleton.  A smaller
+        face inside a larger face of this complex lies in one of its own
+        size plus one, at most k+1, so it is a facet of the skeleton iff
+        it is one here.  A label in no face goes through :meth:`induced`,
+        which drops it.
         """
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
-        return self._keep(("skeleton", k), lambda: self.induced(
-            chain.from_iterable(self._by_size[1:k + 2])))
+        return self._keep(("skeleton", k), lambda: self._skeleton(k))
+
+    def _skeleton(self, k: int) -> "Complex":
+        by_size = self._by_size[:k + 2]
+        if self.dim < 0 or len(by_size[1]) < self.n_vertices:
+            return self.induced(chain.from_iterable(by_size[1:]))
+        top, lower = self.faces_of_dim(k), [f for f in self.facets if len(f) <= k]
+        skeleton = object.__new__(Complex)
+        skeleton.labels, skeleton.dim = self.labels, len(by_size) - 2
+        skeleton._by_size = by_size
+        skeleton.facets = tuple(sorted(top + tuple(lower))) if lower else top
+        skeleton.faces = self.faces if k >= self.dim else frozenset().union(*by_size)
+        skeleton._kept = {}
+        return skeleton
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
         """The subcomplex closing the listed faces, its vertices renumbered in

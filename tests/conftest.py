@@ -5,8 +5,10 @@ from itertools import combinations, permutations
 import pytest
 
 from shellsat import from_facets, graph_complex, run_chain
+from shellsat.collapse import CollapseCertificate, CollapseStep, peel
 from shellsat.complexes import Complex
 from shellsat.harness import sample_pure2
+from shellsat.wsat import SaturationCertificate
 
 
 def maximal_faces(faces):
@@ -37,6 +39,42 @@ def reference_subdivision(K):
         tuple(sorted(vertex[tuple(sorted(order[:k + 1]))] for k in range(len(order))))
         for facet in K.facets for order in permutations(facet)])
     return sd, vertex
+
+
+def reference_saturated_tree(L, cert):
+    """The earlier tree construction, the shelling not checked: one loop
+    over the facets in shelling order, each facet's edges not yet covered
+    listed in ``combinations`` order; all but the last join the tree, and
+    the last joins the saturating order, witnessed by the facet."""
+    tree, covered, order, witnesses = set(), set(), [], []
+    for facet in cert.order:
+        new = [e for e in combinations(facet, 2) if e not in covered]
+        if new:
+            tree.update(new[:-1])
+            order.append(new[-1])
+            witnesses.append(facet)
+            covered.update(new)
+    start = L.skeleton(1).induced([*tree, *zip(range(L.n_vertices))])
+    return SaturationCertificate(start, tuple(order), tuple(witnesses))
+
+
+def reference_collapse(L, cert):
+    """The earlier saturation-to-collapse translation, its checks left out:
+    the facets that witness nothing removed, the witnesses collapsed in
+    reverse order, then the start tree pruned by ``collapse.peel`` on
+    reversed ids (v -> n-1-v), whose least free vertex first is the
+    largest leaf first, down to the vertex it leaves."""
+    n = L.n_vertices
+    triangles = [tuple(sorted(witness)) for witness in cert.witnesses]
+    removed = frozenset(set(L.facets) - set(triangles))
+    steps = [CollapseStep(edge, triangle)
+             for edge, triangle in reversed(list(zip(cert.order, triangles)))]
+    tree = [(n - 1 - u, n - 1 - v) for u, v in cert.start.edges]
+    down, _ = peel(tree, range(len(tree)))
+    steps += [CollapseStep((n - 1 - leaf,), (n - 1 - u, n - 1 - v))
+              for (leaf,), (u, v) in down]
+    (target,) = set(range(n)).difference(n - 1 - leaf for (leaf,), _ in down)
+    return CollapseCertificate(removed, tuple(steps), L.induced([(target,)]))
 
 
 # (vertices, triangles) of sample_pure2 draws whose sd² is a chain subject;

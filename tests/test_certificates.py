@@ -29,7 +29,7 @@ from shellsat.errors import CertificateError, ConnectivityError, FlagnessError, 
 from shellsat.harness import enumerate_pure2
 from shellsat.shelling import first_shelling_violation
 from shellsat.wsat import SaturationCertificate, saturation_fields
-from conftest import chain_reports
+from conftest import chain_reports, reference_collapse, reference_saturated_tree
 
 
 def shelling_of(K, *facet_labels):
@@ -411,6 +411,63 @@ def test_chain_on_shellable_sd_corpus():
         assert report.removed_count == report.chi
         completed += 1
     assert completed >= 2
+
+
+# -- the converters against their per-facet references ------------------------------
+
+def assert_converters_match_the_references(L, shell):
+    """Both converters on L give the certificates of the references kept in
+    conftest; the collapse is compared only on a flag L, which it needs."""
+    saturation = shelling_to_saturated_tree(L, shell)
+    assert saturation == reference_saturated_tree(L, shell)
+    if L.is_flag2():
+        assert saturation_to_collapse(L, saturation) == reference_collapse(L, saturation)
+
+
+def test_converters_match_the_per_facet_references():
+    """Every shellable class of enumerate_pure2(5, 5), its sd with the
+    lifted shelling, and the chain's sd² subjects at two seeds."""
+    shellable = flag = 0
+    for K in enumerate_pure2(5, 5):
+        shell = find_shelling(K)
+        if not isinstance(shell, ShellingCertificate):
+            continue
+        shellable += 1
+        flag += K.is_flag2()
+        assert_converters_match_the_references(K, shell)
+        assert_converters_match_the_references(K.barycentric_subdivision(),
+                                               lift_shelling(K, shell))
+    assert shellable >= 5 and 0 < flag < shellable, (shellable, flag)
+    reports = chain_reports(7) + chain_reports(20)
+    assert len(reports) >= 8 and any(report.removed_count for report in reports)
+    for report in reports:
+        L = report.subject
+        assert report.saturation == reference_saturated_tree(L, report.shelling)
+        assert report.collapse == reference_collapse(L, report.saturation)
+
+
+@pytest.mark.parametrize("facets, tree, order, pruned", [
+    # A star centred at c: once b goes, c is a leaf larger than a.
+    (["c a b", "c b d", "c d e", "c e f"], "a c, b c, c d, c e, c f",
+     "a b : a b c, b d : b c d, d e : c d e, e f : c e f", "f e d b c"),
+    # The path a-b-d-c-e, pruned from its larger end e, not from a.
+    (["a b c", "b c d", "c d e"], "a b, b d, c d, c e",
+     "b c : b c d, a c : a b c, d e : c d e", "e c d b"),
+])
+def test_tree_prune_takes_the_largest_leaf_first(facets, tree, order, pruned):
+    L = from_facets(facets)
+    host = L.skeleton(1)
+    edges = [L.face_from_labels(edge.split()) for edge in tree.split(", ")]
+    ordered = [pair.split(" : ") for pair in order.split(", ")]
+    cert = SaturationCertificate(
+        host.induced(edges), tuple(L.face_from_labels(e.split()) for e, _ in ordered),
+        tuple(L.face_from_labels(w.split()) for _, w in ordered))
+    assert verify_saturation(host, cert)
+    collapse = saturation_to_collapse(L, cert)
+    assert collapse == reference_collapse(L, cert)
+    leaves = [step.free_face for step in collapse.steps if len(step.free_face) == 1]
+    assert [L.face_text(leaf) for leaf in leaves] == pruned.split()
+    assert collapse.target.labels == ("a",) and collapse.targets_point()
 
 
 # -- certificate text --------------------------------------------------------------------

@@ -564,14 +564,48 @@ def reference_induced(K: Complex, listing) -> tuple[tuple, tuple, frozenset]:
             *reference_build([tuple(new[v] for v in f) for f in listing]))
 
 
+def skeleton_cases() -> list[Complex]:
+    """A dangling edge and an isolated vertex beside a triangle, two solid
+    tetrahedra on a triangle, a 2-sphere, and two complexes with a label in
+    no face, one of them of mixed dimension."""
+    return [from_facets(["a b c", "c d", "e"]), from_facets(["a b c d", "b c d e"]),
+            from_facets(["a b c", "a b d", "a c d", "b c d"]),
+            Complex(["a", "b", "c", "d"], [(0, 1), (1, 2)]),
+            Complex(["a", "b", "c", "d", "e"], [(0, 1, 3), (3, 4), (1,)])]
+
+
+def assert_skeleton_matches_induced(K: Complex, k: int) -> None:
+    """K.skeleton(k) against the induced subcomplex on the faces of size
+    1..k+1: labels, facets, faces, f-vector, connectivity, fingerprint and
+    the faces it numbers, by size.  A skeleton that keeps every label
+    numbers them as K does; skeleton(1).skeleton(0) is skeleton(0)."""
+    skeleton = K.skeleton(k)
+    reference = K.induced([f for f in K.faces if 0 < len(f) <= k + 1])
+    assert (skeleton.labels, skeleton.facets, skeleton.faces, skeleton.dim) == (
+        reference.labels, reference.facets, reference.faces, reference.dim)
+    assert skeleton.f_vector() == reference.f_vector()
+    assert skeleton.is_connected() == reference.is_connected()
+    assert skeleton.fingerprint == reference.fingerprint
+    ids = skeleton.face_ids()
+    assert ids.keys() == reference.face_ids().keys()
+    assert sorted(ids.values()) == list(range(len(ids)))
+    assert sorted(ids, key=ids.get) == sorted(ids, key=len)
+    if skeleton.labels == K.labels:
+        assert ids == {f: i for f, i in K.face_ids().items() if len(f) <= k + 1}
+    if k >= 1:
+        assert K.skeleton(k).skeleton(0) == K.skeleton(0)
+
+
 def test_one_sweep_build_matches_two_pass_build():
     """Complex, induced and skeleton(k) against the two-pass reference, on
     listings that keep every vertex (no renumbering) and on listings that
     drop one (renumbered); and each face listing read from the faces kept
-    by size against a full scan of K.faces, for k = -2..dim+1."""
+    by size against a full scan of K.faces, for k = -2..dim+1; each
+    skeleton also against the induced subcomplex, on the sweep corpus and
+    the skeleton cases."""
     rng, drop = random.Random(29), random.Random(37)
     identity = renumbered = 0
-    for K in sweep_corpus():
+    for K in sweep_corpus() + skeleton_cases():
         listing = [f for f in K.faces if f and rng.random() < 0.3] + list(K.facets)
         rng.shuffle(listing)
         for faces in (K.facets, listing, listing + listing[:5]):
@@ -598,6 +632,7 @@ def test_one_sweep_build_matches_two_pass_build():
             skeleton = K.skeleton(k)
             assert (skeleton.labels, skeleton.facets, skeleton.faces) == reference_induced(
                 K, [f for f in K.faces if 0 < len(f) <= k + 1])
+            assert_skeleton_matches_induced(K, k)
         assert (K.edges, K.triangles) == (scan(1), scan(2))
         counts = [0] * (K.dim + 2)
         for f in K.faces:
