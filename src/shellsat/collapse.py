@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
-from operator import attrgetter
+from typing import NamedTuple
 
 from .complexes import (
     COLLAPSE,
@@ -48,13 +48,11 @@ from .outcomes import (
 )
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(NamedTuple):
+    """Remove the free face and every face above it, up to the facet."""
+
     free_face: Face
     facet: Face
-
-
-_step_faces = attrgetter("free_face", "facet")
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,7 @@ def _collapse(K: Complex, removed: frozenset[Face],
     if core:
         return None
     (target,) = set(range(K.n_vertices)).difference(v for (v,), _ in down)
-    steps = tuple(CollapseStep(*pair) for pair in up + down)
+    steps = tuple(map(CollapseStep._make, up + down))
     return CollapseCertificate(removed, steps, K.induced([(target,)]))
 
 
@@ -492,16 +490,18 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     would leave no complex) raises MalformedCertificateError; an illegal
     step or a target mismatch merely makes the certificate invalid and is
     reported as a string.  One walk over the steps names the first face
-    outside K before any step is replayed.
+    outside K's nonempty faces before any step is replayed; the empty face
+    passes it, for the replay to refuse with its own reason.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
                 f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
+    ids = K.face_ids()
     for i, step in enumerate(cert.steps):
-        for face in _step_faces(step):
-            if face not in K.faces:
+        for face in step:
+            if face and face not in ids:
                 raise MalformedCertificateError(
                     f"step {i}: {K.face_name(face)} is not a face of the subject")
 
@@ -512,7 +512,7 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
             return f"step {i}: {reason}"
 
     reached = {K.label_face(f) for f in compress(replay.face, replay.left)}
-    expected = {cert.target.label_face(f) for f in cert.target.faces if f}
+    expected = set(map(cert.target.label_face, cert.target.face_ids()))
     if reached != expected:
         return "final complex does not equal the certificate target"
     return None
@@ -527,7 +527,7 @@ def verify_collapse(K: Complex, cert: CollapseCertificate) -> bool:
 
 def collapse_fields(K: Complex, cert: CollapseCertificate) -> dict:
     """The certificate as label text, for its file and the chain report."""
-    texts = K.face_texts(chain.from_iterable(map(_step_faces, cert.steps)))
+    texts = K.face_texts(chain.from_iterable(cert.steps))
     return {
         "removed": K.face_texts(sorted(cert.removed_triangles)),
         "steps": [texts[i:i + 2] for i in range(0, len(texts), 2)],

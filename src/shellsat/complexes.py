@@ -1,8 +1,8 @@
 """Finite simplicial complexes over dense integer vertex ids.
 
 A complex is the downward closure of its facets; one largest-first sweep
-over the listed faces builds both, keeping each size's faces in a set
-that every face listing, count and skeleton reads.  The shelling,
+over the listed faces builds both, keeping each face once, in the set of
+its size that face listings, counts, checks and skeletons read.  The shelling,
 collapse and subdivision code read one kept numbering of its faces.
 Vertex ids follow sorted label order, so complexes built from the same
 label faces are identical, serialize to the same bytes and share one
@@ -131,7 +131,7 @@ class Complex:
     """Immutable simplicial complex, read from labels by :func:`from_facets`;
     :meth:`induced` and :meth:`barycentric_subdivision` derive on ids."""
 
-    __slots__ = ("labels", "facets", "faces", "dim", "_by_size", "_kept")
+    __slots__ = ("labels", "facets", "dim", "_by_size", "_kept")
 
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
         """The closure of id_faces (increasing id tuples) on sorted labels.
@@ -144,7 +144,7 @@ class Complex:
         the start, so it is never a facet beside a nonempty face; the
         facets of a size enter whole, and their vertices enter once each
         rather than once per facet.  ``dim`` is one less than the largest
-        size, and ``faces`` is the union of the sets.
+        size.  Each face is held once, in the set of its size.
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
@@ -163,7 +163,6 @@ class Complex:
         self.labels = tuple(labels)
         # When only the empty face is listed, it is the one facet.
         self.facets = tuple(sorted(facets)) or tuple(listed)
-        self.faces = frozenset().union(*by_size)
         self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -344,7 +343,6 @@ class Complex:
         skeleton.labels, skeleton.dim = self.labels, len(by_size) - 2
         skeleton._by_size = by_size
         skeleton.facets = tuple(sorted(top + tuple(lower))) if lower else top
-        skeleton.faces = self.faces if k >= self.dim else frozenset().union(*by_size)
         skeleton._kept = {}
         return skeleton
 
@@ -352,10 +350,13 @@ class Complex:
         """The subcomplex closing the listed faces, its vertices renumbered in
         order: labels stay sorted, so it equals the complex built from labels.
         When the listed faces use every vertex, the renumbering is the
-        identity and is skipped."""
+        identity and is skipped.  One C-level pass checks the listed faces
+        against the nonempty faces of each size; the first listed face in
+        none of them, ``()`` included, raises."""
         listed = list(map(tuple, faces))
-        if () in listed or not self.faces.issuperset(listed):
-            bad = next(f for f in listed if f not in self.faces or not f)
+        missing = set(listed).difference(*self._by_size[1:])
+        if missing:
+            bad = next(filter(missing.__contains__, listed))
             raise NotAFaceError(f"{bad} is not a nonempty face of the complex")
         used = set(chain.from_iterable(listed))
         if len(used) == self.n_vertices:
@@ -391,8 +392,9 @@ class Complex:
     def _subdivide(self) -> tuple["Complex", dict[Face, int]]:
         """The subdivision and the barycentre ids, in C-level passes per
         size.  The vertex names of the faces of size k are one column of
-        labels, k per face, joined.  When two faces share a name, the faces
-        are walked as a frozen set iterates, to name the first clash.
+        labels, k per face, joined.  When two faces share a name, the
+        (name, face) columns are sorted, and the least shared name is
+        raised with its two least faces.
         :func:`_chain_slots` picks the chains of each facet from its row of
         :meth:`facet_rows` with the facet's own id appended, at the slot of
         the full mask, and each face id on them maps to the barycentre id
@@ -405,13 +407,10 @@ class Complex:
                 *[map(self.labels.__getitem__, chain.from_iterable(sized))] * k)))
         named = dict(zip(names, faces))
         if len(named) < len(faces):
-            name_of, claimed = dict(zip(faces, names)), {}
-            for face in filter(None, self.faces):
-                other = claimed.setdefault(name_of[face], face)
-                if other != face:
-                    a, b = map(self.face_text, sorted((other, face)))
-                    raise ShellsatError(f"faces {a!r} and {b!r} both subdivide "
-                                        f"to vertex {name_of[face]!r}")
+            pairs = sorted(zip(names, faces))
+            (name, a), (_, b) = next((x, y) for x, y in zip(pairs, pairs[1:]) if x[0] == y[0])
+            raise ShellsatError(f"faces {self.face_text(a)!r} and {self.face_text(b)!r} "
+                                f"both subdivide to vertex {name!r}")
         labels = sorted(named)
         vertex = dict(zip(map(named.__getitem__, labels), count()))
         ids, rows = self.face_ids(), self.facet_rows()

@@ -248,7 +248,7 @@ def oracle_shelling(K: Complex) -> bool:
 
 def oracle_collapsible(K: Complex) -> bool:
     """Ground-truth collapsibility by exploring every collapse sequence."""
-    faces = {frozenset(f) for f in K.faces if f}
+    faces = set(map(frozenset, K.face_ids()))
     if len(faces) > ORACLE_MAX_FACES:
         raise OracleBoundError(
             f"collapsibility oracle is limited to {ORACLE_MAX_FACES} faces")

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -25,13 +25,19 @@ def maximal_faces(faces):
     return [f for f in listed if f not in below]
 
 
+def all_faces(K):
+    """Every face of K, the empty face included, from its faces of each
+    dimension -1..dim."""
+    return frozenset(chain.from_iterable(map(K.faces_of_dim, range(-1, K.dim + 1))))
+
+
 def reference_subdivision(K):
     """The earlier subdivision build, and its vertex of each face: every
     nonempty face named "{a|b}" one at a time, and the chains of each facet
     read off each permutation of its vertices, one sorted prefix at a time.
     Faces that name alike are not looked for."""
     named = {}
-    for face in filter(None, K.faces):
+    for face in K.face_ids():
         named.setdefault("{" + "|".join(K.label_face(face)) + "}", face)
     labels = sorted(named)
     vertex = {named[name]: v for v, name in enumerate(labels)}

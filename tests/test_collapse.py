@@ -46,7 +46,7 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
-from conftest import chain_reports, maximal_faces, outcome, shows_an_id_tuple
+from conftest import all_faces, chain_reports, maximal_faces, outcome, shows_an_id_tuple
 
 
 def step_of(K, free_labels, facet_labels):
@@ -166,7 +166,7 @@ def test_search_agrees_with_oracle_small_corpus():
                for v in range(K.n_vertices) for length in (1, 2)]
     corpus += [from_facets([G.label_face(e) for e in G.edges] + [G.label_face(t)])
                for G in graphs for t in combinations(range(G.n_vertices), 3)
-               if all(e in G.faces for e in combinations(t, 2))]
+               if all(e in G.face_ids() for e in combinations(t, 2))]
     corpus = [K for K in corpus if sum(K.f_vector()[1:]) <= 12]
     assert len(corpus) >= 40
     assert sum(not K.is_pure() for K in corpus) >= 20
@@ -242,7 +242,7 @@ def test_long_strip_collapses_without_recursion():
 def test_non_collapsible_strips_refuted_within_face_count(facets):
     K = from_facets(facets)
     assert K.reduced_euler_characteristic() == -1
-    assert is_collapsible(K, len(K.faces)) == NotCollapsible()
+    assert is_collapsible(K, len(all_faces(K))) == NotCollapsible()
 
 
 def test_collapse_search_needs_dimension_at_most_two():
@@ -320,7 +320,7 @@ def global_removal_scan(K, k):
     sorted triangles in ``combinations`` order, one collapse search each."""
     for removed in combinations(K.triangles, k):
         # K minus R keeps every vertex, so it keeps K's ids as well.
-        rest = from_facets([K.label_face(f) for f in K.faces if f and f not in removed])
+        rest = from_facets([K.label_face(f) for f in K.face_ids() if f not in removed])
         cert = is_collapsible(rest)
         if isinstance(cert, CollapseCertificate):
             return CollapseCertificate(frozenset(removed), cert.steps, cert.target)
@@ -597,18 +597,18 @@ def reference_step_violation(K, faces, step):
 
 def reference_apply_step(K, faces, step):
     tau = step.free_face
-    faces.difference_update([tau] + [g for g in K.faces if set(tau) < set(g)])
+    faces.difference_update([tau] + [g for g in K.face_ids() if set(tau) < set(g)])
 
 
 def reference_violation(K, cert):
-    faces = {f for f in K.faces if f} - set(cert.removed_triangles)
+    faces = set(K.face_ids()) - set(cert.removed_triangles)
     for i, step in enumerate(cert.steps):
         reason = reference_step_violation(K, faces, step)
         if reason is not None:
             return f"step {i}: {reason}"
         reference_apply_step(K, faces, step)
     reached = {K.label_face(f) for f in faces}
-    expected = {cert.target.label_face(f) for f in cert.target.faces if f}
+    expected = {cert.target.label_face(f) for f in cert.target.face_ids()}
     if reached != expected:
         return "final complex does not equal the certificate target"
     return None
@@ -621,7 +621,7 @@ def reference_free_steps(K, faces):
 
 def reference_apply(K, step):
     """apply_collapse's result, or the NotFreeError's text and blocking facet."""
-    faces = {f for f in K.faces if f}
+    faces = set(K.face_ids())
     reason = reference_step_violation(K, faces, step)
     if reason is not None:
         tau = step.free_face
@@ -665,11 +665,11 @@ def test_ridge_count_replay_matches_the_coface_reference():
     assert sum(not K.is_pure() for K in corpus) >= 20
     illegal = checked = 0
     for K in corpus:
-        pool = sorted(K.faces)
+        pool = sorted(all_faces(K))
         triangles = [f for f in K.facets if len(f) == 3]
         for _ in range(4):
             removed = frozenset(t for t in triangles if rng.random() < 0.3)
-            faces = {f for f in K.faces if f} - removed
+            faces = set(K.face_ids()) - removed
             steps = []
             for _ in range(rng.randint(0, 12)):
                 free = reference_free_steps(K, faces)
@@ -690,8 +690,8 @@ def test_ridge_count_replay_matches_the_coface_reference():
         current = K
         while True:
             free = free_faces(current)
-            assert free == reference_free_steps(current, {f for f in current.faces if f})
-            pool = sorted(current.faces)
+            assert free == reference_free_steps(current, set(current.face_ids()))
+            pool = sorted(all_faces(current))
             for step in free[:3] + [CollapseStep(rng.choice(pool), rng.choice(pool))
                                     for _ in range(3)]:
                 assert applied(current, step) == reference_apply(current, step)
@@ -709,9 +709,10 @@ def reference_checked_violation(K, cert):
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
                 f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
+    faces = all_faces(K)
     for i, step in enumerate(cert.steps):
         for face in (step.free_face, step.facet):
-            if face not in K.faces:
+            if face not in faces:
                 raise MalformedCertificateError(
                     f"step {i}: {K.face_name(face)} is not a face of the subject")
     return reference_violation(K, cert)
@@ -747,7 +748,7 @@ def free_step_collapse(K):
     """A certificate collapsing K to a point by the reference's free steps:
     a step whose free face lies in the facet of the one before when there
     is one, else the least."""
-    faces, steps = {f for f in K.faces if f}, []
+    faces, steps = set(K.face_ids()), []
     while len(faces) > 1:
         free = reference_free_steps(K, faces)
         after = [s for s in free if steps and set(s.free_face) < set(steps[-1].facet)]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from collections import deque
 from itertools import combinations, permutations
 
@@ -37,14 +38,14 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.wsat import _subgraph
-from conftest import maximal_faces, reference_subdivision
+from conftest import all_faces, maximal_faces, reference_subdivision
 
 
 # -- construction ---------------------------------------------------------------
 
 def test_single_triangle_closure(triangle):
     assert triangle.f_vector() == (1, 3, 3, 1)
-    assert len(triangle.faces) == 8  # empty face included
+    assert len(all_faces(triangle)) == 8  # empty face included
 
 
 def test_subset_faces_are_absorbed():
@@ -144,15 +145,23 @@ def test_induced_absorbs_contained_faces(two_triangles):
 
 
 def test_induced_rejects_non_faces(two_triangles):
-    with pytest.raises(NotAFaceError):
-        two_triangles.induced([(0, 3)])  # ad is not an edge
+    """The first listed face that is not a nonempty face is named, in
+    listing order: the empty face, a non-edge (ad), a face larger than the
+    dimension and a face with an id past the last label.  None of them is
+    looked up in a set of its own size, so none raises IndexError."""
+    for bad in [(), (0, 3), (0, 1, 2, 3), (1, two_triangles.n_vertices),
+                (two_triangles.n_vertices,)]:
+        for listing in ([bad], [(0, 1), bad, (0, 3), (), (0, 1, 2, 3, 4)]):
+            with pytest.raises(NotAFaceError, match=f"^{re.escape(str(bad))} is not a "
+                               "nonempty face of the complex$"):
+                two_triangles.induced(listing)
 
 
 # -- barycentric subdivision -------------------------------------------------------
 
 def brute_force_chains(K: Complex) -> set[frozenset]:
     """Independent sd oracle: every totally ordered set of nonempty faces."""
-    faces = [f for f in K.faces if f]
+    faces = list(K.face_ids())
     chains = set()
     for r in range(1, len(faces) + 1):
         for combo in combinations(faces, r):
@@ -165,9 +174,7 @@ def brute_force_chains(K: Complex) -> set[frozenset]:
 def sd_faces_as_chains(K: Complex, sd: Complex) -> set[frozenset]:
     """Translate nonempty sd faces back to sets of original faces."""
     out = set()
-    for face in sd.faces:
-        if not face:
-            continue
+    for face in sd.face_ids():
         labels = sd.label_face(face)
         originals = [K.face_from_labels(lab[1:-1].split("|")) for lab in labels]
         out.add(frozenset(originals))
@@ -255,7 +262,7 @@ def test_a_label_in_no_face_leaves_no_gap_in_the_face_numbering():
     pinched = Complex(["a", "b", "c", "d", "e", "f"], [(0, 1, 2), (2, 4, 5)])
     assert first_shelling_violation(pinched, ShellingCertificate(pinched.facets)) == 1
     assert sorted(K.face_ids().values()) == list(range(7))
-    assert set(K.face_ids()) == K.faces - {()}
+    assert set(K.face_ids()) == all_faces(K) - {()}
 
 
 def test_facet_rows_name_the_proper_subfaces_of_each_facet():
@@ -271,7 +278,7 @@ def test_facet_rows_name_the_proper_subfaces_of_each_facet():
               from_facets(["a b c", "c d", "e"])]
     for K in corpus:
         face = {i: f for f, i in K.face_ids().items()}
-        assert sorted(face) == list(range(len(face))) and set(face.values()) == K.faces - {()}
+        assert sorted(face) == list(range(len(face))) and set(face.values()) == all_faces(K) - {()}
         for facet, row in zip(K.facets, K.facet_rows(), strict=True):
             assert [face[i] for i in row] == [
                 sub for k in range(1, len(facet)) for sub in combinations(facet, k)]
@@ -288,6 +295,15 @@ def test_sd_rejects_faces_that_serialize_alike():
         K.barycentric_subdivision()
     assert from_facets(["a b x", "b c y", "a c z"]).barycentric_subdivision(
         ).f_vector() == (1, 18, 36, 18)
+
+
+def test_sd_names_the_least_of_two_label_clashes():
+    # "a b" and "a|b" both become "{a|b}", "c d" and "c|d" both "{c|d}".
+    # The least shared name is raised, with its two faces in id order.
+    K = from_facets(["c d c|d", "a b a|b", "b c y", "a c z", "a d w"])
+    with pytest.raises(ShellsatError, match=re.escape(
+            "faces 'a b' and 'a|b' both subdivide to vertex '{a|b}'") + "$"):
+        K.barycentric_subdivision()
 
 
 def test_sd_of_parsed_sd_output_keeps_every_face(two_triangles):
@@ -389,7 +405,7 @@ def test_from_facets_idempotent_on_facets():
 # agree as values and byte for byte.
 
 def label_skeleton(K: Complex, k: int) -> Complex:
-    return from_facets([K.label_face(f) for f in K.faces if 0 < len(f) <= k + 1])
+    return from_facets([K.label_face(f) for f in K.face_ids() if len(f) <= k + 1])
 
 
 def label_induced(K: Complex, faces) -> Complex:
@@ -408,13 +424,13 @@ def label_sd(K: Complex) -> Complex:
 
 def label_collapse(K: Complex, step) -> Complex:
     tau, sigma = set(step.free_face), set(step.facet)
-    left = [f for f in K.faces if f and not tau <= set(f) <= sigma]
+    left = [f for f in K.face_ids() if not tau <= set(f) <= sigma]
     return from_facets([K.label_face(f) for f in maximal_faces(left)])
 
 
 def assert_same(built: Complex, reference: Complex) -> None:
     assert built == reference
-    assert built.labels == reference.labels and built.faces == reference.faces
+    assert built.labels == reference.labels and all_faces(built) == all_faces(reference)
     assert built.to_sc() == reference.to_sc()
     assert built.fingerprint == reference.fingerprint
 
@@ -461,7 +477,7 @@ def test_subgraph_matches_graph_complex():
 # sweep, keeping the faces of each size apart, and every face listing reads
 # those sets; parsing checks each distinct label once and compares absorbed
 # faces as id faces, and to_sc checks each label once.  The references
-# below are the earlier passes of each: full scans over K.faces.
+# below are the earlier passes of each: full scans over every face.
 
 def reference_build(id_faces) -> tuple[tuple, frozenset]:
     """maximal_faces for the facets, then every subface of every face."""
@@ -487,7 +503,7 @@ def reference_to_sc(K: Complex) -> str:
 def reference_connected(K: Complex) -> bool:
     """Breadth-first search over the 1-skeleton from vertex 0."""
     neighbours = {v: set() for v in range(K.n_vertices)}
-    for u, v in (f for f in K.faces if len(f) == 2):
+    for u, v in (f for f in reference_build(K.facets)[1] if len(f) == 2):
         neighbours[u].add(v)
         neighbours[v].add(u)
     seen, queue = {0}, deque([0])
@@ -580,9 +596,9 @@ def assert_skeleton_matches_induced(K: Complex, k: int) -> None:
     the faces it numbers, by size.  A skeleton that keeps every label
     numbers them as K does; skeleton(1).skeleton(0) is skeleton(0)."""
     skeleton = K.skeleton(k)
-    reference = K.induced([f for f in K.faces if 0 < len(f) <= k + 1])
-    assert (skeleton.labels, skeleton.facets, skeleton.faces, skeleton.dim) == (
-        reference.labels, reference.facets, reference.faces, reference.dim)
+    reference = K.induced([f for f in K.face_ids() if len(f) <= k + 1])
+    assert (skeleton.labels, skeleton.facets, all_faces(skeleton), skeleton.dim) == (
+        reference.labels, reference.facets, all_faces(reference), reference.dim)
     assert skeleton.f_vector() == reference.f_vector()
     assert skeleton.is_connected() == reference.is_connected()
     assert skeleton.fingerprint == reference.fingerprint
@@ -600,28 +616,30 @@ def test_one_sweep_build_matches_two_pass_build():
     """Complex, induced and skeleton(k) against the two-pass reference, on
     listings that keep every vertex (no renumbering) and on listings that
     drop one (renumbered); and each face listing read from the faces kept
-    by size against a full scan of K.faces, for k = -2..dim+1; each
+    by size against a full scan of the closure of K's facets, for
+    k = -2..dim+1; each
     skeleton also against the induced subcomplex, on the sweep corpus and
     the skeleton cases."""
     rng, drop = random.Random(29), random.Random(37)
     identity = renumbered = 0
     for K in sweep_corpus() + skeleton_cases():
-        listing = [f for f in K.faces if f and rng.random() < 0.3] + list(K.facets)
+        closure = sorted(reference_build(K.facets)[1])
+        listing = [f for f in closure if f and rng.random() < 0.3] + list(K.facets)
         rng.shuffle(listing)
         for faces in (K.facets, listing, listing + listing[:5]):
             built = Complex(K.labels, faces)
-            assert (built.facets, built.faces) == reference_build(faces)
-        vertices = [f for f in K.faces if len(f) == 1]
+            assert (built.facets, all_faces(built)) == reference_build(faces)
+        vertices = [f for f in closure if len(f) == 1]
         every = listing + vertices
         (dropped,) = drop.choice(vertices)
         without = [f for f in every if dropped not in f]
         for faces in (every, without) if without else (every,):
             built = K.induced(faces)
-            assert (built.labels, built.facets, built.faces) == reference_induced(K, faces)
+            assert (built.labels, built.facets, all_faces(built)) == reference_induced(K, faces)
             identity += built.labels == K.labels
             renumbered += built.labels != K.labels
         def scan(k):
-            return tuple(sorted(f for f in K.faces if len(f) == k + 1))
+            return tuple(f for f in closure if len(f) == k + 1)
 
         for k in range(-2, K.dim + 2):
             assert K.faces_of_dim(k) == scan(k)
@@ -630,16 +648,16 @@ def test_one_sweep_build_matches_two_pass_build():
                     K.skeleton(k)
                 continue
             skeleton = K.skeleton(k)
-            assert (skeleton.labels, skeleton.facets, skeleton.faces) == reference_induced(
-                K, [f for f in K.faces if 0 < len(f) <= k + 1])
+            assert (skeleton.labels, skeleton.facets, all_faces(skeleton)) == reference_induced(
+                K, [f for f in closure if 0 < len(f) <= k + 1])
             assert_skeleton_matches_induced(K, k)
         assert (K.edges, K.triangles) == (scan(1), scan(2))
         counts = [0] * (K.dim + 2)
-        for f in K.faces:
+        for f in closure:
             counts[len(f)] += 1
         assert K.f_vector() == tuple(counts)
         assert K.reduced_euler_characteristic() == sum(
-            1 if len(f) % 2 else -1 for f in K.faces)
+            1 if len(f) % 2 else -1 for f in closure)
         assert K.to_sc() == reference_to_sc(K)
         assert K.fingerprint == hashlib.sha256(
             reference_to_sc(K).encode("utf-8")).hexdigest()[:16]
@@ -802,7 +820,7 @@ def test_sd_is_flag():
     for K in random_corpus() + list(enumerate_pure2(5, 6)):
         sd = K.barycentric_subdivision()
         for L in (sd, sd.barycentric_subdivision()):
-            assert all(t in L.faces for t in clique_triangles(L.n_vertices, L.edges))
+            assert all(t in L.face_ids() for t in clique_triangles(L.n_vertices, L.edges))
             assert L.is_flag2() is True
             assert Complex(L.labels, L.facets).is_flag2() is True
 

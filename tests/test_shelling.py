@@ -46,7 +46,7 @@ from shellsat.shelling import (
     parse_shelling,
 )
 from shellsat.certificates import lift_shelling, run_chain
-from conftest import maximal_faces, outcome
+from conftest import all_faces, maximal_faces, outcome
 
 
 def _proper_subfaces(facet):
@@ -814,7 +814,7 @@ def test_tables_match_the_setdefault_tables():
             reference.full, reference.slot, reference.ridge_slots)
         ids = K.face_ids()
         assert sorted(ids.values()) == list(range(len(prefix.cover)))
-        assert set(ids) == K.faces - {()}
+        assert set(ids) == all_faces(K) - {()}
         inverse, ref_inverse = inverse_ids(K, K.facet_rows()), inverse_ids(K, reference.rows)
         assert {f: i for i, f in ref_inverse.items()}.items() <= reference.ids.items()
         assert {f: i for i, f in inverse.items()}.items() <= ids.items()

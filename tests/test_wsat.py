@@ -425,7 +425,8 @@ def tampered_saturations(rng, L, cert):
     # Two absent witness edges, the first named in the witness's own order.
     u, v = order[i]
     far = next(w for w in range(L.n_vertices)
-               if (min(u, w), max(u, w)) not in L.faces and (min(v, w), max(v, w)) not in L.faces)
+               if (min(u, w), max(u, w)) not in L.face_ids()
+               and (min(v, w), max(v, w)) not in L.face_ids())
     yield at(witnesses=put(witnesses, i, (far, v, u)))
     yield at(witnesses=put(witnesses, i, witnesses[i][:1] + witnesses[i]))
     yield at(order=put(order, i, order[i + 1]))
