@@ -40,10 +40,10 @@ from .shelling import (
 )
 from .wsat import (
     SaturationCertificate,
-    _subgraph,
     format_saturation,
     saturation_fields,
     saturation_violation,
+    spanning_subgraph,
 )
 
 
@@ -102,7 +102,7 @@ def shelling_to_saturated_tree(L: Complex,
     tree = list(map(edges.__getitem__, compress(new, map(not_, last))))
     assert len(tree) == L.n_vertices - 1
     return SaturationCertificate(
-        _subgraph(L.skeleton(1), tree),
+        spanning_subgraph(L.skeleton(1), tree),
         tuple(map(edges.__getitem__, compress(new, last))),
         tuple(map(order.__getitem__, compress(facet_of, last))))
 
@@ -118,6 +118,9 @@ def saturation_to_collapse(L: Complex,
     pure of dimension 2, so its triangles are its facets); the witness
     triangles collapse in reverse saturation order, and the
     remaining spanning tree is pruned leaf by leaf, largest leaf first.
+    The replay adds each missing host edge between two vertices its witness
+    already joins, so the start's components are the connected host's, and
+    n - 1 start edges make a spanning tree.
 
     The prune keeps each vertex's set of tree neighbours and a heap of the
     negated ids of the leaves, so the heap's least entry is the largest
@@ -135,10 +138,9 @@ def saturation_to_collapse(L: Complex,
     failure = saturation_violation(host, cert)
     if failure is not None:
         raise CertificateError(f"invalid saturation certificate: {failure}")
-    # The replay checked that the start spans the host, so it has n vertices.
     tree_edges = cert.start.edges
     n = L.n_vertices
-    if len(tree_edges) != n - 1 or not cert.start.is_connected():
+    if len(tree_edges) != n - 1:
         raise CertificateError("the start graph must be a spanning tree")
 
     triangles = list(map(tuple, map(sorted, cert.witnesses)))

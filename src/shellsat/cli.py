@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0,
                        help="RNG seed (default 0, never entropy)")
     p_gen.add_argument("--count", type=int, default=None,
-                       help="instance cap (required stream length for random mode)")
+                       help="instance cap (default: 10 for random-pure-2, all otherwise)")
     p_gen.add_argument("--depth", type=int, default=1, metavar="K",
                        help="subdivision depth for subdivide-depth-k")
     p_gen.add_argument("--json", action="store_true")

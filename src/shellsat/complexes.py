@@ -174,10 +174,6 @@ class Complex:
     def label_face(self, face: Face) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in face)
 
-    def face_text(self, face: Face) -> str:
-        """The face as certificates and ".sc" lines write it: "a b c"."""
-        return " ".join([self.labels[v] for v in face])
-
     def face_name(self, face: Face) -> str:
         """The face quoted in labels, for a failure message: 'a b c'.  An id
         naming no vertex (only a hand-built certificate has one) shows as
@@ -186,12 +182,11 @@ class Complex:
         return repr(" ".join([self.labels[v] if 0 <= v < n else f"#{v}" for v in face]))
 
     def face_texts(self, faces: Iterable[Face]) -> list[str]:
-        """:meth:`face_text` of each face.  ``itemgetter`` of two or more ids
-        picks the tuple of their labels in one C call; of one id it picks
-        the bare label, so shorter faces go through ``face_text``.  Nothing
-        is kept on the complex."""
+        """Each face as certificates and ".sc" lines write it: "a b c".
+        ``itemgetter`` picks the labels of two or more ids in one C call; of
+        one id it picks the bare label, so shorter faces join a label list."""
         labels = self.labels
-        return [" ".join(itemgetter(*f)(labels)) if len(f) > 1 else self.face_text(f)
+        return [" ".join(itemgetter(*f)(labels) if len(f) > 1 else [labels[v] for v in f])
                 for f in faces]
 
     def face_from_labels(self, labels: Sequence[str]) -> Face:
@@ -269,7 +264,7 @@ class Complex:
         return self._keep("hash", lambda: hash((self.labels, self.facets)))
 
     def __repr__(self) -> str:
-        parts = [self.face_text(f) for f in self.facets[:4]]
+        parts = self.face_texts(self.facets[:4])
         more = ", ..." if len(self.facets) > 4 else ""
         return f"Complex({', '.join(parts)}{more})"
 
@@ -409,7 +404,7 @@ class Complex:
         if len(named) < len(faces):
             pairs = sorted(zip(names, faces))
             (name, a), (_, b) = next((x, y) for x, y in zip(pairs, pairs[1:]) if x[0] == y[0])
-            raise ShellsatError(f"faces {self.face_text(a)!r} and {self.face_text(b)!r} "
+            raise ShellsatError(f"faces {self.face_name(a)} and {self.face_name(b)} "
                                 f"both subdivide to vertex {name!r}")
         labels = sorted(named)
         vertex = dict(zip(map(named.__getitem__, labels), count()))

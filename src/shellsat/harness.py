@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from .collapse import Triangle
 from .complexes import Complex, from_facets, is_connected_graph
 from .errors import OracleBoundError, ParameterError
-from .wsat import _subgraph, graph_complex
+from .wsat import graph_complex, spanning_subgraph
 
 MODES = ("random-pure-2", "enumerate-all", "subdivide-depth-k")
 
@@ -205,7 +205,7 @@ def sample_connected_graph(rng: random.Random, n: int, p: float) -> Complex:
 
 def sample_spanning_subgraph(rng: random.Random, F: Complex, p: float) -> Complex:
     """A seeded spanning subgraph of F keeping each edge with probability p."""
-    return _subgraph(F, {e for e in F.edges if rng.random() < p})
+    return spanning_subgraph(F, {e for e in F.edges if rng.random() < p})
 
 
 # -- brute-force oracles --------------------------------------------------------

@@ -11,6 +11,7 @@ deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .collapse import least_deletions, least_removal, peel
 from .complexes import (
@@ -77,8 +78,10 @@ def graph_complex(vertex_labels, edge_label_pairs) -> Complex:
     return from_facets(facets)
 
 
-def _subgraph(F: Complex, edges: set[Edge]) -> Complex:
-    return F.induced([*edges, *zip(range(F.n_vertices))])
+def spanning_subgraph(F: Complex, edges: Iterable[Edge]) -> Complex:
+    """The graph of the edges (id pairs) on all of F's vertices, built on F's
+    ids and unchecked: a parsed start edge outside F is the verifier's to report."""
+    return Complex(F.labels, [*edges, *zip(range(F.n_vertices))])
 
 
 def _bootstrap(n: int, host: set[Edge],
@@ -115,7 +118,7 @@ def k3_closure(F: Complex, G: Complex) -> Complex:
     """Add host edges completing a K3 until none qualifies."""
     host, start = _spanning_edges(F, G)
     order, _ = _bootstrap(F.n_vertices, host, start)
-    return _subgraph(F, start.union(order))
+    return spanning_subgraph(F, start.union(order))
 
 
 def is_weakly_saturated(F: Complex, G: Complex) -> bool:
@@ -225,7 +228,7 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     if isinstance(deleted, Impossible):
         return NotSaturated()
     freed, _ = peel(triangles, set(range(len(triangles))) - deleted)
-    return extract_saturation_order(F, _subgraph(F, host - {e for e, _ in freed}))
+    return extract_saturation_order(F, spanning_subgraph(F, host - {e for e, _ in freed}))
 
 
 def wsat_number(F: Complex, budget: int | Budget | None = None):
@@ -267,15 +270,16 @@ def format_saturation(F: Complex, cert: SaturationCertificate) -> str:
 
 
 def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
-    """Parse a saturation certificate against its host graph."""
+    """Parse a saturation certificate against its host graph.  A pattern
+    other than K3 raises on its line; the start graph is built on F's ids
+    by :func:`spanning_subgraph`, so a start edge outside F reaches the verifier."""
     start_edges: list[Edge] = []
     order: list[Edge] = []
     witnesses: list[tuple[int, int, int]] = []
-    pattern = PATTERN
     saw_start = False
 
     def read(body: str, comment: bool) -> None:
-        nonlocal pattern, saw_start
+        nonlocal saw_start
         if comment:
             if body.startswith("start:"):
                 saw_start = True
@@ -284,8 +288,10 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
                         raise MalformedCertificateError(
                             f"start entry {F.face_name(face)} is not an edge")
                     start_edges.append(face)
-            elif body.startswith("pattern:"):
-                pattern = body[len("pattern:"):].strip()
+            elif body.startswith("pattern:") and (
+                    pattern := body[len("pattern:"):].strip()) != PATTERN:
+                raise MalformedCertificateError(
+                    f"unsupported pattern {pattern!r}; only {PATTERN} is supported")
         elif ":" not in body:
             raise MalformedCertificateError(
                 f"expected 'edge : witness', got {body!r}")
@@ -297,9 +303,5 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
     read_certificate(text, SATURATION, F, read)
     if not saw_start:
         raise MalformedCertificateError("certificate must contain '# start:'")
-    # Read, not derived: a start edge outside F is reported by the verifier.
-    start = graph_complex(F.labels, [F.label_face(e) for e in start_edges])
-    if pattern != PATTERN:
-        raise MalformedCertificateError(
-            f"unsupported pattern {pattern!r}; only {PATTERN} is supported")
-    return SaturationCertificate(start, tuple(order), tuple(witnesses))
+    return SaturationCertificate(spanning_subgraph(F, start_edges), tuple(order),
+                                 tuple(witnesses))

@@ -28,7 +28,13 @@ from shellsat.collapse import collapse_fields
 from shellsat.errors import CertificateError, ConnectivityError, FlagnessError, PurityError
 from shellsat.harness import enumerate_pure2
 from shellsat.shelling import first_shelling_violation
-from shellsat.wsat import SaturationCertificate, saturation_fields
+from shellsat.wsat import (
+    SaturationCertificate,
+    format_saturation,
+    saturation_fields,
+    saturation_violation,
+    spanning_subgraph,
+)
 from conftest import chain_reports, reference_collapse, reference_saturated_tree
 
 
@@ -143,6 +149,36 @@ def test_saturation_that_fails_its_replay_is_rejected(two_triangles):
     for bad in (early, no_triangle):
         with pytest.raises(CertificateError, match="invalid saturation certificate"):
             saturation_to_collapse(two_triangles, bad)
+
+
+def test_a_disconnected_start_of_tree_size_fails_its_replay(two_triangles, tmp_path,
+                                                           capsys, monkeypatch):
+    """n - 1 start edges with a cycle leave a vertex out; the replay refuses
+    them with its reason, and no second connectivity check is asked for."""
+    host = two_triangles.skeleton(1)
+    start = spanning_subgraph(host, [(0, 1), (0, 2), (1, 2)])  # abc, d alone
+    cert = SaturationCertificate(start, ((1, 3), (2, 3)), ((1, 2, 3), (1, 2, 3)))
+    assert len(start.edges) == two_triangles.n_vertices - 1 and not start.is_connected()
+    reason = "index 0: witness edge 'c d' is not present after adding edge 'b d'"
+    assert saturation_violation(host, cert) == reason
+    with pytest.raises(CertificateError) as raised:
+        saturation_to_collapse(two_triangles, cert)
+    assert str(raised.value) == f"invalid saturation certificate: {reason}"
+    (tmp_path / "two.sc").write_text(two_triangles.to_sc())
+    (tmp_path / "cycle.cert").write_text(format_saturation(host, cert))
+    assert main(["convert", "--in", str(tmp_path / "two.sc"),
+                 "--cert", str(tmp_path / "cycle.cert")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: invalid saturation certificate: {reason}\n"
+
+    asked = []
+    is_connected = Complex.is_connected
+    monkeypatch.setattr(Complex, "is_connected",
+                        lambda self: asked.append(self) or is_connected(self))
+    tree = spanning_subgraph(host, [(0, 1), (0, 2), (1, 3)])
+    saturation_to_collapse(two_triangles, SaturationCertificate(
+        tree, ((1, 2), (2, 3)), ((0, 1, 2), (1, 2, 3))))
+    assert asked and all(graph is not tree for graph in asked)
 
 
 # -- removal count check ------------------------------------------------------------------
@@ -466,7 +502,7 @@ def test_tree_prune_takes_the_largest_leaf_first(facets, tree, order, pruned):
     collapse = saturation_to_collapse(L, cert)
     assert collapse == reference_collapse(L, cert)
     leaves = [step.free_face for step in collapse.steps if len(step.free_face) == 1]
-    assert [L.face_text(leaf) for leaf in leaves] == pruned.split()
+    assert [" ".join(L.label_face(leaf)) for leaf in leaves] == pruned.split()
     assert collapse.target.labels == ("a",) and collapse.targets_point()
 
 
@@ -475,9 +511,9 @@ def test_tree_prune_takes_the_largest_leaf_first(facets, tree, order, pruned):
 def reference_saturation_fields(F, cert):
     """saturation_fields with each face rendered by its own call."""
     return {
-        "start": [F.face_text(e) for e in sorted(set(cert.start.faces_of_dim(1)))],
-        "order": [F.face_text(e) for e in cert.order],
-        "witnesses": [F.face_text(w) for w in cert.witnesses],
+        "start": [" ".join(F.label_face(e)) for e in sorted(set(cert.start.faces_of_dim(1)))],
+        "order": [" ".join(F.label_face(e)) for e in cert.order],
+        "witnesses": [" ".join(F.label_face(w)) for w in cert.witnesses],
         "pattern": "K3",
     }
 
@@ -485,9 +521,10 @@ def reference_saturation_fields(F, cert):
 def reference_collapse_fields(K, cert):
     """collapse_fields with each face rendered by its own call."""
     return {
-        "removed": [K.face_text(t) for t in sorted(cert.removed_triangles)],
-        "steps": [[K.face_text(s.free_face), K.face_text(s.facet)] for s in cert.steps],
-        "target": [cert.target.face_text(f) for f in cert.target.facets],
+        "removed": [" ".join(K.label_face(t)) for t in sorted(cert.removed_triangles)],
+        "steps": [[" ".join(K.label_face(s.free_face)), " ".join(K.label_face(s.facet))]
+                  for s in cert.steps],
+        "target": [" ".join(cert.target.label_face(f)) for f in cert.target.facets],
     }
 
 

@@ -466,6 +466,17 @@ def test_gen_random_records_retries(workdir):
     assert all("retries" in entry for entry in manifest["instances"])
 
 
+def test_gen_random_writes_ten_instances_without_count(workdir, capsys):
+    corpus = workdir / "rand"
+    assert run("gen", "--out", corpus, "--mode", "random-pure-2",
+               "--n", 6, "--t", 3, "--json") == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 10, "directory": str(corpus)}
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    assert [entry["file"] for entry in manifest["instances"]] == [
+        f"inst_{i:04d}.sc" for i in range(10)]
+    assert len(list(corpus.iterdir())) == 11
+
+
 def test_gen_infeasible_spec(workdir):
     assert run("gen", "--out", workdir / "x", "--mode", "random-pure-2",
                "--n", 4, "--t", 9) == 3

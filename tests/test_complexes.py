@@ -37,7 +37,7 @@ from shellsat.harness import (
     flag_dunce_hat,
     sample_pure2,
 )
-from shellsat.wsat import _subgraph
+from shellsat.wsat import spanning_subgraph
 from conftest import all_faces, maximal_faces, reference_subdivision
 
 
@@ -96,6 +96,15 @@ def test_repr_names_the_first_four_facets(two_triangles):
     strip = from_facets([f"v{i} v{i + 1} v{i + 2}" for i in range(5)])
     assert repr(strip) == "Complex(v0 v1 v2, v1 v2 v3, v2 v3 v4, v3 v4 v5, ...)"
     assert repr(from_facets(["x"])) == "Complex(x)"
+
+
+def test_face_texts_writes_each_face_by_its_labels():
+    """The one face writer, on faces of every size, the empty face included."""
+    for K in (from_facets(["a b c d", "b c e", "e f", "gh"]), from_facets(["xy"])):
+        faces = [f for k in range(-1, K.dim + 1) for f in K.faces_of_dim(k)]
+        assert {len(f) for f in faces} == set(range(K.dim + 2))
+        assert K.face_texts(faces) == [" ".join(K.label_face(f)) for f in faces]
+    assert from_facets(["xy"]).face_texts([(), (0,)]) == ["", "xy"]
 
 
 def test_skeleton_drops_triangles(two_triangles):
@@ -460,14 +469,14 @@ def test_apply_collapse_matches_label_build():
             assert_same(apply_collapse(K, step), label_collapse(K, step))
 
 
-def test_subgraph_matches_graph_complex():
+def test_spanning_subgraph_matches_graph_complex():
     rng = random.Random(17)
     graphs = [*enumerate_connected_graphs(5),
               *(K.skeleton(1) for K in enumerate_pure2(5, 3))]
     for G in graphs:
         for _ in range(4):
             edges = {e for e in G.edges if rng.random() < 0.5}
-            assert_same(_subgraph(G, edges), graph_complex(
+            assert_same(spanning_subgraph(G, edges), graph_complex(
                 G.labels, [G.label_face(e) for e in sorted(edges)]))
 
 

@@ -324,14 +324,20 @@ def test_certificate_parse_errors():
 
 def test_only_the_k3_pattern_verifies():
     # The engine decides K3-saturation only; a certificate naming another
-    # pattern is malformed, not valid, and the parser says so.
+    # pattern is malformed, not valid, and the parser says so on reading its
+    # line: a later "# pattern: K3" does not override it, and a missing
+    # "# start:" is never reached.
     F = k4()
-    text = format_saturation(F, decide_wsat_eq_treesize(F))
-    assert "# pattern: K3\n" in text
-    for pattern in ("K4", "k3", "anything"):
-        with pytest.raises(MalformedCertificateError,
-                           match=f"unsupported pattern '{pattern}'; only K3 is supported"):
-            parse_saturation(text.replace("# pattern: K3", f"# pattern: {pattern}"), F)
+    header, pattern, start, *steps = format_saturation(
+        F, decide_wsat_eq_treesize(F)).splitlines()
+    assert pattern == "# pattern: K3" and start.startswith("# start:")
+    for name in ("K4", "k3", "anything"):
+        bad = f"# pattern: {name}"
+        for lines in ([header, bad, start, *steps], [header, bad, pattern, start, *steps],
+                      [header, bad, *steps]):
+            with pytest.raises(MalformedCertificateError, match=(
+                    f"^line 2: unsupported pattern '{name}'; only K3 is supported$")):
+                parse_saturation("\n".join(lines) + "\n", F)
 
 
 @pytest.mark.parametrize("entry", ["a", "a b c", "a a", "a b c d"])
@@ -352,10 +358,15 @@ def test_saturation_violation_rejects_broken_certificates():
     F = from_facets(["a b", "b c", "a c", "c d"])
     cert = decide_wsat_eq_treesize(F)
     assert saturation_violation(F, cert) is None
-    # A start edge outside the host.
+    # A start edge outside the host, built or parsed: the parser leaves it
+    # to the verifier.
     outside = graph_complex(F.labels, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    with pytest.raises(MalformedCertificateError, match="edges outside the host"):
-        saturation_violation(F, SaturationCertificate(outside, cert.order, cert.witnesses))
+    parsed = parse_saturation("# start: a b, b c, c d, a d\n", F).start
+    assert parsed == outside
+    for start in (outside, parsed):
+        with pytest.raises(MalformedCertificateError,
+                           match="^subgraph has edges outside the host$"):
+            saturation_violation(F, SaturationCertificate(start, cert.order, cert.witnesses))
     # One witness too many, and none at all.
     for witnesses in (cert.witnesses * 2, ()):
         with pytest.raises(MalformedCertificateError, match="one witness per ordered edge"):
