@@ -4,12 +4,12 @@ A complex is the downward closure of its facets; one largest-first sweep
 over the listed faces builds both, keeping each face once, in the set of
 its size that face listings, counts, checks and skeletons read.  The shelling,
 collapse and subdivision code read one kept numbering of its faces.
-Vertex ids follow sorted label order, so complexes built from the same
-label faces are identical, serialize to the same bytes and share one
-fingerprint.  Faces are strictly increasing id tuples; the empty face
-``()`` is always present.  Labels are read only by :func:`from_facets`
-and ".sc" parsing (each distinct label checked once) and written only by
-``to_sc`` and the formatters.
+Every label is a vertex, and vertex ids follow sorted label order, so
+complexes built from the same label faces are identical, serialize to the
+same bytes and share one fingerprint.  Faces are strictly increasing id
+tuples; the empty face ``()`` is always present.  Labels are read only by
+:func:`from_facets` and ".sc" parsing (each distinct label checked once)
+and written only by ``to_sc`` and the formatters.
 
 Complexes are immutable after construction and safe to share between
 threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
@@ -134,7 +134,8 @@ class Complex:
     __slots__ = ("labels", "facets", "dim", "_by_size", "_kept")
 
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
-        """The closure of id_faces (increasing id tuples) on sorted labels.
+        """The closure of id_faces (increasing tuples of label ids) on sorted
+        labels, each of which must be a vertex of a listed face.
 
         One sweep over the distinct nonempty faces, largest size first: the
         faces of a size not yet in the closure are facets, and add their
@@ -144,13 +145,15 @@ class Complex:
         the start, so it is never a facet beside a nonempty face; the
         facets of a size enter whole, and their vertices enter once each
         rather than once per facet.  ``dim`` is one less than the largest
-        size.  Each face is held once, in the set of its size.
+        size.  Each face is held once, in the set of its size.  With no
+        nonempty face listed, the sweep runs as dimension 0 and finds no
+        vertex, so one length check refuses it and any label that is no vertex.
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
         listed = set(id_faces)
-        sizes = sorted(set(map(len, listed)) - {0}, reverse=True)
-        self.dim = dim = sizes[0] - 1 if sizes else -1
+        sizes = sorted(set(map(len, listed)) - {0}, reverse=True) or [1]
+        self.dim = dim = sizes[0] - 1
         self._by_size = by_size = [{()}] + [set() for _ in range(dim + 1)]
         facets: list[Face] = []
         for size in sizes:
@@ -160,9 +163,11 @@ class Complex:
             by_size[1].update(zip(set(chain.from_iterable(fresh))))  # the vertices, once each
             for k in range(2, size):
                 by_size[k].update(chain.from_iterable(map(combinations, fresh, repeat(k))))
+        if len(by_size[1]) < len(labels):
+            unused = next(v for v in range(len(labels)) if (v,) not in by_size[1])
+            raise NotAFaceError(f"label {labels[unused]!r} is in no face")
         self.labels = tuple(labels)
-        # When only the empty face is listed, it is the one facet.
-        self.facets = tuple(sorted(facets)) or tuple(listed)
+        self.facets = tuple(sorted(facets))
         self._kept: dict = {}
 
     # -- basic structure ---------------------------------------------------
@@ -220,9 +225,9 @@ class Complex:
 
     def face_ids(self) -> dict[Face, int]:
         """The dense id of each nonempty face, kept, listed in id order: by
-        size, smallest first, each size in its sweep set's order.  Only real
-        faces are numbered, so a label in no face leaves no gap.  No id
-        reaches output."""
+        size, smallest first, each size in its sweep set's order.  Every
+        label is a vertex, so the vertices take ids 0..n_vertices-1 and the
+        larger faces the ids after them.  No id reaches output."""
         return self._keep("face ids", lambda: dict(zip(
             chain.from_iterable(self._by_size[1:]), count())))
 
@@ -314,16 +319,15 @@ class Complex:
         """The subcomplex of faces of dimension at most k.
 
         Built once per k and kept, like the fingerprint: the certificate
-        chain asks for the same 1-skeleton at every stage.  When every
-        label lies in a face, the vertices need no renumbering and no face
-        is swept again: the skeleton shares this complex's sets of sizes
-        0..k+1, which nothing changes after ``__init__``.  Its facets are
-        the faces of size k+1 and this complex's facets of size at most k.
-        A face of size k+1 has no larger face in the skeleton.  A smaller
-        face inside a larger face of this complex lies in one of its own
-        size plus one, at most k+1, so it is a facet of the skeleton iff
-        it is one here.  A label in no face goes through :meth:`induced`,
-        which drops it.
+        chain asks for the same 1-skeleton at every stage.  Every label is
+        a vertex, and every vertex is in the skeleton, so the vertices need
+        no renumbering and no face is swept again: the skeleton shares this
+        complex's sets of sizes 0..k+1, which nothing changes after
+        ``__init__``, and keeps the invariant.  Its facets are the faces of
+        size k+1 and this complex's facets of size at most k.  A face of
+        size k+1 has no larger face in the skeleton.  A smaller face inside
+        a larger face of this complex lies in one of its own size plus one,
+        at most k+1, so it is a facet of the skeleton iff it is one here.
         """
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
@@ -331,8 +335,6 @@ class Complex:
 
     def _skeleton(self, k: int) -> "Complex":
         by_size = self._by_size[:k + 2]
-        if self.dim < 0 or len(by_size[1]) < self.n_vertices:
-            return self.induced(chain.from_iterable(by_size[1:]))
         top, lower = self.faces_of_dim(k), [f for f in self.facets if len(f) <= k]
         skeleton = object.__new__(Complex)
         skeleton.labels, skeleton.dim = self.labels, len(by_size) - 2
@@ -342,21 +344,18 @@ class Complex:
         return skeleton
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
-        """The subcomplex closing the listed faces, its vertices renumbered in
-        order: labels stay sorted, so it equals the complex built from labels.
-        When the listed faces use every vertex, the renumbering is the
-        identity and is skipped.  One C-level pass checks the listed faces
-        against the nonempty faces of each size; the first listed face in
-        none of them, ``()`` included, raises."""
+        """The subcomplex closing the listed faces, on the vertices they use,
+        renumbered in order: labels stay sorted, so it equals the complex
+        built from labels, and each of its labels is a vertex.  One C-level
+        pass checks the listed faces against the nonempty faces of each
+        size; the first listed face in none of them, ``()`` included,
+        raises."""
         listed = list(map(tuple, faces))
         missing = set(listed).difference(*self._by_size[1:])
         if missing:
             bad = next(filter(missing.__contains__, listed))
             raise NotAFaceError(f"{bad} is not a nonempty face of the complex")
-        used = set(chain.from_iterable(listed))
-        if len(used) == self.n_vertices:
-            return Complex(self.labels, listed)
-        kept = sorted(used)
+        kept = sorted(set(chain.from_iterable(listed)))
         new = {v: i for i, v in enumerate(kept)}
         return Complex([self.labels[v] for v in kept],
                        [tuple(new[v] for v in f) for f in listed])

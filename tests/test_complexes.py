@@ -10,21 +10,19 @@ import pytest
 
 from shellsat import (
     CollapseCertificate,
-    CollapseStep,
-    ShellingCertificate,
     apply_collapse,
-    first_shelling_violation,
+    collapsible_after_removing,
     free_faces,
     from_facets,
     graph_complex,
+    is_collapsible,
     parse_sc,
     parse_sc_with_warnings,
+    run_chain,
 )
-from shellsat.collapse import collapse_violation
 from shellsat.complexes import LABEL_RE, Complex, clique_triangles, is_connected_graph
 from shellsat.errors import (
     EmptyComplexError,
-    MalformedCertificateError,
     MalformedFaceError,
     NotAFaceError,
     ParseError,
@@ -35,7 +33,9 @@ from shellsat.harness import (
     enumerate_connected_graphs,
     enumerate_pure2,
     flag_dunce_hat,
+    sample_connected_graph,
     sample_pure2,
+    sample_spanning_subgraph,
 )
 from shellsat.wsat import spanning_subgraph
 from conftest import all_faces, maximal_faces, reference_subdivision
@@ -231,58 +231,23 @@ def test_sd_faces_match_chain_oracle(two_triangles, bowtie):
     assert {K.dim for K in corpus} == {2, 3} and not all(K.is_pure() for K in corpus)
 
 
-def test_a_label_in_no_face_leaves_no_gap_in_the_face_numbering():
-    """A hand-built complex may name a label that is in no face, here "d".
-    The face numbering covers only real faces, so the collapse replay, the
-    subdivision and the shelling verifier answer as they would without
-    it.  A numbering that gave vertex v id v and started the larger faces
-    after the labels would leave id 3 naming no face, and ``free_faces``
-    would miss every step."""
-    K = Complex(["a", "b", "c", "d"], [(0, 1, 2)])
-    assert free_faces(K) == [CollapseStep(tau, (0, 1, 2)) for tau in
-                             [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]]
-    for step, (labels, facets) in [
-            (CollapseStep((0,), (0, 1, 2)), (("b", "c"), ((0, 1),))),
-            (CollapseStep((0, 1), (0, 1, 2)), (("a", "b", "c"), ((0, 2), (1, 2)))),
-            (CollapseStep((1, 2), (0, 1, 2)), (("a", "b", "c"), ((0, 1), (0, 2))))]:
-        L = apply_collapse(K, step)
-        assert (L.labels, L.facets) == (labels, facets)
-    steps = tuple(CollapseStep(*pair) for pair in [
-        ((0, 1), (0, 1, 2)), ((0,), (0, 2)), ((1,), (1, 2))])
-    point = from_facets(["c"])
-    for cert, expected in [
-            (CollapseCertificate(frozenset(), steps, point), None),
-            (CollapseCertificate(frozenset(), steps[::-1], point),
-             "step 0: 'b c' is not a facet of the current complex"),
-            (CollapseCertificate(frozenset(), steps, from_facets(["a"])),
-             "final complex does not equal the certificate target"),
-            (CollapseCertificate(frozenset({(0, 1, 2)}), (), from_facets(["a b", "b c", "a c"])),
-             None)]:
-        assert collapse_violation(K, cert) == expected
-    with pytest.raises(MalformedCertificateError, match="step 1: 'd' is not a face"):
-        collapse_violation(K, CollapseCertificate(
-            frozenset(), (steps[0], CollapseStep((3,), (2, 3))), point))
-    sd = K.barycentric_subdivision()
-    assert sd.labels == ("{a|b|c}", "{a|b}", "{a|c}", "{a}", "{b|c}", "{b}", "{c}")
-    assert sd.facets == ((0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 6), (0, 4, 5), (0, 4, 6))
-    assert K.barycenters() == {(0,): 3, (0, 1): 1, (0, 1, 2): 0, (0, 2): 2,
-                               (1,): 5, (1, 2): 4, (2,): 6}
-    assert first_shelling_violation(K, ShellingCertificate(((0, 1, 2),))) is None
-    pinched = Complex(["a", "b", "c", "d", "e", "f"], [(0, 1, 2), (2, 4, 5)])
-    assert first_shelling_violation(pinched, ShellingCertificate(pinched.facets)) == 1
-    assert sorted(K.face_ids().values()) == list(range(7))
-    assert set(K.face_ids()) == all_faces(K) - {()}
+def test_a_label_in_no_face_is_refused():
+    """Every label of a complex is a vertex.  A label in no listed face, the
+    last or one in the middle, is refused by name, and so is the one label
+    of a listing with no nonempty face."""
+    for labels, faces, name in [(list("abcd"), [(0, 1, 2)], "d"),
+                                (list("abcd"), [(0, 2, 3)], "b"),
+                                (["a"], [()], "a"), (["a"], [], "a")]:
+        with pytest.raises(NotAFaceError, match=f"^label '{name}' is in no face$"):
+            Complex(labels, faces)
 
 
 def test_facet_rows_name_the_proper_subfaces_of_each_facet():
     """Each row of ``facet_rows`` lists the ids of its facet's nonempty
     proper subfaces in ``combinations`` order, and the subdivision built on
-    the rows is the permutation build's, on complexes with a label in no
-    face (last or in the middle), facets of several sizes and a vertex
-    facet."""
-    corpus = [Complex(["a", "b", "c", "d"], [(0, 1, 2)]),
-              Complex(["a", "b", "c", "d"], [(0, 2, 3)]),
-              Complex(["a", "b", "c", "d", "e", "f"], [(0, 1, 2), (2, 4, 5), (0, 5)]),
+    the rows is the permutation build's, on complexes with facets of
+    several sizes and a vertex facet, its label in the middle or last."""
+    corpus = [Complex(["a", "b", "c", "d", "e", "f"], [(0, 1, 2), (2, 4, 5), (0, 5), (3,)]),
               Complex(["a", "b", "c", "d", "e", "f"], [(1, 2, 3, 5), (0, 1), (4,)]),
               from_facets(["a b c", "c d", "e"])]
     for K in corpus:
@@ -480,6 +445,52 @@ def test_spanning_subgraph_matches_graph_complex():
                 G.labels, [G.label_face(e) for e in sorted(edges)]))
 
 
+# -- every derived complex keeps every label a vertex -------------------------------
+
+def derived_corpus() -> list[Complex]:
+    """The complexes the package derives, on seeded inputs: the classes of
+    ``enumerate_pure2(5, 5)`` and ``sample_pure2`` draws with their sd and
+    sd², the 0- and 1-skeleton of each of those, the collapse targets that
+    ``induced`` builds, the result of every free collapse step of the
+    classes, draws and their sd, the start graphs and targets of
+    ``run_chain`` reports, and the harness graphs with spanning subgraphs."""
+    rng = random.Random(59)
+    bases = list(enumerate_pure2(5, 5)) + [
+        sample_pure2(rng, rng.randint(5, 7), rng.randint(3, 6))[0] for _ in range(20)]
+    out = []
+    for K in bases:
+        sd = K.barycentric_subdivision()
+        out += [K, sd, sd.barycentric_subdivision()]
+    out += [S for K in list(out) for S in (K.skeleton(0), K.skeleton(1))]
+    for K in bases:
+        for cert in (is_collapsible(K),
+                     collapsible_after_removing(K, max(K.reduced_euler_characteristic(), 0))):
+            if isinstance(cert, CollapseCertificate):
+                out.append(cert.target)
+        report = run_chain(K, budget=100_000)
+        if report.complete:
+            out += [report.saturation.start, report.collapse.target]
+        for L in (K, K.barycentric_subdivision()):
+            out += [apply_collapse(L, step) for step in free_faces(L)]
+    graphs = [*enumerate_connected_graphs(5),
+              *(sample_connected_graph(rng, rng.randint(2, 8), 0.4) for _ in range(20))]
+    return out + graphs + [sample_spanning_subgraph(rng, G, 0.5) for G in graphs]
+
+
+def test_every_derived_complex_keeps_every_label_a_vertex():
+    """Each derived complex reads back from its ".sc" text as itself, with
+    its fingerprint; its vertices are its labels; and its connectivity is
+    its 1-skeleton's."""
+    corpus = derived_corpus()
+    for K in corpus:
+        back = parse_sc(K.to_sc())
+        assert back == K and back.fingerprint == K.fingerprint
+        assert K.n_vertices == K.f_vector()[1]
+        assert K.is_connected() == K.skeleton(1).is_connected()
+    connected = [K.is_connected() for K in corpus]
+    assert 100 < connected.count(False) < len(corpus) - 100, connected.count(False)
+
+
 # -- the one-sweep build against the earlier passes ----------------------------------
 #
 # Complex.__init__ builds the closure and the facets in one largest-first
@@ -562,9 +573,17 @@ def outcome(compute):
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
 
 
+def unused_vertices(n: int, faces) -> list[tuple[int]]:
+    """The vertices 0..n-1 in none of the faces, each as a 0-face, so that
+    every label of a complex built on them is a vertex."""
+    used = {v for f in faces for v in f}
+    return [(v,) for v in range(n) if v not in used]
+
+
 def sweep_corpus() -> list[Complex]:
     """The id-build corpus, 0-dimensional complexes and 200 seeded id-face
-    lists of mixed sizes with duplicates and nested faces."""
+    lists of mixed sizes with duplicates, nested faces and isolated
+    vertices."""
     rng = random.Random(23)
     out = id_build_corpus()
     out += [from_facets(list("abcdefg"[:n])) for n in range(1, 8)]
@@ -576,6 +595,7 @@ def sweep_corpus() -> list[Complex]:
         faces += rng.sample(faces, rng.randint(0, len(faces)))
         faces += [f[:k] for f in faces[:3] for k in range(1, len(f))]
         rng.shuffle(faces)
+        faces += unused_vertices(n, faces)
         out.append(Complex([f"v{i}" for i in range(n)], faces))
     return out
 
@@ -591,19 +611,18 @@ def reference_induced(K: Complex, listing) -> tuple[tuple, tuple, frozenset]:
 
 def skeleton_cases() -> list[Complex]:
     """A dangling edge and an isolated vertex beside a triangle, two solid
-    tetrahedra on a triangle, a 2-sphere, and two complexes with a label in
-    no face, one of them of mixed dimension."""
+    tetrahedra on a triangle, a 2-sphere, and a complex of mixed dimension
+    whose isolated vertex is in the middle of its labels."""
     return [from_facets(["a b c", "c d", "e"]), from_facets(["a b c d", "b c d e"]),
             from_facets(["a b c", "a b d", "a c d", "b c d"]),
-            Complex(["a", "b", "c", "d"], [(0, 1), (1, 2)]),
-            Complex(["a", "b", "c", "d", "e"], [(0, 1, 3), (3, 4), (1,)])]
+            Complex(["a", "b", "c", "d", "e"], [(0, 1, 3), (3, 4), (1,), (2,)])]
 
 
 def assert_skeleton_matches_induced(K: Complex, k: int) -> None:
     """K.skeleton(k) against the induced subcomplex on the faces of size
     1..k+1: labels, facets, faces, f-vector, connectivity, fingerprint and
-    the faces it numbers, by size.  A skeleton that keeps every label
-    numbers them as K does; skeleton(1).skeleton(0) is skeleton(0)."""
+    the faces it numbers, by size.  A skeleton keeps every label and numbers
+    its faces as K does; skeleton(1).skeleton(0) is skeleton(0)."""
     skeleton = K.skeleton(k)
     reference = K.induced([f for f in K.face_ids() if len(f) <= k + 1])
     assert (skeleton.labels, skeleton.facets, all_faces(skeleton), skeleton.dim) == (
@@ -615,15 +634,15 @@ def assert_skeleton_matches_induced(K: Complex, k: int) -> None:
     assert ids.keys() == reference.face_ids().keys()
     assert sorted(ids.values()) == list(range(len(ids)))
     assert sorted(ids, key=ids.get) == sorted(ids, key=len)
-    if skeleton.labels == K.labels:
-        assert ids == {f: i for f, i in K.face_ids().items() if len(f) <= k + 1}
+    assert skeleton.labels == K.labels
+    assert ids == {f: i for f, i in K.face_ids().items() if len(f) <= k + 1}
     if k >= 1:
         assert K.skeleton(k).skeleton(0) == K.skeleton(0)
 
 
 def test_one_sweep_build_matches_two_pass_build():
     """Complex, induced and skeleton(k) against the two-pass reference, on
-    listings that keep every vertex (no renumbering) and on listings that
+    listings that keep every vertex (labels kept) and on listings that
     drop one (renumbered); and each face listing read from the faces kept
     by size against a full scan of the closure of K's facets, for
     k = -2..dim+1; each
@@ -767,7 +786,6 @@ def test_connectivity_matches_breadth_first_search():
         from_facets(["a b c d", "e f"]),
         from_facets(["a", "b", "c"]),
         from_facets(["a b c", "c d", "e f g", "g h"]),
-        Complex(["a", "b", "c"], [(0, 1)]),
     ]
     n = 2000
     path = Complex([f"v{i:04d}" for i in range(n)], [(i, i + 1) for i in reversed(range(n - 1))])
@@ -775,10 +793,10 @@ def test_connectivity_matches_breadth_first_search():
     for _ in range(100):
         faces = rng.sample(list(combinations(range(9), 3)), rng.randint(1, 6))
         faces += rng.sample(list(combinations(range(9), 2)), rng.randint(0, 4))
-        cases.append(Complex([f"v{i}" for i in range(9)], faces))
+        cases.append(Complex([f"v{i}" for i in range(9)], faces + unused_vertices(9, faces)))
     truth = [reference_connected(K) for K in cases]
     assert [K.is_connected() for K in cases] == truth
-    assert truth[:6] == [False] * 6 and truth[6:8] == [True, False]
+    assert truth[:5] == [False] * 5 and truth[5:7] == [True, False]
     assert 20 < truth.count(False) < len(truth) - 20, truth.count(False)
 
 
