@@ -166,7 +166,7 @@ def saturation_to_collapse(L: Complex,
                 heappush(heap, -stem)
     steps += map(CollapseStep, zip(leaves), [(leaf, stem) if leaf < stem else (stem, leaf)
                                              for leaf, stem in zip(leaves, stems)])
-    return CollapseCertificate(removed, tuple(steps), L.induced([(stems[-1],)]))
+    return CollapseCertificate(removed, tuple(steps), ((stems[-1],),))
 
 
 # Facet (a, b, c) -> positions (x, y, z), by which of its edges ab, ac, bc

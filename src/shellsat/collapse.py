@@ -2,10 +2,9 @@
 
 A face is free when it is contained in a single facet; the elementary
 collapse removes it together with every face above it.  Certificates list
-an optional set of removed triangle facets, the collapse steps in order,
-and the target subcomplex the steps must reach.  Removed triangles and
-steps are in the subject's ids; the target is a complex of its own ids
-(:meth:`Complex.induced` renumbers), so it is compared by labels.
+an optional set of removed triangle facets, the collapse steps in order and
+the target faces whose closure they reach, all in the subject's face ids:
+a certificate naming a face that its subject lacks is malformed.
 
 The searches need dimension at most 2, where one greedy peel of free faces
 decides collapsibility (:func:`is_collapsible`); from dimension 3 on the
@@ -25,7 +24,6 @@ from .complexes import (
     Complex,
     Face,
     certificate_header,
-    from_facets,
     listed_faces,
     read_certificate,
     require_pure2_connected,
@@ -57,14 +55,14 @@ class CollapseStep(NamedTuple):
 
 @dataclass(frozen=True)
 class CollapseCertificate:
-    """Remove the listed triangles, apply the steps, arrive at the target."""
+    """Remove the listed triangles, apply the steps, reach the target's closure."""
 
     removed_triangles: frozenset[Face]
     steps: tuple[CollapseStep, ...]
-    target: Complex
+    target: tuple[Face, ...]
 
     def targets_point(self) -> bool:
-        return self.target.dim == 0 and self.target.n_vertices == 1
+        return len(self.target) == 1 and len(self.target[0]) == 1
 
 
 # -- the replay -----------------------------------------------------------------
@@ -253,8 +251,7 @@ def _collapse(K: Complex, removed: frozenset[Face],
     if core:
         return None
     (target,) = set(range(K.n_vertices)).difference(v for (v,), _ in down)
-    steps = tuple(map(CollapseStep._make, up + down))
-    return CollapseCertificate(removed, steps, K.induced([(target,)]))
+    return CollapseCertificate(removed, tuple(map(CollapseStep._make, up + down)), ((target,),))
 
 
 # -- the triangle 2-core engine -------------------------------------------------
@@ -489,9 +486,9 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     or removed entries that are not triangle facets of K, whose removal
     would leave no complex) raises MalformedCertificateError; an illegal
     step or a target mismatch merely makes the certificate invalid and is
-    reported as a string.  One walk over the steps names the first face
-    outside K's nonempty faces before any step is replayed; the empty face
-    passes it, for the replay to refuse with its own reason.
+    reported as a string.  One walk over the steps, then the target, names
+    the first face outside K's nonempty faces before any step is replayed;
+    the empty face passes it, for the replay or the comparison to refuse.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:
@@ -499,11 +496,12 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
             raise MalformedCertificateError(
                 f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
     ids = K.face_ids()
-    for i, step in enumerate(cert.steps):
-        for face in step:
+    for i, faces in enumerate((*cert.steps, cert.target)):
+        for face in faces:
             if face and face not in ids:
+                where = f"step {i}" if i < len(cert.steps) else "target"
                 raise MalformedCertificateError(
-                    f"step {i}: {K.face_name(face)} is not a face of the subject")
+                    f"{where}: {K.face_name(face)} is not a face of the subject")
 
     replay = _Replay(K, cert.removed_triangles)
     for i, step in enumerate(cert.steps):
@@ -511,9 +509,8 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
         if reason is not None:
             return f"step {i}: {reason}"
 
-    reached = {K.label_face(f) for f in compress(replay.face, replay.left)}
-    expected = set(map(cert.target.label_face, cert.target.face_ids()))
-    if reached != expected:
+    if {(), *compress(replay.face, replay.left)} != set(
+            chain.from_iterable(map(subfaces, cert.target))):
         return "final complex does not equal the certificate target"
     return None
 
@@ -531,7 +528,7 @@ def collapse_fields(K: Complex, cert: CollapseCertificate) -> dict:
     return {
         "removed": K.face_texts(sorted(cert.removed_triangles)),
         "steps": [texts[i:i + 2] for i in range(0, len(texts), 2)],
-        "target": cert.target.face_texts(cert.target.facets),
+        "target": K.face_texts(cert.target),
     }
 
 
@@ -549,7 +546,7 @@ def parse_collapse(text: str, K: Complex) -> CollapseCertificate:
     """Parse a collapse certificate file against its subject complex."""
     removed: list[Face] = []
     steps: list[CollapseStep] = []
-    target_lines: list[str] = []
+    target: list[Face] = []
     saw_removed = in_target = False
 
     def read(body: str, comment: bool) -> None:
@@ -561,7 +558,7 @@ def parse_collapse(text: str, K: Complex) -> CollapseCertificate:
             elif body.startswith("target:"):
                 in_target = True
         elif in_target:
-            target_lines.append(body)
+            target.append(K.face_from_labels(body.split()))
         elif "->" not in body:
             raise MalformedCertificateError(
                 f"expected 'free -> facet', got {body!r}")
@@ -571,8 +568,7 @@ def parse_collapse(text: str, K: Complex) -> CollapseCertificate:
                                       K.face_from_labels(right.split())))
 
     read_certificate(text, COLLAPSE, K, read)
-    if not saw_removed or not in_target or not target_lines:
+    if not saw_removed or not target:
         raise MalformedCertificateError(
             "certificate must contain '# removed:' and a nonempty '# target:' section")
-    target = from_facets(target_lines)
-    return CollapseCertificate(frozenset(removed), tuple(steps), target)
+    return CollapseCertificate(frozenset(removed), tuple(steps), tuple(sorted(set(target))))

@@ -8,8 +8,8 @@ Every label is a vertex, and vertex ids follow sorted label order, so
 complexes built from the same label faces are identical, serialize to the
 same bytes and share one fingerprint.  Faces are strictly increasing id
 tuples; the empty face ``()`` is always present.  Labels are read only by
-:func:`from_facets` and ".sc" parsing (each distinct label checked once)
-and written only by ``to_sc`` and the formatters.
+:func:`from_facets`, ".sc" parsing (each distinct label checked once) and
+:meth:`Complex.face_from_labels`, and written only by ``to_sc`` and the formatters.
 
 Complexes are immutable after construction and safe to share between
 threads.  Supported dimensions are 0 <= dim <= 3: complexes of dimension 3
@@ -143,11 +143,11 @@ class Complex:
         size never contain each other, so a face not covered by a larger
         listed face is maximal.  The empty face is in the size-0 set from
         the start, so it is never a facet beside a nonempty face; the
-        facets of a size enter whole, and their vertices enter once each
-        rather than once per facet.  ``dim`` is one less than the largest
-        size.  Each face is held once, in the set of its size.  With no
-        nonempty face listed, the sweep runs as dimension 0 and finds no
-        vertex, so one length check refuses it and any label that is no vertex.
+        facets of a size enter whole, their vertex ids once each, as
+        integers.  ``dim`` is one less than the largest size.  Each face
+        is held once, in the set of its size.  The vertex ids must be
+        0..len(labels)-1, or the least id outside, else the first label in
+        no face, raises (with no nonempty face listed, the sweep finds none).
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
@@ -156,16 +156,20 @@ class Complex:
         self.dim = dim = sizes[0] - 1
         self._by_size = by_size = [{()}] + [set() for _ in range(dim + 1)]
         facets: list[Face] = []
+        vertices: set[int] = set()
         for size in sizes:
             fresh = [f for f in listed if len(f) == size and f not in by_size[size]]
             facets += fresh
             by_size[size].update(fresh)
-            by_size[1].update(zip(set(chain.from_iterable(fresh))))  # the vertices, once each
+            vertices |= (new := set(chain.from_iterable(fresh)))
+            by_size[1].update(zip(new))  # the vertices, once each
             for k in range(2, size):
                 by_size[k].update(chain.from_iterable(map(combinations, fresh, repeat(k))))
-        if len(by_size[1]) < len(labels):
-            unused = next(v for v in range(len(labels)) if (v,) not in by_size[1])
-            raise NotAFaceError(f"label {labels[unused]!r} is in no face")
+        ids = range(len(labels))
+        if len(vertices) != len(ids) or min(vertices) < 0 or max(vertices) >= len(ids):
+            v = min(vertices.symmetric_difference(ids), key=lambda v: (v in ids, v))
+            raise NotAFaceError(f"label {labels[v]!r} is in no face" if v in ids
+                                else f"vertex id {v} names no label")
         self.labels = tuple(labels)
         self.facets = tuple(sorted(facets))
         self._kept: dict = {}

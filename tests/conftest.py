@@ -80,7 +80,7 @@ def reference_collapse(L, cert):
     steps += [CollapseStep((n - 1 - leaf,), (n - 1 - u, n - 1 - v))
               for (leaf,), (u, v) in down]
     (target,) = set(range(n)).difference(n - 1 - leaf for (leaf,), _ in down)
-    return CollapseCertificate(removed, tuple(steps), L.induced([(target,)]))
+    return CollapseCertificate(removed, tuple(steps), ((target,),))
 
 
 # (vertices, triangles) of sample_pure2 draws whose sd² is a chain subject;

@@ -100,7 +100,7 @@ def test_two_triangles_collapse(two_triangles):
     # Witness triangles collapse in reverse order, then the tree is pruned.
     assert [(s.free_face, s.facet) for s in col.steps[:2]] == [
         ((2, 3), (1, 2, 3)), ((1, 2), (0, 1, 2))]
-    assert col.target == from_facets(["a"])
+    assert col.target == (two_triangles.face_from_labels(["a"]),)
     assert verify_collapse(two_triangles, col)
 
 
@@ -109,7 +109,7 @@ def test_single_triangle_collapse(triangle):
     col = saturation_to_collapse(triangle, sat)
     assert [(s.free_face, s.facet) for s in col.steps] == [
         ((1, 2), (0, 1, 2)), ((2,), (0, 2)), ((1,), (0, 1))]
-    assert col.target == from_facets(["a"])
+    assert col.target == (triangle.face_from_labels(["a"]),)
 
 
 def test_sd_triangle_pipeline(triangle):
@@ -203,13 +203,13 @@ def test_check_removal_count_rejects_overremoval(tetra_boundary):
     # A bogus certificate removing chi + 1 triangles and claiming a point
     # target fails the count check, and the replay fails too.
     bogus = CollapseCertificate(
-        frozenset(tetra_boundary.facets[:2]), (), from_facets(["a"]))
+        frozenset(tetra_boundary.facets[:2]), (), (tetra_boundary.face_from_labels(["a"]),))
     assert not check_removal_count(tetra_boundary, bogus)
     assert not verify_collapse(tetra_boundary, bogus)
 
 
 def test_check_removal_count_requires_point_target(two_triangles):
-    cert = CollapseCertificate(frozenset(), (), two_triangles)
+    cert = CollapseCertificate(frozenset(), (), two_triangles.facets)
     with pytest.raises(CertificateError):
         check_removal_count(two_triangles, cert)
 
@@ -503,7 +503,7 @@ def test_tree_prune_takes_the_largest_leaf_first(facets, tree, order, pruned):
     assert collapse == reference_collapse(L, cert)
     leaves = [step.free_face for step in collapse.steps if len(step.free_face) == 1]
     assert [" ".join(L.label_face(leaf)) for leaf in leaves] == pruned.split()
-    assert collapse.target.labels == ("a",) and collapse.targets_point()
+    assert collapse.target == (L.face_from_labels(["a"]),) and collapse.targets_point()
 
 
 # -- certificate text --------------------------------------------------------------------
@@ -524,7 +524,7 @@ def reference_collapse_fields(K, cert):
         "removed": [" ".join(K.label_face(t)) for t in sorted(cert.removed_triangles)],
         "steps": [[" ".join(K.label_face(s.free_face)), " ".join(K.label_face(s.facet))]
                   for s in cert.steps],
-        "target": [" ".join(cert.target.label_face(f)) for f in cert.target.facets],
+        "target": [" ".join(K.label_face(f)) for f in cert.target],
     }
 
 

@@ -9,13 +9,10 @@ from itertools import combinations, permutations
 import pytest
 
 from shellsat import (
-    CollapseCertificate,
     apply_collapse,
-    collapsible_after_removing,
     free_faces,
     from_facets,
     graph_complex,
-    is_collapsible,
     parse_sc,
     parse_sc_with_warnings,
     run_chain,
@@ -242,6 +239,15 @@ def test_a_label_in_no_face_is_refused():
             Complex(labels, faces)
 
 
+def test_a_vertex_id_outside_the_labels_is_refused():
+    """A face id below 0 or past the last label names no label and is
+    refused by id, also where it makes up the count of a label in no face."""
+    for labels, faces, bad in [(["a", "b"], [(0, 2)], 2), (["a", "b"], [(-1, 0)], -1),
+                               (["a"], [(0, 1)], 1), (["a", "b"], [(0, 1), (5,)], 5)]:
+        with pytest.raises(NotAFaceError, match=f"^vertex id {bad} names no label$"):
+            Complex(labels, faces)
+
+
 def test_facet_rows_name_the_proper_subfaces_of_each_facet():
     """Each row of ``facet_rows`` lists the ids of its facet's nonempty
     proper subfaces in ``combinations`` order, and the subdivision built on
@@ -450,9 +456,8 @@ def test_spanning_subgraph_matches_graph_complex():
 def derived_corpus() -> list[Complex]:
     """The complexes the package derives, on seeded inputs: the classes of
     ``enumerate_pure2(5, 5)`` and ``sample_pure2`` draws with their sd and
-    sd², the 0- and 1-skeleton of each of those, the collapse targets that
-    ``induced`` builds, the result of every free collapse step of the
-    classes, draws and their sd, the start graphs and targets of
+    sd², the 0- and 1-skeleton of each of those, the result of every free
+    collapse step of the classes, draws and their sd, the start graphs of
     ``run_chain`` reports, and the harness graphs with spanning subgraphs."""
     rng = random.Random(59)
     bases = list(enumerate_pure2(5, 5)) + [
@@ -463,13 +468,9 @@ def derived_corpus() -> list[Complex]:
         out += [K, sd, sd.barycentric_subdivision()]
     out += [S for K in list(out) for S in (K.skeleton(0), K.skeleton(1))]
     for K in bases:
-        for cert in (is_collapsible(K),
-                     collapsible_after_removing(K, max(K.reduced_euler_characteristic(), 0))):
-            if isinstance(cert, CollapseCertificate):
-                out.append(cert.target)
         report = run_chain(K, budget=100_000)
         if report.complete:
-            out += [report.saturation.start, report.collapse.target]
+            out.append(report.saturation.start)
         for L in (K, K.barycentric_subdivision()):
             out += [apply_collapse(L, step) for step in free_faces(L)]
     graphs = [*enumerate_connected_graphs(5),

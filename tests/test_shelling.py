@@ -587,8 +587,9 @@ def test_shared_tables_leak_no_state():
                    order[:-1], order]
         free = free_faces(fresh(K))[:1]
         step = free[0] if free else CollapseStep(K.facets[0][:1], K.facets[0])
-        valid = CollapseCertificate(frozenset(), tuple(free), apply_collapse(
-            fresh(K), step) if free else fresh(K))
+        after = apply_collapse(fresh(K), step) if free else K
+        valid = CollapseCertificate(frozenset(), tuple(free), tuple(sorted(
+            K.face_from_labels(after.label_face(f)) for f in after.facets)))
         tampered = CollapseCertificate(frozenset(), (step, step), valid.target)
         calls = [search(5000), *map(replay, orders), collapse(valid), subdivide,
                  search(used - 1), free_faces, collapse(tampered), search(5000)]
