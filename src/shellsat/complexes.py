@@ -229,25 +229,27 @@ class Complex:
 
     def face_ids(self) -> dict[Face, int]:
         """The dense id of each nonempty face, kept, listed in id order: by
-        size, smallest first, each size in its sweep set's order.  Every
-        label is a vertex, so the vertices take ids 0..n_vertices-1 and the
-        larger faces the ids after them.  No id reaches output."""
+        size, smallest first.  Every label is a vertex, so vertex ``(v,)``
+        takes id ``v``, and each larger size takes the ids after the
+        smaller ones, in its sweep set's order.  No id reaches output."""
         return self._keep("face ids", lambda: dict(zip(
-            chain.from_iterable(self._by_size[1:]), count())))
+            chain(zip(range(self.n_vertices)), *self._by_size[2:]), count())))
 
     def facet_rows(self) -> tuple[tuple[int, ...], ...]:
         """For each facet, the :meth:`face_ids` of its nonempty proper
-        subfaces in ``combinations`` order, kept.  Per facet size, one
-        ``combinations`` column of ids per subface size is zipped back per
-        facet."""
+        subfaces in ``combinations`` order, kept.  Vertex ``(v,)`` has id
+        ``v``, so a row's vertex slots are the facet tuple itself, and a row
+        of a facet of two or more vertices begins with the facet.  Per facet
+        size, one ``combinations`` column of ids per subface size of two or
+        more is zipped back per facet, after the facet."""
         return self._keep("facet rows", self._rows)
 
     def _rows(self) -> tuple[tuple[int, ...], ...]:
         ids, rows = self.face_ids(), {}
         for size in set(map(len, self.facets)):
             facets = [f for f in self.facets if len(f) == size]
-            sized: Iterable[tuple[int, ...]] = [()] * len(facets)
-            for k in range(1, size):
+            sized: Iterable[tuple[int, ...]] = facets if size > 1 else [()] * len(facets)
+            for k in range(2, size):
                 column = map(ids.__getitem__, chain.from_iterable(
                     map(combinations, facets, repeat(k))))
                 sized = map(add, sized, zip(*[column] * comb(size, k)))

@@ -48,16 +48,16 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     permutation iff it has as many entries as there are facets and the same
     set of them: with fewer distinct entries than facets, the sets differ.
 
-    Each facet after the first is checked by the test of
-    :meth:`_Prefix.fits`, which reads the cover counts only as nonzero or
-    zero.  The verifier only places facets, so before facet n a count is
-    nonzero iff one of the first n facets holds the face: iff ``first``,
-    the least position of a facet holding the face, is below n.  ``first``
-    is one C-level ``dict`` build over the column of the order's rows of
-    :meth:`Complex.facet_rows`, read backwards so that the least position
-    is written last.  The frontier, the undo log, the placed flags and the
-    key of the search's prefix are never read by the check, so none is
-    kept.
+    Each facet after the first is checked by the test that the search's
+    candidate scan runs (see :func:`find_shelling`), which reads the cover
+    counts only as nonzero or zero.  The verifier only places facets, so
+    before facet n a count is nonzero iff one of the first n facets holds
+    the face: iff ``first``, the least position of a facet holding the
+    face, is below n.  ``first`` is one C-level ``dict`` build over the
+    column of the order's rows of :meth:`Complex.facet_rows`, read
+    backwards so that the least position is written last.  The frontier,
+    the undo log, the placed flags and the key of the search's prefix are
+    never read by the check, so none is kept.
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
@@ -97,25 +97,28 @@ def _slots(d: int) -> tuple[int, tuple, list[int]]:
 
 
 class _Prefix:
-    """A shelling prefix of a pure complex of dimension d >= 1, over K's
-    kept :meth:`Complex.facet_rows`: ``subfaces[i]`` is the row of facet i,
-    so ridge j of every facet (the one omitting vertex j) sits at
-    ``ridge_slots[j]`` and the subface on the vertex positions in a mask at
-    ``slot[mask]`` (see :func:`_slots`).  ``holders[r]`` lists, in
-    increasing order, the facets having face r as a ridge; only the search
-    reads it, so it is built here, from the rows' ridge column zipped with
-    each facet index repeated d+1 times.  No id reaches output: the search
-    compares only cover counts and facet indices.
+    """A shelling prefix of a pure complex of dimension d >= 1: the tables
+    the search reads, the state it changes, and ``pop``.
+
+    The tables are read only.  ``subfaces[i]`` is the row of facet i in
+    K's kept :meth:`Complex.facet_rows`, so ridge j of every facet (the one
+    omitting vertex j) sits at ``ridge_slots[j]`` and the subface on the
+    vertex positions in a mask at ``slot[mask]`` (see :func:`_slots`).
+    ``holders[r]`` lists, in increasing order, the facets having face r as
+    a ridge; only the search reads it, so it is built here, from the rows'
+    ridge column zipped with each facet index repeated d+1 times.  No id
+    reaches output: the search compares only cover counts and facet
+    indices.
 
     ``cover[s]`` counts the placed facets containing face ``s``, and
     ``key`` is the set of placed facets as a bitmask.  ``frontier`` is the
     sorted list, without duplicates, of the unplaced facets that share a
-    ridge (a face of dimension d-1) with the placed union.  ``push`` keeps
-    it sorted with ``bisect`` and logs in ``undo`` whether it took the
-    placed facet off the frontier and which facets it added; ``pop`` undoes
-    the last ``push`` from that entry, so ``push`` and ``pop`` are exact
-    inverses and the search can backtrack.  Only these change; the rows
-    and the holders are read only.
+    ridge (a face of dimension d-1) with the placed union.  The step that
+    places a facet is :func:`find_shelling`'s, on local names; it keeps
+    the frontier sorted with ``bisect`` and logs in ``undo`` whether it
+    took the placed facet off the frontier and which facets it added.
+    ``pop`` undoes the last placement from that entry, so the two are
+    exact inverses and the search can backtrack.
     """
 
     def __init__(self, K: Complex):
@@ -131,58 +134,6 @@ class _Prefix:
         self.frontier: list[int] = []
         self.undo: list[tuple[bool, list[int]]] = []
         self.key = 0
-
-    def fits(self, i: int) -> bool:
-        """The shelling condition for appending facet i, in O(1).
-
-        Let M be the vertices of facet i opposite its shared ridges.  A
-        shared face lies in the shared ridge opposite v iff it misses v, so
-        every shared face lies in a shared ridge iff no shared face
-        contains M; the shared faces are closed under subsets, so that holds
-        iff M is the whole facet or the face M is not shared.  Hence the
-        intersection is pure of dimension d-1 iff M is nonempty and one of
-        those holds.  For d = 2: the triangle shares an edge, and every
-        shared vertex lies on a shared edge.
-        """
-        sub, cover = self.subfaces[i], self.cover
-        mask = 0
-        for j, k in enumerate(self.ridge_slots):
-            if cover[sub[k]]:
-                mask |= 1 << j
-        return mask == self.full or (mask != 0 and not cover[sub[self.slot[mask]]])
-
-    def after(self, last: int) -> int | None:
-        """The least frontier facet above index ``last`` that may follow the
-        prefix, or None.  Only the facets above ``last`` are checked, up to
-        the first that fits."""
-        frontier = self.frontier
-        for n in range(bisect_right(frontier, last), len(frontier)):
-            if self.fits(frontier[n]):
-                return frontier[n]
-        return None
-
-    def push(self, i: int) -> None:
-        self.placed[i] = True
-        self.order.append(i)
-        self.key |= 1 << i
-        frontier, placed = self.frontier, self.placed
-        n = bisect_left(frontier, i)
-        was_frontier = n < len(frontier) and frontier[n] == i
-        if was_frontier:
-            del frontier[n]
-        added = []
-        sub, cover = self.subfaces[i], self.cover
-        for s in sub:
-            cover[s] += 1
-        for k in self.ridge_slots:
-            if cover[sub[k]] == 1:
-                for g in self.holders[sub[k]]:
-                    if not placed[g]:
-                        n = bisect_left(frontier, g)
-                        if n == len(frontier) or frontier[n] != g:
-                            frontier.insert(n, g)
-                            added.append(g)
-        self.undo.append((was_frontier, added))
 
     def pop(self) -> None:
         i = self.order.pop()
@@ -280,15 +231,29 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     The search keeps its own stack, so the depth is not bounded by
     Python's recursion limit.  Each frame on it is one int, the last facet
     it tried (-1 before the first).  The root frame walks ``range(m)``;
-    every other frame asks :meth:`_Prefix.after` for the next facet.  A
-    frame resumes only after its child is undone, and ``pop`` restores the
-    frontier exactly, so the frame sees the sorted frontier of its own
-    prefix again: the facets above its last one are those a sorted
-    snapshot taken when the frame began would still hold, in the same
-    order, each checked against the same prefix.  So a cursor tries what
-    a snapshot of the frontier would, spends the same nodes and records
-    the same failed sets, without copying or sorting the frontier at each
-    node.
+    every other frame scans the frontier above its last facet, up to the
+    first facet that fits.  A frame resumes only after its child is
+    undone, and ``pop`` restores the frontier exactly, so the frame sees
+    the sorted frontier of its own prefix again: the facets above its last
+    one are those a sorted snapshot taken when the frame began would still
+    hold, in the same order, each checked against the same prefix.  So a
+    cursor tries what a snapshot of the frontier would, spends the same
+    nodes and records the same failed sets, without copying or sorting
+    the frontier at each node.
+
+    The test that facet i fits, in O(1): let M be the vertices of facet i
+    opposite its shared ridges (``mask``).  A shared face lies in the
+    shared ridge opposite v iff it misses v, so every shared face lies in
+    a shared ridge iff no shared face contains M; the shared faces are
+    closed under subsets, so that holds iff M is the whole facet or the
+    face M is not shared.  Hence the intersection is pure of dimension d-1
+    iff M is nonempty and one of those holds.  For d = 2: the triangle
+    shares an edge, and every shared vertex lies on a shared edge.
+
+    The scan and the step that places a facet run here, on local names
+    bound to the tables and the state of a :class:`_Prefix`; ``pop`` is
+    its method.  A facet placed below the root is on the frontier, at the
+    position where the scan found it, so it is deleted there.
 
     The first time a frame runs out of candidates, a 2-complex gets one
     call to :func:`_refuted`, whose nodes come out of the same budget.  It
@@ -308,29 +273,61 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     budget = as_budget(budget)
     m = len(K.facets)
     prefix = _Prefix(K)
+    full, slot, rows, holders = prefix.full, prefix.slot, prefix.subfaces, prefix.holders
+    ridge_slots = prefix.ridge_slots
+    bits = list(zip([1 << j for j in range(len(ridge_slots))], ridge_slots))
+    cover, placed, order, frontier, undo = (
+        prefix.cover, prefix.placed, prefix.order, prefix.frontier, prefix.undo)
     failed: set[int] = set()
     stack = [-1]
     try:
         while stack:
             last = stack[-1]
-            if prefix.order:
-                i = prefix.after(last)
-            else:
+            if not order:
                 i = last + 1 if last + 1 < m else None
+            else:
+                i = None
+                for n in range(bisect_right(frontier, last), len(frontier)):
+                    sub = rows[frontier[n]]
+                    mask = 0
+                    for bit, k in bits:
+                        if cover[sub[k]]:
+                            mask |= bit
+                    if mask == full or (mask and not cover[sub[slot[mask]]]):
+                        i = frontier[n]
+                        break
             if i is None:
                 refuted = _refuted(K, budget) if not failed and K.dim == 2 else None
                 if refuted is not None:
                     return refuted
                 stack.pop()
                 failed.add(prefix.key)
-                if prefix.order:
+                if order:
                     prefix.pop()
                 continue
             stack[-1] = i
             budget.spend()
-            prefix.push(i)
-            if len(prefix.order) == m:
-                return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
+            on_frontier = bool(order)
+            if on_frontier:
+                del frontier[n]  # where the scan found it
+            placed[i] = True
+            order.append(i)
+            prefix.key |= 1 << i
+            added = []
+            sub = rows[i]
+            for s in sub:
+                cover[s] += 1
+            for k in ridge_slots:
+                if cover[sub[k]] == 1:
+                    for g in holders[sub[k]]:
+                        if not placed[g]:
+                            n = bisect_left(frontier, g)
+                            if n == len(frontier) or frontier[n] != g:
+                                frontier.insert(n, g)
+                                added.append(g)
+            undo.append((on_frontier, added))
+            if len(order) == m:
+                return ShellingCertificate(tuple(K.facets[j] for j in order))
             if prefix.key in failed:
                 prefix.pop()
             else:

@@ -7,7 +7,12 @@ import pytest
 from shellsat import from_facets, graph_complex, run_chain
 from shellsat.collapse import CollapseCertificate, CollapseStep, peel
 from shellsat.complexes import Complex
-from shellsat.harness import sample_pure2
+from shellsat.harness import (
+    enumerate_connected_graphs,
+    enumerate_pure2,
+    flag_dunce_hat,
+    sample_pure2,
+)
 from shellsat.wsat import SaturationCertificate
 
 
@@ -99,6 +104,24 @@ def chain_reports(seed: int):
         if report.complete:
             reports.append(report)
     return reports
+
+
+def table_corpus():
+    """Complexes of dimension 1, 2 and 3: the 5-vertex classes and their
+    subdivisions, the flag dunce hat, connected graphs, and single, glued,
+    subdivided and seeded sets of tetrahedra."""
+    classes = list(enumerate_pure2(5, 5))
+    tetrahedron = from_facets(["a b c d"])
+    corpus = (classes + [K.barycentric_subdivision() for K in classes]
+              + [flag_dunce_hat(), tetrahedron, tetrahedron.barycentric_subdivision(),
+                 from_facets(["a b c d", "b c d e", "c d e f"]),
+                 from_facets(map(" ".join, combinations("abcde", 4)))]
+              + list(enumerate_connected_graphs(5)))
+    rng = random.Random(41)
+    pool = list(combinations("abcdefg", 4))
+    for _ in range(60):
+        corpus.append(from_facets(rng.sample(pool, rng.randint(2, 9))))
+    return corpus
 
 
 def outcome(check, *args):

@@ -35,7 +35,7 @@ from shellsat.harness import (
     sample_spanning_subgraph,
 )
 from shellsat.wsat import spanning_subgraph
-from conftest import all_faces, maximal_faces, reference_subdivision
+from conftest import all_faces, maximal_faces, reference_subdivision, table_corpus
 
 
 # -- construction ---------------------------------------------------------------
@@ -266,6 +266,24 @@ def test_facet_rows_name_the_proper_subfaces_of_each_facet():
         assert (K.barycentric_subdivision().labels, K.barycentric_subdivision().facets) == (
             sd.labels, sd.facets)
         assert K.barycenters() == vertex
+
+
+def test_vertex_v_has_face_id_v_and_rows_begin_with_their_facet():
+    """``face_ids`` numbers vertex (v,) as v, so the row of each facet of
+    two or more vertices begins with its vertex slots, the facet itself:
+    on every complex of ``sweep_corpus`` and ``table_corpus``, and on their
+    skeletons and subdivisions."""
+    checked = 0
+    for base in sweep_corpus() + table_corpus():
+        sd = base.barycentric_subdivision()
+        for K in (base, sd, *map(base.skeleton, range(base.dim)),
+                  *map(sd.skeleton, range(sd.dim))):
+            ids = K.face_ids()
+            assert [ids[(v,)] for v in range(K.n_vertices)] == list(range(K.n_vertices))
+            for facet, row in zip(K.facets, K.facet_rows(), strict=True):
+                assert len(facet) < 2 or row[:len(facet)] == facet, (K.facets, facet)
+            checked += 1
+    assert checked > 1000, checked
 
 
 def test_sd_rejects_faces_that_serialize_alike():

@@ -1,6 +1,7 @@
 """Shelling verifier and search, cross-checked against raw permutation search."""
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from itertools import combinations, permutations
 
@@ -32,7 +33,6 @@ from shellsat.errors import (
 )
 from shellsat.harness import (
     ORACLE_MAX_FACETS,
-    enumerate_connected_graphs,
     enumerate_pure2,
     flag_dunce_hat,
     oracle_shelling,
@@ -46,7 +46,7 @@ from shellsat.shelling import (
     parse_shelling,
 )
 from shellsat.certificates import lift_shelling, run_chain
-from conftest import all_faces, maximal_faces, outcome
+from conftest import all_faces, maximal_faces, outcome, table_corpus
 
 
 def _proper_subfaces(facet):
@@ -83,6 +83,91 @@ def reference_violation(K, order):
 def order_of(K, *facet_labels):
     return ShellingCertificate(
         tuple(K.face_from_labels(labels.split()) for labels in facet_labels))
+
+
+class StepPrefix(_Prefix):
+    """The search step driven by methods, the reference for the scan and
+    the step that ``find_shelling`` runs on local names: ``fits`` is the
+    O(1) shelling condition, ``after`` the lazy candidate scan and ``push``
+    the step that places a facet, each as the search ran them before they
+    were inlined."""
+
+    def fits(self, i):
+        sub, cover = self.subfaces[i], self.cover
+        mask = 0
+        for j, k in enumerate(self.ridge_slots):
+            if cover[sub[k]]:
+                mask |= 1 << j
+        return mask == self.full or (mask != 0 and not cover[sub[self.slot[mask]]])
+
+    def after(self, last):
+        frontier = self.frontier
+        for n in range(bisect_right(frontier, last), len(frontier)):
+            if self.fits(frontier[n]):
+                return frontier[n]
+        return None
+
+    def push(self, i):
+        self.placed[i] = True
+        self.order.append(i)
+        self.key |= 1 << i
+        frontier, placed = self.frontier, self.placed
+        n = bisect_left(frontier, i)
+        was_frontier = n < len(frontier) and frontier[n] == i
+        if was_frontier:
+            del frontier[n]
+        added = []
+        sub, cover = self.subfaces[i], self.cover
+        for s in sub:
+            cover[s] += 1
+        for k in self.ridge_slots:
+            if cover[sub[k]] == 1:
+                for g in self.holders[sub[k]]:
+                    if not placed[g]:
+                        n = bisect_left(frontier, g)
+                        if n == len(frontier) or frontier[n] != g:
+                            frontier.insert(n, g)
+                            added.append(g)
+        self.undo.append((was_frontier, added))
+
+
+def step_search(K, budget, prefix=None, memo=True):
+    """The loop of ``find_shelling`` driven by the methods of ``prefix``, a
+    :class:`StepPrefix` of K by default, with the same memo and the same
+    one call to ``shelling._refuted``.  With ``memo`` false, no failed set
+    is recorded, so a prefix whose facet set already failed is extended
+    again; only for complexes of dimension 3, where the search never calls
+    ``_refuted``."""
+    m = len(K.facets)
+    prefix = StepPrefix(K) if prefix is None else prefix
+    failed = set()
+    stack = [-1]
+    try:
+        while stack:
+            last = stack[-1]
+            i = prefix.after(last) if prefix.order else (last + 1 if last + 1 < m else None)
+            if i is None:
+                refuted = shelling._refuted(K, budget) if not failed and K.dim == 2 else None
+                if refuted is not None:
+                    return refuted
+                stack.pop()
+                if memo:
+                    failed.add(prefix.key)
+                if prefix.order:
+                    prefix.pop()
+                continue
+            stack[-1] = i
+            budget.spend()
+            prefix.push(i)
+            if len(prefix.order) == m:
+                return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
+            if prefix.key in failed:
+                prefix.pop()
+            else:
+                stack.append(-1)
+    except OutOfBudget:
+        return BudgetExceeded(stage="shelling")
+    return Unshellable()
 
 
 # -- verification -------------------------------------------------------------
@@ -187,8 +272,8 @@ def test_verifier_matches_the_facet_generic_reference():
 
 def reference_push_violation(K, cert):
     """The earlier verifier loop: each facet after the first checked by
-    ``_Prefix.fits`` and every facet placed by ``_Prefix.push``, which also
-    keeps the frontier, the undo log, the placed flags and the key."""
+    ``StepPrefix.fits`` and every facet placed by ``StepPrefix.push``, which
+    also keeps the frontier, the undo log, the placed flags and the key."""
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
     order = [tuple(f) for f in cert.order]
@@ -198,7 +283,7 @@ def reference_push_violation(K, cert):
     if K.dim < 1:
         return None
     index = {f: i for i, f in enumerate(K.facets)}
-    prefix = _Prefix(K)
+    prefix = StepPrefix(K)
     for n, facet in enumerate(order):
         if n > 0 and not prefix.fits(index[facet]):
             return n
@@ -223,7 +308,7 @@ def tampered_orders(rng, order, tries):
 
 def test_verifier_matches_the_push_loop_on_tampered_orders():
     """The first-position replay reports what the earlier loop over
-    ``_Prefix.push`` reports, or raises the same error, on shellings and
+    ``StepPrefix.push`` reports, or raises the same error, on shellings and
     their tampered copies: the shellings found on the 5-vertex classes,
     their lifts to sd, the chain's shellings lifted to sd², all orders of a
     path and the shellings found on seeded sets of tetrahedra."""
@@ -301,36 +386,37 @@ def test_long_strip_is_shelled_without_recursion():
 
 
 def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
-    """On every prefix the search reaches, the O(1) condition equals the
-    facet-generic one, and the frontier is exactly the unplaced facets that
-    share a ridge with the placed union, as a sorted list without
-    duplicates.
+    """On every prefix the method-driven search reaches, the O(1) condition
+    equals the facet-generic one, and the frontier is exactly the unplaced
+    facets that share a ridge with the placed union, as a sorted list
+    without duplicates; that search returns what ``find_shelling`` returns
+    and spends as many nodes.
 
     The refutation is switched off so that the searches on unshellable
     inputs backtrack, and prefixes restored by ``pop`` are checked too.
     """
     prefixes = []
     popped = [False]
-    push, pop = _Prefix.push, _Prefix.pop
 
-    def recording_push(self, i):
-        push(self, i)
-        prefixes.append((tuple(self.order), list(self.frontier),
-                         [self.fits(j) for j in range(len(self.placed))], popped[0]))
+    class Recording(StepPrefix):
+        def push(self, i):
+            super().push(i)
+            prefixes.append((tuple(self.order), list(self.frontier),
+                             [self.fits(j) for j in range(len(self.placed))], popped[0]))
 
-    def recording_pop(self):
-        pop(self)
-        popped[0] = True
+        def pop(self):
+            super().pop()
+            popped[0] = True
 
-    monkeypatch.setattr(_Prefix, "push", recording_push)
-    monkeypatch.setattr(_Prefix, "pop", recording_pop)
     monkeypatch.setattr(shelling, "_refuted", lambda K, budget: None)
     checked = after_pop = 0
     for base in enumerate_pure2(5, 10):
         for K in (base, base.barycentric_subdivision()):
             prefixes.clear()
             popped[0] = False
-            find_shelling(K, 300)
+            stepped, found = Budget(300), Budget(300)
+            assert step_search(K, stepped, Recording(K)) == find_shelling(K, found)
+            assert stepped.used == found.used
             d = K.dim
             for order, frontier, fits, backtracked in prefixes:
                 covered = {f for i in order for f in subfaces(K.facets[i])}
@@ -349,30 +435,32 @@ def test_frontier_check_agrees_with_reference_on_every_prefix(monkeypatch):
     assert after_pop > 1000, after_pop
 
 
-def eager_after(K):
+class EagerPrefix(StepPrefix):
     """``after`` over the list of fitting frontier facets above ``last``, all
     checked at once by the facet-generic condition, on the subfaces read
     from ``subfaces[i]``."""
-    proper = [_proper_subfaces(f) for f in K.facets]
+
+    def __init__(self, K):
+        super().__init__(K)
+        self.proper = [_proper_subfaces(f) for f in K.facets]
+        self.d = K.dim
 
     def after(self, last):
+        proper = self.proper
         return min((i for i in self.frontier if i > last and _meets_predecessors(
             proper[i], {f for f, s in zip(proper[i], self.subfaces[i]) if self.cover[s]},
-            K.dim)), default=None)
-    return after
+            self.d)), default=None)
 
 
 def test_lazy_candidates_match_the_eager_reference(monkeypatch):
-    """Outcomes and nodes spent are those of an eager candidate list: on
-    shellable inputs, and on searches that backtrack (with the refutation
-    switched off), where each frame resumes after a ``pop``."""
+    """``find_shelling`` returns what the method-driven search over an
+    eager candidate list returns, and spends the same nodes: on shellable
+    inputs, and on searches that backtrack (with the refutation switched
+    off), where each frame resumes after a ``pop``."""
     def search(K, limit):
-        budget = Budget(limit)
+        budget, reference = Budget(limit), Budget(limit)
         lazy = find_shelling(K, budget)
-        with monkeypatch.context() as patch:
-            patch.setattr(_Prefix, "after", eager_after(K))
-            reference = Budget(limit)
-            assert find_shelling(K, reference) == lazy
+        assert step_search(K, reference, EagerPrefix(K)) == lazy
         assert budget.used == reference.used
         return lazy
 
@@ -390,7 +478,7 @@ def test_lazy_candidates_match_the_eager_reference(monkeypatch):
             search(K, 300)
 
 
-class _SetPrefix(_Prefix):
+class _SetPrefix(StepPrefix):
     """The replay state of the earlier search: the frontier is a set, each
     frame iterates a sorted snapshot of it, and ``pop`` recomputes which
     facets leave it."""
@@ -494,33 +582,6 @@ def test_search_matches_the_set_frontier_reference(monkeypatch):
     assert all(outcomes[kind] > 100 for kind in kinds), outcomes
 
 
-def search_without_memo(K, budget):
-    """The search of ``find_shelling`` without its ``failed`` memo: a prefix
-    whose facet set already failed is extended again.  Only for complexes
-    of dimension 3, where the search never calls ``_refuted``."""
-    m = len(K.facets)
-    prefix = _Prefix(K)
-    stack = [-1]
-    try:
-        while stack:
-            last = stack[-1]
-            i = prefix.after(last) if prefix.order else (last + 1 if last + 1 < m else None)
-            if i is None:
-                stack.pop()
-                if prefix.order:
-                    prefix.pop()
-                continue
-            stack[-1] = i
-            budget.spend()
-            prefix.push(i)
-            if len(prefix.order) == m:
-                return ShellingCertificate(tuple(K.facets[j] for j in prefix.order))
-            stack.append(-1)
-    except OutOfBudget:
-        return BudgetExceeded(stage="shelling")
-    return Unshellable()
-
-
 def test_failed_memo_spends_fewer_nodes_for_the_same_results():
     """On 300 seeded sets of tetrahedra on 7 vertices (the generator of
     ``table_corpus``), the search without the memo returns the same
@@ -532,7 +593,7 @@ def test_failed_memo_spends_fewer_nodes_for_the_same_results():
     for _ in range(300):
         K = from_facets(rng.sample(pool, rng.randint(2, 9)))
         with_memo, without = Budget(None), Budget(None)
-        assert find_shelling(K, with_memo) == search_without_memo(K, without), K.facets
+        assert find_shelling(K, with_memo) == step_search(K, without, memo=False), K.facets
         assert with_memo.used <= without.used, K.facets
         kept, plain = kept + with_memo.used, plain + without.used
         more += with_memo.used < without.used
@@ -777,24 +838,6 @@ def inverse_ids(K, rows) -> dict:
             assert inverse.setdefault(i, face) == face
     assert len(set(inverse.values())) == len(inverse)
     return inverse
-
-
-def table_corpus():
-    """Complexes of dimension 1, 2 and 3: the 5-vertex classes and their
-    subdivisions, the flag dunce hat, connected graphs, and single, glued,
-    subdivided and seeded sets of tetrahedra."""
-    classes = list(enumerate_pure2(5, 5))
-    tetrahedron = from_facets(["a b c d"])
-    corpus = (classes + [K.barycentric_subdivision() for K in classes]
-              + [flag_dunce_hat(), tetrahedron, tetrahedron.barycentric_subdivision(),
-                 from_facets(["a b c d", "b c d e", "c d e f"]),
-                 from_facets(map(" ".join, combinations("abcde", 4)))]
-              + list(enumerate_connected_graphs(5)))
-    rng = random.Random(41)
-    pool = list(combinations("abcdefg", 4))
-    for _ in range(60):
-        corpus.append(from_facets(rng.sample(pool, rng.randint(2, 9))))
-    return corpus
 
 
 def test_tables_match_the_setdefault_tables():
