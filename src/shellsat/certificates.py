@@ -17,15 +17,15 @@ For a pure connected 2-dimensional complex L:
 """
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, repeat
 from operator import ne, not_
 
 from .collapse import (
     CollapseCertificate,
-    CollapseStep,
+    as_steps,
     collapse_fields,
     format_collapse,
+    prune_leaves,
     verify_collapse,
 )
 from .complexes import Complex, Face, require_pure2_connected
@@ -117,18 +117,11 @@ def saturation_to_collapse(L: Complex,
     not.  Triangles outside the witness list are removed up front (L is
     pure of dimension 2, so its triangles are its facets); the witness
     triangles collapse in reverse saturation order, and the
-    remaining spanning tree is pruned leaf by leaf, largest leaf first.
-    The replay adds each missing host edge between two vertices its witness
-    already joins, so the start's components are the connected host's, and
-    n - 1 start edges make a spanning tree.
-
-    The prune keeps each vertex's set of tree neighbours and a heap of the
-    negated ids of the leaves, so the heap's least entry is the largest
-    leaf.  A vertex is pushed when its degree falls to one, which happens
-    once, so the heap holds every current leaf; a popped vertex whose
-    degree has fallen to zero is the last one left and is skipped.  The
-    tree has n vertices, so n - 1 leaves go, and the vertex left is the
-    target: the neighbour of the last leaf pruned.
+    remaining spanning tree is pruned leaf by leaf, largest leaf first
+    (:func:`collapse.prune_leaves`), down to the target, the one vertex
+    never pruned.  The replay adds each missing host edge between two
+    vertices its witness already joins, so the start's components are the
+    connected host's, and n - 1 start edges make a spanning tree.
     """
     require_pure2_connected(L, "the collapse construction")
     if not L.is_flag2():
@@ -147,26 +140,9 @@ def saturation_to_collapse(L: Complex,
     assert len(set(triangles)) == len(triangles), "witness triangles must be distinct"
 
     removed = frozenset(L.facets).difference(triangles)
-    steps = list(map(CollapseStep, reversed(cert.order), reversed(triangles)))
-    neighbours: list[set[int]] = [set() for _ in range(n)]
-    for u, v in tree_edges:
-        neighbours[u].add(v)
-        neighbours[v].add(u)
-    heap = [-v for v in range(n) if len(neighbours[v]) == 1]
-    heapify(heap)
-    leaves, stems = [], []
-    while heap:
-        leaf = -heappop(heap)
-        if neighbours[leaf]:
-            (stem,) = neighbours[leaf]
-            neighbours[stem].discard(leaf)
-            leaves.append(leaf)
-            stems.append(stem)
-            if len(neighbours[stem]) == 1:
-                heappush(heap, -stem)
-    steps += map(CollapseStep, zip(leaves), [(leaf, stem) if leaf < stem else (stem, leaf)
-                                             for leaf, stem in zip(leaves, stems)])
-    return CollapseCertificate(removed, tuple(steps), ((stems[-1],),))
+    leaves, target = prune_leaves(n, tree_edges, largest_first=True)
+    steps = as_steps(chain(zip(reversed(cert.order), reversed(triangles)), leaves))
+    return CollapseCertificate(removed, steps, ((target,),))
 
 
 # Facet (a, b, c) -> positions (x, y, z), by which of its edges ab, ac, bc

@@ -306,11 +306,17 @@ def _cmd_gen(args) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args leaves it unchanged."""
+    """The parser, built once per process: parse_args leaves it unchanged.
+    Its ``commands`` map each subcommand's name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="shellsat",
         description="shellability / collapsibility / weak K3-saturation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
+
+    def add_parser(name, **kwargs):
+        parser.commands[name] = p = sub.add_parser(name, **kwargs)
+        return p
 
     def add_common(p, cert=False, budget=False):
         p.add_argument("--in", dest="infile", required=True, metavar="FILE",
@@ -326,35 +332,35 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                            help=f"search-node budget (default {DEFAULT_BUDGET})")
 
-    p_info = sub.add_parser("info", help="print structural facts")
+    p_info = add_parser("info", help="print structural facts")
     add_common(p_info)
     p_info.set_defaults(handler=_cmd_info)
 
-    p_sd = sub.add_parser("sd", help="barycentric subdivision")
+    p_sd = add_parser("sd", help="barycentric subdivision")
     add_common(p_sd)
     p_sd.add_argument("--out", metavar="FILE", help="output .sc file (default stdout)")
     p_sd.add_argument("--depth", type=int, default=1, metavar="K",
                       help="number of subdivision rounds (default 1)")
     p_sd.set_defaults(handler=_cmd_sd)
 
-    p_shell = sub.add_parser("shell", help="decide shellability")
+    p_shell = add_parser("shell", help="decide shellability")
     add_common(p_shell, cert=True, budget=True)
     p_shell.set_defaults(handler=_cmd_shell)
 
-    p_col = sub.add_parser("collapse", help="decide collapsibility")
+    p_col = add_parser("collapse", help="decide collapsibility")
     add_common(p_col, cert=True, budget=True)
     p_col.add_argument("--k", type=int, default=None, metavar="N",
                        help="decide collapsibility after removing N triangles")
     p_col.set_defaults(handler=_cmd_collapse)
 
-    p_wsat = sub.add_parser("wsat", help="weak K3-saturation decisions")
+    p_wsat = add_parser("wsat", help="weak K3-saturation decisions")
     add_common(p_wsat, cert=True, budget=True)
     p_wsat.add_argument("--number", action="store_true",
                         help="compute the exact wsat number instead of the "
                              "tree-size decision")
     p_wsat.set_defaults(handler=_cmd_wsat)
 
-    p_conv = sub.add_parser("convert", help="run a certificate translation")
+    p_conv = add_parser("convert", help="run a certificate translation")
     add_common(p_conv)
     p_conv.add_argument("--cert", required=True, metavar="FILE",
                         help="input certificate (shelling or saturation)")
@@ -362,13 +368,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output certificate file (default stdout)")
     p_conv.set_defaults(handler=_cmd_convert)
 
-    p_chain = sub.add_parser("chain", help="run the full certificate pipeline")
+    p_chain = add_parser("chain", help="run the full certificate pipeline")
     add_common(p_chain, budget=True)
     p_chain.add_argument("--out", metavar="FILE",
                          help="report file (default stdout)")
     p_chain.set_defaults(handler=_cmd_chain)
 
-    p_gen = sub.add_parser("gen", help="materialize an instance corpus")
+    p_gen = add_parser("gen", help="materialize an instance corpus")
     p_gen.add_argument("--out", required=True, metavar="DIR",
                        help="corpus directory")
     p_gen.add_argument("--mode", required=True, choices=harness.MODES)
@@ -386,10 +392,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one pass where it can be.
+
+    The full parser hands everything after the command to that command's
+    parser and copies its namespace into its own, which holds only
+    ``command``; it then refuses what the command's parser left over.  So
+    when argv starts with a command, that parser alone, parsing the rest
+    into a namespace holding ``command``, gives the same namespace, or
+    fails with the same message and exit.  When there is no command (no
+    argument, an option first, ``-h``, an unknown name) or something is
+    left over, the full parser runs, so its messages are its own.
+    """
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one command: argv (``sys.argv[1:]`` by default) is parsed once,
+    by the command's own parser where it can be (see :func:`_parse`), and
+    the exit code is the verdict."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

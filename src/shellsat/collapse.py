@@ -202,8 +202,9 @@ def free_faces(K: Complex) -> list[CollapseStep]:
 # repeatedly deleting a simplex with a ridge in no other remaining simplex.
 # On triangles, a set with an empty core is what a collapse removes through
 # free edges and, read backwards, a weak K3-saturation order (see
-# `wsat.decide_wsat_eq_treesize`); on the edges of a connected graph, the
-# core is empty iff the graph is a tree.
+# `wsat.decide_wsat_eq_treesize`).  The graph stage after the triangles, a
+# leaf prune, runs on integer vertices in `prune_leaves`, the one prune the
+# collapse search and the certificate chain share.
 
 
 def peel(simplices: list[Face], alive) -> tuple[list[tuple[Face, Face]], set[int]]:
@@ -234,24 +235,72 @@ def peel(simplices: list[Face], alive) -> tuple[list[tuple[Face, Face]], set[int
     return free, {i for held in holders.values() for i in held}
 
 
+def prune_leaves(n: int, edges, largest_first: bool) -> tuple[list[tuple[Face, Face]], int]:
+    """Prune a graph on the vertices 0..n-1 leaf by leaf: the least leaf
+    first, or the largest with ``largest_first``.
+
+    Returns each pruned leaf as a step ``((leaf,), edge)`` that removes the
+    leaf with its one edge, in pop order, and the vertex the last step
+    leaves standing (0 when none is pruned).  When the edges are a spanning
+    tree, n - 1 leaves go and that vertex is the one never pruned; fewer go
+    when they are not (a cycle keeps its vertices' degrees above one, and
+    each further component keeps a vertex).
+
+    A leaf's one neighbour is the XOR of its neighbours left, so each
+    vertex keeps its degree and that XOR instead of a set.  A vertex is
+    pushed on the heap when its degree falls to one, which happens once,
+    so the heap holds every current leaf; a popped vertex whose degree has
+    fallen to zero lost its last neighbour as a leaf and is skipped.
+    """
+    sign = -1 if largest_first else 1
+    degree, others = [0] * n, [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+        others[u] ^= v
+        others[v] ^= u
+    heap = [sign * v for v in range(n) if degree[v] == 1]
+    heapq.heapify(heap)
+    steps: list[tuple[Face, Face]] = []
+    stem = 0
+    while heap:
+        leaf = sign * heapq.heappop(heap)
+        if degree[leaf]:
+            stem = others[leaf]
+            degree[leaf] = 0
+            degree[stem] -= 1
+            others[stem] ^= leaf
+            steps.append(((leaf,), (leaf, stem) if leaf < stem else (stem, leaf)))
+            if degree[stem] == 1:
+                heapq.heappush(heap, sign * stem)
+    return steps, stem
+
+
+def as_steps(pairs) -> tuple[CollapseStep, ...]:
+    """(free face, facet) pairs as steps, in one C-level pass: what
+    ``CollapseStep._make`` does, without its Python frame per step."""
+    return tuple(map(tuple.__new__, repeat(CollapseStep), pairs))
+
+
 def _collapse(K: Complex, removed: frozenset[Face],
               budget: Budget) -> CollapseCertificate | None:
     """Collapse K without the removed triangles toward one vertex.
 
-    The steps are the free edges of a peel of the other triangles, then the
-    leaves of a peel of the edges left over, one budget node each.  Returns
-    None when those edges are not a tree.
+    The steps are the free edges of a peel of the other triangles, then
+    the leaves of a prune of the edges left over, least leaf first
+    (:func:`prune_leaves`), one budget node each.  Returns None unless the
+    prune leaves one vertex, that is unless those edges are a spanning
+    tree; so a certificate returned also shows that K is connected.
     """
     triangles = K.triangles
     up, _ = peel(triangles, [i for i, t in enumerate(triangles) if t not in removed])
     freed = {edge for edge, _ in up}
-    edges = [e for e in K.edges if e not in freed]
-    down, core = peel(edges, range(len(edges)))
+    down, target = prune_leaves(K.n_vertices, [e for e in K.edges if e not in freed],
+                                largest_first=False)
     budget.spend(len(up) + len(down))
-    if core:
+    if len(down) != K.n_vertices - 1:
         return None
-    (target,) = set(range(K.n_vertices)).difference(v for (v,), _ in down)
-    return CollapseCertificate(removed, tuple(map(CollapseStep._make, up + down)), ((target,),))
+    return CollapseCertificate(removed, as_steps(up + down), ((target,),))
 
 
 # -- the triangle 2-core engine -------------------------------------------------
@@ -415,10 +464,10 @@ def is_collapsible(K: Complex, budget: int | Budget | None = None):
     Returns a CollapseCertificate, ``NotCollapsible()`` when the peel gets
     stuck, or ``BudgetExceeded``.  One budget node is spent per step.
 
-    Why two peels decide it, in dimension <= 2: a triangle leaves through
-    a free edge (a free vertex of a triangle lies on a free edge of it),
-    and by :func:`peel` the set of triangles that can ever leave is fixed,
-    whatever the order.  If it is every triangle, what remains is a graph
+    Why a peel and a prune decide it, in dimension <= 2: a triangle leaves
+    through a free edge (a free vertex of a triangle lies on a free edge of
+    it), and by :func:`peel` the set of triangles that can ever leave is
+    fixed, whatever the order.  If it is every triangle, what remains is a graph
     homotopy equivalent to K, which prunes to a point iff it is a tree, in
     any leaf order; if not, no sequence reaches a point (the edges of a
     triangle that stays are left over too, so its vertices are no leaves).
@@ -428,17 +477,24 @@ def is_collapsible(K: Complex, budget: int | Budget | None = None):
     leaves, least first.  A depth-first search over step sequences that
     tries steps in that order never backtracks on a collapsible input: its
     first descent is these steps, with the same node count.
+
+    K must be connected, else ``ConnectivityError`` is raised, but that is
+    checked only when there is no certificate: a collapse down to one
+    vertex shows K connected, as each step keeps the homotopy type.  So a
+    disconnected K spends its peel's nodes before it raises, and no
+    verdict changes.
     """
     if K.dim > 2:
         raise UnsupportedDimensionError(
             f"the collapse search supports dimension <= 2, got {K.dim}")
-    if not K.is_connected():
-        raise ConnectivityError("collapsibility search requires a connected complex")
     try:
         cert = _collapse(K, frozenset(), as_budget(budget))
+        result = NotCollapsible() if cert is None else cert
     except OutOfBudget:
-        return BudgetExceeded(stage="collapse")
-    return NotCollapsible() if cert is None else cert
+        result = BudgetExceeded(stage="collapse")
+    if not isinstance(result, CollapseCertificate) and not K.is_connected():
+        raise ConnectivityError("collapsibility search requires a connected complex")
+    return result
 
 
 def collapsible_after_removing(K: Complex, k: int,

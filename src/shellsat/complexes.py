@@ -381,6 +381,13 @@ class Complex:
         adjacent iff they are comparable.  Pairwise adjacent vertices are
         pairwise comparable faces, which form a chain, and every chain of
         faces lies in a maximal one, so it is a face.
+
+        It also keeps this complex's answers for :meth:`is_pure` and
+        :meth:`is_connected`.  A maximal chain runs from a vertex up to a
+        facet, one face of each size, so it has as many faces as that
+        facet has vertices: the facet sizes are this complex's.  And the
+        subdivision is homeomorphic to this complex, so it is connected iff
+        this complex is.
         """
         return self._keep("subdivision", self._subdivide)[0]
 
@@ -424,6 +431,7 @@ class Complex:
                 map(_chain_slots(size), full)))
             chains += map(tuple, map(sorted, zip(*[flat] * size)))
         sd = Complex(labels, chains)
+        sd._kept.update(pure=self.is_pure(), connected=self.is_connected())
         if sd.dim <= 2:
             sd._kept["flag"] = True
         return sd, vertex

@@ -262,14 +262,20 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     the same nodes.  Its ``Unshellable`` is returned as it is, so
     ``decided_by`` names the test that refuted; an exhausted search got
     stuck, so it ran there and did not refute.
+
+    K must be connected, else ``ConnectivityError`` is raised, but that is
+    checked only where there is no shelling: the first time a frame runs
+    out of candidates (before :func:`_refuted`, which assumes it) and when
+    the budget runs out.  A shelling places each facet after the first on
+    a ridge of the union so far, so a search that finds one has shown K
+    connected, and a search on a disconnected K gets stuck or runs out of
+    budget before it could.  So such a K spends nodes before it raises,
+    and no verdict changes.
     """
     if not K.is_pure():
         raise PurityError("shelling search requires a pure complex")
     if K.dim < 1:
         raise UnsupportedDimensionError("shelling search requires dimension >= 1")
-    if not K.is_connected():
-        raise ConnectivityError("shelling search requires a connected complex")
-
     budget = as_budget(budget)
     m = len(K.facets)
     prefix = _Prefix(K)
@@ -297,9 +303,11 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                         i = frontier[n]
                         break
             if i is None:
-                refuted = _refuted(K, budget) if not failed and K.dim == 2 else None
-                if refuted is not None:
-                    return refuted
+                if not failed:
+                    _require_connected(K)
+                    refuted = _refuted(K, budget) if K.dim == 2 else None
+                    if refuted is not None:
+                        return refuted
                 stack.pop()
                 failed.add(prefix.key)
                 if order:
@@ -333,8 +341,14 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
             else:
                 stack.append(-1)
     except OutOfBudget:
+        _require_connected(K)
         return BudgetExceeded(stage="shelling")
     return Unshellable()
+
+
+def _require_connected(K: Complex) -> None:
+    if not K.is_connected():
+        raise ConnectivityError("shelling search requires a connected complex")
 
 
 # -- certificate file format -------------------------------------------------

@@ -1,10 +1,16 @@
 """CLI behaviour: exit codes, certificate round trips, determinism, JSON."""
 
+import argparse
 import json
 
 import pytest
 
-from shellsat.cli import _build_parser, main, to_json
+from shellsat import shelling
+from shellsat.cli import _build_parser, _parse, main, to_json
+from shellsat.collapse import is_collapsible
+from shellsat.complexes import from_facets
+from shellsat.errors import ConnectivityError
+from shellsat.outcomes import Budget, BudgetExceeded, NotCollapsible, Unshellable
 
 TWO_TRIANGLES = "a b c\nb c d\n"
 BOWTIE = "a b c\nc d e\n"
@@ -133,6 +139,71 @@ def test_collapse_verify_rejects_a_removed_triangle_that_is_no_facet(workdir, ca
     assert err.startswith("error: ") and "not a triangle facet" in err
 
 
+# -- connectivity, checked only where a search has no answer --------------------------------------
+
+ANNULUS = ["0 1 3", "1 3 4", "1 2 4", "2 4 5", "0 2 5", "0 3 5"]
+WEDGE = ["a b c", "b c d", "d e f", "e f g"]  # two disks sharing the vertex d
+
+
+def strip(prefix, m=5):
+    return [" ".join(f"{prefix}{i + j}" for j in range(3)) for i in range(m)]
+
+
+def refuses_as_disconnected(workdir, capsys, command, facets, budget=None):
+    """The search on the complex raises ConnectivityError after spending
+    nodes, and the CLI exits 3 with the line it printed when connectivity
+    was checked before any search; returns the nodes spent."""
+    search, what = {"shell": (shelling.find_shelling, "shelling search"),
+                    "collapse": (is_collapsible, "collapsibility search")}[command]
+    spent = Budget(budget)
+    with pytest.raises(ConnectivityError, match=f"^{what} requires a connected complex$"):
+        search(from_facets(facets), spent)
+    (workdir / "apart.sc").write_text("".join(f"{f}\n" for f in facets))
+    argv = ["--budget", budget] if budget is not None else []
+    assert run(command, "--in", workdir / "apart.sc", *argv) == 3
+    assert capsys.readouterr() == ("", f"error: {what} requires a connected complex\n")
+    return spent.used
+
+
+def test_disjoint_triangles_shell_raises_when_first_stuck(workdir, capsys):
+    # a b c is placed, then no facet shares one of its edges
+    assert refuses_as_disconnected(workdir, capsys, "shell", ["a b c", "d e f"]) == 1
+
+
+def test_disjoint_triangles_collapse_raises_on_the_forest_left(workdir, capsys):
+    # two free edges, then two leaves of each path, which keeps a vertex each
+    assert refuses_as_disconnected(workdir, capsys, "collapse", ["a b c", "d e f"]) == 6
+
+
+def test_annulus_and_triangle_collapse_raises_on_the_core_left(workdir, capsys):
+    assert is_collapsible(from_facets(ANNULUS)) == NotCollapsible()
+    assert refuses_as_disconnected(workdir, capsys, "collapse", ANNULUS + ["x y z"]) > 0
+
+
+@pytest.mark.parametrize("command", ["shell", "collapse"])
+def test_disjoint_strips_raise_when_the_budget_runs_out(workdir, capsys, command):
+    search = {"shell": shelling.find_shelling, "collapse": is_collapsible}[command]
+    assert isinstance(search(from_facets(strip("a")), 2), BudgetExceeded)
+    assert refuses_as_disconnected(workdir, capsys, command, strip("a") + strip("b"), 2) > 2
+
+
+def test_wedge_and_triangle_shell_raises_before_the_refutation(workdir, capsys, monkeypatch):
+    assert shelling.find_shelling(from_facets(WEDGE)) == Unshellable(decided_by="link")
+    asked = []
+    refuted = shelling._refuted
+    monkeypatch.setattr(shelling, "_refuted", lambda K, budget: asked.append(K) or refuted(K, budget))
+    assert refuses_as_disconnected(workdir, capsys, "shell", WEDGE + ["x y z"]) == 2
+    assert asked == []
+
+
+def test_a_single_vertex_collapses_to_itself(workdir, capsys):
+    cert = is_collapsible(from_facets(["a"]))
+    assert cert.steps == () and cert.target == ((0,),)
+    (workdir / "point.sc").write_text("a\n")
+    assert run("collapse", "--in", workdir / "point.sc", "--json") == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "collapsible"
+
+
 def test_budget_exit_code(workdir):
     assert run("shell", "--in", workdir / "two.sc", "--budget", 0) == 2
 
@@ -198,6 +269,47 @@ def test_threads_validation(workdir):
     # --threads was removed: it selected nothing, so any use is a usage error.
     assert run("shell", "--in", workdir / "two.sc", "--threads", 0) == 3
     assert run("shell", "--in", workdir / "two.sc", "--threads", 4) == 3
+
+
+def parser_rows():
+    """One argv per way the parse can go: for each command a valid call,
+    help, a required option missing, a bad or unknown option; then no
+    command, top-level help, an unknown command and an option first."""
+    valid = {
+        "info": ["--in", "k.sc"], "sd": ["--in", "k.sc", "--depth", "2"],
+        "shell": ["--in", "k.sc", "--budget", "5"],
+        "collapse": ["--in", "k.sc", "--k", "1", "--json"],
+        "wsat": ["--in", "k.sc", "--number"],
+        "convert": ["--in", "k.sc", "--cert", "c.cert"],
+        "chain": ["--in", "k.sc", "--out", "r.txt"],
+        "gen": ["--out", "d", "--mode", "enumerate-all", "--n", "4", "--t", "2"],
+    }
+    assert valid.keys() == _build_parser().commands.keys()
+    for command, args in valid.items():
+        yield [command, *args]
+        yield [command, *args, "-h"]
+        yield [command, *args[2:]]  # without --in (gen: without --out)
+        for extra in (["--budget", "x"], ["--threads", "4"], ["--bogus"]):
+            yield [command, *args, *extra]
+    yield from ([], ["-h"], ["no-such-command"], ["--json", "info", "--in", "k.sc"])
+
+
+def test_command_parser_selection_matches_the_full_parser(capsys):
+    """main's one-pass parse gives the full parser's namespace, or exits
+    with its code and its output, on every row."""
+    def outcome(parse, argv):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    namespaces = 0
+    for argv in parser_rows():
+        ours, full = outcome(_parse, argv), outcome(_build_parser().parse_args, argv)
+        assert ours == full, argv
+        namespaces += isinstance(full[0], argparse.Namespace)
+    assert namespaces == 8  # the valid calls
 
 
 def test_absorbed_face_warning_on_stderr(workdir, capsys):

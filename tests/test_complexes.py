@@ -878,6 +878,27 @@ def test_sd_preserves_connectivity():
         assert K.barycentric_subdivision().is_connected() == K.is_connected()
 
 
+def test_sd_keeps_the_pure_and_connected_answers_a_rebuild_computes():
+    """sd and sd² keep their parent's is_pure and is_connected answers;
+    each equals the answer of a Complex rebuilt from the same labels and
+    facets, on every member of enumerate_pure2(5, 6), with a disjoint
+    triangle (disconnected), a pendant edge (impure) or a lone vertex
+    (both) added."""
+    corpus = []
+    for K in enumerate_pure2(5, 6):
+        faces = [K.label_face(f) for f in K.facets]
+        corpus += [K, from_facets(faces + [["x", "y", "z"]]),
+                   from_facets(faces + [[K.labels[0], "x"]]), from_facets(faces + [["x"]])]
+    answers = {(K.is_pure(), K.is_connected()) for K in corpus}
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
+    for K in corpus:
+        sd = K.barycentric_subdivision()
+        for L in (sd, sd.barycentric_subdivision()):
+            rebuilt = Complex(L.labels, L.facets)
+            assert (L.is_pure(), L.is_connected()) == (rebuilt.is_pure(), rebuilt.is_connected())
+            assert (L.is_pure(), L.is_connected()) == (K.is_pure(), K.is_connected())
+
+
 # -- .sc format ---------------------------------------------------------------------------
 
 def test_sc_round_trip(two_triangles):
