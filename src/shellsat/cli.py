@@ -57,6 +57,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 _ENCODE = json.encoder.encode_basestring_ascii
+# The bytes that the encoder writes as themselves: printable ASCII but '"' and '\\'.
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
+
+
+def _plain(texts) -> bool:
+    """True iff no string in texts holds a character that the encoder escapes."""
+    joined = "".join(texts)
+    return joined.isascii() and not joined.encode("ascii").translate(None, _PLAIN)
 
 
 def to_json(value, indent: str = "") -> str:
@@ -65,29 +73,46 @@ def to_json(value, indent: str = "") -> str:
 
     With ``indent`` set, ``json.dumps`` always takes its pure-Python
     encoder.  Here a dict with string keys and a list of values are laid
-    out as it lays them out, a list of strings (a certificate's faces) is
-    joined from the C string encoder, and a list of equal-length string
-    lists (the collapse steps) fills one item template per entry.  What is
-    left goes through ``json.dumps``: a scalar as it is, and an empty or
-    unusual container indented, each of its newlines followed by the
-    enclosing indent (a nested value is the top-level one shifted right,
-    and JSON strings hold no raw newline).
+    out as it lays them out, and a ``str``, ``None``, ``bool`` or ``int``
+    is written as it writes one: the C string encoder, ``null``,
+    ``true``/``false`` and ``int.__repr__``.  A list of strings (a
+    certificate's faces) and a list of nonempty string lists (the collapse
+    steps) are joined raw, the quotes in the separators, once one C-level
+    pass over all their strings finds only printable ASCII other than
+    ``"`` and ``\\``.  That is sound because the encoder escapes character
+    by character and writes each of those characters as itself, so such a
+    string is its own encoding between quotes.  Any other list of strings
+    goes through the C string encoder one string at a time.  What is left
+    goes through ``json.dumps``: a float as it is, and an empty or unusual
+    container indented, each of its newlines followed by the enclosing
+    indent (a nested value is the top-level one shifted right, and JSON
+    strings hold no raw newline).
     """
-    inner = indent + "  "
-    if type(value) is dict and value and set(map(type, value)) == {str}:
+    kind, inner = type(value), indent + "  "
+    if kind is str:
+        return _ENCODE(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict and value and set(map(type, value)) == {str}:
         return "{\n" + ",\n".join([f"{inner}{_ENCODE(key)}: {to_json(item, inner)}"
                                    for key, item in value.items()]) + f"\n{indent}}}"
-    if type(value) is list and value:
+    if kind is list and value:
         kinds = set(map(type, value))
-        if kinds == {str}:
-            items = map(_ENCODE, value)
-        elif (kinds == {list} and len(sizes := set(map(len, value))) == 1
-              and set(map(type, chain.from_iterable(value))) == {str}):
-            deeper, (size,) = inner + "  ", sizes
-            item = f"[\n{deeper}" + f",\n{deeper}".join(["%s"] * size) + f"\n{inner}]"
-            items = map(item.__mod__, zip(*[map(_ENCODE, chain.from_iterable(value))] * size))
-        else:
-            items = [to_json(item, inner) for item in value]
+        if kinds == {str} and _plain(value):
+            return f'[\n{inner}"' + f'",\n{inner}"'.join(value) + f'"\n{indent}]'
+        if (kinds == {list} and all(value)
+                and set(map(type, chain.from_iterable(value))) == {str}
+                and _plain(chain.from_iterable(value))):
+            deeper = inner + "  "
+            return (f'[\n{inner}[\n{deeper}"'
+                    + f'"\n{inner}],\n{inner}[\n{deeper}"'.join(
+                        map(f'",\n{deeper}"'.join, value))
+                    + f'"\n{inner}]\n{indent}]')
+        items = map(_ENCODE, value) if kinds == {str} else [to_json(item, inner) for item in value]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(value, (dict, list, tuple)):
         return json.dumps(value, indent=2).replace("\n", "\n" + indent)

@@ -88,10 +88,11 @@ class _Replay:
     closed into a complex, and :func:`free_faces` sorts its steps.
 
     The build runs in C-level passes.  Ids run over the faces by size,
-    smallest first, so the faces of size k are one slice of ``face``; their
-    ridges are one ``combinations`` column of size k-1 faces mapped to
-    ids, k per face, zipped back per face.  ``up`` is one ``Counter`` pass
-    over the ridges of the faces left.
+    smallest first, so the faces of size k are one slice of ``face``.
+    Vertex ``(v,)`` has id ``v``, so an edge is its own tuple of ridge ids;
+    the ridges of a larger face are one ``combinations`` column of size k-1
+    faces mapped to ids, k per face, zipped back per face.  ``up`` is one
+    ``Counter`` pass over the ridges of the faces left.
     """
 
     __slots__ = ("subject", "face", "ids", "ridges", "left", "up")
@@ -103,17 +104,23 @@ class _Replay:
         sizes = K.f_vector()[1:]
         self.ridges = ridges = [()] * sizes[0] if sizes else []
         for k, n in enumerate(sizes[1:], start=2):
-            column = map(ids.__getitem__, chain.from_iterable(map(
-                combinations, face[len(ridges):len(ridges) + n], repeat(k - 1))))
-            ridges += zip(*[column] * k)
+            run = face[len(ridges):len(ridges) + n]
+            if k == 2:
+                ridges += run
+            else:
+                column = map(ids.__getitem__, chain.from_iterable(
+                    map(combinations, run, repeat(k - 1))))
+                ridges += zip(*[column] * k)
         self.left = left = bytearray(b"\1") * len(face)
         for t in removed:
             left[ids[t]] = 0
         held = Counter(chain.from_iterable(compress(ridges, left)))
         self.up = list(map(held.get, range(len(face)), repeat(0)))
 
-    def take(self, step: CollapseStep) -> str | None:
+    def take(self, step: CollapseStep, t: int | None, s: int | None) -> str | None:
         """Apply the step if it is legal; else say why not and change nothing.
+
+        t and s are the caller's lookups of tau and sigma in ``ids``.
 
         Legal iff tau is a nonempty face left, sigma a face left strictly
         holding it, up[sigma] == 0 and up[tau] == |sigma| - |tau|.  Why: the
@@ -125,19 +132,16 @@ class _Replay:
 
         When |sigma| = |tau| + 1 (every step the chain and the peel emit),
         sigma strictly holds tau iff tau is one of its ridges, and the faces
-        removed are just tau and sigma, so the step costs two id lookups
-        and a decrement per ridge of each.  A reason names faces by the
-        subject's labels.
+        removed are just tau and sigma, so the step costs a decrement per
+        ridge of each.  A reason names faces by the subject's labels.
         """
         tau, sigma = step.free_face, step.facet
         if not tau:
             return "the empty face cannot be collapsed"
-        ids, left, up, ridges = self.ids, self.left, self.up, self.ridges
+        left, up, ridges = self.left, self.up, self.ridges
         name = self.subject.face_name
-        t = ids.get(tau)
         if t is None or not left[t]:
             return f"free face {name(tau)} is not a face of the current complex"
-        s = ids.get(sigma)
         codim1 = len(sigma) == len(tau) + 1
         if s is None or not left[s] or not (
                 t in ridges[s] if codim1 else set(tau) < set(sigma)):
@@ -148,7 +152,7 @@ class _Replay:
             return (f"free face {name(tau)} is also contained in facet "
                     f"{name(self.other_facet(step))}")
         gone = (t, s) if codim1 else [
-            ids[tuple(sorted(tau + extra))]
+            self.ids[tuple(sorted(tau + extra))]
             for extra in subfaces([v for v in sigma if v not in tau])]
         for g in gone:
             left[g] = 0
@@ -177,7 +181,7 @@ def apply_collapse(K: Complex, step: CollapseStep) -> Complex:
     one named by the step; otherwise NotFreeError reports the obstruction.
     """
     replay = _Replay(K)
-    reason = replay.take(step)
+    reason = replay.take(step, *map(replay.ids.get, step))
     if reason is not None:
         raise NotFreeError(reason, blocking_facet=replay.other_facet(step))
     return K.induced(replay.facets())
@@ -542,26 +546,29 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     or removed entries that are not triangle facets of K, whose removal
     would leave no complex) raises MalformedCertificateError; an illegal
     step or a target mismatch merely makes the certificate invalid and is
-    reported as a string.  One walk over the steps, then the target, names
-    the first face outside K's nonempty faces before any step is replayed;
-    the empty face passes it, for the replay or the comparison to refuse.
+    reported as a string.  One id lookup per face of the steps, then of the
+    target, names the first face outside K's nonempty faces before any step
+    is replayed; the empty face passes it, for the replay or the comparison
+    to refuse.  The replay reads the steps' ids from that lookup.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:
         if len(t) != 3 or t not in facets:
             raise MalformedCertificateError(
                 f"removed entry {K.face_name(t)} is not a triangle facet of the subject")
-    ids = K.face_ids()
-    for i, faces in enumerate((*cert.steps, cert.target)):
-        for face in faces:
-            if face and face not in ids:
-                where = f"step {i}" if i < len(cert.steps) else "target"
+    faces = [*chain.from_iterable(cert.steps), *cert.target]
+    at = list(map(K.face_ids().get, faces))
+    if None in at:
+        for n, (face, i) in enumerate(zip(faces, at)):
+            if face and i is None:
+                where = f"step {n // 2}" if n < 2 * len(cert.steps) else "target"
                 raise MalformedCertificateError(
                     f"{where}: {K.face_name(face)} is not a face of the subject")
 
     replay = _Replay(K, cert.removed_triangles)
-    for i, step in enumerate(cert.steps):
-        reason = replay.take(step)
+    pair = iter(at)
+    for i, (step, t, s) in enumerate(zip(cert.steps, pair, pair)):
+        reason = replay.take(step, t, s)
         if reason is not None:
             return f"step {i}: {reason}"
 
@@ -580,10 +587,10 @@ def verify_collapse(K: Complex, cert: CollapseCertificate) -> bool:
 
 def collapse_fields(K: Complex, cert: CollapseCertificate) -> dict:
     """The certificate as label text, for its file and the chain report."""
-    texts = K.face_texts(chain.from_iterable(cert.steps))
+    texts = iter(K.face_texts(chain.from_iterable(cert.steps)))
     return {
         "removed": K.face_texts(sorted(cert.removed_triangles)),
-        "steps": [texts[i:i + 2] for i in range(0, len(texts), 2)],
+        "steps": list(map(list, zip(texts, texts))),
         "target": K.face_texts(cert.target),
     }
 

@@ -598,12 +598,20 @@ def test_gen_infeasible_spec(workdir):
 
 def test_json_writer_matches_the_indented_encoder_on_edge_values():
     """Empty containers, scalars and strings that need escapes, alone and
-    nested in the shapes the writer lays out itself."""
-    odd = ['say "hi"', "back\\slash", "two\nlines", "caf\u00e9 \u2603", "tab\t", ""]
+    nested in the shapes the writer lays out itself.  The raw joins must
+    refuse a list when any one character of any string needs an escape:
+    the control and delete characters, and one bad string at the end of a
+    long plain list or inside one pair."""
+    odd = ['say "hi"', "back\\slash", "two\nlines", "caf\u00e9 \u2603", "tab\t", "",
+           "del\x7f", "nul\x00", "unit\x1f"]
+    plain = [f"v{i} v{i + 1} x_{{{i}}}|.-" for i in range(500)]
     values = [{}, [], None, True, False, 0, -7, 2.5, *odd, odd, [odd, odd[::-1]],
               {"a": [], "b": {}, "c": None, "d": [True, 1, "x"], "e": [[], []]},
               {"steps": [["a b", "a b c"], ["c", "b c"]], "nested": {"deep": [odd]}},
-              [["a"], ["b", "c"]], [[1, 2]], [{"k": "v"}, {}], (1, "t"), {1: "int key"}]
+              [["a"], ["b", "c"]], [[1, 2]], [{"k": "v"}, {}], (1, "t"), {1: "int key"},
+              plain, [*plain, "last\x7f"], [*plain, 'last"'],
+              [[p, p] for p in plain], [*([p, p] for p in plain), ["a b", "a\\b"]],
+              [["a b", "a b c"], ["c", "b\x00c"], ["d", "d e"]], [["a", "b"], [None, "c"]]]
     for value in values:
         assert to_json(value) == json.dumps(value, indent=2), value
         assert to_json({"wrap": [value]}) == json.dumps({"wrap": [value]}, indent=2), value
