@@ -337,11 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="shellsat",
         description="shellability / collapsibility / weak K3-saturation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = {}
-
-    def add_parser(name, **kwargs):
-        parser.commands[name] = p = sub.add_parser(name, **kwargs)
-        return p
+    parser.commands = sub.choices
 
     def add_common(p, cert=False, budget=False):
         p.add_argument("--in", dest="infile", required=True, metavar="FILE",
@@ -357,35 +353,35 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="N",
                            help=f"search-node budget (default {DEFAULT_BUDGET})")
 
-    p_info = add_parser("info", help="print structural facts")
+    p_info = sub.add_parser("info", help="print structural facts")
     add_common(p_info)
     p_info.set_defaults(handler=_cmd_info)
 
-    p_sd = add_parser("sd", help="barycentric subdivision")
+    p_sd = sub.add_parser("sd", help="barycentric subdivision")
     add_common(p_sd)
     p_sd.add_argument("--out", metavar="FILE", help="output .sc file (default stdout)")
     p_sd.add_argument("--depth", type=int, default=1, metavar="K",
                       help="number of subdivision rounds (default 1)")
     p_sd.set_defaults(handler=_cmd_sd)
 
-    p_shell = add_parser("shell", help="decide shellability")
+    p_shell = sub.add_parser("shell", help="decide shellability")
     add_common(p_shell, cert=True, budget=True)
     p_shell.set_defaults(handler=_cmd_shell)
 
-    p_col = add_parser("collapse", help="decide collapsibility")
+    p_col = sub.add_parser("collapse", help="decide collapsibility")
     add_common(p_col, cert=True, budget=True)
     p_col.add_argument("--k", type=int, default=None, metavar="N",
                        help="decide collapsibility after removing N triangles")
     p_col.set_defaults(handler=_cmd_collapse)
 
-    p_wsat = add_parser("wsat", help="weak K3-saturation decisions")
+    p_wsat = sub.add_parser("wsat", help="weak K3-saturation decisions")
     add_common(p_wsat, cert=True, budget=True)
     p_wsat.add_argument("--number", action="store_true",
                         help="compute the exact wsat number instead of the "
                              "tree-size decision")
     p_wsat.set_defaults(handler=_cmd_wsat)
 
-    p_conv = add_parser("convert", help="run a certificate translation")
+    p_conv = sub.add_parser("convert", help="run a certificate translation")
     add_common(p_conv)
     p_conv.add_argument("--cert", required=True, metavar="FILE",
                         help="input certificate (shelling or saturation)")
@@ -393,13 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output certificate file (default stdout)")
     p_conv.set_defaults(handler=_cmd_convert)
 
-    p_chain = add_parser("chain", help="run the full certificate pipeline")
+    p_chain = sub.add_parser("chain", help="run the full certificate pipeline")
     add_common(p_chain, budget=True)
     p_chain.add_argument("--out", metavar="FILE",
                          help="report file (default stdout)")
     p_chain.set_defaults(handler=_cmd_chain)
 
-    p_gen = add_parser("gen", help="materialize an instance corpus")
+    p_gen = sub.add_parser("gen", help="materialize an instance corpus")
     p_gen.add_argument("--out", required=True, metavar="DIR",
                        help="corpus directory")
     p_gen.add_argument("--mode", required=True, choices=harness.MODES)

@@ -55,9 +55,9 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     the face: iff ``first``, the least position of a facet holding the
     face, is below n.  ``first`` is one C-level ``dict`` build over the
     column of the order's rows of :meth:`Complex.facet_rows`, read
-    backwards so that the least position is written last.  The frontier,
-    the undo log, the placed flags and the key of the search's prefix are
-    never read by the check, so none is kept.
+    backwards so that the least position is written last.  The check
+    never reads the search's frontier, undo log, placed flags or key, so
+    none is kept.
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
@@ -96,57 +96,26 @@ def _slots(d: int) -> tuple[int, tuple, list[int]]:
     return full, slot, [slot[full ^ (1 << j)] for j in range(d + 1)]
 
 
-class _Prefix:
-    """A shelling prefix of a pure complex of dimension d >= 1: the tables
-    the search reads, the state it changes, and ``pop``.
+def _tables(K: Complex) -> tuple[int, tuple, list[int], tuple, dict[int, list[int]]]:
+    """The read-only tables of the shelling search on a pure complex of
+    dimension d >= 1: the :func:`_slots` triple, K's kept
+    :meth:`Complex.facet_rows` and the ridge holders.
 
-    The tables are read only.  ``subfaces[i]`` is the row of facet i in
-    K's kept :meth:`Complex.facet_rows`, so ridge j of every facet (the one
-    omitting vertex j) sits at ``ridge_slots[j]`` and the subface on the
-    vertex positions in a mask at ``slot[mask]`` (see :func:`_slots`).
-    ``holders[r]`` lists, in increasing order, the facets having face r as
-    a ridge; only the search reads it, so it is built here, from the rows'
-    ridge column zipped with each facet index repeated d+1 times.  No id
-    reaches output: the search compares only cover counts and facet
-    indices.
-
-    ``cover[s]`` counts the placed facets containing face ``s``, and
-    ``key`` is the set of placed facets as a bitmask.  ``frontier`` is the
-    sorted list, without duplicates, of the unplaced facets that share a
-    ridge (a face of dimension d-1) with the placed union.  The step that
-    places a facet is :func:`find_shelling`'s, on local names; it keeps
-    the frontier sorted with ``bisect`` and logs in ``undo`` whether it
-    took the placed facet off the frontier and which facets it added.
-    ``pop`` undoes the last placement from that entry, so the two are
-    exact inverses and the search can backtrack.
+    Row i names the subfaces of facet i by id, so ridge j of every facet
+    (the one omitting vertex j) sits at ``ridge_slots[j]`` and the subface
+    on the vertex positions in a mask at ``slot[mask]``.  ``holders[r]``
+    lists, in increasing order, the facets having face r as a ridge; only
+    the search reads it, so it is built here, from the rows' ridge column
+    zipped with each facet index repeated d+1 times.  No id reaches
+    output: the search compares only cover counts and facet indices.
     """
-
-    def __init__(self, K: Complex):
-        self.full, self.slot, self.ridge_slots = _slots(K.dim)
-        self.subfaces = rows = K.facet_rows()
-        ridges = list(chain.from_iterable(map(itemgetter(*self.ridge_slots), rows)))
-        self.holders = holders = {r: [] for r in ridges}
-        deque(map(list.append, map(holders.__getitem__, ridges), chain.from_iterable(
-            zip(*repeat(range(len(rows)), len(self.ridge_slots))))), maxlen=0)
-        self.cover = [0] * len(K.face_ids())
-        self.placed = [False] * len(K.facets)
-        self.order: list[int] = []
-        self.frontier: list[int] = []
-        self.undo: list[tuple[bool, list[int]]] = []
-        self.key = 0
-
-    def pop(self) -> None:
-        i = self.order.pop()
-        self.placed[i] = False
-        self.key ^= 1 << i
-        for s in self.subfaces[i]:
-            self.cover[s] -= 1
-        was_frontier, added = self.undo.pop()
-        frontier = self.frontier
-        for g in added:
-            del frontier[bisect_left(frontier, g)]
-        if was_frontier:
-            insort(frontier, i)
+    full, slot, ridge_slots = _slots(K.dim)
+    rows = K.facet_rows()
+    ridges = list(chain.from_iterable(map(itemgetter(*ridge_slots), rows)))
+    holders: dict[int, list[int]] = {r: [] for r in ridges}
+    deque(map(list.append, map(holders.__getitem__, ridges), chain.from_iterable(
+        zip(*repeat(range(len(rows)), len(ridge_slots))))), maxlen=0)
+    return full, slot, ridge_slots, rows, holders
 
 
 def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
@@ -233,7 +202,7 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     it tried (-1 before the first).  The root frame walks ``range(m)``;
     every other frame scans the frontier above its last facet, up to the
     first facet that fits.  A frame resumes only after its child is
-    undone, and ``pop`` restores the frontier exactly, so the frame sees
+    undone, and the undo restores the frontier exactly, so the frame sees
     the sorted frontier of its own prefix again: the facets above its last
     one are those a sorted snapshot taken when the frame began would still
     hold, in the same order, each checked against the same prefix.  So a
@@ -250,10 +219,27 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     iff M is nonempty and one of those holds.  For d = 2: the triangle
     shares an edge, and every shared vertex lies on a shared edge.
 
-    The scan and the step that places a facet run here, on local names
-    bound to the tables and the state of a :class:`_Prefix`; ``pop`` is
-    its method.  A facet placed below the root is on the frontier, at the
-    position where the scan found it, so it is deleted there.
+    The scan, the step that places a facet and its undo run here, on the
+    tables of :func:`_tables` and a state held in locals.  ``cover[s]``
+    counts the placed facets containing face ``s``, ``placed`` flags them,
+    ``order`` lists them as placed and ``key`` is their set as a bitmask.
+    ``frontier`` is the sorted list, without duplicates, of the unplaced
+    facets that share a ridge (a face of dimension d-1) with the placed
+    union; the step keeps it sorted with ``bisect``.  A facet placed below
+    the root is on the frontier, at the position where the scan found it,
+    so it is deleted there, and the step logs in ``undo`` only the facets
+    it added.  Undoing the placement of facet i deletes those and puts i
+    back on the frontier iff a placed facet is left: every facet placed
+    below the root was taken off the frontier, and the root facet, placed
+    on an empty one, never was.  So a step and its undo are exact
+    inverses, and the search can backtrack.
+
+    A placement is undone in one place, where a frame with no candidates
+    is popped.  A frame whose facet set is already in the memo has none,
+    so it is popped on the next loop turn.  A memo hit means the memo is
+    not empty, so neither the connectivity check nor :func:`_refuted` runs
+    there, and recording the set again adds nothing: the nodes, the result
+    and the memo are those of undoing the placement at once.
 
     The first time a frame runs out of candidates, a 2-complex gets one
     call to :func:`_refuted`, whose nodes come out of the same budget.  It
@@ -278,18 +264,22 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
         raise UnsupportedDimensionError("shelling search requires dimension >= 1")
     budget = as_budget(budget)
     m = len(K.facets)
-    prefix = _Prefix(K)
-    full, slot, rows, holders = prefix.full, prefix.slot, prefix.subfaces, prefix.holders
-    ridge_slots = prefix.ridge_slots
+    full, slot, ridge_slots, rows, holders = _tables(K)
     bits = list(zip([1 << j for j in range(len(ridge_slots))], ridge_slots))
-    cover, placed, order, frontier, undo = (
-        prefix.cover, prefix.placed, prefix.order, prefix.frontier, prefix.undo)
+    cover = [0] * len(K.face_ids())
+    placed = [False] * m
+    order: list[int] = []
+    frontier: list[int] = []
+    undo: list[list[int]] = []
+    key = 0
     failed: set[int] = set()
     stack = [-1]
     try:
         while stack:
             last = stack[-1]
-            if not order:
+            if key in failed:
+                i = None
+            elif not order:
                 i = last + 1 if last + 1 < m else None
             else:
                 i = None
@@ -309,18 +299,25 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                     if refuted is not None:
                         return refuted
                 stack.pop()
-                failed.add(prefix.key)
+                failed.add(key)
                 if order:
-                    prefix.pop()
+                    i = order.pop()
+                    placed[i] = False
+                    key ^= 1 << i
+                    for s in rows[i]:
+                        cover[s] -= 1
+                    for g in undo.pop():
+                        del frontier[bisect_left(frontier, g)]
+                    if order:
+                        insort(frontier, i)
                 continue
             stack[-1] = i
             budget.spend()
-            on_frontier = bool(order)
-            if on_frontier:
+            if order:
                 del frontier[n]  # where the scan found it
             placed[i] = True
             order.append(i)
-            prefix.key |= 1 << i
+            key |= 1 << i
             added = []
             sub = rows[i]
             for s in sub:
@@ -333,13 +330,10 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                             if n == len(frontier) or frontier[n] != g:
                                 frontier.insert(n, g)
                                 added.append(g)
-            undo.append((on_frontier, added))
+            undo.append(added)
             if len(order) == m:
                 return ShellingCertificate(tuple(K.facets[j] for j in order))
-            if prefix.key in failed:
-                prefix.pop()
-            else:
-                stack.append(-1)
+            stack.append(-1)
     except OutOfBudget:
         _require_connected(K)
         return BudgetExceeded(stage="shelling")
