@@ -25,7 +25,7 @@ from .collapse import (
     as_steps,
     collapse_fields,
     format_collapse,
-    prune_leaves,
+    peel,
     verify_collapse,
 )
 from .complexes import Complex, Face, require_pure2_connected
@@ -118,10 +118,10 @@ def saturation_to_collapse(L: Complex,
     pure of dimension 2, so its triangles are its facets); the witness
     triangles collapse in reverse saturation order, and the
     remaining spanning tree is pruned leaf by leaf, largest leaf first
-    (:func:`collapse.prune_leaves`), down to the target, the one vertex
-    never pruned.  The replay adds each missing host edge between two
-    vertices its witness already joins, so the start's components are the
-    connected host's, and n - 1 start edges make a spanning tree.
+    (:func:`collapse.peel`, ``largest_first``), down to the target, the one
+    vertex never pruned.  The replay adds each missing host edge between
+    two vertices its witness already joins, so the start's components are
+    the connected host's, and n - 1 start edges make a spanning tree.
     """
     require_pure2_connected(L, "the collapse construction")
     if not L.is_flag2():
@@ -140,8 +140,10 @@ def saturation_to_collapse(L: Complex,
     assert len(set(triangles)) == len(triangles), "witness triangles must be distinct"
 
     removed = frozenset(L.facets).difference(triangles)
-    leaves, target = prune_leaves(n, tree_edges, largest_first=True)
-    steps = as_steps(chain(zip(reversed(cert.order), reversed(triangles)), leaves))
+    leaves, _ = peel(tree_edges, range(n - 1), n, largest_first=True)
+    (target,) = set(range(n)).difference(v for v, _ in leaves)
+    steps = as_steps(chain(zip(reversed(cert.order), reversed(triangles)),
+                           (((v,), tree_edges[e]) for v, e in leaves)))
     return CollapseCertificate(removed, steps, ((target,),))
 
 

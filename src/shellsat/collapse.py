@@ -16,7 +16,7 @@ import heapq
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress, count, repeat
 from typing import NamedTuple
 
 from .complexes import (
@@ -199,85 +199,70 @@ def free_faces(K: Complex) -> list[CollapseStep]:
 
 # -- the peel -------------------------------------------------------------------
 #
-# Simplices are sorted vertex-id tuples that all have one size, and a set of
-# them is a set of indices into one sorted list, so `combinations` over a
-# sorted index list runs in lexicographic order.  The ridges of a simplex
-# are its faces one vertex smaller.  The core of a set is what is left after
-# repeatedly deleting a simplex with a ridge in no other remaining simplex.
-# On triangles, a set with an empty core is what a collapse removes through
-# free edges and, read backwards, a weak K3-saturation order (see
-# `wsat.decide_wsat_eq_treesize`).  The graph stage after the triangles, a
-# leaf prune, runs on integer vertices in `prune_leaves`, the one prune the
-# collapse search and the certificate chain share.
+# The ridges of a simplex are its faces one vertex smaller, and the core of
+# a set of simplices of one size is what is left after repeatedly deleting
+# one with a ridge in no other one left.  A collapse removes triangles with
+# an empty core through free edges (read backwards, a weak K3-saturation
+# order: `wsat.decide_wsat_eq_treesize`), then prunes the edges left as
+# leaves.  `peel` takes ridge ids in the ridges' sorted order: a vertex is
+# its own id, so an edge is its own row, and a triangle's edges are their
+# positions in the sorted edge list (`edge_rows`).  Simplex sets are index
+# sets into one sorted list, so `combinations` runs in lexicographic order.
+Triangle = tuple[int, int, int]
 
 
-def peel(simplices: list[Face], alive) -> tuple[list[tuple[Face, Face]], set[int]]:
-    """Peel the alive simplices, least free ridge first.
+def edge_rows(triangles, edges) -> list[Triangle]:
+    """The ids of each triangle's edges ab, ac, bc: their positions in
+    ``edges``, a sorted sequence holding them all.  One ``combinations``
+    column of edges mapped to ids, zipped back three per triangle."""
+    at = dict(zip(edges, count()))
+    column = map(at.__getitem__, chain.from_iterable(map(combinations, triangles, repeat(2))))
+    return list(zip(*[column] * 3))
+
+
+def _numbered(triangles) -> tuple[list[Triangle], int]:
+    """The triangles' :func:`edge_rows` over their own edges, and the edge count."""
+    edges = sorted(set(chain.from_iterable(map(combinations, triangles, repeat(2)))))
+    return edge_rows(triangles, edges), len(edges)
+
+
+def peel(rows, alive, n: int,
+         largest_first: bool = False) -> tuple[list[tuple[int, int]], set[int]]:
+    """Peel the alive simplices, the least free ridge first, or the largest
+    with ``largest_first``; ``rows[i]`` lists simplex i's ridge ids, in 0..n-1.
 
     Returns each free ridge paired with the simplex that leaves with it, in
-    peel order, and the core that is left.  Deleting simplices only lowers
-    the number of simplices holding a ridge, so a simplex that can leave
-    stays able to, and the set that leaves (hence the core) does not depend
-    on the order.
-    """
-    holders: dict[Face, set[int]] = {}
-    for i in alive:
-        for r in combinations(simplices[i], len(simplices[i]) - 1):
-            holders.setdefault(r, set()).add(i)
-    heap = [r for r, held in holders.items() if len(held) == 1]
-    heapq.heapify(heap)
-    free: list[tuple[Face, Face]] = []
-    while heap:
-        r = heapq.heappop(heap)
-        if len(holders[r]) == 1:
-            (i,) = holders[r]
-            free.append((r, simplices[i]))
-            for q in combinations(simplices[i], len(simplices[i]) - 1):
-                holders[q].discard(i)
-                if len(holders[q]) == 1:
-                    heapq.heappush(heap, q)
-    return free, {i for held in holders.values() for i in held}
-
-
-def prune_leaves(n: int, edges, largest_first: bool) -> tuple[list[tuple[Face, Face]], int]:
-    """Prune a graph on the vertices 0..n-1 leaf by leaf: the least leaf
-    first, or the largest with ``largest_first``.
-
-    Returns each pruned leaf as a step ``((leaf,), edge)`` that removes the
-    leaf with its one edge, in pop order, and the vertex the last step
-    leaves standing (0 when none is pruned).  When the edges are a spanning
-    tree, n - 1 leaves go and that vertex is the one never pruned; fewer go
-    when they are not (a cycle keeps its vertices' degrees above one, and
-    each further component keeps a vertex).
-
-    A leaf's one neighbour is the XOR of its neighbours left, so each
-    vertex keeps its degree and that XOR instead of a set.  A vertex is
-    pushed on the heap when its degree falls to one, which happens once,
-    so the heap holds every current leaf; a popped vertex whose degree has
-    fallen to zero lost its last neighbour as a leaf and is skipped.
+    peel order, and the core left.  Deleting simplices only lowers the
+    number holding a ridge, so a simplex that can leave stays able to, and
+    the set that leaves (hence the core) does not depend on the order.
+    A free ridge's one holder is the XOR of its holders left, so each ridge
+    keeps a count and that XOR instead of a set.  A count falls to one at
+    most once, so the heap (of ids, negated with ``largest_first``) holds
+    every free ridge; a popped ridge whose count is zero lost its holder
+    through another ridge and is skipped.
     """
     sign = -1 if largest_first else 1
-    degree, others = [0] * n, [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-        others[u] ^= v
-        others[v] ^= u
-    heap = [sign * v for v in range(n) if degree[v] == 1]
+    core = set(alive)
+    held, holder = [0] * n, [0] * n
+    for i in core:
+        for r in rows[i]:
+            held[r] += 1
+            holder[r] ^= i
+    heap = list(compress(range(0, sign * n, sign), map((1).__eq__, held)))
     heapq.heapify(heap)
-    steps: list[tuple[Face, Face]] = []
-    stem = 0
+    free: list[tuple[int, int]] = []
     while heap:
-        leaf = sign * heapq.heappop(heap)
-        if degree[leaf]:
-            stem = others[leaf]
-            degree[leaf] = 0
-            degree[stem] -= 1
-            others[stem] ^= leaf
-            steps.append(((leaf,), (leaf, stem) if leaf < stem else (stem, leaf)))
-            if degree[stem] == 1:
-                heapq.heappush(heap, sign * stem)
-    return steps, stem
+        r = sign * heapq.heappop(heap)
+        if held[r]:
+            i = holder[r]
+            free.append((r, i))
+            core.remove(i)
+            for q in rows[i]:
+                held[q] -= 1
+                holder[q] ^= i
+                if held[q] == 1:
+                    heapq.heappush(heap, sign * q)
+    return free, core
 
 
 def as_steps(pairs) -> tuple[CollapseStep, ...]:
@@ -290,39 +275,39 @@ def _collapse(K: Complex, removed: frozenset[Face],
               budget: Budget) -> CollapseCertificate | None:
     """Collapse K without the removed triangles toward one vertex.
 
-    The steps are the free edges of a peel of the other triangles, then
-    the leaves of a prune of the edges left over, least leaf first
-    (:func:`prune_leaves`), one budget node each.  Returns None unless the
-    prune leaves one vertex, that is unless those edges are a spanning
-    tree; so a certificate returned also shows that K is connected.
+    The steps are the free edges of a :func:`peel` of the other triangles,
+    then the leaves of a peel of the edges left over, least leaf first, one
+    budget node each.  Returns None unless the second peel removes all but
+    one vertex, the target, that is unless those edges are a spanning tree;
+    so a certificate returned also shows that K is connected.
     """
-    triangles = K.triangles
-    up, _ = peel(triangles, [i for i, t in enumerate(triangles) if t not in removed])
-    freed = {edge for edge, _ in up}
-    down, target = prune_leaves(K.n_vertices, [e for e in K.edges if e not in freed],
-                                largest_first=False)
+    edges, triangles, n = K.edges, K.triangles, K.n_vertices
+    up, _ = peel(edge_rows(triangles, edges),
+                 [i for i, t in enumerate(triangles) if t not in removed], len(edges))
+    down, _ = peel(edges, set(range(len(edges))).difference(e for e, _ in up), n)
     budget.spend(len(up) + len(down))
-    if len(down) != K.n_vertices - 1:
+    if len(down) != n - 1:
         return None
-    return CollapseCertificate(removed, as_steps(up + down), ((target,),))
+    (target,) = set(range(n)).difference(v for v, _ in down)
+    steps = chain(((edges[e], triangles[t]) for e, t in up),
+                  (((v,), edges[e]) for v, e in down))
+    return CollapseCertificate(removed, as_steps(steps), ((target,),))
 
 
 # -- the triangle 2-core engine -------------------------------------------------
 
-Triangle = tuple[int, int, int]
 
-
-def _floor(triangles: list[Triangle], core) -> int:
+def _floor(rows: list[Triangle], core) -> int:
     """|core| minus the rank over GF(2) of its boundaries, a lower bound on
     the deletions that empty it: what is left then peels with an edge of
     each triangle in no later one, so its boundaries are independent and
     it holds at most rank triangles.  A peeled triangle's free edge is in
     no other boundary, so count and rank fall by one and the floor stays.
     """
-    bit: dict[Face, int] = {}
     basis: dict[int, int] = {}
     for t in core:
-        row = sum(bit.setdefault(e, 1 << len(bit)) for e in combinations(triangles[t], 2))
+        a, b, c = rows[t]
+        row = 1 << a | 1 << b | 1 << c
         while row:
             top = row.bit_length() - 1
             if top not in basis:
@@ -346,10 +331,11 @@ def core_components(triangles: list[Triangle],
     edge by edge, so each is solved on its own, from its :func:`_floor`.
     """
     budget.spend()
-    _, core = peel(triangles, range(len(triangles)))
-    holders: dict[Face, list[int]] = {}
+    rows, n = _numbered(triangles)
+    _, core = peel(rows, range(len(triangles)), n)
+    holders: dict[int, list[int]] = {}
     for t in core:
-        for e in combinations(triangles[t], 2):
+        for e in rows[t]:
             holders.setdefault(e, []).append(t)
     components: list[tuple[list[int], int]] = []
     seen: set[int] = set()
@@ -361,12 +347,12 @@ def core_components(triangles: list[Triangle],
         while stack:
             t = stack.pop()
             component.append(t)
-            for e in combinations(triangles[t], 2):
+            for e in rows[t]:
                 fresh = [s for s in holders[e] if s not in seen]
                 seen.update(fresh)
                 stack.extend(fresh)
         component.sort()
-        components.append((component, _floor(triangles, component)))
+        components.append((component, _floor(rows, component)))
     return components
 
 
@@ -390,23 +376,28 @@ def least_deletion(triangles: list[Triangle], component: list[int], size: int,
     node on it the rest of D empties the core, so the prune keeps it.
     Paths come in ``combinations`` order, so D is found first.  The first
     descent deletes the least triangle of each core: the greedy set, found
-    in ``size + 1`` nodes when it has ``size`` triangles.
+    in ``size + 1`` nodes when it has ``size`` triangles.  The search runs
+    on triangle j = ``component[j]`` and the component's own edge ids, so a
+    peel costs the component, not the host; it is sorted, so the local
+    order is the global one.
     """
     def children(core: set[int], last: int, allowed: int) -> Iterator[int]:
-        for n, t in enumerate(sorted(t for t in core if t > last)):
-            if n == 1 and _floor(triangles, core) > allowed:
+        for k, t in enumerate(sorted(t for t in core if t > last)):
+            if k == 1 and _floor(rows, core) > allowed:
                 return
             yield t
 
     budget.spend()
-    frames = [(-1, set(component), children(set(component), -1, size))] if size else []
+    rows, n = _numbered([triangles[t] for t in component])
+    everything = set(range(len(component)))
+    frames = [(-1, everything, children(everything, -1, size))] if size else []
     while frames:
         _, core, later = frames[-1]
         for t in later:
             budget.spend()
-            _, left = peel(triangles, core - {t})
+            _, left = peel(rows, core - {t}, n)
             if not left:
-                return tuple(deleted for deleted, _, _ in frames[1:]) + (t,)
+                return tuple(component[d] for d, _, _ in frames[1:]) + (component[t],)
             if len(frames) < size:
                 frames.append((t, left, children(left, t, size - len(frames))))
                 break

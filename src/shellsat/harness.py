@@ -28,6 +28,7 @@ MODES = ("random-pure-2", "enumerate-all", "subdivide-depth-k")
 ORACLE_MAX_FACETS = 6
 ORACLE_MAX_FACES = 12
 ORACLE_MAX_VERTICES = 6
+ENUMERATION_MAX_VERTICES = 7
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,9 @@ class GeneratorSpec:
             raise ParameterError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.n_vertices < 3:
             raise ParameterError("2-complexes need at least 3 vertices")
+        if self.mode != "random-pure-2" and self.n_vertices > ENUMERATION_MAX_VERTICES:
+            raise ParameterError(f"{self.mode} enumerates all vertex permutations, "
+                                 f"so n <= {ENUMERATION_MAX_VERTICES}, got {self.n_vertices}")
         if self.n_triangles < 1:
             raise ParameterError("need at least one triangle")
         cap = math.comb(self.n_vertices, 3)

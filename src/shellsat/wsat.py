@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .collapse import least_deletions, least_removal, peel
+from .collapse import edge_rows, least_deletions, least_removal, peel
 from .complexes import (
     SATURATION,
     Complex,
@@ -227,8 +227,9 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
         return BudgetExceeded(stage="wsat-tree-search")
     if isinstance(deleted, Impossible):
         return NotSaturated()
-    freed, _ = peel(triangles, set(range(len(triangles))) - deleted)
-    return extract_saturation_order(F, spanning_subgraph(F, host - {e for e, _ in freed}))
+    edges = F.edges
+    freed, _ = peel(edge_rows(triangles, edges), set(range(len(triangles))) - deleted, len(host))
+    return extract_saturation_order(F, spanning_subgraph(F, host - {edges[e] for e, _ in freed}))
 
 
 def wsat_number(F: Complex, budget: int | Budget | None = None):

@@ -1,3 +1,4 @@
+import heapq
 import random
 import re
 from itertools import chain, combinations, permutations
@@ -5,7 +6,7 @@ from itertools import chain, combinations, permutations
 import pytest
 
 from shellsat import from_facets, graph_complex, run_chain
-from shellsat.collapse import CollapseCertificate, CollapseStep, peel
+from shellsat.collapse import CollapseCertificate, CollapseStep
 from shellsat.complexes import Complex
 from shellsat.harness import (
     enumerate_connected_graphs,
@@ -69,10 +70,34 @@ def reference_saturated_tree(L, cert):
     return SaturationCertificate(start, tuple(order), tuple(witnesses))
 
 
+def reference_peel(simplices, alive):
+    """The earlier peel, on tuples: the alive simplices peeled least free
+    ridge first, each ridge's holders kept as a set in a dict keyed by the
+    ridge tuple.  Returns each free ridge paired with the simplex that
+    leaves with it, in peel order, and the core that is left."""
+    holders = {}
+    for i in alive:
+        for r in combinations(simplices[i], len(simplices[i]) - 1):
+            holders.setdefault(r, set()).add(i)
+    heap = [r for r, held in holders.items() if len(held) == 1]
+    heapq.heapify(heap)
+    free = []
+    while heap:
+        r = heapq.heappop(heap)
+        if len(holders[r]) == 1:
+            (i,) = holders[r]
+            free.append((r, simplices[i]))
+            for q in combinations(simplices[i], len(simplices[i]) - 1):
+                holders[q].discard(i)
+                if len(holders[q]) == 1:
+                    heapq.heappush(heap, q)
+    return free, {i for held in holders.values() for i in held}
+
+
 def reference_collapse(L, cert):
     """The earlier saturation-to-collapse translation, its checks left out:
     the facets that witness nothing removed, the witnesses collapsed in
-    reverse order, then the start tree pruned by ``collapse.peel`` on
+    reverse order, then the start tree pruned by :func:`reference_peel` on
     reversed ids (v -> n-1-v), whose least free vertex first is the
     largest leaf first, down to the vertex it leaves."""
     n = L.n_vertices
@@ -81,7 +106,7 @@ def reference_collapse(L, cert):
     steps = [CollapseStep(edge, triangle)
              for edge, triangle in reversed(list(zip(cert.order, triangles)))]
     tree = [(n - 1 - u, n - 1 - v) for u, v in cert.start.edges]
-    down, _ = peel(tree, range(len(tree)))
+    down, _ = reference_peel(tree, range(len(tree)))
     steps += [CollapseStep((n - 1 - leaf,), (n - 1 - u, n - 1 - v))
               for (leaf,), (u, v) in down]
     (target,) = set(range(n)).difference(n - 1 - leaf for (leaf,), _ in down)

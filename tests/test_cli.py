@@ -594,6 +594,17 @@ def test_gen_infeasible_spec(workdir):
                "--n", 4, "--t", 9) == 3
 
 
+@pytest.mark.parametrize("mode", ["enumerate-all", "subdivide-depth-k"])
+def test_gen_enumeration_refuses_more_than_seven_vertices(workdir, capsys, mode):
+    """The orbit enumeration lists all n! vertex permutations before its
+    first instance, so n = 8 is refused by validation, before any is built
+    or the output directory is made."""
+    assert run("gen", "--out", workdir / "x", "--mode", mode, "--n", 8, "--t", 2) == 3
+    assert capsys.readouterr().err == (
+        f"error: {mode} enumerates all vertex permutations, so n <= 7, got 8\n")
+    assert not (workdir / "x").exists()
+
+
 # -- the JSON writer -------------------------------------------------------------------------
 
 def test_json_writer_matches_the_indented_encoder_on_edge_values():

@@ -22,6 +22,7 @@ from shellsat import (
 from shellsat.collapse import (
     collapse_violation,
     core_components,
+    edge_rows,
     format_collapse,
     least_deletion,
     least_removal,
@@ -46,7 +47,14 @@ from shellsat.harness import (
     sample_pure2,
 )
 from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
-from conftest import all_faces, chain_reports, maximal_faces, outcome, shows_an_id_tuple
+from conftest import (
+    all_faces,
+    chain_reports,
+    maximal_faces,
+    outcome,
+    reference_peel,
+    shows_an_id_tuple,
+)
 
 
 def step_of(K, free_labels, facet_labels):
@@ -225,6 +233,46 @@ def test_peel_matches_greedy_free_face_reference():
     assert collapsible >= 100 and len(corpus) - collapsible >= 50
 
 
+def peel_cases():
+    """(simplices, ridge ids of each, ridge tuple of each id, vertex count):
+    the triangles of the 5-vertex classes and of their sd over sorted edge
+    ids, then graph edges over vertex ids: the classes' 1-skeletons, the
+    connected 5-vertex graphs, and seeded trees and forests."""
+    classes = list(enumerate_pure2(5, 10))
+    for K in classes + [K.barycentric_subdivision() for K in classes]:
+        yield K.triangles, edge_rows(K.triangles, K.edges), K.edges, K.n_vertices
+    graphs = [(K.edges, K.n_vertices) for K in classes + list(enumerate_connected_graphs(5))]
+    rng = random.Random(35)
+    for n in range(1, 40):
+        tree = [tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)]
+        graphs += [(tree, n), (sorted(rng.sample(tree, len(tree) // 2)), n)]
+    for edges, n in graphs:
+        yield edges, edges, list(zip(range(n))), n
+
+
+def test_peel_matches_the_tuple_reference():
+    """The id peel, its steps mapped back to tuples, gives the tuple peel's
+    steps and core, on every simplex and on a seeded two thirds of them.
+    Largest first is the reference on reversed ids (v -> n-1-v, each tuple
+    kept in its order), under which tuples compare in reverse."""
+    rng = random.Random(36)
+    cases = 0
+    for simplices, rows, ridge, n in peel_cases():
+        flip = [tuple(n - 1 - v for v in s) for s in simplices]
+        for alive in (range(len(simplices)),
+                      rng.sample(range(len(simplices)), 2 * len(simplices) // 3)):
+            for largest_first, named in ((False, simplices), (True, flip)):
+                steps, core = peel(rows, alive, len(ridge), largest_first)
+                expected, left = reference_peel(named, alive)
+                if largest_first:
+                    expected = [(tuple(n - 1 - v for v in r), tuple(n - 1 - v for v in s))
+                                for r, s in expected]
+                assert [(ridge[r], simplices[i]) for r, i in steps] == expected
+                assert core == left
+                cases += 1
+    assert cases > 700
+
+
 def test_long_strip_collapses_without_recursion():
     K = from_facets([[f"v{i + j}" for j in range(3)] for i in range(2000)])
     cert = is_collapsible(K)
@@ -370,7 +418,7 @@ def test_least_deletion_searches_where_greedy_falls_short():
         assert bound == floor
         first = next(d for size in range(len(component) + 1)
                      for d in combinations(component, size)
-                     if not peel(triangles, set(component) - set(d))[1])
+                     if not reference_peel(triangles, set(component) - set(d))[1])
         assert len(first) == least
         assert len(greedy_deletion(triangles, component)) > floor
         for size in range(floor, least + 1):
@@ -390,7 +438,7 @@ def greedy_deletion(triangles, component):
     greedy, core = [], set(component)
     while core:
         greedy.append(min(core))
-        core = peel(triangles, core - {greedy[-1]})[1]
+        core = reference_peel(triangles, core - {greedy[-1]})[1]
     return tuple(greedy)
 
 
@@ -401,7 +449,7 @@ def reference_least_deletion(triangles, component, floor, budget, at_floor=False
     for size in range(floor, floor + 1 if at_floor else len(greedy)):
         for deleted in combinations(component, size):
             budget.spend()
-            if not peel(triangles, set(component).difference(deleted))[1]:
+            if not reference_peel(triangles, set(component).difference(deleted))[1]:
                 return deleted
     return None if at_floor else greedy
 
@@ -445,7 +493,8 @@ def test_least_deletion_matches_the_greedy_and_scan_reference():
             budget, size = Budget(20000), floor
             while (found := least_deletion(triangles, component, size, budget)) is None:
                 size += 1
-            assert len(found) == size and not peel(triangles, set(component) - set(found))[1]
+            assert len(found) == size
+            assert not reference_peel(triangles, set(component) - set(found))[1]
             try:
                 expected = reference_least_deletion(triangles, component, floor, Budget(20000))
             except OutOfBudget:
