@@ -27,7 +27,7 @@ from bisect import bisect_left
 from functools import cache
 from itertools import chain, combinations, compress, count, permutations, repeat
 from math import comb
-from operator import add, itemgetter, ne
+from operator import add, itemgetter, lt, ne
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (
@@ -135,7 +135,9 @@ class Complex:
 
     def __init__(self, labels: Sequence[str], id_faces: Iterable[Face]):
         """The closure of id_faces (increasing tuples of label ids) on sorted
-        labels, each of which must be a vertex of a listed face.
+        labels, each of which must be a vertex of a listed face.  Labels
+        not strictly increasing raise, naming the first pair out of order:
+        the ids, the ".sc" text and the fingerprint assume that order.
 
         One sweep over the distinct nonempty faces, largest size first: the
         faces of a size not yet in the closure are facets, and add their
@@ -151,6 +153,10 @@ class Complex:
         """
         if not labels:
             raise EmptyComplexError("a complex must have at least one vertex")
+        labels = tuple(labels)
+        if not all(map(lt, labels, labels[1:])):
+            a, b = next(p for p in zip(labels, labels[1:]) if p[0] >= p[1])
+            raise MalformedFaceError(f"labels must be strictly increasing: {a!r} then {b!r}")
         listed = set(id_faces)
         sizes = sorted(set(map(len, listed)) - {0}, reverse=True) or [1]
         self.dim = dim = sizes[0] - 1
@@ -170,7 +176,7 @@ class Complex:
             v = min(vertices.symmetric_difference(ids), key=lambda v: (v in ids, v))
             raise NotAFaceError(f"label {labels[v]!r} is in no face" if v in ids
                                 else f"vertex id {v} names no label")
-        self.labels = tuple(labels)
+        self.labels = labels
         self.facets = tuple(sorted(facets))
         self._kept: dict = {}
 

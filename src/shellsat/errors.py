@@ -6,7 +6,7 @@ class ShellsatError(ValueError):
 
 
 class MalformedFaceError(ShellsatError):
-    """A face listing contains a repeated vertex."""
+    """A face listing contains a repeated vertex, or labels are out of order."""
 
 
 class NotAFaceError(ShellsatError):

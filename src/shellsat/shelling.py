@@ -56,8 +56,8 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     face, is below n.  ``first`` is one C-level ``dict`` build over the
     column of the order's rows of :meth:`Complex.facet_rows`, read
     backwards so that the least position is written last.  The check
-    never reads the search's frontier, undo log, placed flags or key, so
-    none is kept.
+    never reads the search's frontier, ridge counts or key, so none is
+    kept.
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
@@ -219,20 +219,20 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     iff M is nonempty and one of those holds.  For d = 2: the triangle
     shares an edge, and every shared vertex lies on a shared edge.
 
-    The scan, the step that places a facet and its undo run here, on the
-    tables of :func:`_tables` and a state held in locals.  ``cover[s]``
-    counts the placed facets containing face ``s``, ``placed`` flags them,
-    ``order`` lists them as placed and ``key`` is their set as a bitmask.
-    ``frontier`` is the sorted list, without duplicates, of the unplaced
-    facets that share a ridge (a face of dimension d-1) with the placed
-    union; the step keeps it sorted with ``bisect``.  A facet placed below
-    the root is on the frontier, at the position where the scan found it,
-    so it is deleted there, and the step logs in ``undo`` only the facets
-    it added.  Undoing the placement of facet i deletes those and puts i
-    back on the frontier iff a placed facet is left: every facet placed
-    below the root was taken off the frontier, and the root facet, placed
-    on an empty one, never was.  So a step and its undo are exact
-    inverses, and the search can backtrack.
+    The scan, the step and its undo run here, on the tables of
+    :func:`_tables` and a local state.  The frames below the stack's top
+    list the placed facets in order, ``key`` is their set as a bitmask,
+    ``cover[s]`` counts those containing face ``s`` and ``touch[g]`` the
+    ridges of facet g that one of them holds.  ``frontier`` is the sorted
+    list of the unplaced facets with a nonzero count, those sharing a ridge
+    with the placed union.  The step raises the counts of the other
+    holders of each ridge it covers first, inserting a holder when its
+    count reaches 1; the undo finds those ridges back at cover 0 and
+    reverses that.  A ridge covered first has no other placed holder, so a
+    placed facet's count never moves: it is nonzero iff the facet was on
+    the frontier, as each but the root one was.  So the step deletes i
+    where the scan found it, and the undo puts it back, iff ``touch[i]``
+    is nonzero: the two are exact inverses, and no log is kept.
 
     A placement is undone in one place, where a frame with no candidates
     is popped.  A frame whose facet set is already in the memo has none,
@@ -267,10 +267,8 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     full, slot, ridge_slots, rows, holders = _tables(K)
     bits = list(zip([1 << j for j in range(len(ridge_slots))], ridge_slots))
     cover = [0] * len(K.face_ids())
-    placed = [False] * m
-    order: list[int] = []
+    touch = [0] * m
     frontier: list[int] = []
-    undo: list[list[int]] = []
     key = 0
     failed: set[int] = set()
     stack = [-1]
@@ -279,7 +277,7 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
             last = stack[-1]
             if key in failed:
                 i = None
-            elif not order:
+            elif not key:
                 i = last + 1 if last + 1 < m else None
             else:
                 i = None
@@ -300,39 +298,39 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                         return refuted
                 stack.pop()
                 failed.add(key)
-                if order:
-                    i = order.pop()
-                    placed[i] = False
+                if stack:
+                    i = stack[-1]
                     key ^= 1 << i
-                    for s in rows[i]:
+                    sub = rows[i]
+                    for s in sub:
                         cover[s] -= 1
-                    for g in undo.pop():
-                        del frontier[bisect_left(frontier, g)]
-                    if order:
+                    for k in ridge_slots:
+                        if not cover[sub[k]]:
+                            for g in holders[sub[k]]:
+                                if g != i:
+                                    touch[g] -= 1
+                                    if not touch[g]:
+                                        del frontier[bisect_left(frontier, g)]
+                    if touch[i]:
                         insort(frontier, i)
                 continue
             stack[-1] = i
             budget.spend()
-            if order:
+            if touch[i]:
                 del frontier[n]  # where the scan found it
-            placed[i] = True
-            order.append(i)
             key |= 1 << i
-            added = []
             sub = rows[i]
             for s in sub:
                 cover[s] += 1
             for k in ridge_slots:
                 if cover[sub[k]] == 1:
                     for g in holders[sub[k]]:
-                        if not placed[g]:
-                            n = bisect_left(frontier, g)
-                            if n == len(frontier) or frontier[n] != g:
-                                frontier.insert(n, g)
-                                added.append(g)
-            undo.append(added)
-            if len(order) == m:
-                return ShellingCertificate(tuple(K.facets[j] for j in order))
+                        if g != i:
+                            touch[g] += 1
+                            if touch[g] == 1:
+                                insort(frontier, g)
+            if len(stack) == m:
+                return ShellingCertificate(tuple(K.facets[j] for j in stack))
             stack.append(-1)
     except OutOfBudget:
         _require_connected(K)
@@ -363,13 +361,13 @@ def parse_shelling(text: str, K: Complex) -> ShellingCertificate:
     A "# shelling of <fingerprint>" header, when present, must match the
     subject; faces are given by vertex labels as in the ".sc" format.
     """
-    order: list[Face] = []
+    facets: list[Face] = []
 
     def read(body: str, comment: bool) -> None:
         if not comment:
-            order.append(K.face_from_labels(body.split()))
+            facets.append(K.face_from_labels(body.split()))
 
     read_certificate(text, SHELLING, K, read)
-    if not order:
+    if not facets:
         raise MalformedCertificateError("certificate lists no facets")
-    return ShellingCertificate(tuple(order))
+    return ShellingCertificate(tuple(facets))

@@ -248,6 +248,19 @@ def test_a_vertex_id_outside_the_labels_is_refused():
             Complex(labels, faces)
 
 
+def test_labels_out_of_order_are_refused():
+    """Labels must be strictly increasing, as every package path builds
+    them: a complex on unsorted labels would write faces its own parsers
+    read differently, and one on a repeated label a ``.sc`` line that
+    ``parse_sc`` refuses.  The first pair out of order is named."""
+    for labels, faces, pair in [(["b", "a", "c"], [(0, 1, 2)], "'b' then 'a'"),
+                                (["a", "a"], [(0, 1)], "'a' then 'a'"),
+                                (["a", "c", "d", "b"], [(0, 1), (2, 3)], "'d' then 'b'")]:
+        with pytest.raises(MalformedFaceError, match=f"^labels must be strictly increasing: {pair}$"):
+            Complex(labels, faces)
+    assert Complex(("a", "b", "c"), [(0, 1, 2)]) == from_facets(["a b c"])
+
+
 def test_facet_rows_name_the_proper_subfaces_of_each_facet():
     """Each row of ``facet_rows`` lists the ids of its facet's nonempty
     proper subfaces in ``combinations`` order, and the subdivision built on

@@ -33,6 +33,7 @@ from shellsat.errors import (
 )
 from shellsat.harness import (
     ORACLE_MAX_FACETS,
+    complex_from_triangles,
     enumerate_pure2,
     flag_dunce_hat,
     oracle_shelling,
@@ -611,6 +612,34 @@ def test_search_matches_the_set_frontier_reference(monkeypatch):
         monkeypatch.setattr(shelling, "_refuted", lambda K, budget: None)
     kinds = ("ShellingCertificate", "Unshellable", "BudgetExceeded")
     assert all(outcomes[kind] > 100 for kind in kinds), outcomes
+
+
+def test_stuck_flag_search_backtracks_as_the_references_do(monkeypatch):
+    """A relabelled sd² of a shellable 5-triangle complex (180 facets,
+    flag, chi~ = 0) has a shelling, the lift of its base's, but the
+    search gets stuck on it at node 152, is not refuted, and backtracks
+    until its budget runs out.  There ``find_shelling``, the set-frontier
+    search and the method-driven search, the refutation on, get stuck at
+    the same node, return the same and spend the same nodes."""
+    base = complex_from_triangles([(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 3, 4), (2, 3, 4)])
+    sd2 = base.barycentric_subdivision().barycentric_subdivision()
+    names = ["x%d" % v for v in random.Random(576530).sample(range(10 * len(sd2.labels)),
+                                                            len(sd2.labels))]
+    K = from_facets([[names[v] for v in f] for f in sd2.facets])
+    assert len(K.facets) == 180 and K.is_flag2() and K.reduced_euler_characteristic() == 0
+    lifted = lift_shelling(base.barycentric_subdivision(), lift_shelling(base, find_shelling(base)))
+    assert verify_shelling(K, ShellingCertificate(tuple(
+        K.face_from_labels([names[v] for v in f]) for f in lifted.order)))
+    refuted, stuck = shelling._refuted, []
+    monkeypatch.setattr(shelling, "_refuted",
+                        lambda K, budget: stuck.append(budget.used) or refuted(K, budget))
+    for limit in (300, 3000):
+        budget, reference, stepped = Budget(limit), Budget(limit), Budget(limit)
+        result = find_shelling(K, budget)
+        assert result == BudgetExceeded(stage="shelling")
+        assert result == reference_shelling(K, reference) == step_search(K, stepped)
+        assert budget.used == reference.used == stepped.used == limit + 1
+    assert stuck == [152] * 6
 
 
 def test_failed_memo_spends_fewer_nodes_for_the_same_results():
