@@ -10,7 +10,7 @@ exercised at dimension 2.
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter
 
 from .collapse import least_removal
@@ -56,7 +56,7 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     face, is below n.  ``first`` is one C-level ``dict`` build over the
     column of the order's rows of :meth:`Complex.facet_rows`, read
     backwards so that the least position is written last.  The check
-    never reads the search's frontier, ridge counts or key, so none is
+    never reads the search's frontier, ridge masks or key, so none is
     kept.
     """
     if not K.is_pure():
@@ -96,7 +96,7 @@ def _slots(d: int) -> tuple[int, tuple, list[int]]:
     return full, slot, [slot[full ^ (1 << j)] for j in range(d + 1)]
 
 
-def _tables(K: Complex) -> tuple[int, tuple, list[int], tuple, dict[int, list[int]]]:
+def _tables(K: Complex) -> tuple[int, tuple, list[int], tuple, dict[int, list[tuple[int, int]]]]:
     """The read-only tables of the shelling search on a pure complex of
     dimension d >= 1: the :func:`_slots` triple, K's kept
     :meth:`Complex.facet_rows` and the ridge holders.
@@ -104,17 +104,18 @@ def _tables(K: Complex) -> tuple[int, tuple, list[int], tuple, dict[int, list[in
     Row i names the subfaces of facet i by id, so ridge j of every facet
     (the one omitting vertex j) sits at ``ridge_slots[j]`` and the subface
     on the vertex positions in a mask at ``slot[mask]``.  ``holders[r]``
-    lists, in increasing order, the facets having face r as a ridge; only
-    the search reads it, so it is built here, from the rows' ridge column
-    zipped with each facet index repeated d+1 times.  No id reaches
-    output: the search compares only cover counts and facet indices.
+    lists, in increasing facet order, ``(g, 1 << j)`` for each facet g
+    whose ridge j is face r; only the search reads it, so it is built
+    here, from the rows' ridge column zipped with the ``product`` of the
+    facet indices and the d+1 bits.  No id reaches output: the search
+    compares only cover counts, masks and facet indices.
     """
     full, slot, ridge_slots = _slots(K.dim)
     rows = K.facet_rows()
     ridges = list(chain.from_iterable(map(itemgetter(*ridge_slots), rows)))
-    holders: dict[int, list[int]] = {r: [] for r in ridges}
-    deque(map(list.append, map(holders.__getitem__, ridges), chain.from_iterable(
-        zip(*repeat(range(len(rows)), len(ridge_slots))))), maxlen=0)
+    holders: dict[int, list[tuple[int, int]]] = {r: [] for r in dict.fromkeys(ridges)}
+    deque(map(list.append, map(holders.__getitem__, ridges), product(
+        range(len(rows)), [1 << j for j in range(len(ridge_slots))])), maxlen=0)
     return full, slot, ridge_slots, rows, holders
 
 
@@ -222,17 +223,18 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     The scan, the step and its undo run here, on the tables of
     :func:`_tables` and a local state.  The frames below the stack's top
     list the placed facets in order, ``key`` is their set as a bitmask,
-    ``cover[s]`` counts those containing face ``s`` and ``touch[g]`` the
-    ridges of facet g that one of them holds.  ``frontier`` is the sorted
-    list of the unplaced facets with a nonzero count, those sharing a ridge
-    with the placed union.  The step raises the counts of the other
-    holders of each ridge it covers first, inserting a holder when its
-    count reaches 1; the undo finds those ridges back at cover 0 and
-    reverses that.  A ridge covered first has no other placed holder, so a
-    placed facet's count never moves: it is nonzero iff the facet was on
-    the frontier, as each but the root one was.  So the step deletes i
-    where the scan found it, and the undo puts it back, iff ``touch[i]``
-    is nonzero: the two are exact inverses, and no log is kept.
+    ``cover[s]`` counts those containing face ``s`` and ``touch[g]`` is the
+    mask of facet g's ridges that one of them holds, bit j for ridge j:
+    the test reads it as kept and rebuilds nothing.  ``frontier`` is the sorted list of the unplaced
+    facets with a nonzero mask, those sharing a ridge with the placed
+    union.  The step sets the bit of each ridge it covers first in its
+    other holders, inserting a holder whose mask was 0; the undo finds
+    those ridges back at cover 0 and clears their bits, deleting a holder
+    whose mask is 0 again.  A ridge covered first has no other placed
+    holder, so a placed facet's mask never moves: it is nonzero iff the
+    facet was on the frontier, as each but the root one was.  So the step
+    deletes i where the scan found it, and the undo puts it back, iff
+    ``touch[i]`` is nonzero: the two are exact inverses, and no log is kept.
 
     A placement is undone in one place, where a frame with no candidates
     is popped.  A frame whose facet set is already in the memo has none,
@@ -265,7 +267,6 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
     budget = as_budget(budget)
     m = len(K.facets)
     full, slot, ridge_slots, rows, holders = _tables(K)
-    bits = list(zip([1 << j for j in range(len(ridge_slots))], ridge_slots))
     cover = [0] * len(K.face_ids())
     touch = [0] * m
     frontier: list[int] = []
@@ -282,13 +283,10 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
             else:
                 i = None
                 for n in range(bisect_right(frontier, last), len(frontier)):
-                    sub = rows[frontier[n]]
-                    mask = 0
-                    for bit, k in bits:
-                        if cover[sub[k]]:
-                            mask |= bit
-                    if mask == full or (mask and not cover[sub[slot[mask]]]):
-                        i = frontier[n]
+                    g = frontier[n]
+                    mask = touch[g]
+                    if mask == full or not cover[rows[g][slot[mask]]]:
+                        i = g
                         break
             if i is None:
                 if not failed:
@@ -306,9 +304,9 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                         cover[s] -= 1
                     for k in ridge_slots:
                         if not cover[sub[k]]:
-                            for g in holders[sub[k]]:
+                            for g, bit in holders[sub[k]]:
                                 if g != i:
-                                    touch[g] -= 1
+                                    touch[g] ^= bit
                                     if not touch[g]:
                                         del frontier[bisect_left(frontier, g)]
                     if touch[i]:
@@ -324,10 +322,10 @@ def find_shelling(K: Complex, budget: int | Budget | None = None):
                 cover[s] += 1
             for k in ridge_slots:
                 if cover[sub[k]] == 1:
-                    for g in holders[sub[k]]:
+                    for g, bit in holders[sub[k]]:
                         if g != i:
-                            touch[g] += 1
-                            if touch[g] == 1:
+                            touch[g] |= bit
+                            if touch[g] == bit:
                                 insort(frontier, g)
             if len(stack) == m:
                 return ShellingCertificate(tuple(K.facets[j] for j in stack))

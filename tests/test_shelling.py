@@ -121,7 +121,8 @@ class StepPrefix(PrefixState):
     the step that ``find_shelling`` runs on local names: ``fits`` is the
     O(1) shelling condition, ``after`` the lazy candidate scan and ``push``
     the step that places a facet, each as the search ran them before they
-    were inlined."""
+    were inlined.  ``fits`` rebuilds each mask from the cover counts, so
+    it checks independently the mask that the search keeps."""
 
     def fits(self, i):
         sub, cover = self.subfaces[i], self.cover
@@ -153,7 +154,7 @@ class StepPrefix(PrefixState):
             cover[s] += 1
         for k in self.ridge_slots:
             if cover[sub[k]] == 1:
-                for g in self.holders[sub[k]]:
+                for g, _ in self.holders[sub[k]]:
                     if not placed[g]:
                         n = bisect_left(frontier, g)
                         if n == len(frontier) or frontier[n] != g:
@@ -536,7 +537,7 @@ class _SetPrefix(StepPrefix):
             cover[s] += 1
         for k in self.ridge_slots:
             if cover[sub[k]] == 1:
-                self.frontier.update(g for g in self.holders[sub[k]] if not self.placed[g])
+                self.frontier.update(g for g, _ in self.holders[sub[k]] if not self.placed[g])
 
     def pop(self):
         i = self.order.pop()
@@ -548,7 +549,7 @@ class _SetPrefix(StepPrefix):
         for k in self.ridge_slots:
             if cover[sub[k]] == 0:
                 self.frontier.difference_update(
-                    g for g in self.holders[sub[k]] if not self._touches(g))
+                    g for g, _ in self.holders[sub[k]] if not self._touches(g))
         if self._touches(i):
             self.frontier.add(i)
 
@@ -910,7 +911,8 @@ def test_tables_match_the_setdefault_tables():
     differently from the earlier build (the numbering never reaches
     output), but each row of ``Complex.facet_rows`` names the facet's
     subfaces in ``combinations`` order, each face has exactly one id, each
-    ridge has the same holders, and the search on the reference numbering
+    ridge has the same holders, each paired with the bit ``1 << j`` of the
+    ridge's place j in its row, and the search on the reference numbering
     reaches the same result with the same nodes."""
     dims = set()
     for K in table_corpus():
@@ -930,7 +932,10 @@ def test_tables_match_the_setdefault_tables():
         assert {f: i for i, f in inverse.items()}.items() <= ids.items()
         for row, ref_row in zip(K.facet_rows(), reference.rows, strict=True):
             assert [inverse[i] for i in row] == [ref_inverse[i] for i in ref_row]
-        holders = {inverse[r]: tuple(h) for r, h in holders.items()}
+        for r, held in holders.items():
+            for g, bit in held:
+                assert [1 << j for j, k in enumerate(ridge_slots) if rows[g][k] == r] == [bit]
+        holders = {inverse[r]: tuple(g for g, _ in h) for r, h in holders.items()}
         assert holders == {ref_inverse[r]: tuple(h) for r, h in reference.holders.items()}
         assert set(holders) == set(K.faces_of_dim(K.dim - 1))
         if not K.is_connected():
