@@ -206,8 +206,11 @@ def free_faces(K: Complex) -> list[CollapseStep]:
 # order: `wsat.decide_wsat_eq_treesize`), then prunes the edges left as
 # leaves.  `peel` takes ridge ids in the ridges' sorted order: a vertex is
 # its own id, so an edge is its own row, and a triangle's edges are their
-# positions in the sorted edge list (`edge_rows`).  Simplex sets are index
+# positions in a sorted edge list (`edge_rows`).  Simplex sets are index
 # sets into one sorted list, so `combinations` runs in lexicographic order.
+# A call of the triangle 2-core engine below takes its caller's one
+# numbering, over K's edges or the host's, and `core_components` builds
+# each core component's rows from it once, on the component's own ids.
 Triangle = tuple[int, int, int]
 
 
@@ -218,12 +221,6 @@ def edge_rows(triangles, edges) -> list[Triangle]:
     at = dict(zip(edges, count()))
     column = map(at.__getitem__, chain.from_iterable(map(combinations, triangles, repeat(2))))
     return list(zip(*[column] * 3))
-
-
-def _numbered(triangles) -> tuple[list[Triangle], int]:
-    """The triangles' :func:`edge_rows` over their own edges, and the edge count."""
-    edges = sorted(set(chain.from_iterable(map(combinations, triangles, repeat(2)))))
-    return edge_rows(triangles, edges), len(edges)
 
 
 def peel(rows, alive, n: int,
@@ -271,10 +268,12 @@ def as_steps(pairs) -> tuple[CollapseStep, ...]:
     return tuple(map(tuple.__new__, repeat(CollapseStep), pairs))
 
 
-def _collapse(K: Complex, removed: frozenset[Face],
+def _collapse(K: Complex, rows: list[Triangle], removed: set[int],
               budget: Budget) -> CollapseCertificate | None:
     """Collapse K without the removed triangles toward one vertex.
 
+    ``rows`` are K's triangles' :func:`edge_rows` over ``K.edges``, and
+    ``removed`` holds the indices of the triangles removed.
     The steps are the free edges of a :func:`peel` of the other triangles,
     then the leaves of a peel of the edges left over, least leaf first, one
     budget node each.  Returns None unless the second peel removes all but
@@ -282,8 +281,7 @@ def _collapse(K: Complex, removed: frozenset[Face],
     so a certificate returned also shows that K is connected.
     """
     edges, triangles, n = K.edges, K.triangles, K.n_vertices
-    up, _ = peel(edge_rows(triangles, edges),
-                 [i for i, t in enumerate(triangles) if t not in removed], len(edges))
+    up, _ = peel(rows, set(range(len(triangles))).difference(removed), len(edges))
     down, _ = peel(edges, set(range(len(edges))).difference(e for e, _ in up), n)
     budget.spend(len(up) + len(down))
     if len(down) != n - 1:
@@ -291,7 +289,8 @@ def _collapse(K: Complex, removed: frozenset[Face],
     (target,) = set(range(n)).difference(v for v, _ in down)
     steps = chain(((edges[e], triangles[t]) for e, t in up),
                   (((v,), edges[e]) for v, e in down))
-    return CollapseCertificate(removed, as_steps(steps), ((target,),))
+    return CollapseCertificate(frozenset(map(triangles.__getitem__, removed)),
+                               as_steps(steps), ((target,),))
 
 
 # -- the triangle 2-core engine -------------------------------------------------
@@ -317,10 +316,13 @@ def _floor(rows: list[Triangle], core) -> int:
     return len(core) - len(basis)
 
 
-def core_components(triangles: list[Triangle],
-                    budget: Budget) -> list[tuple[list[int], int]]:
-    """The core's components, each with the least number of its triangles
-    that must be deleted to empty its core.
+def core_components(rows: list[Triangle], n: int,
+                    budget: Budget) -> list[tuple[list[int], list[Triangle], int, int]]:
+    """The core's components, each as its triangles' indices in increasing
+    order, their rows on the component's own edge ids, the number of those
+    ids, and the least number of its triangles that must be deleted to
+    empty its core.  ``rows`` are the triangles' :func:`edge_rows` over a
+    sorted sequence of n edges that holds every triangle edge.
 
     Spends one budget node first, so every answer costs at least one.
     Why the core is all that needs solving: if a set S of triangles has an
@@ -329,15 +331,21 @@ def core_components(triangles: list[Triangle],
     with no free triangle, hence inside core(S).  Components (triangles
     joined through shared edges) share no edge, and freeness is decided
     edge by edge, so each is solved on its own, from its :func:`_floor`.
+
+    A component's own ids are the ids its triangles use, compacted in
+    increasing order, so a peel in its search costs the component, not the
+    host.  They are the positions of its edges in their own sorted list:
+    ids in a sorted superset keep the edges' order, and so does the
+    compaction.  So a peel pops the same ridges on either numbering, and
+    the floor, a GF(2) rank, does not change when edges are renamed.
     """
     budget.spend()
-    rows, n = _numbered(triangles)
-    _, core = peel(rows, range(len(triangles)), n)
+    _, core = peel(rows, range(len(rows)), n)
     holders: dict[int, list[int]] = {}
     for t in core:
         for e in rows[t]:
             holders.setdefault(e, []).append(t)
-    components: list[tuple[list[int], int]] = []
+    components: list[tuple[list[int], list[Triangle], int, int]] = []
     seen: set[int] = set()
     for start in sorted(core):
         if start in seen:
@@ -352,15 +360,21 @@ def core_components(triangles: list[Triangle],
                 seen.update(fresh)
                 stack.extend(fresh)
         component.sort()
-        components.append((component, _floor(rows, component)))
+        used = list(chain.from_iterable(map(rows.__getitem__, component)))
+        own = dict(zip(sorted(set(used)), count()))
+        local = list(zip(*[map(own.__getitem__, used)] * 3))
+        components.append((component, local, len(own), _floor(local, range(len(local)))))
     return components
 
 
-def least_deletion(triangles: list[Triangle], component: list[int], size: int,
+def least_deletion(rows: list[Triangle], n: int, size: int,
                    budget: Budget) -> tuple[int, ...] | None:
     """The first set of ``size`` triangles of a core component, in
     ``combinations`` order, whose deletion empties its core, or None when
-    there is none, for a ``size`` that no fewer triangles meet.
+    there is none, for a ``size`` at least its floor that no fewer
+    triangles meet.  The component comes as :func:`core_components` gives
+    it, ``rows`` on its own edge ids 0..n-1, and the set as indices into
+    ``rows``.
 
     A depth-first search on its own stack (no recursion limit), one budget
     node per node: a child deletes a triangle of its parent's core above
@@ -376,10 +390,11 @@ def least_deletion(triangles: list[Triangle], component: list[int], size: int,
     node on it the rest of D empties the core, so the prune keeps it.
     Paths come in ``combinations`` order, so D is found first.  The first
     descent deletes the least triangle of each core: the greedy set, found
-    in ``size + 1`` nodes when it has ``size`` triangles.  The search runs
-    on triangle j = ``component[j]`` and the component's own edge ids, so a
-    peel costs the component, not the host; it is sorted, so the local
-    order is the global one.
+    in ``size + 1`` nodes when it has ``size`` triangles.  The root's
+    children are every triangle in order, with no floor computed and no
+    sort: they are the triangles above -1, and the prune cannot cut there,
+    as the deletions allowed, ``size``, are at least the component's floor.
+    So the nodes and the set found are those of the pruned walk.
     """
     def children(core: set[int], last: int, allowed: int) -> Iterator[int]:
         for k, t in enumerate(sorted(t for t in core if t > last)):
@@ -388,16 +403,14 @@ def least_deletion(triangles: list[Triangle], component: list[int], size: int,
             yield t
 
     budget.spend()
-    rows, n = _numbered([triangles[t] for t in component])
-    everything = set(range(len(component)))
-    frames = [(-1, everything, children(everything, -1, size))] if size else []
+    frames = [(-1, set(range(len(rows))), iter(range(len(rows))))] if size else []
     while frames:
         _, core, later = frames[-1]
         for t in later:
             budget.spend()
             _, left = peel(rows, core - {t}, n)
             if not left:
-                return tuple(component[d] for d, _, _ in frames[1:]) + (component[t],)
+                return tuple(d for d, _, _ in frames[1:]) + (t,)
             if len(frames) < size:
                 frames.append((t, left, children(left, t, size - len(frames))))
                 break
@@ -406,11 +419,12 @@ def least_deletion(triangles: list[Triangle], component: list[int], size: int,
     return None
 
 
-def least_removal(triangles: list[Triangle], chi: int,
+def least_removal(rows: list[Triangle], n: int, chi: int,
                   budget: Budget) -> set[int] | Impossible:
     """The first set of ``chi`` triangles, in ``combinations`` order, whose
     deletion empties the core, or ``Impossible`` naming the test that
-    showed there is none.
+    showed there is none.  ``rows`` are the triangles' :func:`edge_rows`
+    over a sorted sequence of n edges that holds every triangle edge.
 
     ``chi`` is the reduced Euler characteristic of a connected complex
     whose triangles these are, so chi = b2 - b1 over GF(2).  A set that
@@ -425,20 +439,21 @@ def least_removal(triangles: list[Triangle], chi: int,
     spent first and one per search node, and the search stops at the first
     component with no deletion.
     """
-    components = core_components(triangles, budget)
-    if chi < sum(floor for _, floor in components):
+    components = core_components(rows, n, budget)
+    if chi < sum(floor for *_, floor in components):
         return Impossible(decided_by="betti1")
     removed: set[int] = set()
-    for component, floor in components:
-        deleted = least_deletion(triangles, component, floor, budget)
+    for component, own, m, floor in components:
+        deleted = least_deletion(own, m, floor, budget)
         if deleted is None:
             return Impossible(decided_by="core")
-        removed.update(deleted)
+        removed.update(map(component.__getitem__, deleted))
     return removed
 
 
-def least_deletions(triangles: list[Triangle], budget: Budget) -> int:
-    """The least number of triangles whose deletion empties the core.
+def least_deletions(rows: list[Triangle], n: int, budget: Budget) -> int:
+    """The least number of triangles whose deletion empties the core, for
+    rows as :func:`least_removal` takes them.
 
     The sum over the core components (:func:`core_components`) of each
     one's least, searched at its floor, then one more and so on
@@ -446,8 +461,8 @@ def least_deletions(triangles: list[Triangle], budget: Budget) -> int:
     budget node is spent first and one per search node.
     """
     deletions = 0
-    for component, size in core_components(triangles, budget):
-        while least_deletion(triangles, component, size, budget) is None:
+    for _, own, m, size in core_components(rows, n, budget):
+        while least_deletion(own, m, size, budget) is None:
             size += 1
         deletions += size
     return deletions
@@ -483,7 +498,7 @@ def is_collapsible(K: Complex, budget: int | Budget | None = None):
         raise UnsupportedDimensionError(
             f"the collapse search supports dimension <= 2, got {K.dim}")
     try:
-        cert = _collapse(K, frozenset(), as_budget(budget))
+        cert = _collapse(K, edge_rows(K.triangles, K.edges), set(), as_budget(budget))
         result = NotCollapsible() if cert is None else cert
     except OutOfBudget:
         result = BudgetExceeded(stage="collapse")
@@ -517,12 +532,12 @@ def collapsible_after_removing(K: Complex, k: int,
         return Impossible(decided_by="euler")
 
     budget = as_budget(budget)
-    triangles = K.triangles
+    rows = edge_rows(K.triangles, K.edges)
     try:
-        removed = least_removal(triangles, k, budget)
+        removed = least_removal(rows, len(K.edges), k, budget)
         if isinstance(removed, Impossible):
             return removed
-        cert = _collapse(K, frozenset(triangles[t] for t in removed), budget)
+        cert = _collapse(K, rows, removed, budget)
     except OutOfBudget:
         return BudgetExceeded(stage="collapse-after-removing")
     if cert is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import itemgetter
 
-from .collapse import least_removal
+from .collapse import edge_rows, least_removal
 from .complexes import (
     SHELLING,
     Complex,
@@ -170,7 +170,8 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
                      for u, w in edges]
         if not is_connected_graph(len(index), relabeled):
             return Unshellable(decided_by="link")
-    removal = least_removal(triangles, K.reduced_euler_characteristic(), budget)
+    removal = least_removal(edge_rows(triangles, K.edges), len(K.edges),
+                            K.reduced_euler_characteristic(), budget)
     if isinstance(removal, Impossible):
         return Unshellable(decided_by=removal.decided_by)
     return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .collapse import edge_rows, least_deletions, least_removal, peel
+from .collapse import Triangle, edge_rows, least_deletions, least_removal, peel
 from .complexes import (
     SATURATION,
     Complex,
@@ -190,11 +190,13 @@ def verify_saturation(F: Complex, cert: SaturationCertificate) -> bool:
     return saturation_violation(F, cert) is None
 
 
-def _connected_host(F: Complex) -> tuple[int, set[Edge]]:
+def _host_triangles(F: Complex) -> tuple[list[Triangle], list[Triangle]]:
+    """A connected host's triangles and their rows over its edges."""
     _require_graph(F)
     if not F.is_connected():
         raise ConnectivityError("the host graph must be connected")
-    return F.n_vertices, set(F.edges)
+    triangles = clique_triangles(F.n_vertices, F.edges)
+    return triangles, edge_rows(triangles, F.edges)
 
 
 def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
@@ -218,18 +220,18 @@ def decide_wsat_eq_treesize(F: Complex, budget: int | Budget | None = None):
     witnesses from :func:`extract_saturation_order`.  The budget counts
     one node per call and one per search node.
     """
-    n, host = _connected_host(F)
-    triangles = clique_triangles(n, host)
-    budget = as_budget(budget)
+    triangles, rows = _host_triangles(F)
+    edges, budget = F.edges, as_budget(budget)
     try:
-        deleted = least_removal(triangles, n - 1 - len(host) + len(triangles), budget)
+        deleted = least_removal(rows, len(edges),
+                                F.n_vertices - 1 - len(edges) + len(triangles), budget)
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-tree-search")
     if isinstance(deleted, Impossible):
         return NotSaturated()
-    edges = F.edges
-    freed, _ = peel(edge_rows(triangles, edges), set(range(len(triangles))) - deleted, len(host))
-    return extract_saturation_order(F, spanning_subgraph(F, host - {edges[e] for e, _ in freed}))
+    freed, _ = peel(rows, set(range(len(triangles))) - deleted, len(edges))
+    tree = set(edges).difference(edges[e] for e, _ in freed)
+    return extract_saturation_order(F, spanning_subgraph(F, tree))
 
 
 def wsat_number(F: Complex, budget: int | Budget | None = None):
@@ -240,13 +242,12 @@ def wsat_number(F: Complex, budget: int | Budget | None = None):
     (:func:`least_deletions`).  The budget counts one node per call and one
     per search node.
     """
-    n, host = _connected_host(F)
-    triangles = clique_triangles(n, host)
+    triangles, rows = _host_triangles(F)
     try:
-        deletions = least_deletions(triangles, as_budget(budget))
+        deletions = least_deletions(rows, len(F.edges), as_budget(budget))
     except OutOfBudget:
         return BudgetExceeded(stage="wsat-number")
-    return len(host) - len(triangles) + deletions
+    return len(F.edges) - len(triangles) + deletions
 
 
 # -- certificate file format ---------------------------------------------------

@@ -4,7 +4,8 @@ import random
 import re
 import sys
 from dataclasses import replace
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from shellsat import (
     CollapseStep,
     apply_collapse,
     collapsible_after_removing,
+    decide_wsat_eq_treesize,
     free_faces,
     from_facets,
     is_collapsible,
@@ -25,6 +27,7 @@ from shellsat.collapse import (
     edge_rows,
     format_collapse,
     least_deletion,
+    least_deletions,
     least_removal,
     parse_collapse,
     peel,
@@ -46,7 +49,15 @@ from shellsat.harness import (
     sample_connected_graph,
     sample_pure2,
 )
-from shellsat.outcomes import Budget, BudgetExceeded, Impossible, NotCollapsible, OutOfBudget
+from shellsat.outcomes import (
+    Budget,
+    BudgetExceeded,
+    Impossible,
+    NotCollapsible,
+    NotSaturated,
+    OutOfBudget,
+)
+from shellsat.wsat import SaturationCertificate
 from conftest import (
     all_faces,
     chain_reports,
@@ -413,8 +424,10 @@ def test_least_deletion_searches_where_greedy_falls_short():
              (hat + ["a2 x10 x11", "a1 x07 x11", "x07 x10 x11"], 1, 1),
              (hat + ["a0 x00 p", "a0 x00 q", "a0 p q", "x00 p q"], 1, 2)]
     for facets, floor, least in cases:
-        triangles = from_facets(facets).triangles
-        [(component, bound)] = core_components(triangles, Budget(None))
+        K = from_facets(facets)
+        triangles = K.triangles
+        [(component, rows, n, bound)] = core_components(
+            edge_rows(triangles, K.edges), len(K.edges), Budget(None))
         assert bound == floor
         first = next(d for size in range(len(component) + 1)
                      for d in combinations(component, size)
@@ -423,9 +436,9 @@ def test_least_deletion_searches_where_greedy_falls_short():
         assert len(greedy_deletion(triangles, component)) > floor
         for size in range(floor, least + 1):
             budget = Budget(None)
-            found = least_deletion(triangles, component, size, budget)
+            found = least_deletion(rows, n, size, budget)
             assert budget.used > 0
-            assert found == (first if size == least else None)
+            assert found == (tuple(map(component.index, first)) if size == least else None)
 
 
 # The least deletion as it was searched before the bounded search: the
@@ -455,16 +468,24 @@ def reference_least_deletion(triangles, component, floor, budget, at_floor=False
 
 
 def reference_least_removal(triangles, chi, budget):
-    components = core_components(triangles, budget)
-    if chi < sum(floor for _, floor in components):
+    components = core_components(*numbered(triangles), budget)
+    if chi < sum(floor for *_, floor in components):
         return Impossible()
     removed = set()
-    for component, floor in components:
+    for component, *_, floor in components:
         deleted = reference_least_deletion(triangles, component, floor, budget, at_floor=True)
         if deleted is None:
             return Impossible()
         removed.update(deleted)
     return removed
+
+
+def numbered(triangles, edges=None):
+    """The engine's input for a triangle list: its rows over ``edges``, by
+    default the triangles' own edges in sorted order, and the edge count."""
+    if edges is None:
+        edges = sorted(set(chain.from_iterable(combinations(t, 2) for t in triangles)))
+    return edge_rows(triangles, edges), len(edges)
 
 
 def reference_corpus():
@@ -487,12 +508,14 @@ def test_least_deletion_matches_the_greedy_and_scan_reference():
     of the size it was asked for that empties the core."""
     decided = undecided = 0
     for triangles in reference_corpus():
-        components = core_components(triangles, Budget(None))
+        rows, n = numbered(triangles)
+        components = core_components(rows, n, Budget(None))
         ran_out = False
-        for component, floor in components:
+        for component, own, m, floor in components:
             budget, size = Budget(20000), floor
-            while (found := least_deletion(triangles, component, size, budget)) is None:
+            while (found := least_deletion(own, m, size, budget)) is None:
                 size += 1
+            found = tuple(map(component.__getitem__, found))
             assert len(found) == size
             assert not reference_peel(triangles, set(component) - set(found))[1]
             try:
@@ -505,11 +528,86 @@ def test_least_deletion_matches_the_greedy_and_scan_reference():
             decided += 1
         if ran_out:
             continue
-        b2 = sum(floor for _, floor in components)
+        b2 = sum(floor for *_, floor in components)
         for chi in (b2, b2 + 1):
-            assert (least_removal(triangles, chi, Budget(None))
+            assert (least_removal(rows, n, chi, Budget(None))
                     == reference_least_removal(triangles, chi, Budget(None)))
     assert decided > 100 and undecided > 0, (decided, undecided)
+
+
+def test_engine_answers_do_not_depend_on_the_edge_numbering():
+    """Rows over the triangles' own sorted edges and over every pair of
+    their support, a sorted superset as a host's edges are, give the same
+    floors, the same least_removal at b2 and at b2 + 1, the same
+    least_deletions and the same Budget.used, or both run out of a
+    20 000-node budget."""
+    def answers(rows, n):
+        floors = [floor for *_, floor in core_components(rows, n, Budget(None))]
+        runs = [floors]
+        for call in (partial(least_removal, rows, n, sum(floors)),
+                     partial(least_removal, rows, n, sum(floors) + 1),
+                     partial(least_deletions, rows, n)):
+            budget = Budget(20000)
+            try:
+                result = call(budget)
+            except OutOfBudget:
+                result = "out of budget"
+            runs.append((result, getattr(result, "decided_by", None), budget.used))
+        return runs
+
+    wider = 0
+    for triangles in reference_corpus():
+        support = sorted(set(chain.from_iterable(triangles)))
+        own, every = numbered(triangles), numbered(triangles, list(combinations(support, 2)))
+        assert answers(*own) == answers(*every)
+        wider += every[1] > own[1]
+    assert wider > 300
+
+
+def test_each_engine_call_numbers_its_edges_once(monkeypatch):
+    """collapse --k and both wsat deciders number the triangles' edges
+    once, on the flag dunce hat, whose core is not empty."""
+    calls = []
+
+    def counted(triangles, edges):
+        calls.append(len(edges))
+        return edge_rows(triangles, edges)
+
+    monkeypatch.setattr("shellsat.collapse.edge_rows", counted)
+    monkeypatch.setattr("shellsat.wsat.edge_rows", counted)
+    K = flag_dunce_hat()
+    F = K.skeleton(1)
+    for decide, expected in ((lambda: collapsible_after_removing(K, 0), Impossible()),
+                             (lambda: decide_wsat_eq_treesize(F), NotSaturated()),
+                             (lambda: wsat_number(F), 17)):
+        calls.clear()
+        assert decide() == expected
+        assert calls == [52]
+
+
+def test_a_removal_on_k_and_a_tree_of_its_sd2_host_agree():
+    """For every pure connected 2-complex K on at most 6 vertices with at
+    most 6 triangles, some chi~(K) triangles can be removed so that K
+    collapses iff some spanning tree of the 1-skeleton of sd²(K) is weakly
+    K3-saturated.  The engine runs on K's own edges and on the host's.
+
+    Only "if K, then the host" is argued.  Delete one small triangle
+    inside each big triangle removed from K: each punctured disk collapses
+    onto its boundary, and what is left, a subdivision of K minus the big
+    ones, collapses as K minus them does.  sd²(K) is flag, so its
+    triangles are the host's 3-cliques, and it has K's chi~, so by the
+    identity of decide_wsat_eq_treesize a spanning tree saturates.  The
+    converse is only observed, here."""
+    classes = yes = 0
+    for K in enumerate_pure2(6, 6):
+        chi = K.reduced_euler_characteristic()
+        removal = chi >= 0 and collapsible_after_removing(K, chi) != Impossible()
+        L = K.barycentric_subdivision().barycentric_subdivision()
+        tree = isinstance(decide_wsat_eq_treesize(L.skeleton(1)), SaturationCertificate)
+        assert removal == tree, K.facets
+        classes += 1
+        yes += removal
+    assert (classes, yes) == (168, 69)
 
 
 # Seeded draws (one random.Random(n) per family, in order) on which the
@@ -528,11 +626,12 @@ def test_floor_gap_graphs_are_decided_under_a_small_budget():
             if draw not in pinned:
                 continue
             triangles = clique_triangles(n, F.edges)
-            components = core_components(triangles, Budget(None))
+            components = core_components(edge_rows(triangles, F.edges), len(F.edges),
+                                         Budget(None))
             base = len(F.edges) - len(triangles)
-            bound = base + sum(floor for _, floor in components)
+            bound = base + sum(floor for *_, floor in components)
             greedy = base + sum(len(greedy_deletion(triangles, component))
-                                for component, _ in components)
+                                for component, *_ in components)
             value = wsat_number(F, Budget(1000))
             assert bound <= value <= greedy and bound < greedy, (n, draw)
             assert value == pinned[draw], (n, draw)
@@ -547,7 +646,8 @@ def test_least_removal_on_a_deep_stack_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
-        removed = least_removal(stack.triangles, 300, Budget(None))
+        removed = least_removal(edge_rows(stack.triangles, stack.edges), len(stack.edges),
+                                300, Budget(None))
     finally:
         sys.setrecursionlimit(limit)
     assert len(removed) == 300

@@ -16,7 +16,7 @@ from shellsat import (
     wsat_number,
 )
 from shellsat.cli import main
-from shellsat.collapse import core_components, free_faces
+from shellsat.collapse import core_components, edge_rows, free_faces
 from shellsat.errors import OracleBoundError, ParameterError
 from shellsat.harness import (
     canonical_triangles,
@@ -193,8 +193,8 @@ def test_flag_dunce_hat_is_decided_within_small_budgets(tmp_path):
     # either.
     K = flag_dunce_hat()
     F = K.skeleton(1)
-    components = core_components(K.triangles, Budget(100))
-    assert len(F.edges) - len(K.triangles) + sum(f for _, f in components) == 16
+    components = core_components(edge_rows(K.triangles, K.edges), len(K.edges), Budget(100))
+    assert len(F.edges) - len(K.triangles) + sum(f for *_, f in components) == 16
     assert wsat_number(F, Budget(100)) == 17
     assert decide_wsat_eq_treesize(F, Budget(100)) == NotSaturated()
     assert is_collapsible(K, Budget(100)) == NotCollapsible()
