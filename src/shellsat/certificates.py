@@ -18,7 +18,7 @@ For a pure connected 2-dimensional complex L:
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, repeat
-from operator import ne, not_
+from operator import itemgetter, ne, not_
 
 from .collapse import (
     CollapseCertificate,
@@ -151,6 +151,11 @@ def saturation_to_collapse(L: Complex,
 # (bits 1, 2, 4) earlier facets cover: xy is covered, and yz is when two are.
 _HEXAGON_START = {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 2, 1), 4: (1, 2, 0),
                   3: (1, 0, 2), 5: (0, 1, 2), 6: (0, 2, 1), 7: (0, 1, 2)}
+# Per mask, the same table as a getter over the barycentres of a facet's
+# vertices and edges (va, vb, vc, vab, vac, vbc): it reads
+# (vx, vy, vz, vxy, vyz, vxz), an edge of positions p < q at slot p + q + 2.
+_HEXAGON_GETTERS = tuple(itemgetter(x, y, z, x + y + 2, y + z + 2, x + z + 2)
+                         for _, (x, y, z) in sorted(_HEXAGON_START.items()))
 
 
 def lift_shelling(K: Complex, cert: ShellingCertificate) -> ShellingCertificate:
@@ -181,22 +186,27 @@ def lift_shelling(K: Complex, cert: ShellingCertificate) -> ShellingCertificate:
     shared spokes plus, when it is covered, its outer half-edge: pure of
     dimension 1 in all four cases.  The result is a shelling of the pure
     2-complex sd(K), so the same table lifts it on to sd²(K).
+
+    Per facet, three membership tests give the covered-edge mask, and the
+    mask's getter reads (vx, vy, vz, vxy, vyz, vxz) from the barycentres
+    of a, b, c, ab, ac, bc.  Each getter is derived from
+    ``_HEXAGON_START`` at import and reads the positions that table names,
+    so the orders are the ones a per-facet lookup would give.
     """
     vertex = K.barycenters()
     covered: set[Face] = set()
-    order = []
+    order: list[Face] = []
     for facet in cert.order:
-        a, b, c = facet
-        edges = (a, b), (a, c), (b, c)
-        mask = sum(bit for bit, e in zip((1, 2, 4), edges) if e in covered)
-        covered.update(edges)
-        x, y, z = (facet[i] for i in _HEXAGON_START[mask])
-        vx, vy, vz = vertex[(x,)], vertex[(y,)], vertex[(z,)]
-        vxy, vyz, vxz = (vertex[tuple(sorted(e))] for e in ((x, y), (y, z), (x, z)))
         vf = vertex[facet]
-        order += [tuple(sorted(chain)) for chain in (
+        a, b, c = facet
+        ab, ac, bc = (a, b), (a, c), (b, c)
+        mask = (ab in covered) + 2 * (ac in covered) + 4 * (bc in covered)
+        covered.update((ab, ac, bc))
+        vx, vy, vz, vxy, vyz, vxz = _HEXAGON_GETTERS[mask](
+            (vertex[a,], vertex[b,], vertex[c,], vertex[ab], vertex[ac], vertex[bc]))
+        order += map(tuple, map(sorted, (
             (vx, vxy, vf), (vy, vxy, vf), (vy, vyz, vf),
-            (vz, vyz, vf), (vz, vxz, vf), (vx, vxz, vf))]
+            (vz, vyz, vf), (vz, vxz, vf), (vx, vxz, vf))))
     return ShellingCertificate(tuple(order))
 
 

@@ -556,6 +556,16 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
     target, names the first face outside K's nonempty faces before any step
     is replayed; the empty face passes it, for the replay or the comparison
     to refuse.  The replay reads the steps' ids from that lookup.
+
+    A step is taken inline when the free face's id t is one of the
+    facet's ridges, both are left, the facet has no face above it and t
+    has one; any other step goes to :meth:`_Replay.take`, which applies a
+    legal step of higher codimension and words the reason for an illegal
+    one.  Why this is exact: t in ridges[s] means sigma is one vertex
+    larger and holds tau (and t is not None, as the empty face has no id).
+    With the counts, that is exactly take's acceptance for such a step,
+    and take then removes just those two faces, lowering the count of each
+    of their ridges, as the inline branch does.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:
@@ -572,8 +582,17 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
                     f"{where}: {K.face_name(face)} is not a face of the subject")
 
     replay = _Replay(K, cert.removed_triangles)
+    left, up, ridges = replay.left, replay.up, replay.ridges
     pair = iter(at)
     for i, (step, t, s) in enumerate(zip(cert.steps, pair, pair)):
+        if (s is not None and t in ridges[s] and left[t] and left[s]
+                and not up[s] and up[t] == 1):
+            left[t] = left[s] = 0
+            for r in ridges[t]:
+                up[r] -= 1
+            for r in ridges[s]:
+                up[r] -= 1
+            continue
         reason = replay.take(step, t, s)
         if reason is not None:
             return f"step {i}: {reason}"

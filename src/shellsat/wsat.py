@@ -10,7 +10,8 @@ deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
+from operator import lt, ne
 from typing import Iterable
 
 from .collapse import Triangle, edge_rows, least_deletions, least_removal, peel
@@ -146,10 +147,25 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     not three distinct host vertices; a wrong witness merely invalidates
     the certificate.
 
-    Each check is made once, in certificate order: every witness is
-    checked to be three distinct host vertices, then the ordered edges are
-    added one at a time, each checked to lie in its witness, whose three
-    edges must then be present.
+    The replay adds the ordered edges one at a time, each checked to lie in
+    its witness, whose three edges must then be present.  It runs as
+    C-level passes over all the witnesses, and a walk runs only to word
+    the first failure.  The witnesses are sorted and checked as a whole:
+    each has three vertices, the columns of least, middle and greatest
+    vertex increase strictly row by row (three distinct vertices), the
+    least is at least 0 and the greatest below n.  Only when one is bad
+    does the walk in certificate order name the first.  Then each host
+    edge gets its position, -1 for a start edge and i for order[i], and
+    each witness the greatest position of its three edges, the column
+    pairs, or len(order) for an edge outside the host.  The first index i
+    whose witness's greatest position is not i is the first failure,
+    worded with present = start + order[:i + 1].
+
+    Why this is exact: the order is exactly the missing host edges, so
+    position i names order[i] and nothing else.  So the greatest position
+    is i iff the witness holds order[i] and each of its edges is present
+    once order[i] is added, which is the replay's test at index i.  Below
+    i, the witness lacks order[i]; above it, some witness edge is absent.
     """
     try:
         host, start = _spanning_edges(F, cert.start)
@@ -163,26 +179,36 @@ def saturation_violation(F: Complex, cert: SaturationCertificate) -> str | None:
     if len(witnesses) != len(order):
         raise MalformedCertificateError(
             "certificate must carry one witness per ordered edge")
+    if not order:
+        return None
     n = F.n_vertices
-    for i, witness in enumerate(witnesses):
-        if (len(witness) != 3 or len(set(witness)) != 3
-                or any(not 0 <= v < n for v in witness)):
-            raise MalformedCertificateError(
-                f"witness {i} is not a 3-vertex set of the host")
+    rows = list(map(sorted, witnesses))
+    a, b, c = zip(*rows) if {*map(len, rows)} == {3} else ((), (), ())
+    if not (a and all(map(lt, a, b)) and all(map(lt, b, c))
+            and 0 <= min(a) and max(c) < n):
+        for i, witness in enumerate(witnesses):
+            if (len(witness) != 3 or len(set(witness)) != 3
+                    or any(not 0 <= v < n for v in witness)):
+                raise MalformedCertificateError(
+                    f"witness {i} is not a 3-vertex set of the host")
 
-    present = start
-    for i, (edge, witness) in enumerate(zip(order, witnesses)):
-        present.add(edge)
-        u, v = edge
-        if u not in witness or v not in witness:
-            return (f"index {i}: witness {F.face_name(witness)} does not contain "
-                    f"edge {F.face_name(edge)}")
-        if not all(map(present.__contains__, combinations(sorted(witness), 2))):
-            absent = next(e for e in (tuple(sorted(p)) for p in combinations(witness, 2))
-                          if e not in present)
-            return (f"index {i}: witness edge {F.face_name(absent)} is not present "
-                    f"after adding edge {F.face_name(edge)}")
-    return None
+    at = dict.fromkeys(start, -1)
+    at.update(zip(order, count()))
+    last = map(max, *[map(at.get, pairs, repeat(len(order)))
+                      for pairs in (zip(a, b), zip(a, c), zip(b, c))])
+    i = next(compress(count(), map(ne, last, count())), None)
+    if i is None:
+        return None
+    present = start.union(order[:i + 1])
+    edge, witness = order[i], witnesses[i]
+    u, v = edge
+    if u not in witness or v not in witness:
+        return (f"index {i}: witness {F.face_name(witness)} does not contain "
+                f"edge {F.face_name(edge)}")
+    absent = next(e for e in (tuple(sorted(p)) for p in combinations(witness, 2))
+                  if e not in present)
+    return (f"index {i}: witness edge {F.face_name(absent)} is not present "
+            f"after adding edge {F.face_name(edge)}")
 
 
 def verify_saturation(F: Complex, cert: SaturationCertificate) -> bool:

@@ -333,6 +333,52 @@ def test_lifts_verify_and_the_chain_agrees_with_the_direct_sd2_search():
     assert statuses == {"complete": 11, "unshellable": 6}
 
 
+def reference_lift(K, cert, masks):
+    """lift_shelling read per facet through generator expressions, kept as
+    the reference; each facet's covered-edge mask is counted in ``masks``."""
+    vertex = K.barycenters()
+    covered = set()
+    order = []
+    for facet in cert.order:
+        a, b, c = facet
+        edges = (a, b), (a, c), (b, c)
+        mask = sum(bit for bit, e in zip((1, 2, 4), edges) if e in covered)
+        masks[mask] += 1
+        covered.update(edges)
+        x, y, z = (facet[i] for i in certificates._HEXAGON_START[mask])
+        vx, vy, vz = vertex[(x,)], vertex[(y,)], vertex[(z,)]
+        vxy, vyz, vxz = (vertex[tuple(sorted(e))] for e in ((x, y), (y, z), (x, z)))
+        vf = vertex[facet]
+        order += [tuple(sorted(chain)) for chain in (
+            (vx, vxy, vf), (vy, vxy, vf), (vy, vyz, vf),
+            (vz, vyz, vf), (vz, vxz, vf), (vx, vxz, vf))]
+    return ShellingCertificate(tuple(order))
+
+
+def test_lift_matches_the_per_facet_reference():
+    """On every shellable class of enumerate_pure2(5, 6) (18), lifted to sd(K)
+    and on to sd²(K), and on the chain's shellings of chain_reports(7),
+    the lift equals the reference, and every covered-edge mask 0-7
+    occurs."""
+    masks = Counter()
+    shellable = 0
+    for K in enumerate_pure2(5, 6):
+        shell = find_shelling(K, 100000)
+        if not isinstance(shell, ShellingCertificate):
+            continue
+        shellable += 1
+        once = lift_shelling(K, shell)
+        assert once == reference_lift(K, shell, masks), K.facets
+        sd = K.barycentric_subdivision()
+        assert lift_shelling(sd, once) == reference_lift(sd, once, masks), K.facets
+    reports = chain_reports(7)
+    assert reports
+    for report in reports:
+        L, shell = report.subject, report.shelling
+        assert lift_shelling(L, shell) == reference_lift(L, shell, masks)
+    assert shellable == 18 and sorted(masks) == list(range(8)), masks
+
+
 def test_chain_searches_sd2_when_the_refutation_does_not_refute(monkeypatch):
     """With the refutation silenced on K alone (it stays on sd²(K)), the
     search on K is exhausted without it, and the chain falls through to

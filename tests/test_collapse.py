@@ -889,10 +889,14 @@ def tampered_collapses(rng, L, cert):
     yield swapped(j)
     for t in sorted(cert.removed_triangles)[:1]:
         yield replace(cert, removed_triangles=cert.removed_triangles - {t})
+        # A step onto a removed triangle, through one of its edges.
+        yield at(0, CollapseStep(t[:2], t))
     yield at(i, CollapseStep((), steps[i].facet))
     yield at(i, CollapseStep(steps[i].free_face, (0, L.n_vertices)))
     ((point,),) = cert.target
     yield replace(cert, target=((next(v for v in range(L.n_vertices) if v != point),),))
+    # A step repeated right after itself.
+    yield replace(cert, steps=tuple(steps[:i + 1] + steps[i:]))
 
 
 def free_step_collapse(K):
@@ -912,9 +916,10 @@ def test_id_replay_matches_the_coface_reference_on_chain_certificates():
     """The chain's own collapse certificates on sd² subjects, and greedy
     collapses of a pure 3-complex and of a non-pure one (with steps whose
     facet is more than one vertex larger), each also with its last step
-    first, two adjacent steps swapped, a removed triangle dropped, an empty
-    free face, a face outside the subject and a wrong target: the same
-    message, or the same exception and text."""
+    first, two adjacent steps swapped, a removed triangle dropped, a step
+    onto a removed triangle, an empty free face, a face outside the
+    subject, a wrong target and a step repeated right after itself: the
+    same message, or the same exception and text."""
     rng = random.Random(18)
     reports = chain_reports(18)
     assert len(reports) >= 4 and any(r.collapse.removed_triangles for r in reports)
@@ -940,6 +945,37 @@ def test_id_replay_matches_the_coface_reference_on_chain_certificates():
     assert sum(isinstance(x, str) and "empty face" in x for x in seen) == len(reports)
     assert sum(x == "final complex does not equal the certificate target"
                for x in seen) >= len(reports)
+
+
+def test_the_replay_takes_legal_one_vertex_steps_inline(monkeypatch):
+    """A chain's collapse replays with no call of ``_Replay.take``: each of
+    its steps is legal and its facet one vertex larger than its free face.
+    A step repeated right after itself, and a step onto a removed triangle,
+    reach take once each, which words the failure."""
+    from shellsat.collapse import _Replay
+    taken = []
+    take = _Replay.take
+
+    def counted(self, step, t, s):
+        taken.append(step)
+        return take(self, step, t, s)
+
+    monkeypatch.setattr(_Replay, "take", counted)
+    reports = chain_reports(18)
+    assert any(r.collapse.removed_triangles for r in reports)
+    for report in reports:
+        L, cert = report.subject, report.collapse
+        steps = list(cert.steps)
+        assert collapse_violation(L, cert) is None and not taken
+        repeated = replace(cert, steps=tuple(steps[:2] + steps[1:]))
+        assert collapse_violation(L, repeated).startswith("step 2: free face ")
+        assert taken == [steps[1]]
+        taken.clear()
+        for t in sorted(cert.removed_triangles)[:1]:
+            onto = replace(cert, steps=(CollapseStep(t[:2], t), *steps[1:]))
+            assert collapse_violation(L, onto).startswith("step 0: ")
+            assert taken == [CollapseStep(t[:2], t)]
+            taken.clear()
 
 
 def test_collapse_reasons_name_faces_by_labels():
