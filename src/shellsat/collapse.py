@@ -128,12 +128,9 @@ class _Replay:
         faces tau + v for v in sigma - tau are left.  A facet other than
         sigma holding tau has a vertex w outside sigma and brings one more
         face, tau + w; and such a tau + w lies in some facet other than
-        sigma.  A legal step removes tau + S for each S in sigma - tau.
-
-        When |sigma| = |tau| + 1 (every step the chain and the peel emit),
-        sigma strictly holds tau iff tau is one of its ridges, and the faces
-        removed are just tau and sigma, so the step costs a decrement per
-        ridge of each.  A reason names faces by the subject's labels.
+        sigma.  A legal step removes tau + S for each S in sigma - tau, each
+        lowering the count of its ridges.  A reason names faces by the
+        subject's labels.
         """
         tau, sigma = step.free_face, step.facet
         if not tau:
@@ -142,19 +139,15 @@ class _Replay:
         name = self.subject.face_name
         if t is None or not left[t]:
             return f"free face {name(tau)} is not a face of the current complex"
-        codim1 = len(sigma) == len(tau) + 1
-        if s is None or not left[s] or not (
-                t in ridges[s] if codim1 else set(tau) < set(sigma)):
+        if s is None or not left[s] or not set(tau) < set(sigma):
             return f"{name(sigma)} is not a facet strictly containing {name(tau)}"
         if up[s]:
             return f"{name(sigma)} is not a facet of the current complex"
         if up[t] != len(sigma) - len(tau):
             return (f"free face {name(tau)} is also contained in facet "
                     f"{name(self.other_facet(step))}")
-        gone = (t, s) if codim1 else [
-            self.ids[tuple(sorted(tau + extra))]
-            for extra in subfaces([v for v in sigma if v not in tau])]
-        for g in gone:
+        for g in [self.ids[tuple(sorted(tau + extra))]
+                  for extra in subfaces([v for v in sigma if v not in tau])]:
             left[g] = 0
             for r in ridges[g]:
                 up[r] -= 1
@@ -204,13 +197,17 @@ def free_faces(K: Complex) -> list[CollapseStep]:
 # one with a ridge in no other one left.  A collapse removes triangles with
 # an empty core through free edges (read backwards, a weak K3-saturation
 # order: `wsat.decide_wsat_eq_treesize`), then prunes the edges left as
-# leaves.  `peel` takes ridge ids in the ridges' sorted order: a vertex is
-# its own id, so an edge is its own row, and a triangle's edges are their
-# positions in a sorted edge list (`edge_rows`).  Simplex sets are index
-# sets into one sorted list, so `combinations` runs in lexicographic order.
-# A call of the triangle 2-core engine below takes its caller's one
-# numbering, over K's edges or the host's, and `core_components` builds
-# each core component's rows from it once, on the component's own ids.
+# leaves.  `peel` pops the free ridge of least (or largest) id first.
+# Where the order of a peel is printed (`_collapse`'s steps, the wsat tree
+# and the chain's leaf prune), ids follow the ridges' sorted order: a
+# vertex is its own id, so an edge is its own row, and a triangle's edges
+# are their positions in a sorted edge list (`edge_rows`).  Simplex sets
+# are index sets into one sorted list, so `combinations` runs in
+# lexicographic order.
+# The triangle 2-core engine below reads only cores, GF(2) ranks and
+# triangle indices, so it takes any distinct edge ids its caller holds (the
+# shelling search passes its face ids), and `core_components` builds each
+# core component's rows from them once, on the component's own ids.
 Triangle = tuple[int, int, int]
 
 
@@ -321,8 +318,8 @@ def core_components(rows: list[Triangle], n: int,
     """The core's components, each as its triangles' indices in increasing
     order, their rows on the component's own edge ids, the number of those
     ids, and the least number of its triangles that must be deleted to
-    empty its core.  ``rows`` are the triangles' :func:`edge_rows` over a
-    sorted sequence of n edges that holds every triangle edge.
+    empty its core.  ``rows`` name each triangle's three edges by distinct
+    edge ids in 0..n-1, in any order and any numbering.
 
     Spends one budget node first, so every answer costs at least one.
     Why the core is all that needs solving: if a set S of triangles has an
@@ -332,12 +329,13 @@ def core_components(rows: list[Triangle], n: int,
     joined through shared edges) share no edge, and freeness is decided
     edge by edge, so each is solved on its own, from its :func:`_floor`.
 
-    A component's own ids are the ids its triangles use, compacted in
-    increasing order, so a peel in its search costs the component, not the
-    host.  They are the positions of its edges in their own sorted list:
-    ids in a sorted superset keep the edges' order, and so does the
-    compaction.  So a peel pops the same ridges on either numbering, and
-    the floor, a GF(2) rank, does not change when edges are renamed.
+    A component's own ids are the ids its triangles use, compacted in the
+    order they first appear, so a peel in its search costs the component,
+    not the host.  No answer depends on the numbering: a peel reaches the
+    same core whatever order it pops in (:func:`peel`), the floor is a
+    GF(2) rank, which renaming edges does not change, and the searches
+    read cores and floors and walk triangle indices, which renaming keeps.
+    So every answer and every node spent is that of any other numbering.
     """
     budget.spend()
     _, core = peel(rows, range(len(rows)), n)
@@ -361,7 +359,7 @@ def core_components(rows: list[Triangle], n: int,
                 stack.extend(fresh)
         component.sort()
         used = list(chain.from_iterable(map(rows.__getitem__, component)))
-        own = dict(zip(sorted(set(used)), count()))
+        own = dict(zip(dict.fromkeys(used), count()))
         local = list(zip(*[map(own.__getitem__, used)] * 3))
         components.append((component, local, len(own), _floor(local, range(len(local)))))
     return components
@@ -423,8 +421,8 @@ def least_removal(rows: list[Triangle], n: int, chi: int,
                   budget: Budget) -> set[int] | Impossible:
     """The first set of ``chi`` triangles, in ``combinations`` order, whose
     deletion empties the core, or ``Impossible`` naming the test that
-    showed there is none.  ``rows`` are the triangles' :func:`edge_rows`
-    over a sorted sequence of n edges that holds every triangle edge.
+    showed there is none.  ``rows`` name the triangles' edges by distinct
+    ids in 0..n-1, as :func:`core_components` takes them.
 
     ``chi`` is the reduced Euler characteristic of a connected complex
     whose triangles these are, so chi = b2 - b1 over GF(2).  A set that
@@ -453,7 +451,8 @@ def least_removal(rows: list[Triangle], n: int, chi: int,
 
 def least_deletions(rows: list[Triangle], n: int, budget: Budget) -> int:
     """The least number of triangles whose deletion empties the core, for
-    rows as :func:`least_removal` takes them.
+    rows on distinct edge ids in 0..n-1, as :func:`core_components` takes
+    them.
 
     The sum over the core components (:func:`core_components`) of each
     one's least, searched at its floor, then one more and so on
@@ -559,13 +558,16 @@ def collapse_violation(K: Complex, cert: CollapseCertificate) -> str | None:
 
     A step is taken inline when the free face's id t is one of the
     facet's ridges, both are left, the facet has no face above it and t
-    has one; any other step goes to :meth:`_Replay.take`, which applies a
-    legal step of higher codimension and words the reason for an illegal
-    one.  Why this is exact: t in ridges[s] means sigma is one vertex
-    larger and holds tau (and t is not None, as the empty face has no id).
-    With the counts, that is exactly take's acceptance for such a step,
-    and take then removes just those two faces, lowering the count of each
-    of their ridges, as the inline branch does.
+    has one, as in every step the chain and the peel emit, whose facet is
+    one vertex larger than its free face.  Any other step goes to
+    :meth:`_Replay.take`, which applies a legal step of higher codimension
+    and words the reason for an illegal one.  Why this is exact: t in
+    ridges[s] means sigma is one vertex larger and strictly holds tau (and
+    t is not None, as the empty face has no id); for such a pair, strict
+    containment holds iff tau is a ridge of sigma.  With the counts, that
+    is exactly take's acceptance for such a step, and take then removes
+    just tau and sigma, lowering the count of each of their ridges, as the
+    inline branch does, one decrement per ridge.
     """
     facets = set(K.facets)
     for t in cert.removed_triangles:

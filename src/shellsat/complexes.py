@@ -316,14 +316,15 @@ class Complex:
     def is_flag2(self) -> bool:
         """True iff every 3-clique of the 1-skeleton spans a triangle.
 
-        Each triangle is a 3-clique, so it is iff their counts match.  Only
+        Each triangle is a 3-clique, so it is iff their counts match; the
+        triangles are counted from the sweep's set, not listed.  Only
         defined up to dimension 2; higher dimensions raise.
         """
         if self.dim > 2:
             raise UnsupportedDimensionError(
                 f"flagness check supports dimension <= 2, got {self.dim}")
         return self._keep("flag", lambda: len(
-            clique_triangles(self.n_vertices, self.edges)) == len(self.triangles))
+            clique_triangles(self.n_vertices, self.edges)) == sum(self.f_vector()[3:]))
 
     # -- derived complexes ---------------------------------------------------
 

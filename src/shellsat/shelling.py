@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import itemgetter
 
-from .collapse import edge_rows, least_removal
+from .collapse import least_removal
 from .complexes import (
     SHELLING,
     Complex,
@@ -141,7 +141,12 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
     The last two are decided by one call of :func:`collapse.least_removal`
     of chi~, whose ``Impossible`` names the test that failed.  It spends
     one node for the core and one per search node; no collapse steps are
-    spent, as nothing is collapsed.
+    spent, as nothing is collapsed.  It runs on the search's own face ids:
+    K is pure of dimension 2, so its facets are its triangles, sorted, and
+    the ridge slots of each facet's row of :meth:`Complex.facet_rows` hold
+    its edges as ids below ``len(K.face_ids())``.  The engine asks only
+    for distinct edge ids (:func:`collapse.core_components`), so no edge
+    is numbered and no face listing sorted again.
 
     What is proved about exactness concerns sd²(K).  By Hachimori's
     criterion (*Decompositions of two-dimensional simplicial complexes*,
@@ -159,8 +164,7 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
     The search is sound either way, as this only refutes.
     """
     link: list[list[Face]] = [[] for _ in range(K.n_vertices)]
-    triangles = K.triangles
-    for a, b, c in triangles:
+    for a, b, c in K.facets:
         link[a].append((b, c))
         link[b].append((a, c))
         link[c].append((a, b))
@@ -170,8 +174,8 @@ def _refuted(K: Complex, budget: Budget) -> Unshellable | None:
                      for u, w in edges]
         if not is_connected_graph(len(index), relabeled):
             return Unshellable(decided_by="link")
-    removal = least_removal(edge_rows(triangles, K.edges), len(K.edges),
-                            K.reduced_euler_characteristic(), budget)
+    removal = least_removal(list(map(itemgetter(*_slots(2)[2]), K.facet_rows())),
+                            len(K.face_ids()), K.reduced_euler_characteristic(), budget)
     if isinstance(removal, Impossible):
         return Unshellable(decided_by=removal.decided_by)
     return None

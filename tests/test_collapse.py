@@ -536,11 +536,12 @@ def test_least_deletion_matches_the_greedy_and_scan_reference():
 
 
 def test_engine_answers_do_not_depend_on_the_edge_numbering():
-    """Rows over the triangles' own sorted edges and over every pair of
-    their support, a sorted superset as a host's edges are, give the same
-    floors, the same least_removal at b2 and at b2 + 1, the same
-    least_deletions and the same Budget.used, or both run out of a
-    20 000-node budget."""
+    """Rows over the triangles' own sorted edges, over every pair of their
+    support (a sorted superset, as a host's edges are) and over the own
+    edges mapped to distinct, seeded, unsorted ids in a range twice as
+    wide (as the shelling search's face ids are) give the same floors, the
+    same least_removal at b2 and at b2 + 1, the same least_deletions and
+    the same Budget.used, or all run out of a 20 000-node budget."""
     def answers(rows, n):
         floors = [floor for *_, floor in core_components(rows, n, Budget(None))]
         runs = [floors]
@@ -555,13 +556,17 @@ def test_engine_answers_do_not_depend_on_the_edge_numbering():
             runs.append((result, getattr(result, "decided_by", None), budget.used))
         return runs
 
-    wider = 0
+    rng, wider, unsorted = random.Random(40), 0, 0
     for triangles in reference_corpus():
         support = sorted(set(chain.from_iterable(triangles)))
         own, every = numbered(triangles), numbered(triangles, list(combinations(support, 2)))
-        assert answers(*own) == answers(*every)
+        ids = rng.sample(range(2 * own[1]), own[1])
+        shuffled = [tuple(map(ids.__getitem__, row)) for row in own[0]], 2 * own[1]
+        expected = answers(*own)
+        assert answers(*every) == expected and answers(*shuffled) == expected
         wider += every[1] > own[1]
-    assert wider > 300
+        unsorted += ids != sorted(ids)
+    assert wider > 300 and unsorted > 300
 
 
 def test_each_engine_call_numbers_its_edges_once(monkeypatch):

@@ -24,7 +24,7 @@ from shellsat import (
     verify_shelling,
 )
 from shellsat import shelling
-from shellsat.collapse import collapse_violation
+from shellsat.collapse import collapse_violation, edge_rows, least_removal
 from shellsat.errors import (
     ConnectivityError,
     MalformedCertificateError,
@@ -39,7 +39,7 @@ from shellsat.harness import (
     oracle_shelling,
     sample_pure2,
 )
-from shellsat.outcomes import Budget, BudgetExceeded, OutOfBudget, Unshellable
+from shellsat.outcomes import Budget, BudgetExceeded, Impossible, OutOfBudget, Unshellable
 from shellsat.shelling import (
     _refuted,
     _tables,
@@ -786,14 +786,82 @@ def test_refutation_names_the_test_that_fired():
         assert budget.used == search_nodes
 
 
+def reference_refuted(K, budget):
+    """The refutation on its own numbering: each vertex link, as a graph
+    complex, connected, then least_removal of chi~ on the rows of K's
+    triangles over its sorted edges."""
+    for v in range(K.n_vertices):
+        link = [[f"v{u}" for u in t if u != v] for t in K.triangles if v in t]
+        if not from_facets(link).is_connected():
+            return Unshellable(decided_by="link")
+    removal = least_removal(edge_rows(K.triangles, K.edges), len(K.edges),
+                            K.reduced_euler_characteristic(), budget)
+    return Unshellable(decided_by=removal.decided_by) if isinstance(removal, Impossible) else None
+
+
+def test_refutation_on_the_search_ids_equals_the_reference():
+    """``_refuted``, on the search's face ids, gives the reference's
+    outcome, ``decided_by`` and ``Budget.used``, or both run out, at
+    budgets None, 3 and 10: on the 5-vertex classes with at most 7
+    triangles, 400 seeded draws on 6 to 9 vertices and the flag dunce hat."""
+    def run(refute, K, limit):
+        budget = Budget(limit)
+        try:
+            result = refute(K, budget)
+        except OutOfBudget:
+            result = "out of budget"
+        return result, getattr(result, "decided_by", None), budget.used
+
+    rng = random.Random(7)
+    corpus = list(enumerate_pure2(5, 7)) + [flag_dunce_hat()]
+    corpus += [sample_pure2(rng, rng.randint(6, 9), rng.randint(3, 12))[0] for _ in range(400)]
+    seen = defaultdict(int)
+    for K in corpus:
+        for limit in (None, 3, 10):
+            expected = run(reference_refuted, K, limit)
+            assert run(_refuted, K, limit) == expected, (K.facets, limit)
+            seen[expected[1] or expected[0]] += 1
+    assert min(seen[key] for key in ("link", "betti1", "core", None, "out of budget")) > 0, seen
+
+
+MOBIUS = [f"v{i} v{(i + 1) % 5} v{(i + 2) % 5}" for i in range(5)]
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """Each call of ``collapse.edge_rows`` ("edge_rows") and each dimension
+    that ``Complex.faces_of_dim`` is asked for, in order."""
+    calls = []
+    numbering, listing = edge_rows, Complex.faces_of_dim
+    monkeypatch.setattr("shellsat.collapse.edge_rows",
+                        lambda *args: calls.append("edge_rows") or numbering(*args))
+    monkeypatch.setattr(Complex, "faces_of_dim", lambda K, k: calls.append(k) or listing(K, k))
+    return calls
+
+
+def test_a_stuck_search_numbers_and_sorts_nothing_more(asked):
+    """A search stuck on a Moebius strip (refuted by b1) and on the flag
+    dunce hat (by its core) runs the 2-core engine on its own face ids: it
+    neither numbers edges nor lists the faces of a dimension."""
+    for K, test in ((from_facets(MOBIUS), "betti1"), (flag_dunce_hat(), "core")):
+        assert find_shelling(K).decided_by == test
+    assert asked == []
+
+
+def test_flagness_lists_the_edges_only(asked):
+    """``is_flag2`` on a fresh complex counts its triangles without
+    listing them."""
+    assert not from_facets(MOBIUS).is_flag2() and flag_dunce_hat().is_flag2()
+    assert asked == [1, 1]
+
+
 def test_subdivided_refutables_are_decided_within_small_budgets():
     """b1 = 1 (annulus, Moebius strip) or a disconnected vertex link (two
     disks at a vertex): each is refuted at the first dead end."""
     annulus = [f"a{i} a{(i + 1) % 4} b{i}" for i in range(4)]
     annulus += [f"a{(i + 1) % 4} b{i} b{(i + 1) % 4}" for i in range(4)]
-    mobius = [f"v{i} v{(i + 1) % 5} v{(i + 2) % 5}" for i in range(5)]
     wedge = ["a b c", "a c d", "a e f", "a f g"]
-    for facets in (annulus, mobius, wedge):
+    for facets in (annulus, MOBIUS, wedge):
         K = from_facets(facets).barycentric_subdivision()
         assert find_shelling(K, Budget(200)) == Unshellable()
 
