@@ -28,7 +28,7 @@ from .collapse import (
     peel,
     verify_collapse,
 )
-from .complexes import Complex, Face, require_pure2_connected
+from .complexes import Complex, Face, require_pure2_connected, spanning_subgraph
 from .errors import CertificateError, FlagnessError
 from .outcomes import Budget, BudgetExceeded, Unshellable, as_budget
 from .shelling import (
@@ -43,7 +43,6 @@ from .wsat import (
     format_saturation,
     saturation_fields,
     saturation_violation,
-    spanning_subgraph,
 )
 
 

@@ -2,8 +2,10 @@
 
 A complex is the downward closure of its facets; one largest-first sweep
 over the listed faces builds both, keeping each face once, in the set of
-its size that face listings, counts, checks and skeletons read.  The shelling,
-collapse and subdivision code read one kept numbering of its faces.
+its size that face listings, counts, checks and skeletons read.  A skeleton
+and a spanning subgraph (:func:`spanning_subgraph`) share their parent's
+sets and sweep nothing.  The shelling, collapse and subdivision code read
+one kept numbering of its faces.
 Every label is a vertex, and vertex ids follow sorted label order, so
 complexes built from the same label faces are identical, serialize to the
 same bytes and share one fingerprint.  Faces are strictly increasing id
@@ -129,7 +131,8 @@ def _chain_slots(size: int) -> Callable[[tuple], tuple]:
 
 class Complex:
     """Immutable simplicial complex, read from labels by :func:`from_facets`;
-    :meth:`induced` and :meth:`barycentric_subdivision` derive on ids."""
+    :meth:`induced`, :meth:`skeleton`, :meth:`barycentric_subdivision` and
+    :func:`spanning_subgraph` derive on ids."""
 
     __slots__ = ("labels", "facets", "dim", "_by_size", "_kept")
 
@@ -232,6 +235,14 @@ class Complex:
         if not -1 <= k <= self.dim:
             return ()
         return self._keep(("faces", k), lambda: tuple(sorted(self._by_size[k + 1])))
+
+    def face_set(self, k: int) -> frozenset[Face]:
+        """The faces of dimension k as a read-only set, for membership and
+        set algebra: the sweep's set, frozen on the first ask and then
+        kept (no copy when it is frozen already), and empty outside -1..dim."""
+        if not -1 <= k <= self.dim:
+            return frozenset()
+        return self._keep(("face set", k), lambda: frozenset(self._by_size[k + 1]))
 
     def face_ids(self) -> dict[Face, int]:
         """The dense id of each nonempty face, kept, listed in id order: by
@@ -341,20 +352,18 @@ class Complex:
         size k+1 has no larger face in the skeleton.  A smaller face inside
         a larger face of this complex lies in one of its own size plus one,
         at most k+1, so it is a facet of the skeleton iff it is one here.
+        The sorted faces of size k+1 it is built from are kept as its own
+        ``faces_of_dim(k)``.
         """
         if k < 0:
             raise UnsupportedDimensionError("skeleton dimension must be >= 0")
         return self._keep(("skeleton", k), lambda: self._skeleton(k))
 
     def _skeleton(self, k: int) -> "Complex":
-        by_size = self._by_size[:k + 2]
         top, lower = self.faces_of_dim(k), [f for f in self.facets if len(f) <= k]
-        skeleton = object.__new__(Complex)
-        skeleton.labels, skeleton.dim = self.labels, len(by_size) - 2
-        skeleton._by_size = by_size
-        skeleton.facets = tuple(sorted(top + tuple(lower))) if lower else top
-        skeleton._kept = {}
-        return skeleton
+        return _assemble(self.labels, self._by_size[:k + 2],
+                         tuple(sorted(top + tuple(lower))) if lower else top,
+                         {("faces", k): top})
 
     def induced(self, faces: Iterable[Face]) -> "Complex":
         """The subcomplex closing the listed faces, on the vertices they use,
@@ -455,6 +464,42 @@ class Complex:
             if first is not None:
                 raise ShellsatError(f"label {first!r} is not serializable")
         return "\n".join(self.face_texts(self.facets)) + "\n"
+
+
+def _assemble(labels: tuple[str, ...], by_size: list, facets: tuple[Face, ...],
+              kept: dict) -> Complex:
+    """The complex of parts that already keep the invariant, with no sweep:
+    sorted labels, each a vertex; the faces of each size, closed downward,
+    ``by_size[0]`` holding ``()``; the sorted facets; and answers to keep."""
+    K = object.__new__(Complex)
+    K.labels, K._by_size, K.dim = labels, by_size, len(by_size) - 2
+    K.facets, K._kept = facets, kept
+    return K
+
+
+def spanning_subgraph(F: Complex, edges: Iterable[Face]) -> Complex:
+    """The graph of the distinct edges (increasing id pairs) on all of F's
+    vertices, built on F's ids like a skeleton, with no sweep.
+
+    It shares F's labels and vertex set, holds the edges as a frozen set
+    (read by :meth:`Complex.face_set` without a copy), lists as facets its
+    edges and the vertices no edge covers, and keeps its sorted edges as
+    ``faces_of_dim(1)``.  The edges are not checked against F's: a parsed
+    start edge outside F is the verifier's to report.  An id outside
+    0..n-1 raises, naming the least one, as the constructor does.
+    """
+    edge_set = frozenset(edges)
+    n = F.n_vertices
+    covered = set(chain.from_iterable(edge_set))
+    if covered and (min(covered) < 0 or max(covered) >= n):
+        v = min(covered.difference(range(n)))
+        raise NotAFaceError(f"vertex id {v} names no label")
+    top = tuple(sorted(edge_set))
+    if not top:
+        return _assemble(F.labels, F._by_size[:2], tuple(zip(range(n))), {})
+    isolated = tuple((v,) for v in range(n) if v not in covered) if len(covered) < n else ()
+    return _assemble(F.labels, [*F._by_size[:2], edge_set],
+                     tuple(sorted(top + isolated)) if isolated else top, {("faces", 1): top})
 
 
 def require_pure2_connected(K: Complex, what: str) -> None:

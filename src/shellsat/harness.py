@@ -19,9 +19,9 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .collapse import Triangle
-from .complexes import Complex, from_facets, is_connected_graph
+from .complexes import Complex, from_facets, is_connected_graph, spanning_subgraph
 from .errors import OracleBoundError, ParameterError
-from .wsat import graph_complex, spanning_subgraph
+from .wsat import graph_complex
 
 MODES = ("random-pure-2", "enumerate-all", "subdivide-depth-k")
 

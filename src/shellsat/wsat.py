@@ -12,7 +12,6 @@ deciders run on the triangle 2-core engine of :mod:`shellsat.collapse`.
 from dataclasses import dataclass
 from itertools import combinations, compress, count, repeat
 from operator import lt, ne
-from typing import Iterable
 
 from .collapse import Triangle, edge_rows, least_deletions, least_removal, peel
 from .complexes import (
@@ -23,6 +22,7 @@ from .complexes import (
     from_facets,
     listed_faces,
     read_certificate,
+    spanning_subgraph,
 )
 from .errors import (
     ConnectivityError,
@@ -59,13 +59,13 @@ def _require_graph(K: Complex) -> None:
             f"expected a graph (dimension <= 1), got dimension {K.dim}")
 
 
-def _spanning_edges(F: Complex, G: Complex) -> tuple[set[Edge], set[Edge]]:
-    """The edge sets of the host F and of G, which must span it."""
+def _spanning_edges(F: Complex, G: Complex) -> tuple[frozenset[Edge], frozenset[Edge]]:
+    """The kept edge sets of the host F and of G, which must span it."""
     _require_graph(F)
     _require_graph(G)
     if F.labels != G.labels:
         raise ContainmentError("subgraph must span the host vertex set")
-    host, start = set(F.edges), set(G.edges)
+    host, start = F.face_set(1), G.face_set(1)
     if not start <= host:
         raise ContainmentError("subgraph has edges outside the host")
     return host, start
@@ -79,14 +79,8 @@ def graph_complex(vertex_labels, edge_label_pairs) -> Complex:
     return from_facets(facets)
 
 
-def spanning_subgraph(F: Complex, edges: Iterable[Edge]) -> Complex:
-    """The graph of the edges (id pairs) on all of F's vertices, built on F's
-    ids and unchecked: a parsed start edge outside F is the verifier's to report."""
-    return Complex(F.labels, [*edges, *zip(range(F.n_vertices))])
-
-
-def _bootstrap(n: int, host: set[Edge],
-               start: set[Edge]) -> tuple[list[Edge], list[tuple[int, int, int]]]:
+def _bootstrap(n: int, host: frozenset[Edge],
+               start: frozenset[Edge]) -> tuple[list[Edge], list[tuple[int, int, int]]]:
     """The K3-bootstrap of start inside host, run to its fixed point.
 
     At every step the lexicographically least addable edge is added,
@@ -312,7 +306,7 @@ def parse_saturation(text: str, F: Complex) -> SaturationCertificate:
             if body.startswith("start:"):
                 saw_start = True
                 for face in listed_faces(F, body[len("start:"):]):
-                    if len(set(face)) != 2:
+                    if len(face) != 2 or face[0] == face[1]:  # two distinct labels
                         raise MalformedCertificateError(
                             f"start entry {F.face_name(face)} is not an edge")
                     start_edges.append(face)

@@ -357,9 +357,10 @@ def test_wsat_certificate_round_trip(workdir):
 
 
 def test_wsat_verify_rejects_a_start_entry_that_is_no_edge(workdir, capsys):
-    # "# start:" lists edges.  An entry of one label or of four is malformed
-    # (exit 3) and the error names its line; without it the rest verifies.
-    for entry in ("a", "a b c d"):
+    # "# start:" lists edges.  An entry of one label, of four, or of three
+    # with one repeated is malformed (exit 3) and the error names its line;
+    # without it the rest verifies.
+    for entry in ("a", "a b c d", "a a b"):
         cert = workdir / "start.cert"
         cert.write_text(f"# pattern: K3\n# start: {entry}, a c, b d, c d\n"
                         "b c : b c d\na b : a b c\n")

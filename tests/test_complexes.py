@@ -16,8 +16,15 @@ from shellsat import (
     parse_sc,
     parse_sc_with_warnings,
     run_chain,
+    wsat,
 )
-from shellsat.complexes import LABEL_RE, Complex, clique_triangles, is_connected_graph
+from shellsat.complexes import (
+    LABEL_RE,
+    Complex,
+    clique_triangles,
+    is_connected_graph,
+    spanning_subgraph,
+)
 from shellsat.errors import (
     EmptyComplexError,
     MalformedFaceError,
@@ -34,8 +41,13 @@ from shellsat.harness import (
     sample_pure2,
     sample_spanning_subgraph,
 )
-from shellsat.wsat import spanning_subgraph
-from conftest import all_faces, maximal_faces, reference_subdivision, table_corpus
+from conftest import (
+    all_faces,
+    chain_reports,
+    maximal_faces,
+    reference_subdivision,
+    table_corpus,
+)
 
 
 # -- construction ---------------------------------------------------------------
@@ -471,15 +483,54 @@ def test_apply_collapse_matches_label_build():
             assert_same(apply_collapse(K, step), label_collapse(K, step))
 
 
+def reference_spanning_subgraph(F: Complex, edges) -> Complex:
+    """The start graph through the constructor's full sweep: the edges and
+    every vertex of F listed as faces on F's labels."""
+    return Complex(F.labels, [*edges, *zip(range(F.n_vertices))])
+
+
 def test_spanning_subgraph_matches_graph_complex():
+    """The start graph built on F's kept sets against the constructor's
+    build and against the graph built from labels, on every connected graph
+    of 5 vertices, the 1-skeletons of the 5-vertex classes and one vertex:
+    no edge, all edges, all edges with some listed twice, seeded subsets,
+    and subsets that leave some vertices isolated; and on the start graphs
+    of the chain's reports.  Facets, edges, f-vector, connectivity, the
+    faces numbered and the fingerprint agree, the vertices keep their ids,
+    and an id outside 0..n-1 raises as the constructor does."""
     rng = random.Random(17)
     graphs = [*enumerate_connected_graphs(5),
-              *(K.skeleton(1) for K in enumerate_pure2(5, 3))]
+              *(K.skeleton(1) for K in enumerate_pure2(5, 3)), from_facets(["a"])]
+    cases = [(report.subject.skeleton(1), report.saturation.start.edges)
+             for report in chain_reports(18)]
+    assert len(cases) >= 4
     for G in graphs:
-        for _ in range(4):
-            edges = {e for e in G.edges if rng.random() < 0.5}
-            assert_same(spanning_subgraph(G, edges), graph_complex(
-                G.labels, [G.label_face(e) for e in sorted(edges)]))
+        alone = rng.randrange(G.n_vertices)
+        cases += [(G, ()), (G, G.edges), (G, [*G.edges, *G.edges[::2]]),
+                  (G, [e for e in G.edges if alone not in e])]
+        cases += [(G, {e for e in G.edges if rng.random() < 0.5}) for _ in range(4)]
+    isolated = 0
+    for G, edges in cases:
+        built, reference = spanning_subgraph(G, edges), reference_spanning_subgraph(G, edges)
+        assert_same(built, reference)
+        assert built == graph_complex(G.labels, [G.label_face(e) for e in sorted(set(edges))])
+        assert (built.facets, built.edges, built.dim) == (
+            reference.facets, reference.edges, reference.dim)
+        assert built.f_vector() == reference.f_vector()
+        assert built.is_connected() == reference.is_connected()
+        assert built.face_ids().keys() == reference.face_ids().keys()
+        assert [built.face_ids()[v,] for v in range(G.n_vertices)] == list(range(G.n_vertices))
+        assert sorted(built.face_ids().values()) == list(range(len(built.face_ids())))
+        assert built.fingerprint == reference.fingerprint
+        isolated += any(len(f) == 1 for f in built.facets) and bool(built.edges)
+    assert isolated >= len(graphs)
+    G = graphs[0]
+    n = G.n_vertices
+    for edges in ([(0, n)], [(-1, 0)], [(0, 1), (n, n + 2), (-3, 2)]):
+        expected = outcome(lambda: reference_spanning_subgraph(G, edges))
+        assert expected[0] == "NotAFaceError"
+        assert outcome(lambda: spanning_subgraph(G, edges)) == expected
+    assert wsat.spanning_subgraph is spanning_subgraph
 
 
 # -- every derived complex keeps every label a vertex -------------------------------
@@ -668,6 +719,8 @@ def assert_skeleton_matches_induced(K: Complex, k: int) -> None:
     assert sorted(ids, key=ids.get) == sorted(ids, key=len)
     assert skeleton.labels == K.labels
     assert ids == {f: i for f, i in K.face_ids().items() if len(f) <= k + 1}
+    if k <= K.dim:
+        assert skeleton.faces_of_dim(k) is K.faces_of_dim(k)  # kept, not sorted again
     if k >= 1:
         assert K.skeleton(k).skeleton(0) == K.skeleton(0)
 

@@ -14,11 +14,12 @@ from shellsat import (
     graph_complex,
     is_weakly_saturated,
     k3_closure,
+    parse_sc,
     verify_saturation,
     wsat_number,
 )
 from shellsat.cli import main
-from shellsat.complexes import is_connected_graph
+from shellsat.complexes import Complex, is_connected_graph
 from shellsat.errors import (
     ConnectivityError,
     ContainmentError,
@@ -340,7 +341,7 @@ def test_only_the_k3_pattern_verifies():
                 parse_saturation("\n".join(lines) + "\n", F)
 
 
-@pytest.mark.parametrize("entry", ["a", "a b c", "a a", "a b c d"])
+@pytest.mark.parametrize("entry", ["a", "a b c", "a a", "a a b", "a b c d"])
 def test_start_entries_must_be_edges(entry):
     # Each "# start:" entry names one edge, two distinct labels; any other
     # entry is malformed, and the error names its line.
@@ -382,11 +383,13 @@ def test_saturation_violation_rejects_broken_certificates():
 
 def reference_saturation_violation(F, cert):
     """saturation_violation with the host size read per vertex and each
-    witness edge sorted pair by pair."""
-    try:
-        host, start = _spanning_edges(F, cert.start)
-    except ContainmentError as exc:
-        raise MalformedCertificateError(str(exc)) from None
+    witness edge sorted pair by pair, on edge sets of its own, built from
+    the sorted edge listings and checked for the same span and containment."""
+    host, start = set(F.edges), set(cert.start.edges)
+    if F.labels != cert.start.labels:
+        raise MalformedCertificateError("subgraph must span the host vertex set")
+    if not start <= host:
+        raise MalformedCertificateError("subgraph has edges outside the host")
     missing = host - start
     if sorted(cert.order) != sorted(missing) or len(cert.order) != len(missing):
         raise MalformedCertificateError(
@@ -400,7 +403,7 @@ def reference_saturation_violation(F, cert):
             raise MalformedCertificateError(
                 f"witness {i} is not a 3-vertex set of the host")
 
-    present = start
+    present = set(start)
     for i, (edge, witness) in enumerate(zip(cert.order, cert.witnesses)):
         present.add(edge)
         if not set(edge) <= set(witness):
@@ -495,6 +498,25 @@ def test_saturation_bulk_checks_raise_as_the_reference():
         assert expected[0] == "MalformedCertificateError"
         assert outcome(saturation_violation, host, tampered) == expected
     assert n > 6 and "witness 5 " in outcome(saturation_violation, host, cases[2])[1]
+
+
+def test_saturation_replay_reads_kept_edge_sets(monkeypatch):
+    """The replay reads the host's and the start's edge sets as kept, each
+    frozen once: on fresh hosts it lists and sorts no faces, and the sets
+    it reads are the start graph's own and the host's kept one."""
+    reports = chain_reports(18)
+    hosts = [parse_sc(report.subject.to_sc()).skeleton(1) for report in reports]
+    asked = []
+    listing = Complex.faces_of_dim
+    monkeypatch.setattr(Complex, "faces_of_dim", lambda K, k: asked.append(k) or listing(K, k))
+    for host, report in zip(hosts, reports):
+        assert saturation_violation(host, report.saturation) is None
+    assert asked == []
+    for host, report in zip(hosts, reports):
+        start = report.saturation.start
+        host_edges, start_edges = _spanning_edges(host, start)
+        assert host_edges is host.face_set(1) and start_edges is start.face_set(1)
+        assert host_edges == set(host.edges) and start_edges == set(start.edges)
 
 
 def test_saturation_reasons_name_faces_by_labels():
