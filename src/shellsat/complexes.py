@@ -201,10 +201,17 @@ class Complex:
 
     def face_texts(self, faces: Iterable[Face]) -> list[str]:
         """Each face as certificates and ".sc" lines write it: "a b c".
-        ``itemgetter`` picks the labels of two or more ids in one C call; of
-        one id it picks the bare label, so shorter faces join a label list."""
-        labels = self.labels
-        return [" ".join(itemgetter(*f)(labels) if len(f) > 1 else [labels[v] for v in f])
+        A triangle and an edge are each one f-string of their labels, which
+        builds no label tuple, and a vertex is its bare label; any other
+        size (the empty face, a tetrahedron) joins a label list.  Every
+        label the parser and the builders make is an exact ``str``, whose
+        f-string field is the label itself, so the text is byte for byte
+        the ``" ".join`` of the labels."""
+        L = self.labels
+        return [f"{L[f[0]]} {L[f[1]]} {L[f[2]]}" if len(f) == 3
+                else f"{L[f[0]]} {L[f[1]]}" if len(f) == 2
+                else L[f[0]] if len(f) == 1
+                else " ".join([L[v] for v in f])
                 for f in faces]
 
     def face_from_labels(self, labels: Sequence[str]) -> Face:

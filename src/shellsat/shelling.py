@@ -61,7 +61,7 @@ def first_shelling_violation(K: Complex, cert: ShellingCertificate) -> int | Non
     """
     if not K.is_pure():
         raise PurityError("shellings are defined for pure complexes only")
-    order = [tuple(f) for f in cert.order]
+    order = list(map(tuple, cert.order))
     row_of = dict(zip(K.facets, K.facet_rows()))
     if len(order) != len(row_of) or row_of.keys() != set(order):
         raise MalformedCertificateError(

@@ -108,12 +108,31 @@ def test_repr_names_the_first_four_facets(two_triangles):
 
 
 def test_face_texts_writes_each_face_by_its_labels():
-    """The one face writer, on faces of every size, the empty face included."""
+    """The one face writer, on faces of every size, the empty face included:
+    grouped by size, interleaved, and every face of the chain's sd² subjects
+    and their host graphs, whose labels nest braces and bars."""
+    def every_face(K):
+        return [f for k in range(-1, K.dim + 1) for f in K.faces_of_dim(k)]
+
     for K in (from_facets(["a b c d", "b c e", "e f", "gh"]), from_facets(["xy"])):
-        faces = [f for k in range(-1, K.dim + 1) for f in K.faces_of_dim(k)]
+        faces = every_face(K)
         assert {len(f) for f in faces} == set(range(K.dim + 2))
         assert K.face_texts(faces) == [" ".join(K.label_face(f)) for f in faces]
     assert from_facets(["xy"]).face_texts([(), (0,)]) == ["", "xy"]
+    K = from_facets(["a b c d", "b c e", "e f", "gh"])
+    faces = every_face(K) * 2
+    random.Random(110).shuffle(faces)
+    assert len({len(f) for f in faces[:8]}) > 2  # the sizes are mixed, not grouped
+    assert K.face_texts(faces) == [" ".join(K.label_face(f)) for f in faces]
+    reports = chain_reports(18)
+    assert reports
+    for report in reports:
+        L = report.subject
+        assert any("{" in label and "|" in label for label in L.labels)
+        for K in (L, L.skeleton(1)):
+            faces = every_face(K)
+            assert K.face_texts(faces) == [" ".join(K.label_face(f)) for f in faces]
+        assert L.to_sc() == "\n".join(" ".join(L.label_face(f)) for f in L.facets) + "\n"
 
 
 def test_skeleton_drops_triangles(two_triangles):
